@@ -5,7 +5,7 @@ line-model, extracts the joint eigenfunctions of the cat map's commutant
 torus, and checks the sup-norm bound and value statistics across primes.
 """
 
-from .arith import CyclicCharacter, FieldElement, additive_char, legendre, primes_in
+from .arith import CyclicCharacter, primes_in
 from .groups import (
     CatMap,
     EnhancedLagrangian,
@@ -16,8 +16,6 @@ from .groups import (
     build_hecke_torus,
     classify_prime,
     enumerate_lagrangians,
-    heis_mul,
-    matrix_act,
 )
 from .models import (
     Intertwiner,

@@ -1,11 +1,11 @@
 """Exact arithmetic mod an odd prime and the character functions built on it.
 
 Everything downstream consumes three ingredients from this module: residue
-arithmetic in F_p, the additive character psi(a) = exp(2*pi*i*a/p), and the
-multiplicative characters (the Legendre symbol and the characters of a cyclic
-group with a fixed generator).  Complex values are double precision; the
-root-of-unity tables are computed once per modulus and cached so repeated
-character sums are bit-stable across calls.
+arithmetic in F_p, the additive character psi(a) = exp(2*pi*i*a/p) (read from
+the table unit_roots(p)), and the multiplicative characters (the Legendre
+symbol and the characters of a cyclic group with a fixed generator).  Complex
+values are double precision; the root-of-unity tables are computed once per
+modulus and cached so repeated character sums are bit-stable across calls.
 """
 
 from __future__ import annotations
@@ -16,10 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "FieldElement",
     "CyclicCharacter",
-    "additive_char",
-    "legendre",
     "legendre_symbol",
     "legendre_table",
     "unit_roots",
@@ -62,51 +59,6 @@ def half_mod(a: int, p: int) -> int:
     return (a * ((p + 1) // 2)) % p
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """Residue in [0, p) for an odd prime modulus p."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        _require_odd_prime(self.modulus)
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    def _coerce(self, other: "FieldElement") -> "FieldElement":
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if other.modulus != self.modulus:
-            raise ValueError(
-                f"mismatched moduli: {self.modulus} vs {other.modulus}"
-            )
-        return other
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return FieldElement(self.value + other.value, self.modulus)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return FieldElement(self.value - other.value, self.modulus)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return FieldElement(self.value * other.value, self.modulus)
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.modulus)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(inverse_mod(self.value, self.modulus), self.modulus)
-
-    def half(self) -> "FieldElement":
-        return FieldElement(half_mod(self.value, self.modulus), self.modulus)
-
-    def __int__(self) -> int:
-        return self.value
-
-
 @lru_cache(maxsize=None)
 def unit_roots(n: int) -> np.ndarray:
     """exp(2*pi*i*k/n) for k in [0, n), computed once per n and reused.
@@ -118,11 +70,6 @@ def unit_roots(n: int) -> np.ndarray:
     return table
 
 
-def additive_char(a: FieldElement) -> complex:
-    """psi(a) = exp(2*pi*i*a/p); a homomorphism from (F_p, +) to the circle."""
-    return complex(unit_roots(a.modulus)[a.value])
-
-
 def legendre_symbol(a: int, p: int) -> int:
     """Legendre symbol of a mod p: +1 on nonzero squares, -1 otherwise, 0 at 0."""
     _require_odd_prime(p)
@@ -131,10 +78,6 @@ def legendre_symbol(a: int, p: int) -> int:
         return 0
     e = pow(a, (p - 1) // 2, p)
     return 1 if e == 1 else -1
-
-
-def legendre(a: FieldElement) -> int:
-    return legendre_symbol(a.value, a.modulus)
 
 
 @lru_cache(maxsize=None)

@@ -22,8 +22,6 @@ __all__ = [
     "EnhancedLagrangian",
     "CatMap",
     "HeckeTorus",
-    "heis_mul",
-    "matrix_act",
     "classify_prime",
     "build_hecke_torus",
     "enumerate_lagrangians",
@@ -103,10 +101,6 @@ class HeisenbergElement:
         return self.v.is_zero()
 
 
-def heis_mul(h1: HeisenbergElement, h2: HeisenbergElement) -> HeisenbergElement:
-    return h1 * h2
-
-
 @dataclass(frozen=True)
 class SympMatrix:
     """Element of SL2(F_p); determinant 1 is enforced at construction."""
@@ -165,11 +159,6 @@ class SympMatrix:
 
     def entries(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
-
-
-def matrix_act(g: SympMatrix, h: HeisenbergElement) -> HeisenbergElement:
-    """The automorphism (v, z) -> (g v, z); trivial on the center."""
-    return HeisenbergElement(g.apply(h.v), h.z)
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,15 @@
 """Character decomposition of the torus action on a model and eigenfunction
 extraction, including the closed form available at split primes.
 
-For each character index k of the cyclic torus the averaging projector
-
-    P_k = (1/N) * sum_j conj(chi_k(g^j)) rho(g^j)
-
-is computed (all k at once via an FFT along the exponent axis, which is the
-same sum), its rank read off the eigenvalues with the maximally robust 0.5
-cut, and an orthonormal basis of the character space extracted.  At a split
-prime the torus fixes the two eigenlines of the cat map; in a realization
-adapted to them the torus acts by coordinate scalings and the multiplicity
-one eigenfunctions are Legendre-times-multiplicative-character vectors.
+The torus is cyclic, so one operator carries the whole decomposition: the
+character space of index k is the eigenspace of rho(generator) for the
+eigenvalue exp(2 pi i k / N).  rho(generator) is unitary, so its complex Schur
+form is diagonal up to rounding; each diagonal entry is binned to its nearest
+N-th root of unity and the Schur columns of a bin form an orthonormal basis
+of that character space.  At a split prime the torus fixes the two eigenlines
+of the cat map; in a realization adapted to them the torus acts by coordinate
+scalings and the multiplicity one eigenfunctions are
+Legendre-times-multiplicative-character vectors.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ __all__ = [
     "CharacterSpace",
     "HeckeSpectrum",
     "HeckeEigenfunction",
-    "weil_torus_operators",
     "hecke_spectrum",
     "eigenfunction",
     "transport",
@@ -42,11 +40,6 @@ __all__ = [
     "matched_character_index",
     "eigenfunction_csv_rows",
 ]
-
-# projector eigenvalues are 0 or 1 in exact arithmetic; anything inside this
-# window means the rank is numerically ambiguous and the record is flagged
-RANK_WINDOW = (0.3, 0.7)
-
 
 @dataclass
 class CharacterSpace:
@@ -109,17 +102,6 @@ class HeckeEigenfunction:
         return self.vectors[:, 0]
 
 
-def weil_torus_operators(torus: HeckeTorus, r: Realization) -> np.ndarray:
-    """Stack of the torus operators on the model of r, ordered by exponent."""
-    p = r.p
-    out = np.empty((torus.order, p, p), dtype=np.complex128)
-    g = SympMatrix.identity(p)
-    for j in range(torus.order):
-        out[j] = weil_op(r, g).matrix
-        g = g * torus.generator
-    return out
-
-
 def _normalize_columns(basis: np.ndarray, p: int) -> np.ndarray:
     out = np.empty_like(basis)
     for i in range(basis.shape[1]):
@@ -136,31 +118,33 @@ def _normalize_columns(basis: np.ndarray, p: int) -> np.ndarray:
 def hecke_spectrum(torus: HeckeTorus, r: Realization) -> HeckeSpectrum:
     """Decompose the model of r into torus character spaces.
 
-    Multiplicities are eigenvalue counts of the averaging projectors above
-    0.5; they must sum to p.  A character whose projector has an eigenvalue
-    inside RANK_WINDOW, or whose basis fails the eigenvector equation on the
-    generator, is flagged rather than silently kept.
+    One complex Schur factorisation of rho(generator) gives its eigenvalues
+    and an orthonormal eigenbasis.  Eigenvalue e goes to character
+    k = round(angle(e) * N / 2 pi) mod N, and k's multiplicity is the size of
+    its bin; the multiplicities must sum to p.  A character whose basis B
+    misses the eigenvector equation, ||rho(gen) B - exp(2 pi i k / N) B|| >
+    1e-7 p, is flagged rather than silently kept.  An eigenvalue halfway
+    between two roots lands in a bin with a residual near pi / N, so it is
+    flagged too.
     """
+    from scipy.linalg import schur
+
     p = r.p
     n = torus.order
-    ops = weil_torus_operators(torus, r)
-    projectors = np.fft.fft(ops, axis=0) / n  # [k] = (1/N) sum_j ops[j] e^{-2pi i jk/N}
-    rho_gen = ops[1] if n > 1 else np.eye(p, dtype=np.complex128)
+    rho_gen = weil_op(r, torus.generator).matrix
+    t, z = schur(rho_gen, output="complex")
+    bins = np.rint(np.angle(np.diag(t)) * n / (2 * np.pi)).astype(np.int64) % n
     gen_eigs = unit_roots(n)
     spaces = []
     for k in range(n):
-        w, u = np.linalg.eigh(projectors[k])
-        mask = w > 0.5
-        mult = int(mask.sum())
-        flagged = bool(np.any((w > RANK_WINDOW[0]) & (w < RANK_WINDOW[1])))
-        basis = u[:, mask]
+        basis = z[:, bins == k]
+        mult = basis.shape[1]
         residual = 0.0
         if mult:
             residual = float(
                 np.linalg.norm(rho_gen @ basis - gen_eigs[k] * basis)
             )
-            flagged = flagged or residual > 1e-7 * p
-        spaces.append(CharacterSpace(k, mult, basis, flagged, residual))
+        spaces.append(CharacterSpace(k, mult, basis, residual > 1e-7 * p, residual))
     total = sum(s.multiplicity for s in spaces)
     if total != p:
         raise RuntimeError(

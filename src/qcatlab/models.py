@@ -39,7 +39,6 @@ from .groups import (
     HeisenbergElement,
     SympMatrix,
     SymplecticVector,
-    enumerate_lagrangians,
 )
 
 __all__ = [
@@ -97,13 +96,12 @@ class Realization:
 
     @classmethod
     def canonical(cls, lag: EnhancedLagrangian) -> "Realization":
+        # enumerate_lagrangians starts (1, 0), (1, 1): the first is transverse
+        # unless sigma lies on it, and then the second is
         p = lag.p
-        for cand in enumerate_lagrangians(p):
-            w = cand.sigma.omega(lag.sigma)
-            if w != 0:
-                tau = cand.sigma.scale(inverse_mod(w, p))
-                return cls(lag, tau.coords())
-        raise RuntimeError("no transverse line found")  # impossible for p >= 3
+        cand = SymplecticVector(1, 0 if lag.sigma.v2 else 1, p)
+        tau = cand.scale(inverse_mod(cand.omega(lag.sigma), p))
+        return cls(lag, tau.coords())
 
     @classmethod
     def of(cls, s1: int, s2: int, p: int) -> "Realization":

@@ -1,12 +1,28 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qcatlab
 from qcatlab.cli import main
 
 
 def run_cli(args):
     return main(args)
+
+
+def test_import_leaves_scipy_stats_and_integrate_unloaded():
+    code = ("import sys, qcatlab.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'integrate'])))")
+    src = str(Path(qcatlab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "[]"
 
 
 def test_classify_table(capsys):

@@ -5,7 +5,14 @@ import pytest
 
 from qcatlab.arith import CyclicCharacter
 from qcatlab.groups import CatMap, build_hecke_torus
-from qcatlab.hecke import eigenfunction, hecke_spectrum, split_adapted_realization, split_closed_form, transport
+from qcatlab.hecke import (
+    HeckeEigenfunction,
+    eigenfunction,
+    hecke_spectrum,
+    split_adapted_realization,
+    split_closed_form,
+    transport,
+)
 from qcatlab.models import Realization
 from qcatlab.harness import (
     SweepConfig,
@@ -47,6 +54,20 @@ def test_power_bound_recorded():
     rec = supremum_check(eigenfunction(spectrum, k), "inert")
     assert abs(rec.power_bound - 7 ** 0.375) < 1e-12
     assert abs(rec.power_bound - 2.0745) < 1e-3
+
+
+def test_argmax_is_least_point_of_a_tied_maximum():
+    # |v(2)| = |v(5)| up to rounding, with the later entry the larger: the
+    # record names the least tied point, not whichever one rounding favours
+    p = 7
+    mags = np.array([0.5, 1.0, 1.5, 0.5, 1.0, 1.5, 0.25])
+    v = mags * np.sqrt(p / np.sum(mags ** 2)) * np.exp(1j * np.arange(p))
+    v[5] *= 1 + 2e-16
+    assert np.argmax(np.abs(v)) == 5
+    fn = HeckeEigenfunction(0, Realization.standard(p), v[:, np.newaxis], False)
+    rec = supremum_check(fn, "inert")
+    assert rec.argmax == 2
+    assert rec.sup == np.abs(v).max()
 
 
 def test_supremum_check_enforces_normalization():
@@ -199,11 +220,24 @@ def test_su2_reference_cdf_shape():
 
 
 def test_su2_reference_moments_match_closed_forms():
-    # independent closed forms: E|t| = 8/(3 pi), E t^2 = 1, E|t|^3 = 64/(15 pi),
-    # E t^4 = 2 (the second Catalan number)
-    expected = [8 / (3 * math.pi), 1.0, 64 / (15 * math.pi), 2.0]
-    for k, ref in zip((1, 2, 3, 4), expected):
-        assert abs(su2_abs_trace_moment(k) - ref) < 1e-10
+    # the closed forms E|t| = 8/(3 pi), E t^2 = 1, E|t|^3 = 64/(15 pi) and
+    # E t^4 = 2 (the second Catalan number) against quadrature of the law
+    from scipy.integrate import quad
+
+    for k in (1, 2, 3, 4):
+        val, _ = quad(lambda t: np.abs(2.0 * np.cos(t)) ** k
+                      * (2.0 / np.pi) * np.sin(t) ** 2, 0.0, np.pi)
+        assert abs(su2_abs_trace_moment(k) - val) < 1e-10
+
+
+def test_ks_distance_matches_scipy(rng):
+    from scipy.stats import kstest
+
+    from qcatlab.harness import _ks_distance
+
+    samples = 2.0 * np.abs(np.cos(rng.uniform(0.0, np.pi, 5000)))
+    expected = kstest(samples, su2_abs_trace_cdf).statistic
+    assert _ks_distance(samples, su2_abs_trace_cdf) == expected
 
 
 def test_su2_density_normalized():

@@ -11,7 +11,6 @@ from qcatlab.hecke import (
     split_adapted_realization,
     split_closed_form,
     transport,
-    weil_torus_operators,
 )
 from qcatlab.models import Realization, weil_op
 
@@ -33,8 +32,13 @@ def torus11():
     return build_hecke_torus(A, 11)
 
 
+def torus_operators(torus, r):
+    """rho(g^j) for j in [0, N), each built from its own torus element."""
+    return np.array([weil_op(r, torus.power(j)).matrix for j in range(torus.order)])
+
+
 def test_torus_operators_unitary_and_periodic(torus7):
-    ops = weil_torus_operators(torus7, Realization.standard(7))
+    ops = torus_operators(torus7, Realization.standard(7))
     assert ops.shape == (8, 7, 7)
     for m in ops:
         assert np.allclose(m @ m.conj().T, np.eye(7), atol=1e-10)
@@ -60,11 +64,14 @@ def test_multiplicities_p11_split(torus11):
     assert sorted(mults) == [1] * 9 + [2]
 
 
-def test_projectors_idempotent_and_orthogonal(torus7):
-    # recompute the projectors from the definition, independently of the FFT
-    r = Realization.standard(7)
-    n = torus7.order
-    ops = weil_torus_operators(torus7, r)
+@pytest.mark.parametrize("p", [7, 11])
+def test_projectors_idempotent_and_orthogonal(p):
+    # the projectors from their definition, independently of the spectrum's
+    # Schur factorisation; p = 11 is split and has a two-dimensional space
+    torus = build_hecke_torus(A, p)
+    r = Realization.standard(p)
+    n = torus.order
+    ops = torus_operators(torus, r)
     roots = unit_roots(n)
     projectors = []
     for k in range(n):
@@ -75,10 +82,13 @@ def test_projectors_idempotent_and_orthogonal(torus7):
     for j in range(n):
         for k in range(j + 1, n):
             assert np.linalg.norm(projectors[j] @ projectors[k]) < 1e-8
-    # ranks match the spectrum
-    spectrum = hecke_spectrum(torus7, r)
+    # the spectrum's bases span the projectors' ranges
+    spectrum = hecke_spectrum(torus, r)
     for k, pk in enumerate(projectors):
-        assert round(np.trace(pk).real) == spectrum.space(k).multiplicity
+        space = spectrum.space(k)
+        assert round(np.trace(pk).real) == space.multiplicity
+        assert np.linalg.matrix_rank(pk, tol=1e-8) == space.multiplicity
+        assert np.linalg.norm(pk @ space.basis - space.basis) < 1e-8
 
 
 def test_eigenvector_property_every_torus_element(torus7, spectrum7):

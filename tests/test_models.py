@@ -148,6 +148,18 @@ def test_operators_unitary(rng):
         assert np.linalg.norm(f @ f.conj().T - eye) < tol
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 61])
+def test_canonical_gauge_is_first_transverse_enumerated_line(p):
+    for s1, s2 in itertools.product(range(p), repeat=2):
+        if (s1, s2) == (0, 0):
+            continue
+        lag = EnhancedLagrangian.of(s1, s2, p)
+        cand = next(c.sigma for c in enumerate_lagrangians(p)
+                    if c.sigma.omega(lag.sigma) != 0)
+        tau = cand.scale(pow(cand.omega(lag.sigma), -1, p))
+        assert Realization.canonical(lag).tau == tau.coords()
+
+
 def test_model_dimension_is_p():
     for p in (5, 7, 11):
         r = Realization.standard(p)
