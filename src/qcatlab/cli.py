@@ -27,12 +27,13 @@ from .harness import (
 from .models import Realization, heisenberg_op, weil_op, write_operator
 
 
-def _parse_primes(text: str) -> tuple[int, int] | list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    values = [int(t) for t in text.split(",")]
-    return min(values), max(values)
+def _prime_range(text: str) -> tuple[int, int]:
+    lo, sep, hi = text.partition("..")
+    try:
+        return (int(lo), int(hi)) if sep else (int(text), int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not an inclusive range 'lo..hi' or a single prime") from None
 
 
 def _out_dir(args) -> Path:
@@ -46,31 +47,25 @@ def _matrix(args) -> CatMap:
     return CatMap.parse(args.matrix)
 
 
-def _add_common(sub, primes_default=None):
+def _add_common(sub, primes_default: str):
     sub.add_argument("--matrix", required=True, help="cat map entries 'a,b;c,d'")
-    if primes_default is not None:
-        sub.add_argument("--primes", default=primes_default,
-                         help="inclusive range 'lo..hi' or comma list")
-    sub.add_argument("--out", default=None, help="output directory")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--jobs", type=int, default=1)
+    sub.add_argument("--primes", type=_prime_range, default=primes_default,
+                     help="inclusive range 'lo..hi', or a single prime")
 
 
 def cmd_classify(args) -> int:
     A = _matrix(args)
-    lo, hi = _parse_primes(args.primes)
-    for p in primes_in(lo, hi):
+    for p in primes_in(*args.primes):
         print(f"{p}\t{classify_prime(A, p)}")
     return 0
 
 
 def cmd_sweep(args) -> int:
     A = _matrix(args)
-    lo, hi = _parse_primes(args.primes)
+    lo, hi = args.primes
     cfg = SweepConfig(
         matrix=A, prime_lo=lo, prime_hi=hi, realizations=args.realizations,
-        characters=args.characters, seed=args.seed, jobs=args.jobs,
-        verify_samples=args.verify_samples,
+        seed=args.seed, jobs=args.jobs, verify_samples=args.verify_samples,
     )
     result = universal_sweep(cfg)
     out = _out_dir(args)
@@ -82,6 +77,8 @@ def cmd_sweep(args) -> int:
         write_records_csv(path, result.records)
     for p, reason in result.skips:
         print(f"skip p={p}: {reason}")
+    for p, message in result.errors:
+        print(f"error p={p}: {message}")
     by_prime: dict[int, list] = {}
     for rec in result.records:
         by_prime.setdefault(rec.p, []).append(rec)
@@ -93,7 +90,7 @@ def cmd_sweep(args) -> int:
     failures = gating_failures(result.records)
     print(f"wrote {path} ({len(result.records)} records, "
           f"{len(failures)} gating failures)")
-    return 1 if failures else 0
+    return 3 if result.errors else 1 if failures else 0  # a crash outranks a failed bound
 
 
 def cmd_spectrum(args) -> int:
@@ -138,9 +135,8 @@ def cmd_spectrum(args) -> int:
 
 def cmd_distribution(args) -> int:
     A = _matrix(args)
-    lo, hi = _parse_primes(args.primes)
-    cfg = SweepConfig(matrix=A, prime_lo=lo, prime_hi=hi, seed=args.seed,
-                      jobs=args.jobs, bins=args.bins)
+    lo, hi = args.primes
+    cfg = SweepConfig(matrix=A, prime_lo=lo, prime_hi=hi, jobs=args.jobs, bins=args.bins)
     report = value_distribution(cfg)
     out = _out_dir(args)
     with open(out / "distribution.json", "w", encoding="utf-8") as fh:
@@ -179,8 +175,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sweep", help="supremum bound sweep")
     _add_common(s, primes_default="5..61")
+    s.add_argument("--out", default=None, help="output directory")
+    s.add_argument("--jobs", type=int, default=1)
+    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--realizations", choices=["defining", "all"], default="defining")
-    s.add_argument("--characters", choices=["all", "simple"], default="all")
     s.add_argument("--format", choices=["csv", "json"], default="csv")
     s.add_argument("--verify-samples", type=int, default=0)
     s.set_defaults(func=cmd_sweep)
@@ -191,11 +189,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--realization", default=None, help="sigma as 's1,s2'")
     s.add_argument("--dump-operators", action="store_true")
     s.add_argument("--out", default=None)
-    s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=cmd_spectrum)
 
     s = sub.add_parser("distribution", help="value statistics at inert primes")
     _add_common(s, primes_default="101..199")
+    s.add_argument("--out", default=None, help="output directory")
+    s.add_argument("--jobs", type=int, default=1)
     s.add_argument("--bins", type=int, default=40)
     s.set_defaults(func=cmd_distribution)
 

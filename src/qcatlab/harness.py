@@ -7,9 +7,10 @@ in every realization; that bound is the theorem at inert primes.  At split prime
 the flat bound is exceeded by O(1/p), up to the proven envelope
 2/sqrt(1 - 1/p) (Weil's bound on the Salie sums the explicit split
 eigenfunctions produce), so split records above 2 fail `pass` by design.
-Sweeps isolate failures per prime, emit one record per
-(prime, realization, character, basis vector), and write versioned CSV or
-JSON-lines artifacts whose bytes depend only on the config and seed.
+Both sweeps run per prime through `_map_primes`, where a prime that raises is
+an error, never a skip; flagged characters are skipped by both.  Sweeps emit
+one record per (prime, realization, character, basis vector), and write
+versioned CSV or JSON-lines artifacts whose bytes depend only on the config.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from __future__ import annotations
 import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -64,11 +67,9 @@ class SweepConfig:
     prime_lo: int
     prime_hi: int
     realizations: str = "defining"  # or "all"
-    characters: str = "all"  # "simple" restricts to multiplicity-one spaces
     seed: int = 0
     jobs: int = 1
     verify_samples: int = 0  # per-prime re-extraction cross-checks
-    out_dir: str | None = None
     bins: int = 40
 
     def __post_init__(self):
@@ -76,8 +77,8 @@ class SweepConfig:
             raise ValueError("empty prime range")
         if self.realizations not in ("defining", "all"):
             raise ValueError(f"unknown realization policy {self.realizations!r}")
-        if self.characters not in ("all", "simple"):
-            raise ValueError(f"unknown character policy {self.characters!r}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
         if not self.matrix.is_hyperbolic():
             raise ValueError("cat map must be hyperbolic")
 
@@ -119,6 +120,7 @@ class SupremumRecord:
 class SweepResult:
     records: list[SupremumRecord]
     skips: list[tuple[int, str]] = field(default_factory=list)
+    errors: list[tuple[int, str]] = field(default_factory=list)  # (p, "Type: message")
 
 
 def _vector_record(v: np.ndarray, p: int, kind: str, tag: str, character: int,
@@ -154,23 +156,33 @@ def supremum_check(fn: HeckeEigenfunction, kind: str = "?") -> SupremumRecord:
     return record
 
 
-def _sweep_one_prime(matrix_entries: tuple[int, int, int, int], p: int,
-                     realizations: str, characters: str, verify_samples: int,
-                     seed: int) -> tuple[list[SupremumRecord], list[tuple[int, str]]]:
-    A = CatMap(*matrix_entries)
-    kind = classify_prime(A, p)
-    if kind == "ramified":
-        return [], [(p, "ramified prime skipped: p divides trace^2 - 4")]
-    torus = build_hecke_torus(A, p)
-    defining = Realization.standard(p)
-    spectrum = hecke_spectrum(torus, defining)
-    if realizations == "all":
-        targets = [Realization.canonical(l) for l in enumerate_lagrangians(p)]
-    else:
-        targets = [defining]
-    records: list[SupremumRecord] = []
-    skips: list[tuple[int, str]] = []
-    simple_indices = []
+def _map_primes(fn, primes: list[int], jobs: int, *args):
+    """Run fn(p, *args) for each prime; returns (results, errors), prime-ordered
+    lists of (p, value) and of (p, "Type: message") for the primes that raised.
+    Serial in this process for one job or one prime, else a pool of at most
+    one worker per prime, since the pool starts all its workers up front."""
+    serial = jobs == 1 or len(primes) < 2
+    pool = nullcontext() if serial else ProcessPoolExecutor(
+        max_workers=min(jobs, len(primes)))
+    results, errors = [], []
+    with pool:
+        calls = [partial(fn, p, *args) if serial else pool.submit(fn, p, *args).result
+                 for p in primes]
+        for p, call in zip(primes, calls):
+            try:
+                results.append((p, call()))
+            except Exception as exc:  # noqa: BLE001 - one prime must not hide the rest
+                log.exception("p = %d failed", p)
+                errors.append((p, f"{type(exc).__name__}: {exc}"))
+    return results, errors
+
+
+def _defining_spectrum(p: int, A: CatMap):
+    """The torus spectrum at p in the defining realization and its nonempty
+    character spaces.  A flagged space is not an eigenspace, so it is left out
+    with a skip naming it."""
+    spectrum = hecke_spectrum(build_hecke_torus(A, p), Realization.standard(p))
+    spaces, skips = [], []
     for space in spectrum.spaces:
         if space.multiplicity == 0:
             continue
@@ -178,21 +190,34 @@ def _sweep_one_prime(matrix_entries: tuple[int, int, int, int], p: int,
             skips.append((p, f"character {space.index} indeterminate "
                              f"(basis fails the eigenvector equation); excluded"))
             continue
-        if characters == "simple" and space.multiplicity != 1:
-            continue
+        spaces.append(space)
+    return spectrum, spaces, skips
+
+
+def _sweep_one_prime(p: int, A: CatMap, realizations: str, verify_samples: int,
+                     seed: int) -> tuple[list[SupremumRecord], list[tuple[int, str]]]:
+    kind = classify_prime(A, p)
+    if kind == "ramified":
+        return [], [(p, "ramified prime skipped: p divides trace^2 - 4")]
+    spectrum, spaces, skips = _defining_spectrum(p, A)
+    defining = spectrum.realization
+    if realizations == "all":
+        targets = [Realization.canonical(l) for l in enumerate_lagrangians(p)]
+    else:
+        targets = [defining]
+    records: list[SupremumRecord] = []
+    simple_indices = [s.index for s in spaces if s.multiplicity == 1]
+    for space in spaces:
         fn = eigenfunction(spectrum, space.index)
-        if space.multiplicity == 1:
-            simple_indices.append(space.index)
         for r in targets:
             moved = fn if r == defining else transport(fn, r)
             records.extend(supremum_records(moved, kind))
     if verify_samples and simple_indices and len(targets) > 1:
-        _verify_transport(torus, spectrum, targets, simple_indices,
-                          verify_samples, seed, p)
+        _verify_transport(spectrum, targets, simple_indices, verify_samples, seed, p)
     return records, skips
 
 
-def _verify_transport(torus, spectrum, targets, simple_indices, n_samples, seed, p):
+def _verify_transport(spectrum, targets, simple_indices, n_samples, seed, p):
     """Re-extract a few eigenfunctions directly in a non-defining realization
     and confirm they match the transported ones up to a global phase."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, p]))
@@ -201,7 +226,7 @@ def _verify_transport(torus, spectrum, targets, simple_indices, n_samples, seed,
         r = others[rng.integers(len(others))]
         k = int(simple_indices[rng.integers(len(simple_indices))])
         moved = transport(eigenfunction(spectrum, k), r)
-        direct = eigenfunction(hecke_spectrum(torus, r), k)
+        direct = eigenfunction(hecke_spectrum(spectrum.torus, r), k)
         overlap = np.vdot(direct.amplitudes, moved.amplitudes)
         phase = overlap / abs(overlap)
         dev = np.max(np.abs(moved.amplitudes - phase * direct.amplitudes))
@@ -215,32 +240,14 @@ def _verify_transport(torus, spectrum, targets, simple_indices, n_samples, seed,
 def universal_sweep(cfg: SweepConfig) -> SweepResult:
     """Run the supremum sweep over all non-ramified primes in the range.
 
-    A failure at one prime is logged and does not suppress the others;
-    results are merged in prime order regardless of worker scheduling.
+    A prime that raises is returned in `errors` and does not suppress the
+    others; records are merged in prime order regardless of worker scheduling.
     """
-    args = [
-        ((cfg.matrix.a, cfg.matrix.b, cfg.matrix.c, cfg.matrix.d), p,
-         cfg.realizations, cfg.characters, cfg.verify_samples, cfg.seed)
-        for p in cfg.primes()
-    ]
-    outcomes: dict[int, tuple[list[SupremumRecord], list[tuple[int, str]]]] = {}
-    if cfg.jobs > 1 and len(args) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            futures = {pool.submit(_sweep_one_prime, *a): a[1] for a in args}
-            for fut, p in futures.items():
-                try:
-                    outcomes[p] = fut.result()
-                except Exception as exc:  # noqa: BLE001 - isolation is the contract
-                    outcomes[p] = ([], [(p, f"failed: {exc}")])
-    else:
-        for a in args:
-            try:
-                outcomes[a[1]] = _sweep_one_prime(*a)
-            except Exception as exc:  # noqa: BLE001
-                outcomes[a[1]] = ([], [(a[1], f"failed: {exc}")])
-    result = SweepResult([], [])
-    for p in sorted(outcomes):
-        records, skips = outcomes[p]
+    results, errors = _map_primes(_sweep_one_prime, cfg.primes(), cfg.jobs,
+                                  cfg.matrix, cfg.realizations,
+                                  cfg.verify_samples, cfg.seed)
+    result = SweepResult([], [], errors)
+    for _, (records, skips) in results:
         result.records.extend(records)
         result.skips.extend(skips)
         for sp, reason in skips:
@@ -343,16 +350,11 @@ class DistributionReport:
         }
 
 
-def _distribution_one_prime(matrix_entries, p) -> np.ndarray:
-    A = CatMap(*matrix_entries)
-    torus = build_hecke_torus(A, p)
-    spectrum = hecke_spectrum(torus, Realization.standard(p))
-    values = []
-    for space in spectrum.spaces:
-        if space.multiplicity != 1:
-            continue
-        values.append(np.abs(eigenfunction(spectrum, space.index).amplitudes))
-    return np.concatenate(values) if values else np.empty(0)
+def _distribution_one_prime(p: int, A: CatMap):
+    spectrum, spaces, skips = _defining_spectrum(p, A)
+    values = [np.abs(eigenfunction(spectrum, s.index).amplitudes)
+              for s in spaces if s.multiplicity == 1]
+    return (np.concatenate(values) if values else np.empty(0)), skips
 
 
 def value_distribution(cfg: SweepConfig) -> DistributionReport:
@@ -360,9 +362,9 @@ def value_distribution(cfg: SweepConfig) -> DistributionReport:
     inert primes in the range, and compare with the SU(2) trace law.
 
     Split primes carry constant-modulus eigenfunctions and are rejected from
-    the sample (logged); an empty inert range is a usage error.
+    the sample (logged), as are flagged characters; an empty inert range is a
+    usage error.  If any prime raises, one RuntimeError names them all.
     """
-    mat = (cfg.matrix.a, cfg.matrix.b, cfg.matrix.c, cfg.matrix.d)
     inert, skipped = [], []
     for p in cfg.primes():
         kind = classify_prime(cfg.matrix, p)
@@ -370,16 +372,19 @@ def value_distribution(cfg: SweepConfig) -> DistributionReport:
             inert.append(p)
         else:
             skipped.append((p, f"{kind} prime rejected: inert statistics only"))
-            log.info("p = %d: %s", p, skipped[-1][1])
     if not inert:
         raise ValueError("no inert primes in range; nothing to sample")
-    if cfg.jobs > 1 and len(inert) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            chunks = dict(zip(inert, pool.map(_distribution_one_prime,
-                                              [mat] * len(inert), inert)))
-    else:
-        chunks = {p: _distribution_one_prime(mat, p) for p in inert}
-    samples = np.concatenate([chunks[p] for p in sorted(chunks)])
+    results, errors = _map_primes(_distribution_one_prime, inert, cfg.jobs,
+                                  cfg.matrix)
+    if errors:
+        raise RuntimeError("value distribution failed at "
+                           + "; ".join(f"p={p}: {msg}" for p, msg in errors))
+    for _, (_, flagged) in results:
+        skipped.extend(flagged)
+    skipped.sort(key=lambda s: s[0])
+    for p, reason in skipped:
+        log.info("p = %d: %s", p, reason)
+    samples = np.concatenate([values for _, (values, _) in results])
     ks = _ks_distance(samples, su2_abs_trace_cdf)
     moments = [float(np.mean(samples ** k)) for k in (1, 2, 3, 4)]
     reference = [su2_abs_trace_moment(k) for k in (1, 2, 3, 4)]

@@ -1,17 +1,7 @@
 import numpy as np
 import pytest
 
-from qcatlab.groups import SympMatrix
-
-
-def random_sl2(rng, p: int) -> SympMatrix:
-    """Uniform-ish random element of SL2(F_p): complete a row to det 1."""
-    while True:
-        a, b, c = (int(rng.integers(p)) for _ in range(3))
-        if a % p:
-            return SympMatrix(a, b, c, (1 + b * c) * pow(a, -1, p), p)
-        if b % p:
-            return SympMatrix(0, b, -pow(b, -1, p), c, p)
+from qcatlab.selftest import random_sl2  # noqa: F401 - imported by the test modules
 
 
 @pytest.fixture

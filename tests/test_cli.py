@@ -38,6 +38,29 @@ def test_unknown_flag_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["sweep", "--characters", "simple"],
+    ["classify", "--out", "x"],
+    ["classify", "--seed", "1"],
+    ["classify", "--jobs", "2"],
+    ["distribution", "--seed", "1"],
+    ["spectrum", "--prime", "7", "--seed", "1"],
+])
+def test_flags_that_nothing_read_are_gone(args):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([args[0], "--matrix", "2,1;1,1", *args[1:]])
+    assert exc.value.code == 2
+
+
+def test_primes_is_a_range_or_one_prime(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sweep", "--matrix", "2,1;1,1", "--primes", "7,13"])
+    assert exc.value.code == 2
+    assert "'lo..hi'" in capsys.readouterr().err
+    assert run_cli(["classify", "--matrix", "2,1;1,1", "--primes", "13"]) == 0
+    assert capsys.readouterr().out == "13\tinert\n"
+
+
 def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         run_cli([])
@@ -71,6 +94,63 @@ def test_sweep_deterministic_bytes(tmp_path):
         run_cli(["sweep", "--matrix", "2,1;1,1", "--primes", "5..13",
                  "--seed", "42", "--out", str(out)])
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+
+
+def test_sweep_crashed_primes_exit_3(tmp_path, monkeypatch, capsys):
+    import qcatlab.harness as harness
+
+    original = harness._sweep_one_prime
+
+    def crash_at(bad):
+        def flaky(p, *rest):
+            if p in bad:
+                raise RuntimeError("injected")
+            return original(p, *rest)
+        return flaky
+
+    args = ["sweep", "--matrix", "2,1;1,1", "--primes", "5..13", "--out", str(tmp_path)]
+    monkeypatch.setattr(harness, "_sweep_one_prime", crash_at({5, 7, 11, 13}))
+    assert run_cli(args) == 3
+    out = capsys.readouterr().out
+    assert [l for l in out.splitlines() if l.startswith("error ")] == [
+        f"error p={p}: RuntimeError: injected" for p in (5, 7, 11, 13)]
+    assert "skip " not in out
+    # a crash outranks the split prime 11's gating failure, and the primes
+    # that succeeded are still written
+    monkeypatch.setattr(harness, "_sweep_one_prime", crash_at({7}))
+    assert run_cli(args) == 3
+    rows = (tmp_path / "sweep.csv").read_text().strip().split("\n")[2:]
+    assert {int(row.split(",")[0]) for row in rows} == {11, 13}
+
+
+def test_sweep_workers_bounded_by_primes(tmp_path, monkeypatch):
+    # a pool starts all of its workers up front, so --jobs far above the
+    # number of primes must not reach it; this executor starts no process
+    from concurrent.futures import Future
+
+    import qcatlab.harness as harness
+
+    sizes = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlineExecutor)
+    assert run_cli(["sweep", "--matrix", "2,1;1,1", "--primes", "5..7",
+                    "--jobs", "4000", "--out", str(tmp_path)]) == 0
+    assert sizes == [2]
 
 
 def test_sweep_json_format(tmp_path):

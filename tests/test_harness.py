@@ -115,15 +115,36 @@ def test_sweep_isolation_of_prime_failures(monkeypatch):
 
     original = harness._sweep_one_prime
 
-    def flaky(entries, p, *rest):
+    def flaky(p, *rest):
         if p == 11:
             raise RuntimeError("injected")
-        return original(entries, p, *rest)
+        return original(p, *rest)
 
     monkeypatch.setattr(harness, "_sweep_one_prime", flaky)
     result = universal_sweep(config(7, 13))
-    assert any(p == 11 and "injected" in reason for p, reason in result.skips)
+    assert result.errors == [(11, "RuntimeError: injected")]
+    assert all(p != 11 for p, _ in result.skips)  # an error is not a skip
     assert {r.p for r in result.records} == {7, 13}
+
+
+def test_flagged_character_excluded_from_sweep_and_distribution(monkeypatch):
+    import qcatlab.harness as harness
+
+    original = harness.hecke_spectrum
+
+    def flag_one_simple_space(torus, r):
+        spectrum = original(torus, r)
+        next(s for s in spectrum.spaces if s.multiplicity == 1).flagged = True
+        return spectrum
+
+    monkeypatch.setattr(harness, "hecke_spectrum", flag_one_simple_space)
+    sweep = universal_sweep(config(7, 7))
+    assert len(sweep.records) == 6
+    (skip,) = sweep.skips
+    assert "indeterminate" in skip[1]
+    report = value_distribution(config(7, 7))
+    assert report.sample_count == 6 * 7
+    assert report.skipped == [skip]
 
 
 def test_sweep_transport_verification_runs():
@@ -263,6 +284,26 @@ def test_value_distribution_rejects_split_only_range():
         value_distribution(config(11, 11))
 
 
+def test_value_distribution_names_every_failed_prime(monkeypatch):
+    import qcatlab.harness as harness
+
+    original = harness._distribution_one_prime
+    tried = []
+
+    def flaky(p, *rest):
+        tried.append(p)
+        if p == 11:
+            raise RuntimeError("injected")
+        return original(p, *rest)
+
+    monkeypatch.setattr(harness, "_distribution_one_prime", flaky)
+    # trace 5, discriminant 21: both 11 and 13 are inert for this map
+    cfg = SweepConfig(matrix=CatMap(4, 1, 3, 1), prime_lo=11, prime_hi=13)
+    with pytest.raises(RuntimeError, match="p=11: RuntimeError: injected"):
+        value_distribution(cfg)
+    assert tried == [11, 13]  # the crash did not stop the remaining primes
+
+
 # ---------------------------------------------------------------------------
 # artifacts
 
@@ -311,5 +352,7 @@ def test_config_validation():
         config(13, 7)
     with pytest.raises(ValueError):
         config(5, 7, realizations="some")
+    with pytest.raises(ValueError):
+        config(5, 7, jobs=0)
     with pytest.raises(ValueError):
         SweepConfig(matrix=CatMap(1, 1, 0, 1), prime_lo=5, prime_hi=7)

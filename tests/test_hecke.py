@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,23 @@ def test_eigenfunction_empty_character_raises(spectrum7):
     assert len(empty) == 1
     with pytest.raises(ValueError):
         eigenfunction(spectrum7, empty[0])
+
+
+def test_eigenvalue_between_roots_is_flagged(monkeypatch, torus7, rng):
+    # a unitary whose last eigenvalue sits halfway between the roots 6 and 7
+    # of N = 8: every eigenvalue is still binned, and the bin that takes it
+    # fails the eigenvector equation
+    import qcatlab.hecke as hecke
+
+    angles = 2 * np.pi * np.append(np.arange(6), 6.5) / torus7.order
+    q, _ = np.linalg.qr(rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7)))
+    fake = q @ np.diag(np.exp(1j * angles)) @ q.conj().T
+    monkeypatch.setattr(hecke, "weil_op", lambda r, g: SimpleNamespace(matrix=fake))
+    spectrum = hecke_spectrum(torus7, Realization.standard(7))
+    flagged = [s.index for s in spectrum.spaces if s.flagged]
+    assert flagged in ([6], [7])
+    assert spectrum.space(flagged[0]).multiplicity == 1
+    assert sum(spectrum.multiplicities()) == 7
 
 
 def test_degenerate_character_returns_flagged_basis(torus11):
