@@ -19,11 +19,9 @@ from .groups import (
 )
 from .models import (
     Intertwiner,
-    ModelVector,
     Realization,
     WeilOperator,
     canonical_intertwiner,
-    change_realization,
     heisenberg_op,
     weil_op,
 )
@@ -40,7 +38,6 @@ from .harness import (
     SupremumRecord,
     SweepConfig,
     projector_identity_check,
-    supremum_check,
     universal_sweep,
     value_distribution,
 )

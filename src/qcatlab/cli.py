@@ -1,7 +1,8 @@
 """Command line driver: classify | spectrum | sweep | distribution | selftest.
 
 Artifacts land in --out (or $QCATLAB_OUT, or the working directory); the
-same config and seed always produce byte-identical files.
+same config and seed always produce byte-identical files.  Bad input is a
+usage error (exit 2), found before any prime runs.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .arith import primes_in
-from .groups import CatMap, HeisenbergElement, build_hecke_torus, classify_prime
+from .groups import CatMap, build_hecke_torus, classify_prime
 from .hecke import eigenfunction, eigenfunction_csv_rows, hecke_spectrum
 from .harness import (
     SweepConfig,
@@ -22,18 +23,41 @@ from .harness import (
     universal_sweep,
     value_distribution,
     write_records_csv,
-    write_records_json,
 )
-from .models import Realization, heisenberg_op, weil_op, write_operator
+from .models import Realization
+
+
+def _cat_map(text: str) -> CatMap:
+    try:
+        return CatMap.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _prime_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
     try:
-        return (int(lo), int(hi)) if sep else (int(text), int(text))
+        lo, hi = (int(lo), int(hi)) if sep else (int(text), int(text))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"{text!r} is not an inclusive range 'lo..hi' or a single prime") from None
+    if not primes_in(lo, hi):
+        raise argparse.ArgumentTypeError(f"{text!r} holds no odd prime")
+    return lo, hi
+
+
+def _odd_prime(text: str) -> int:
+    p = int(text) if text.isdigit() else 0
+    if primes_in(p, p) != [p]:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an odd prime")
+    return p
+
+
+def _jobs(text: str) -> int:
+    n = int(text) if text.isdigit() else 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return n
 
 
 def _out_dir(args) -> Path:
@@ -43,38 +67,28 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _matrix(args) -> CatMap:
-    return CatMap.parse(args.matrix)
-
-
 def _add_common(sub, primes_default: str):
-    sub.add_argument("--matrix", required=True, help="cat map entries 'a,b;c,d'")
+    sub.add_argument("--matrix", type=_cat_map, required=True,
+                     help="cat map entries 'a,b;c,d'")
     sub.add_argument("--primes", type=_prime_range, default=primes_default,
                      help="inclusive range 'lo..hi', or a single prime")
 
 
 def cmd_classify(args) -> int:
-    A = _matrix(args)
     for p in primes_in(*args.primes):
-        print(f"{p}\t{classify_prime(A, p)}")
+        print(f"{p}\t{classify_prime(args.matrix, p)}")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    A = _matrix(args)
     lo, hi = args.primes
     cfg = SweepConfig(
-        matrix=A, prime_lo=lo, prime_hi=hi, realizations=args.realizations,
+        matrix=args.matrix, prime_lo=lo, prime_hi=hi, realizations=args.realizations,
         seed=args.seed, jobs=args.jobs, verify_samples=args.verify_samples,
     )
     result = universal_sweep(cfg)
-    out = _out_dir(args)
-    if args.format == "json":
-        path = out / "sweep.jsonl"
-        write_records_json(path, result.records)
-    else:
-        path = out / "sweep.csv"
-        write_records_csv(path, result.records)
+    path = _out_dir(args) / "sweep.csv"
+    write_records_csv(path, result.records)
     for p, reason in result.skips:
         print(f"skip p={p}: {reason}")
     for p, message in result.errors:
@@ -94,21 +108,19 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    A = _matrix(args)
     p = args.prime
-    kind = classify_prime(A, p)
+    kind = classify_prime(args.matrix, p)
     if kind == "ramified":
         print(f"p={p} is ramified; no spectrum", file=sys.stderr)
         return 1
-    torus = build_hecke_torus(A, p)
+    torus = build_hecke_torus(args.matrix, p)
     if args.realization:
         s1, s2 = (int(t) for t in args.realization.split(","))
         r = Realization.of(s1, s2, p)
     else:
         r = Realization.standard(p)
     spectrum = hecke_spectrum(torus, r)
-    out = _out_dir(args)
-    path = out / f"spectrum_p{p}.csv"
+    path = _out_dir(args) / f"spectrum_p{p}.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("p,kind,character_index,multiplicity,x,re,im\n")
         for space in spectrum.spaces:
@@ -122,21 +134,17 @@ def cmd_spectrum(args) -> int:
     for space in spectrum.spaces:
         flag = " (flagged)" if space.flagged else ""
         print(f"character {space.index}: multiplicity {space.multiplicity}{flag}")
-    if args.dump_operators:
-        with open(out / f"operators_p{p}.txt", "w", encoding="utf-8") as fh:
-            fh.write(f"# rho(generator), realization {r.tag()}\n")
-            write_operator(fh, weil_op(r, torus.generator).matrix)
-            for v1, v2 in ((1, 0), (0, 1)):
-                fh.write(f"# pi(({v1},{v2}),0)\n")
-                write_operator(fh, heisenberg_op(r, HeisenbergElement.of(v1, v2, 0, p)).matrix)
     print(f"wrote {path} (torus order {torus.order}, kind {kind})")
     return 0
 
 
 def cmd_distribution(args) -> int:
-    A = _matrix(args)
     lo, hi = args.primes
-    cfg = SweepConfig(matrix=A, prime_lo=lo, prime_hi=hi, jobs=args.jobs, bins=args.bins)
+    if all(classify_prime(args.matrix, p) != "inert" for p in primes_in(lo, hi)):
+        print(f"qcatlab distribution: error: no inert prime in {lo}..{hi}",
+              file=sys.stderr)
+        return 2
+    cfg = SweepConfig(matrix=args.matrix, prime_lo=lo, prime_hi=hi, jobs=args.jobs)
     report = value_distribution(cfg)
     out = _out_dir(args)
     with open(out / "distribution.json", "w", encoding="utf-8") as fh:
@@ -176,26 +184,23 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sweep", help="supremum bound sweep")
     _add_common(s, primes_default="5..61")
     s.add_argument("--out", default=None, help="output directory")
-    s.add_argument("--jobs", type=int, default=1)
+    s.add_argument("--jobs", type=_jobs, default=1)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--realizations", choices=["defining", "all"], default="defining")
-    s.add_argument("--format", choices=["csv", "json"], default="csv")
     s.add_argument("--verify-samples", type=int, default=0)
     s.set_defaults(func=cmd_sweep)
 
     s = sub.add_parser("spectrum", help="character decomposition at one prime")
-    s.add_argument("--matrix", required=True)
-    s.add_argument("--prime", type=int, required=True)
+    s.add_argument("--matrix", type=_cat_map, required=True)
+    s.add_argument("--prime", type=_odd_prime, required=True)
     s.add_argument("--realization", default=None, help="sigma as 's1,s2'")
-    s.add_argument("--dump-operators", action="store_true")
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_spectrum)
 
     s = sub.add_parser("distribution", help="value statistics at inert primes")
     _add_common(s, primes_default="101..199")
     s.add_argument("--out", default=None, help="output directory")
-    s.add_argument("--jobs", type=int, default=1)
-    s.add_argument("--bins", type=int, default=40)
+    s.add_argument("--jobs", type=_jobs, default=1)
     s.set_defaults(func=cmd_distribution)
 
     s = sub.add_parser("selftest", help="quick end-to-end checks")

@@ -10,12 +10,11 @@ eigenfunctions produce), so split records above 2 fail `pass` by design.
 Both sweeps run per prime through `_map_primes`, where a prime that raises is
 an error, never a skip; flagged characters are skipped by both.  Sweeps emit
 one record per (prime, realization, character, basis vector), and write
-versioned CSV or JSON-lines artifacts whose bytes depend only on the config.
+a versioned CSV artifact whose bytes depend only on the config.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -34,7 +33,6 @@ __all__ = [
     "SupremumRecord",
     "SweepResult",
     "DistributionReport",
-    "supremum_check",
     "supremum_records",
     "universal_sweep",
     "projector_identity_check",
@@ -43,7 +41,6 @@ __all__ = [
     "su2_abs_trace_cdf",
     "su2_abs_trace_moment",
     "write_records_csv",
-    "write_records_json",
     "gating_failures",
     "SWEEP_SCHEMA",
 ]
@@ -57,6 +54,7 @@ NORM_TOL = 1e-6
 # |v(x)|^2 <= 4p/(p-1) carries ~1e-15 of rounding, so gaps below 1e-9 are ties
 ARGMAX_TIE_TOL = 1e-9
 GATING_MIN_PRIME = 5  # p = 3 is reported but never gates
+HISTOGRAM_BINS = 40  # equal-width bins of the value distribution's histogram
 
 
 @dataclass(frozen=True)
@@ -70,7 +68,6 @@ class SweepConfig:
     seed: int = 0
     jobs: int = 1
     verify_samples: int = 0  # per-prime re-extraction cross-checks
-    bins: int = 40
 
     def __post_init__(self):
         if self.prime_lo > self.prime_hi:
@@ -107,14 +104,6 @@ class SupremumRecord:
             f"{self.a_max:.12g}", str(self.passed).lower(),
         ])
 
-    def json_obj(self) -> dict:
-        return {
-            "p": self.p, "kind": self.kind, "realization": self.realization,
-            "character": self.character, "multiplicity": self.multiplicity,
-            "sup": float(f"{self.sup:.12g}"), "argmax": self.argmax,
-            "a_max": float(f"{self.a_max:.12g}"), "pass": self.passed,
-        }
-
 
 @dataclass
 class SweepResult:
@@ -148,12 +137,6 @@ def supremum_records(fn: HeckeEigenfunction, kind: str) -> list[SupremumRecord]:
                        fn.character_index, fn.multiplicity)
         for i in range(fn.multiplicity)
     ]
-
-
-def supremum_check(fn: HeckeEigenfunction, kind: str = "?") -> SupremumRecord:
-    """Supremum record for a multiplicity-one eigenfunction."""
-    (record,) = supremum_records(fn, kind)
-    return record
 
 
 def _map_primes(fn, primes: list[int], jobs: int, *args):
@@ -205,13 +188,15 @@ def _sweep_one_prime(p: int, A: CatMap, realizations: str, verify_samples: int,
         targets = [Realization.canonical(l) for l in enumerate_lagrangians(p)]
     else:
         targets = [defining]
-    records: list[SupremumRecord] = []
+    fns = [eigenfunction(spectrum, s.index) for s in spaces]
+    # one intertwiner per realization moves every character; rows are written
+    # per character, then realization, then basis vector
+    by_target = [[supremum_records(fn, kind)
+                  for fn in (fns if r == defining else transport(fns, r))]
+                 for r in targets]
+    records = [rec for per_character in zip(*by_target)
+               for recs in per_character for rec in recs]
     simple_indices = [s.index for s in spaces if s.multiplicity == 1]
-    for space in spaces:
-        fn = eigenfunction(spectrum, space.index)
-        for r in targets:
-            moved = fn if r == defining else transport(fn, r)
-            records.extend(supremum_records(moved, kind))
     if verify_samples and simple_indices and len(targets) > 1:
         _verify_transport(spectrum, targets, simple_indices, verify_samples, seed, p)
     return records, skips
@@ -225,7 +210,7 @@ def _verify_transport(spectrum, targets, simple_indices, n_samples, seed, p):
     for _ in range(n_samples):
         r = others[rng.integers(len(others))]
         k = int(simple_indices[rng.integers(len(simple_indices))])
-        moved = transport(eigenfunction(spectrum, k), r)
+        (moved,) = transport([eigenfunction(spectrum, k)], r)
         direct = eigenfunction(hecke_spectrum(spectrum.torus, r), k)
         overlap = np.vdot(direct.amplitudes, moved.amplitudes)
         phase = overlap / abs(overlap)
@@ -388,7 +373,7 @@ def value_distribution(cfg: SweepConfig) -> DistributionReport:
     ks = _ks_distance(samples, su2_abs_trace_cdf)
     moments = [float(np.mean(samples ** k)) for k in (1, 2, 3, 4)]
     reference = [su2_abs_trace_moment(k) for k in (1, 2, 3, 4)]
-    counts, edges = np.histogram(samples, bins=cfg.bins,
+    counts, edges = np.histogram(samples, bins=HISTOGRAM_BINS,
                                  range=(0.0, max(2.0, float(samples.max()))))
     return DistributionReport(
         primes=inert,
@@ -410,10 +395,3 @@ def write_records_csv(path, records: list[SupremumRecord]) -> None:
         fh.write("p,kind,realization,character,multiplicity,sup,argmax,a_max,pass\n")
         for rec in records:
             fh.write(rec.csv_row() + "\n")
-
-
-def write_records_json(path, records: list[SupremumRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"schema": SWEEP_SCHEMA}) + "\n")
-        for rec in records:
-            fh.write(json.dumps(rec.json_obj(), sort_keys=True) + "\n")

@@ -103,16 +103,12 @@ class HeckeEigenfunction:
 
 
 def _normalize_columns(basis: np.ndarray, p: int) -> np.ndarray:
-    out = np.empty_like(basis)
-    for i in range(basis.shape[1]):
-        v = basis[:, i]
-        v = v * (np.sqrt(p) / np.linalg.norm(v))
-        nz = np.flatnonzero(np.abs(v) > 1e-6)
-        if nz.size:
-            lead = v[nz[0]]
-            v = v * (np.abs(lead) / lead)
-        out[:, i] = v
-    return out
+    """Each column rescaled to squared norm p with its first entry above 1e-6
+    in modulus made real positive; a column of squared norm p has an entry of
+    modulus at least 1, so that entry always exists."""
+    v = basis * (np.sqrt(p) / np.linalg.norm(basis, axis=0))
+    lead = v[np.argmax(np.abs(v) > 1e-6, axis=0), np.arange(v.shape[1])]
+    return v * (np.abs(lead) / lead)
 
 
 def hecke_spectrum(torus: HeckeTorus, r: Realization) -> HeckeSpectrum:
@@ -163,16 +159,26 @@ def eigenfunction(spectrum: HeckeSpectrum, k: int) -> HeckeEigenfunction:
     )
 
 
-def transport(fn: HeckeEigenfunction, target: Realization) -> HeckeEigenfunction:
-    """Carry an eigenfunction to another realization.
+def transport(fns: list[HeckeEigenfunction],
+              target: Realization) -> list[HeckeEigenfunction]:
+    """Carry the eigenfunctions of one realization to another.
 
-    The canonical intertwiner commutes with the torus action, so the image is
-    again an eigenfunction for the same character; it is unitary, so only the
-    leading-phase convention needs re-applying.
+    The canonical intertwiner depends only on the two realizations, so one
+    operator moves every column in one product.  It commutes with the torus
+    action, so each image is again an eigenfunction for its character; it is
+    unitary, so only the leading-phase convention needs re-applying.
     """
-    op = canonical_intertwiner(target, fn.realization)
-    vectors = _normalize_columns(op.matrix @ fn.vectors, fn.p)
-    return HeckeEigenfunction(fn.character_index, target, vectors, fn.degenerate)
+    if not fns:
+        return []
+    source = fns[0].realization
+    if any(fn.realization != source for fn in fns):
+        raise ValueError("eigenfunctions come from more than one realization")
+    op = canonical_intertwiner(target, source)
+    moved = _normalize_columns(op.matrix @ np.hstack([fn.vectors for fn in fns]),
+                               source.p)
+    splits = np.cumsum([fn.multiplicity for fn in fns])[:-1]
+    return [HeckeEigenfunction(fn.character_index, target, vectors, fn.degenerate)
+            for fn, vectors in zip(fns, np.split(moved, splits, axis=1))]
 
 
 def _eigenline_vectors(torus: HeckeTorus) -> tuple[SymplecticVector, SymplecticVector]:

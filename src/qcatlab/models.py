@@ -43,7 +43,6 @@ from .groups import (
 
 __all__ = [
     "Realization",
-    "ModelVector",
     "HeisOperator",
     "Intertwiner",
     "WeilOperator",
@@ -54,11 +53,9 @@ __all__ = [
     "averaging_scale",
     "geometric_action",
     "weil_op",
-    "change_realization",
     "regauge",
     "projective_egorov_solver",
     "commutant_dimension",
-    "write_operator",
 ]
 
 
@@ -114,23 +111,6 @@ class Realization:
 
     def tag(self) -> str:
         return "%d:%d" % self.sigma
-
-
-@dataclass
-class ModelVector:
-    """p complex amplitudes expressed in the coordinates of one realization."""
-
-    realization: Realization
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
-        if self.amplitudes.shape != (self.realization.p,):
-            raise ValueError("amplitude array must have length p")
-
-    @property
-    def norm_squared(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
 
 @dataclass
@@ -358,11 +338,6 @@ def canonical_intertwiner(target: Realization, source: Realization) -> Intertwin
     return Intertwiner(source, target, _intertwiner_matrix(target, source, scale))
 
 
-def change_realization(vec: ModelVector, target: Realization) -> ModelVector:
-    op = canonical_intertwiner(target, vec.realization)
-    return ModelVector(target, op.matrix @ vec.amplitudes)
-
-
 def regauge(op: Intertwiner, target: Realization, source: Realization) -> Intertwiner:
     """The same operator written between other gauges of the same two lines.
 
@@ -450,9 +425,3 @@ def commutant_dimension(r: Realization, tol: float = 1e-8) -> int:
     graph = np.abs(u2t) > tol
     n_components, _ = connected_components(graph, directed=False)
     return int(n_components)
-
-
-def write_operator(fh, matrix: np.ndarray) -> None:
-    """Debug dump: one row per line, entries as "re,im" pairs separated by spaces."""
-    for row in np.atleast_2d(matrix):
-        fh.write(" ".join(f"{z.real + 0.0:.17g},{z.imag + 0.0:.17g}" for z in row) + "\n")

@@ -45,6 +45,9 @@ def test_unknown_flag_exits_2():
     ["classify", "--jobs", "2"],
     ["distribution", "--seed", "1"],
     ["spectrum", "--prime", "7", "--seed", "1"],
+    ["sweep", "--format", "json"],
+    ["spectrum", "--prime", "7", "--dump-operators"],
+    ["distribution", "--bins", "10"],
 ])
 def test_flags_that_nothing_read_are_gone(args):
     with pytest.raises(SystemExit) as exc:
@@ -153,13 +156,6 @@ def test_sweep_workers_bounded_by_primes(tmp_path, monkeypatch):
     assert sizes == [2]
 
 
-def test_sweep_json_format(tmp_path):
-    run_cli(["sweep", "--matrix", "2,1;1,1", "--primes", "7..7",
-             "--format", "json", "--out", str(tmp_path)])
-    lines = (tmp_path / "sweep.jsonl").read_text().strip().split("\n")
-    assert json.loads(lines[1])["p"] == 7
-
-
 def test_sweep_ramified_logged(tmp_path, capsys):
     run_cli(["sweep", "--matrix", "2,1;1,1", "--primes", "5..7", "--out", str(tmp_path)])
     assert "skip p=5" in capsys.readouterr().out
@@ -167,12 +163,11 @@ def test_sweep_ramified_logged(tmp_path, capsys):
 
 def test_spectrum_writes_eigenfunctions(tmp_path, capsys):
     code = run_cli(["spectrum", "--matrix", "2,1;1,1", "--prime", "7",
-                    "--out", str(tmp_path), "--dump-operators"])
+                    "--out", str(tmp_path)])
     assert code == 0
     lines = (tmp_path / "spectrum_p7.csv").read_text().strip().split("\n")
     assert lines[0] == "p,kind,character_index,multiplicity,x,re,im"
     assert len(lines) == 1 + 7 * 7
-    assert (tmp_path / "operators_p7.txt").exists()
     out = capsys.readouterr().out
     assert "multiplicity 0" in out  # the empty character is reported
 
@@ -212,6 +207,34 @@ def test_selftest_passes(capsys):
     assert "supremum bound" in out
 
 
-def test_bad_matrix_rejected():
-    with pytest.raises(ValueError):
+def test_bad_matrix_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
         run_cli(["classify", "--matrix", "2,1;1,2", "--primes", "5..7"])
+    assert exc.value.code == 2
+    assert "determinant 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["sweep", "--matrix", "2,1;1"], "cannot parse"),
+    (["sweep", "--matrix", "1,1;0,1"], "not hyperbolic"),
+    (["sweep", "--primes", "13..7"], "no odd prime"),
+    (["sweep", "--primes", "24..28"], "no odd prime"),
+    (["sweep", "--primes", "8"], "no odd prime"),
+    (["spectrum", "--prime", "9"], "not an odd prime"),
+    (["sweep", "--primes", "7", "--jobs", "0"], "not a positive integer"),
+    (["distribution", "--primes", "11", "--jobs", "0"], "not a positive integer"),
+    (["distribution", "--primes", "11..11"], "no inert prime"),
+], ids=["unparsed-matrix", "not-hyperbolic", "reversed-range",
+        "range-without-prime", "one-non-prime", "spectrum-non-prime", "sweep-jobs-0",
+        "distribution-jobs-0", "no-inert-prime"])
+def test_bad_input_is_a_usage_error(args, message, tmp_path, capsys):
+    # a determinant other than 1 is test_bad_matrix_rejected
+    argv = [args[0], *(["--matrix", "2,1;1,1"] if "--matrix" not in args else []),
+            *args[1:], "--out", str(tmp_path)]
+    try:
+        code = run_cli(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())  # nothing was computed or written

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qcatlab.arith import CyclicCharacter
-from qcatlab.groups import CatMap, build_hecke_torus
+from qcatlab.groups import CatMap, build_hecke_torus, enumerate_lagrangians
 from qcatlab.hecke import (
     HeckeEigenfunction,
     eigenfunction,
@@ -21,12 +21,10 @@ from qcatlab.harness import (
     su2_abs_trace_cdf,
     su2_abs_trace_moment,
     su2_trace_density,
-    supremum_check,
     supremum_records,
     universal_sweep,
     value_distribution,
     write_records_csv,
-    write_records_json,
 )
 
 A = CatMap(2, 1, 1, 1)
@@ -40,7 +38,7 @@ def test_supremum_check_split_closed_form():
     torus = build_hecke_torus(A, 11)
     r = split_adapted_realization(torus)
     fn = split_closed_form(torus, CyclicCharacter(10, 3), r)
-    rec = supremum_check(fn, "split")
+    (rec,) = supremum_records(fn, "split")
     assert abs(rec.sup - math.sqrt(11 / 10)) < 1e-9  # ~1.0488
     assert rec.passed and rec.gating
     assert abs(rec.a_max - rec.sup ** 2) < 1e-12
@@ -51,7 +49,7 @@ def test_power_bound_recorded():
     torus = build_hecke_torus(A, 7)
     spectrum = hecke_spectrum(torus, Realization.standard(7))
     k = next(s.index for s in spectrum.spaces if s.multiplicity == 1)
-    rec = supremum_check(eigenfunction(spectrum, k), "inert")
+    (rec,) = supremum_records(eigenfunction(spectrum, k), "inert")
     assert abs(rec.power_bound - 7 ** 0.375) < 1e-12
     assert abs(rec.power_bound - 2.0745) < 1e-3
 
@@ -65,7 +63,7 @@ def test_argmax_is_least_point_of_a_tied_maximum():
     v[5] *= 1 + 2e-16
     assert np.argmax(np.abs(v)) == 5
     fn = HeckeEigenfunction(0, Realization.standard(p), v[:, np.newaxis], False)
-    rec = supremum_check(fn, "inert")
+    (rec,) = supremum_records(fn, "inert")
     assert rec.argmax == 2
     assert rec.sup == np.abs(v).max()
 
@@ -77,7 +75,7 @@ def test_supremum_check_enforces_normalization():
     fn = eigenfunction(spectrum, k)
     fn.vectors = fn.vectors * 2.0
     with pytest.raises(ValueError):
-        supremum_check(fn, "inert")
+        supremum_records(fn, "inert")
 
 
 def test_sweep_p7_all_realizations_all_pass():
@@ -150,6 +148,51 @@ def test_flagged_character_excluded_from_sweep_and_distribution(monkeypatch):
 def test_sweep_transport_verification_runs():
     result = universal_sweep(config(7, 7, realizations="all", verify_samples=3))
     assert len(result.records) == 56
+
+
+def test_sweep_builds_one_intertwiner_per_realization(monkeypatch):
+    import qcatlab.hecke as hecke
+    import qcatlab.models as models
+
+    calls = {"hecke": 0, "models": 0}
+
+    def counting(module, original):
+        def wrapper(target, source):
+            calls[module] += 1
+            return original(target, source)
+        return wrapper
+
+    monkeypatch.setattr(hecke, "canonical_intertwiner",
+                        counting("hecke", hecke.canonical_intertwiner))
+    monkeypatch.setattr(models, "canonical_intertwiner",
+                        counting("models", models.canonical_intertwiner))
+    result = universal_sweep(config(13, 13, realizations="all", verify_samples=1))
+    assert len({r.realization for r in result.records}) == 14
+    # transport: one operator for each of the 13 non-defining realizations,
+    # plus the verify sample's; weil_op: the defining spectrum and the verify
+    # sample's re-extraction
+    assert calls == {"hecke": 13 + 1, "models": 2}
+
+
+def test_sweep_rows_match_one_pair_at_a_time():
+    # p = 11 is split, with one two-dimensional character space
+    p = 11
+    spectrum = hecke_spectrum(build_hecke_torus(A, p), Realization.standard(p))
+    targets = [Realization.canonical(l) for l in enumerate_lagrangians(p)]
+    expected = []
+    for space in spectrum.spaces:
+        if space.multiplicity == 0:
+            continue
+        fn = eigenfunction(spectrum, space.index)
+        for r in targets:
+            moved = fn if r == spectrum.realization else transport([fn], r)[0]
+            expected.extend(supremum_records(moved, "split"))
+    assert any(rec.multiplicity == 2 for rec in expected)
+    records = universal_sweep(config(p, p, realizations="all")).records
+    key = lambda r: (r.p, r.kind, r.realization, r.character,  # noqa: E731
+                     r.multiplicity, r.argmax, r.passed, r.gating)
+    assert [key(r) for r in records] == [key(r) for r in expected]
+    assert max(abs(r.sup - e.sup) for r, e in zip(records, expected)) < 1e-12
 
 
 def test_sweep_parallel_matches_serial():
@@ -323,19 +366,6 @@ def test_csv_schema_and_determinism(tmp_path):
     assert lines[0].startswith("# schema: qcatlab-sweep")
     assert lines[1] == "p,kind,realization,character,multiplicity,sup,argmax,a_max,pass"
     assert len(lines) == 2 + len(universal_sweep(cfg).records)
-
-
-def test_json_records_mirror_csv(tmp_path):
-    import json
-
-    result = universal_sweep(config(7, 7))
-    path = tmp_path / "records.jsonl"
-    write_records_json(path, result.records)
-    lines = path.read_text().strip().split("\n")
-    assert json.loads(lines[0])["schema"].startswith("qcatlab-sweep")
-    first = json.loads(lines[1])
-    assert set(first) == {"p", "kind", "realization", "character", "multiplicity",
-                          "sup", "argmax", "a_max", "pass"}
 
 
 def test_gating_failures_filter():

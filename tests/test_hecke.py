@@ -154,7 +154,7 @@ def test_degenerate_character_returns_flagged_basis(torus11):
 def test_transport_preserves_eigenvector_property(torus7, spectrum7):
     target = Realization.of(1, 3, 7)
     k = next(s.index for s in spectrum7.spaces if s.multiplicity == 1)
-    fn = transport(eigenfunction(spectrum7, k), target)
+    (fn,) = transport([eigenfunction(spectrum7, k)], target)
     assert abs(np.vdot(fn.amplitudes, fn.amplitudes).real - 7) < 1e-9
     lam = unit_roots(torus7.order)[k]
     resid = weil_op(target, torus7.generator).matrix @ fn.amplitudes - lam * fn.amplitudes
@@ -167,12 +167,34 @@ def test_transport_matches_direct_extraction(torus7, spectrum7):
     for space in spectrum7.spaces:
         if space.multiplicity != 1:
             continue
-        moved = transport(eigenfunction(spectrum7, space.index), target)
+        (moved,) = transport([eigenfunction(spectrum7, space.index)], target)
         direct = eigenfunction(direct_spectrum, space.index)
         ov = np.vdot(direct.amplitudes, moved.amplitudes)
         assert abs(abs(ov) - 7) < 1e-8  # same line up to phase
         phase = ov / abs(ov)
         assert np.abs(moved.amplitudes - phase * direct.amplitudes).max() < 1e-8
+
+
+def test_transport_moves_a_batch_like_one_at_a_time(torus11):
+    spectrum = hecke_spectrum(torus11, Realization.standard(11))
+    fns = [eigenfunction(spectrum, s.index) for s in spectrum.spaces if s.multiplicity]
+    target = Realization.of(1, 4, 11)
+    moved = transport(fns, target)
+    assert [m.character_index for m in moved] == [fn.character_index for fn in fns]
+    assert [m.multiplicity for m in moved] == [fn.multiplicity for fn in fns]
+    for fn, m in zip(fns, moved):
+        (alone,) = transport([fn], target)
+        assert m.realization == target and m.degenerate == fn.degenerate
+        assert np.abs(m.vectors - alone.vectors).max() < 1e-12
+    assert transport([], target) == []
+
+
+def test_transport_rejects_eigenfunctions_of_two_realizations(torus7, spectrum7):
+    k = next(s.index for s in spectrum7.spaces if s.multiplicity == 1)
+    fn = eigenfunction(spectrum7, k)
+    (other,) = transport([fn], Realization.of(1, 2, 7))
+    with pytest.raises(ValueError, match="more than one realization"):
+        transport([fn, other], Realization.of(1, 3, 7))
 
 
 # ---------------------------------------------------------------------------
