@@ -60,6 +60,20 @@ def _jobs(text: str) -> int:
     return n
 
 
+def _count(text: str) -> int:
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return int(text)
+
+
+def _vector(text: str) -> tuple[int, int]:
+    try:
+        s1, s2 = (int(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a vector 's1,s2'") from None
+    return s1, s2
+
+
 def _out_dir(args) -> Path:
     out = args.out or os.environ.get("QCATLAB_OUT") or "."
     path = Path(out)
@@ -109,17 +123,17 @@ def cmd_sweep(args) -> int:
 
 def cmd_spectrum(args) -> int:
     p = args.prime
+    s1, s2 = args.realization
+    if s1 % p == 0 and s2 % p == 0:
+        print(f"qcatlab spectrum: error: --realization {s1},{s2} is zero mod {p}",
+              file=sys.stderr)
+        return 2
     kind = classify_prime(args.matrix, p)
     if kind == "ramified":
         print(f"p={p} is ramified; no spectrum", file=sys.stderr)
         return 1
     torus = build_hecke_torus(args.matrix, p)
-    if args.realization:
-        s1, s2 = (int(t) for t in args.realization.split(","))
-        r = Realization.of(s1, s2, p)
-    else:
-        r = Realization.standard(p)
-    spectrum = hecke_spectrum(torus, r)
+    spectrum = hecke_spectrum(torus, Realization.of(s1, s2, p))
     path = _out_dir(args) / f"spectrum_p{p}.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("p,kind,character_index,multiplicity,x,re,im\n")
@@ -187,13 +201,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--jobs", type=_jobs, default=1)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--realizations", choices=["defining", "all"], default="defining")
-    s.add_argument("--verify-samples", type=int, default=0)
+    s.add_argument("--verify-samples", type=_count, default=0)
     s.set_defaults(func=cmd_sweep)
 
     s = sub.add_parser("spectrum", help="character decomposition at one prime")
     s.add_argument("--matrix", type=_cat_map, required=True)
     s.add_argument("--prime", type=_odd_prime, required=True)
-    s.add_argument("--realization", default=None, help="sigma as 's1,s2'")
+    s.add_argument("--realization", type=_vector, default=(0, 1),
+                   help="sigma as 's1,s2' (default 0,1, the position model)")
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_spectrum)
 
@@ -204,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_distribution)
 
     s = sub.add_parser("selftest", help="quick end-to-end checks")
-    s.add_argument("--prime", type=int, default=7)
+    s.add_argument("--prime", type=_odd_prime, default=7)
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=cmd_selftest)
     return parser

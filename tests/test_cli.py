@@ -207,6 +207,14 @@ def test_selftest_passes(capsys):
     assert "supremum bound" in out
 
 
+def test_selftest_non_prime_is_a_usage_error(capsys):
+    # selftest takes no --out, so it sits outside test_bad_input_is_a_usage_error
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["selftest", "--prime", "9"])
+    assert exc.value.code == 2
+    assert "not an odd prime" in capsys.readouterr().err
+
+
 def test_bad_matrix_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["classify", "--matrix", "2,1;1,2", "--primes", "5..7"])
@@ -224,9 +232,17 @@ def test_bad_matrix_rejected(capsys):
     (["sweep", "--primes", "7", "--jobs", "0"], "not a positive integer"),
     (["distribution", "--primes", "11", "--jobs", "0"], "not a positive integer"),
     (["distribution", "--primes", "11..11"], "no inert prime"),
+    (["sweep", "--primes", "7", "--realizations", "all", "--verify-samples", "-3"],
+     "not a non-negative integer"),
+    (["spectrum", "--prime", "7", "--realization", "1"], "not a vector"),
+    (["spectrum", "--prime", "7", "--realization", "a,b"], "not a vector"),
+    (["spectrum", "--prime", "7", "--realization", "0,0"], "zero mod 7"),
+    (["spectrum", "--prime", "7", "--realization", "7,14"], "zero mod 7"),
 ], ids=["unparsed-matrix", "not-hyperbolic", "reversed-range",
         "range-without-prime", "one-non-prime", "spectrum-non-prime", "sweep-jobs-0",
-        "distribution-jobs-0", "no-inert-prime"])
+        "distribution-jobs-0", "no-inert-prime", "negative-verify-samples",
+        "realization-one-entry", "realization-not-integers", "realization-zero",
+        "realization-zero-mod-p"])
 def test_bad_input_is_a_usage_error(args, message, tmp_path, capsys):
     # a determinant other than 1 is test_bad_matrix_rejected
     argv = [args[0], *(["--matrix", "2,1;1,1"] if "--matrix" not in args else []),

@@ -385,4 +385,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         config(5, 7, jobs=0)
     with pytest.raises(ValueError):
+        config(5, 7, verify_samples=-1)
+    with pytest.raises(ValueError):
         SweepConfig(matrix=CatMap(1, 1, 0, 1), prime_lo=5, prime_hi=7)

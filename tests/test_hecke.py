@@ -84,13 +84,17 @@ def test_projectors_idempotent_and_orthogonal(p):
     for j in range(n):
         for k in range(j + 1, n):
             assert np.linalg.norm(projectors[j] @ projectors[k]) < 1e-8
-    # the spectrum's bases span the projectors' ranges
+    # the spectrum's bases span the projectors' ranges, and each residual is
+    # its own block's ||rho(gen) B - e_k B||
     spectrum = hecke_spectrum(torus, r)
+    rho_gen = weil_op(r, torus.generator).matrix
     for k, pk in enumerate(projectors):
         space = spectrum.space(k)
         assert round(np.trace(pk).real) == space.multiplicity
         assert np.linalg.matrix_rank(pk, tol=1e-8) == space.multiplicity
         assert np.linalg.norm(pk @ space.basis - space.basis) < 1e-8
+        block = np.linalg.norm(rho_gen @ space.basis - roots[k] * space.basis)
+        assert abs(space.residual - block) < 1e-12
 
 
 def test_eigenvector_property_every_torus_element(torus7, spectrum7):
@@ -136,6 +140,9 @@ def test_eigenvalue_between_roots_is_flagged(monkeypatch, torus7, rng):
     spectrum = hecke_spectrum(torus7, Realization.standard(7))
     flagged = [s.index for s in spectrum.spaces if s.flagged]
     assert flagged in ([6], [7])
+    for s in spectrum.spaces:
+        block = np.linalg.norm(fake @ s.basis - unit_roots(8)[s.index] * s.basis)
+        assert abs(s.residual - block) < 1e-12
     assert spectrum.space(flagged[0]).multiplicity == 1
     assert sum(spectrum.multiplicities()) == 7
 

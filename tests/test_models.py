@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_sl2
-from qcatlab.arith import legendre_symbol, unit_roots
+from qcatlab.arith import legendre_symbol, primes_in, unit_roots
 from qcatlab.groups import (
     EnhancedLagrangian,
     HeisenbergElement,
@@ -12,7 +12,9 @@ from qcatlab.groups import (
     enumerate_lagrangians,
 )
 from qcatlab.models import (
+    IntertwinerConstructionError,
     Realization,
+    _validate_family,
     averaging_scale,
     canonical_intertwiner,
     commutant_dimension,
@@ -212,13 +214,45 @@ def test_averaging_scale_unitary_modulus():
         assert abs(abs(averaging_scale(p)) - p ** -0.5) < 1e-12
 
 
+def solved_scale(p):
+    """The constant solved from convolution instead of read off a formula.
+
+    On a pairwise transverse triple, F = scale * chi_q(omega) * A turns
+    F_nm F_ml = F_nl into A_nm A_ml = c A_nl with
+    scale = chi_q(w_nm w_ml w_nl) / c; two triples must give the same scale.
+    """
+    solutions = []
+    for triple in (((1, 0), (0, 1), (1, 1)), ((0, 1), (1, 2), (1, 0))):
+        rn, rm, rl = (Realization.of(s1, s2, p) for s1, s2 in triple)
+        a_nl = raw_averaging(rn, rl)
+        product = raw_averaging(rn, rm) @ raw_averaging(rm, rl)
+        i, j = np.unravel_index(np.argmax(np.abs(a_nl)), a_nl.shape)
+        c = product[i, j] / a_nl[i, j]
+        assert np.linalg.norm(product - c * a_nl) < 1e-9 * np.linalg.norm(product)
+        w = 1
+        for x, y in ((rn, rm), (rm, rl), (rn, rl)):
+            w *= x.lagrangian.sigma.omega(y.lagrangian.sigma)
+        solutions.append(legendre_symbol(w, p) / c)
+    assert abs(solutions[0] - solutions[1]) < 1e-12
+    return solutions[0]
+
+
 def test_averaging_scale_closed_form():
-    # the constraint solution agrees with the normalized Gauss sum
-    # (1/p) sum_t psi(-t^2/2) at every prime checked
-    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61):
+    # the production constant is the normalized Gauss sum
+    # (1/p) sum_t psi(-t^2/2), and the convolution constraint solves to it
+    for p in primes_in(3, 199):
         inv2 = (p + 1) // 2
         gauss = sum(unit_roots(p)[(-t * t * inv2) % p] for t in range(p)) / p
         assert abs(averaging_scale(p) - gauss) < 1e-12
+        assert abs(averaging_scale(p) - solved_scale(p)) < 1e-12
+
+
+@pytest.mark.parametrize("p", [7, 11])
+def test_validation_rejects_a_wrong_constant(p):
+    # -scale passes normalization, the returning pair, the sign rule and
+    # invariance; only convolution on a transverse triple catches it
+    with pytest.raises(IntertwinerConstructionError, match="convolution"):
+        _validate_family(p, -averaging_scale(p))
 
 
 def test_sign_rule_exhaustive_p7():
