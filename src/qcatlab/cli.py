@@ -137,14 +137,11 @@ def cmd_spectrum(args) -> int:
     path = _out_dir(args) / f"spectrum_p{p}.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("p,kind,character_index,multiplicity,x,re,im\n")
-        for space in spectrum.spaces:
-            if space.multiplicity == 0:
-                continue
-            fn = eigenfunction(spectrum, space.index)
-            for row in eigenfunction_csv_rows(kind, fn):
-                fh.write(",".join(
-                    f"{v:.12g}" if isinstance(v, float) else str(v) for v in row
-                ) + "\n")
+        fn = eigenfunction(spectrum, *(s.index for s in spectrum.spaces if s.multiplicity))
+        for row in eigenfunction_csv_rows(kind, fn):
+            fh.write(",".join(
+                f"{v:.12g}" if isinstance(v, float) else str(v) for v in row
+            ) + "\n")
     for space in spectrum.spaces:
         flag = " (flagged)" if space.flagged else ""
         print(f"character {space.index}: multiplicity {space.multiplicity}{flag}")
@@ -208,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--matrix", type=_cat_map, required=True)
     s.add_argument("--prime", type=_odd_prime, required=True)
     s.add_argument("--realization", type=_vector, default=(0, 1),
-                   help="sigma as 's1,s2' (default 0,1, the position model)")
+                   help="sigma as 's1,s2' (default 0,1, the position model); "
+                        "write a negative s1 as --realization=-1,2")
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_spectrum)
 

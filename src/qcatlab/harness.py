@@ -8,9 +8,10 @@ the flat bound is exceeded by O(1/p), up to the proven envelope
 2/sqrt(1 - 1/p) (Weil's bound on the Salie sums the explicit split
 eigenfunctions produce), so split records above 2 fail `pass` by design.
 Both sweeps run per prime through `_map_primes`, where a prime that raises is
-an error, never a skip; flagged characters are skipped by both.  Sweeps emit
-one record per (prime, realization, character, basis vector), and write
-a versioned CSV artifact whose bytes depend only on the config.
+an error, never a skip; flagged characters are skipped by both.  Sweeps score
+one block of eigenfunctions per realization, emit one record per (prime,
+realization, character, basis vector), and write a versioned CSV artifact
+whose bytes depend only on the config.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ log = logging.getLogger("qcatlab")
 SWEEP_SCHEMA = "qcatlab-sweep v1"
 SUP_BOUND = 2.0
 SUP_TOL = 1e-9
+# |norm^2 - p| / p is rounding of the rescaling to norm^2 = p: at most about
+# 1e-16 p (2.3e-15 at p = 401), while a mis-scaled column misses by order 1
 NORM_TOL = 1e-6
 # |v(x)|^2 <= 4p/(p-1) carries ~1e-15 of rounding, so gaps below 1e-9 are ties
 ARGMAX_TIE_TOL = 1e-9
@@ -114,30 +117,27 @@ class SweepResult:
     errors: list[tuple[int, str]] = field(default_factory=list)  # (p, "Type: message")
 
 
-def _vector_record(v: np.ndarray, p: int, kind: str, tag: str, character: int,
-                   multiplicity: int) -> SupremumRecord:
-    norm_sq = float(np.vdot(v, v).real)
-    if abs(norm_sq - p) > NORM_TOL * p:
-        raise ValueError(f"eigenfunction norm^2 = {norm_sq}, expected {p}")
-    mags = np.abs(v)
-    sup = float(mags.max())
-    # -I is in the torus, so |v(x)| = |v(-x)| ties the maximum: take the least x
-    argmax = int(np.argmax(mags * mags >= sup * sup - ARGMAX_TIE_TOL))
-    return SupremumRecord(
-        p=p, kind=kind, realization=tag, character=character,
-        multiplicity=multiplicity, sup=sup, argmax=argmax, a_max=sup * sup,
-        passed=sup <= SUP_BOUND + SUP_TOL,
-        gating=(multiplicity == 1 and p >= GATING_MIN_PRIME),
-        power_bound=p ** 0.375,
-    )
-
-
 def supremum_records(fn: HeckeEigenfunction, kind: str) -> list[SupremumRecord]:
-    """One record per basis vector of the character space."""
+    """One record per column of the block, in column order."""
+    p = fn.p
+    mags = np.abs(fn.vectors)
+    mags_sq = mags * mags
+    norms_sq = mags_sq.sum(axis=0)
+    bad = np.abs(norms_sq - p) > NORM_TOL * p
+    if bad.any():
+        raise ValueError(f"eigenfunction norm^2 = {norms_sq[bad][0]}, expected {p}")
+    sups = mags.max(axis=0)
+    # -I is in the torus, so |v(x)| = |v(-x)| ties the maximum: take the least x
+    argmaxes = np.argmax(mags_sq >= sups * sups - ARGMAX_TIE_TOL, axis=0)
+    tag = fn.realization.tag()
     return [
-        _vector_record(fn.vectors[:, i], fn.p, kind, fn.realization.tag(),
-                       fn.character_index, fn.multiplicity)
-        for i in range(fn.multiplicity)
+        SupremumRecord(
+            p=p, kind=kind, realization=tag, character=k, multiplicity=m,
+            sup=sup, argmax=x, a_max=sup * sup, passed=sup <= SUP_BOUND + SUP_TOL,
+            gating=(m == 1 and p >= GATING_MIN_PRIME), power_bound=p ** 0.375,
+        )
+        for k, m, sup, x in zip(fn.characters.tolist(), fn.multiplicities.tolist(),
+                                sups.tolist(), argmaxes.tolist())
     ]
 
 
@@ -190,14 +190,12 @@ def _sweep_one_prime(p: int, A: CatMap, realizations: str, verify_samples: int,
         targets = [Realization.canonical(l) for l in enumerate_lagrangians(p)]
     else:
         targets = [defining]
-    fns = [eigenfunction(spectrum, s.index) for s in spaces]
+    fn = eigenfunction(spectrum, *(s.index for s in spaces))
     # one intertwiner per realization moves every character; rows are written
     # per character, then realization, then basis vector
-    by_target = [[supremum_records(fn, kind)
-                  for fn in (fns if r == defining else transport(fns, r))]
-                 for r in targets]
-    records = [rec for per_character in zip(*by_target)
-               for recs in per_character for rec in recs]
+    records = [rec for r in targets
+               for rec in supremum_records(fn if r == defining else transport(fn, r), kind)]
+    records.sort(key=lambda rec: rec.character)  # stable: realizations keep their order
     simple_indices = [s.index for s in spaces if s.multiplicity == 1]
     if verify_samples and simple_indices and len(targets) > 1:
         _verify_transport(spectrum, targets, simple_indices, verify_samples, seed, p)
@@ -212,11 +210,13 @@ def _verify_transport(spectrum, targets, simple_indices, n_samples, seed, p):
     for _ in range(n_samples):
         r = others[rng.integers(len(others))]
         k = int(simple_indices[rng.integers(len(simple_indices))])
-        (moved,) = transport([eigenfunction(spectrum, k)], r)
+        moved = transport(eigenfunction(spectrum, k), r)
         direct = eigenfunction(hecke_spectrum(spectrum.torus, r), k)
         overlap = np.vdot(direct.amplitudes, moved.amplitudes)
         phase = overlap / abs(overlap)
         dev = np.max(np.abs(moved.amplitudes - phase * direct.amplitudes))
+        # rounding grows about like 7e-17 p^1.5 (4e-15 at p = 13, 6e-13 at
+        # p = 401), under 1e-7 to p ~ 1e6; a wrong image misses by >= sqrt(2)
         if dev > 1e-7:
             raise RuntimeError(
                 f"transported eigenfunction disagrees with re-extraction: "
@@ -339,9 +339,8 @@ class DistributionReport:
 
 def _distribution_one_prime(p: int, A: CatMap):
     spectrum, spaces, skips = _defining_spectrum(p, A)
-    values = [np.abs(eigenfunction(spectrum, s.index).amplitudes)
-              for s in spaces if s.multiplicity == 1]
-    return (np.concatenate(values) if values else np.empty(0)), skips
+    fn = eigenfunction(spectrum, *(s.index for s in spaces if s.multiplicity == 1))
+    return np.abs(fn.vectors).ravel(order="F"), skips
 
 
 def value_distribution(cfg: SweepConfig) -> DistributionReport:

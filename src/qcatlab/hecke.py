@@ -6,10 +6,13 @@ character space of index k is the eigenspace of rho(generator) for the
 eigenvalue exp(2 pi i k / N).  rho(generator) is unitary, so its complex Schur
 form is diagonal up to rounding; each diagonal entry is binned to its nearest
 N-th root of unity and the Schur columns of a bin form an orthonormal basis
-of that character space.  At a split prime the torus fixes the two eigenlines
-of the cat map; in a realization adapted to them the torus acts by coordinate
-scalings and the multiplicity one eigenfunctions are
-Legendre-times-multiplicative-character vectors.
+of that character space.  Eigenfunctions travel as one block per
+realization: a (p, n) matrix whose columns are labelled by character, which
+`transport` carries to another realization with one intertwiner product.
+At a split prime the torus fixes the two eigenlines of the cat map; in a
+realization adapted to them the torus acts by coordinate scalings and the
+multiplicity one eigenfunctions are Legendre-times-multiplicative-character
+vectors.
 """
 
 from __future__ import annotations
@@ -71,34 +74,32 @@ class HeckeSpectrum:
 
 @dataclass
 class HeckeEigenfunction:
-    """Joint eigenvector(s) of the torus action for one character.
+    """One realization's eigenvectors for whole character spaces.
 
-    vectors has one column per basis vector of the character space, each
-    rescaled to squared norm p with its first nonzero amplitude real positive.
-    degenerate is True when the multiplicity exceeds one; amplitudes then
-    refuses to pick a column.
+    Column j of vectors lies in the space of character characters[j]; the
+    columns of one character form a basis of its space, each rescaled to
+    squared norm p with its first nonzero amplitude real positive.
     """
 
-    character_index: int
     realization: Realization
-    vectors: np.ndarray  # (p, multiplicity)
-    degenerate: bool
+    vectors: np.ndarray  # (p, n)
+    characters: np.ndarray  # (n,) torus character index of each column
 
     @property
     def p(self) -> int:
         return self.realization.p
 
     @property
-    def multiplicity(self) -> int:
-        return self.vectors.shape[1]
+    def multiplicities(self) -> np.ndarray:
+        """Each column's character multiplicity: how many columns share it."""
+        return np.bincount(self.characters)[self.characters]
 
     @property
     def amplitudes(self) -> np.ndarray:
-        if self.degenerate:
-            raise ValueError(
-                f"character {self.character_index} has multiplicity "
-                f"{self.multiplicity}; pick a column of .vectors"
-            )
+        """The vector of a one-column block, such as one simple character."""
+        if self.vectors.shape[1] != 1:
+            raise ValueError(f"block has {self.vectors.shape[1]} columns; "
+                             f"pick a column of .vectors")
         return self.vectors[:, 0]
 
 
@@ -145,41 +146,37 @@ def hecke_spectrum(torus: HeckeTorus, r: Realization) -> HeckeSpectrum:
     return HeckeSpectrum(torus, r, spaces)
 
 
-def eigenfunction(spectrum: HeckeSpectrum, k: int) -> HeckeEigenfunction:
-    """The normalized eigenfunction(s) for character k.
+def eigenfunction(spectrum: HeckeSpectrum, *ks: int) -> HeckeEigenfunction:
+    """The normalized eigenfunctions of characters ks, as one block.
 
-    Raises for an empty character space; for multiplicity above one the full
-    orthonormal basis is returned with the degeneracy flag set.
+    Every character contributes its whole space, in the order given; a space
+    of multiplicity above one contributes its full orthonormal basis.  Raises
+    for an empty character space.
     """
-    space = spectrum.space(k)
-    if space.multiplicity == 0:
-        raise ValueError(f"character {k} does not occur in the model")
-    vectors = _normalize_columns(space.basis, spectrum.p)
-    return HeckeEigenfunction(
-        space.index, spectrum.realization, vectors, space.multiplicity > 1
-    )
+    spaces = [spectrum.space(k) for k in ks]
+    for space in spaces:
+        if space.multiplicity == 0:
+            raise ValueError(f"character {space.index} does not occur in the model")
+    # normalized space by space, so a column's rounding does not depend on
+    # which other characters share its block
+    vectors = np.hstack([np.empty((spectrum.p, 0))]
+                        + [_normalize_columns(s.basis, spectrum.p) for s in spaces])
+    characters = np.repeat(np.array([s.index for s in spaces], dtype=np.int64),
+                           [s.multiplicity for s in spaces])
+    return HeckeEigenfunction(spectrum.realization, vectors, characters)
 
 
-def transport(fns: list[HeckeEigenfunction],
-              target: Realization) -> list[HeckeEigenfunction]:
-    """Carry the eigenfunctions of one realization to another.
+def transport(fn: HeckeEigenfunction, target: Realization) -> HeckeEigenfunction:
+    """Carry a realization's eigenfunctions to another realization.
 
     The canonical intertwiner depends only on the two realizations, so one
     operator moves every column in one product.  It commutes with the torus
     action, so each image is again an eigenfunction for its character; it is
     unitary, so only the leading-phase convention needs re-applying.
     """
-    if not fns:
-        return []
-    source = fns[0].realization
-    if any(fn.realization != source for fn in fns):
-        raise ValueError("eigenfunctions come from more than one realization")
-    op = canonical_intertwiner(target, source)
-    moved = _normalize_columns(op.matrix @ np.hstack([fn.vectors for fn in fns]),
-                               source.p)
-    splits = np.cumsum([fn.multiplicity for fn in fns])[:-1]
-    return [HeckeEigenfunction(fn.character_index, target, vectors, fn.degenerate)
-            for fn, vectors in zip(fns, np.split(moved, splits, axis=1))]
+    op = canonical_intertwiner(target, fn.realization)
+    return HeckeEigenfunction(target, _normalize_columns(op.matrix @ fn.vectors, fn.p),
+                              fn.characters)
 
 
 def _eigenline_vectors(torus: HeckeTorus) -> tuple[SymplecticVector, SymplecticVector]:
@@ -263,17 +260,12 @@ def split_closed_form(torus: HeckeTorus, chi: CyclicCharacter, r: Realization) -
     amps[1:] = legendre_table(p)[1:] * unit_roots(p - 1)[(chi.index * ind[1:]) % (p - 1)]
     amps *= np.sqrt(p / (p - 1.0))
     k = matched_character_index(torus, r, chi)
-    return HeckeEigenfunction(k, r, amps[:, np.newaxis], False)
+    return HeckeEigenfunction(r, amps[:, np.newaxis], np.array([k]))
 
 
 def eigenfunction_csv_rows(kind: str, fn: HeckeEigenfunction) -> list[tuple]:
-    """Rows (p, kind, character_index, multiplicity, x, re, im) for one character."""
-    rows = []
-    for col in range(fn.multiplicity):
-        v = fn.vectors[:, col]
-        for x in range(fn.p):
-            rows.append(
-                (fn.p, kind, fn.character_index, fn.multiplicity, x,
-                 float(v[x].real), float(v[x].imag))
-            )
-    return rows
+    """Rows (p, kind, character_index, multiplicity, x, re, im), column by column."""
+    return [(fn.p, kind, k, m, x, float(v[x].real), float(v[x].imag))
+            for k, m, v in zip(fn.characters.tolist(), fn.multiplicities.tolist(),
+                               fn.vectors.T)
+            for x in range(fn.p)]

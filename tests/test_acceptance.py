@@ -150,10 +150,10 @@ def test_criterion_3_split_closed_form():
         spectrum = hecke_spectrum(torus, adapted)
         for m in range(p - 1):
             fn = split_closed_form(torus, CyclicCharacter(p - 1, m), adapted)
-            space = spectrum.space(fn.character_index)
+            space = spectrum.space(fn.characters[0])
             if space.multiplicity != 1:
                 continue
-            num = eigenfunction(spectrum, fn.character_index)
+            num = eigenfunction(spectrum, fn.characters[0])
             overlap = np.vdot(num.amplitudes, fn.amplitudes)
             phase = overlap / abs(overlap)
             worst = max(worst, float(np.abs(fn.amplitudes - phase * num.amplitudes).max()))

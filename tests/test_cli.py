@@ -182,6 +182,15 @@ def test_spectrum_custom_realization(tmp_path):
                     "--realization", "1,3", "--out", str(tmp_path)]) == 0
 
 
+def test_spectrum_negative_realization_with_equals(tmp_path):
+    # "--realization -1,2" reads as a flag; the "=" form passes the value
+    for name, args in (("neg", ["--realization=-1,2"]), ("pos", ["--realization", "6,2"])):
+        assert run_cli(["spectrum", "--matrix", "2,1;1,1", "--prime", "7", *args,
+                        "--out", str(tmp_path / name)]) == 0
+    assert ((tmp_path / "neg" / "spectrum_p7.csv").read_bytes()
+            == (tmp_path / "pos" / "spectrum_p7.csv").read_bytes())
+
+
 def test_distribution_writes_report(tmp_path, capsys):
     code = run_cli(["distribution", "--matrix", "2,1;1,1", "--primes", "7..13",
                     "--out", str(tmp_path)])

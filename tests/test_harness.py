@@ -62,7 +62,7 @@ def test_argmax_is_least_point_of_a_tied_maximum():
     v = mags * np.sqrt(p / np.sum(mags ** 2)) * np.exp(1j * np.arange(p))
     v[5] *= 1 + 2e-16
     assert np.argmax(np.abs(v)) == 5
-    fn = HeckeEigenfunction(0, Realization.standard(p), v[:, np.newaxis], False)
+    fn = HeckeEigenfunction(Realization.standard(p), v[:, np.newaxis], np.array([0]))
     (rec,) = supremum_records(fn, "inert")
     assert rec.argmax == 2
     assert rec.sup == np.abs(v).max()
@@ -174,6 +174,37 @@ def test_sweep_builds_one_intertwiner_per_realization(monkeypatch):
     assert calls == {"hecke": 13 + 1, "models": 2}
 
 
+def test_sweep_scores_one_block_per_realization(monkeypatch):
+    import qcatlab.harness as harness
+
+    blocks = []
+
+    def counting(fn, kind, original=harness.supremum_records):
+        blocks.append(fn.realization.tag())
+        return original(fn, kind)
+
+    monkeypatch.setattr(harness, "supremum_records", counting)
+    result = universal_sweep(config(13, 13, realizations="all", verify_samples=1))
+    assert len(blocks) == len(set(blocks)) == 14
+    assert len(result.records) == 14 * 13  # every character of p = 13 is simple
+
+
+def test_block_records_equal_single_character_records():
+    # p = 11 is split, with one two-dimensional character space
+    p = 11
+    spectrum = hecke_spectrum(build_hecke_torus(A, p), Realization.standard(p))
+    ks = [s.index for s in spectrum.spaces if s.multiplicity]
+    key = lambda r: (r.p, r.kind, r.realization, r.character,  # noqa: E731
+                     r.multiplicity, r.argmax, r.passed, r.gating)
+    for r in (spectrum.realization, Realization.of(1, 4, p)):
+        block = supremum_records(transport(eigenfunction(spectrum, *ks), r), "split")
+        singles = [rec for k in ks for rec in
+                   supremum_records(transport(eigenfunction(spectrum, k), r), "split")]
+        assert [rec.multiplicity for rec in block].count(2) == 2
+        assert [key(rec) for rec in block] == [key(rec) for rec in singles]
+        assert max(abs(b.sup - s.sup) for b, s in zip(block, singles)) < 1e-12
+
+
 def test_sweep_rows_match_one_pair_at_a_time():
     # p = 11 is split, with one two-dimensional character space
     p = 11
@@ -185,7 +216,7 @@ def test_sweep_rows_match_one_pair_at_a_time():
             continue
         fn = eigenfunction(spectrum, space.index)
         for r in targets:
-            moved = fn if r == spectrum.realization else transport([fn], r)[0]
+            moved = fn if r == spectrum.realization else transport(fn, r)
             expected.extend(supremum_records(moved, "split"))
     assert any(rec.multiplicity == 2 for rec in expected)
     records = universal_sweep(config(p, p, realizations="all")).records

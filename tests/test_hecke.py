@@ -151,7 +151,7 @@ def test_degenerate_character_returns_flagged_basis(torus11):
     spectrum = hecke_spectrum(torus11, Realization.standard(11))
     (k,) = [s.index for s in spectrum.spaces if s.multiplicity == 2]
     fn = eigenfunction(spectrum, k)
-    assert fn.degenerate and fn.multiplicity == 2
+    assert fn.characters.tolist() == [k, k] and fn.multiplicities.tolist() == [2, 2]
     with pytest.raises(ValueError):
         _ = fn.amplitudes
     gram = fn.vectors.conj().T @ fn.vectors
@@ -161,7 +161,7 @@ def test_degenerate_character_returns_flagged_basis(torus11):
 def test_transport_preserves_eigenvector_property(torus7, spectrum7):
     target = Realization.of(1, 3, 7)
     k = next(s.index for s in spectrum7.spaces if s.multiplicity == 1)
-    (fn,) = transport([eigenfunction(spectrum7, k)], target)
+    fn = transport(eigenfunction(spectrum7, k), target)
     assert abs(np.vdot(fn.amplitudes, fn.amplitudes).real - 7) < 1e-9
     lam = unit_roots(torus7.order)[k]
     resid = weil_op(target, torus7.generator).matrix @ fn.amplitudes - lam * fn.amplitudes
@@ -174,7 +174,7 @@ def test_transport_matches_direct_extraction(torus7, spectrum7):
     for space in spectrum7.spaces:
         if space.multiplicity != 1:
             continue
-        (moved,) = transport([eigenfunction(spectrum7, space.index)], target)
+        moved = transport(eigenfunction(spectrum7, space.index), target)
         direct = eigenfunction(direct_spectrum, space.index)
         ov = np.vdot(direct.amplitudes, moved.amplitudes)
         assert abs(abs(ov) - 7) < 1e-8  # same line up to phase
@@ -184,24 +184,19 @@ def test_transport_matches_direct_extraction(torus7, spectrum7):
 
 def test_transport_moves_a_batch_like_one_at_a_time(torus11):
     spectrum = hecke_spectrum(torus11, Realization.standard(11))
-    fns = [eigenfunction(spectrum, s.index) for s in spectrum.spaces if s.multiplicity]
+    ks = [s.index for s in spectrum.spaces if s.multiplicity]
+    fn = eigenfunction(spectrum, *ks)
     target = Realization.of(1, 4, 11)
-    moved = transport(fns, target)
-    assert [m.character_index for m in moved] == [fn.character_index for fn in fns]
-    assert [m.multiplicity for m in moved] == [fn.multiplicity for fn in fns]
-    for fn, m in zip(fns, moved):
-        (alone,) = transport([fn], target)
-        assert m.realization == target and m.degenerate == fn.degenerate
-        assert np.abs(m.vectors - alone.vectors).max() < 1e-12
-    assert transport([], target) == []
-
-
-def test_transport_rejects_eigenfunctions_of_two_realizations(torus7, spectrum7):
-    k = next(s.index for s in spectrum7.spaces if s.multiplicity == 1)
-    fn = eigenfunction(spectrum7, k)
-    (other,) = transport([fn], Realization.of(1, 2, 7))
-    with pytest.raises(ValueError, match="more than one realization"):
-        transport([fn, other], Realization.of(1, 3, 7))
+    moved = transport(fn, target)
+    assert moved.realization == target
+    assert moved.characters.tolist() == fn.characters.tolist()
+    assert moved.multiplicities.tolist() == fn.multiplicities.tolist()
+    assert 2 in fn.multiplicities
+    for k in ks:
+        alone = transport(eigenfunction(spectrum, k), target)
+        assert np.abs(moved.vectors[:, moved.characters == k] - alone.vectors).max() < 1e-12
+    empty = transport(eigenfunction(spectrum), target)
+    assert empty.vectors.shape == (11, 0) and empty.characters.size == 0
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +245,7 @@ def test_closed_form_is_torus_eigenvector(torus11):
     n = torus11.order
     for m in (0, 1, 4, 7):
         fn = split_closed_form(torus11, CyclicCharacter(p - 1, m), r)
-        lam = unit_roots(n)[fn.character_index]
+        lam = unit_roots(n)[fn.characters[0]]
         resid = weil_op(r, torus11.generator).matrix @ fn.amplitudes - lam * fn.amplitudes
         assert np.linalg.norm(resid) < 1e-9
 
@@ -262,7 +257,7 @@ def test_closed_form_matches_numeric_extraction(torus11):
     matched = set()
     for m in range(p - 1):
         fn = split_closed_form(torus11, CyclicCharacter(p - 1, m), r)
-        k = fn.character_index
+        (k,) = fn.characters.tolist()
         matched.add(k)
         if spectrum.space(k).multiplicity != 1:
             # the Legendre-character index lands in the two-dimensional space
