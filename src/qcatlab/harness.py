@@ -8,10 +8,10 @@ the flat bound is exceeded by O(1/p), up to the proven envelope
 2/sqrt(1 - 1/p) (Weil's bound on the Salie sums the explicit split
 eigenfunctions produce), so split records above 2 fail `pass` by design.
 Both sweeps run per prime through `_map_primes`, where a prime that raises is
-an error, never a skip; flagged characters are skipped by both.  Sweeps score
-one block of eigenfunctions per realization, emit one record per (prime,
-realization, character, basis vector), and write a versioned CSV artifact
-whose bytes depend only on the config.
+an error, never a skip; flagged characters are skipped by both.  Sweeps move
+one block of eigenfunctions per realization, score it character by
+character, emit one record per (prime, realization, character, basis vector),
+and write a versioned CSV artifact whose bytes depend only on the config.
 """
 
 from __future__ import annotations
@@ -123,12 +123,12 @@ def supremum_records(fn: HeckeEigenfunction, kind: str) -> list[SupremumRecord]:
     mags = np.abs(fn.vectors)
     mags_sq = mags * mags
     norms_sq = mags_sq.sum(axis=0)
-    bad = np.abs(norms_sq - p) > NORM_TOL * p
-    if bad.any():
-        raise ValueError(f"eigenfunction norm^2 = {norms_sq[bad][0]}, expected {p}")
+    ok = np.abs(norms_sq - p) <= NORM_TOL * p  # false for a NaN norm too
+    if not ok.all():
+        raise ValueError(f"eigenfunction norm^2 = {norms_sq[~ok][0]}, expected {p}")
     sups = mags.max(axis=0)
     # -I is in the torus, so |v(x)| = |v(-x)| ties the maximum: take the least x
-    argmaxes = np.argmax(mags_sq >= sups * sups - ARGMAX_TIE_TOL, axis=0)
+    argmaxes = (mags_sq >= sups * sups - ARGMAX_TIE_TOL).argmax(axis=0)
     tag = fn.realization.tag()
     return [
         SupremumRecord(
@@ -191,11 +191,13 @@ def _sweep_one_prime(p: int, A: CatMap, realizations: str, verify_samples: int,
     else:
         targets = [defining]
     fn = eigenfunction(spectrum, *(s.index for s in spaces))
-    # one intertwiner per realization moves every character; rows are written
-    # per character, then realization, then basis vector
-    records = [rec for r in targets
-               for rec in supremum_records(fn if r == defining else transport(fn, r), kind)]
-    records.sort(key=lambda rec: rec.character)  # stable: realizations keep their order
+    # one intertwiner per realization moves every character; each (realization,
+    # character) is scored on its own, the unit bench/tracer.py counts
+    moved = (fn if r == defining else transport(fn, r) for r in targets)
+    records = [rec for m in moved for block in m.by_character()
+               for rec in supremum_records(block, kind)]
+    # stable: rows go per character, then realization, then basis vector
+    records.sort(key=lambda rec: rec.character)
     simple_indices = [s.index for s in spaces if s.multiplicity == 1]
     if verify_samples and simple_indices and len(targets) > 1:
         _verify_transport(spectrum, targets, simple_indices, verify_samples, seed, p)

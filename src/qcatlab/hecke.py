@@ -102,6 +102,12 @@ class HeckeEigenfunction:
                              f"pick a column of .vectors")
         return self.vectors[:, 0]
 
+    def by_character(self) -> list[HeckeEigenfunction]:
+        """One block per run of equal characters, in column order, as views."""
+        cuts = np.flatnonzero(np.diff(self.characters, prepend=-1, append=-1)).tolist()
+        return [HeckeEigenfunction(self.realization, self.vectors[:, a:b], self.characters[a:b])
+                for a, b in zip(cuts, cuts[1:])]
+
 
 def _normalize_columns(basis: np.ndarray, p: int) -> np.ndarray:
     """Each column rescaled to squared norm p with its first entry above 1e-6

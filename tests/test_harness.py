@@ -76,6 +76,9 @@ def test_supremum_check_enforces_normalization():
     fn.vectors = fn.vectors * 2.0
     with pytest.raises(ValueError):
         supremum_records(fn, "inert")
+    fn.vectors = np.full_like(fn.vectors, np.nan)  # a numerical breakdown
+    with pytest.raises(ValueError, match="nan"):
+        supremum_records(fn, "inert")
 
 
 def test_sweep_p7_all_realizations_all_pass():
@@ -174,35 +177,29 @@ def test_sweep_builds_one_intertwiner_per_realization(monkeypatch):
     assert calls == {"hecke": 13 + 1, "models": 2}
 
 
-def test_sweep_scores_one_block_per_realization(monkeypatch):
+def test_sweep_builds_one_block_per_prime(monkeypatch):
     import qcatlab.harness as harness
 
-    blocks = []
+    blocks, scored = [], []
 
-    def counting(fn, kind, original=harness.supremum_records):
-        blocks.append(fn.realization.tag())
+    def counting_eigenfunction(spectrum, *ks, original=harness.eigenfunction):
+        blocks.append(len(ks))
+        return original(spectrum, *ks)
+
+    def counting_records(fn, kind, original=harness.supremum_records):
+        scored.append((fn.realization.tag(), set(fn.characters.tolist())))
         return original(fn, kind)
 
-    monkeypatch.setattr(harness, "supremum_records", counting)
+    monkeypatch.setattr(harness, "eigenfunction", counting_eigenfunction)
+    monkeypatch.setattr(harness, "supremum_records", counting_records)
     result = universal_sweep(config(13, 13, realizations="all", verify_samples=1))
-    assert len(blocks) == len(set(blocks)) == 14
-    assert len(result.records) == 14 * 13  # every character of p = 13 is simple
-
-
-def test_block_records_equal_single_character_records():
-    # p = 11 is split, with one two-dimensional character space
-    p = 11
-    spectrum = hecke_spectrum(build_hecke_torus(A, p), Realization.standard(p))
-    ks = [s.index for s in spectrum.spaces if s.multiplicity]
-    key = lambda r: (r.p, r.kind, r.realization, r.character,  # noqa: E731
-                     r.multiplicity, r.argmax, r.passed, r.gating)
-    for r in (spectrum.realization, Realization.of(1, 4, p)):
-        block = supremum_records(transport(eigenfunction(spectrum, *ks), r), "split")
-        singles = [rec for k in ks for rec in
-                   supremum_records(transport(eigenfunction(spectrum, k), r), "split")]
-        assert [rec.multiplicity for rec in block].count(2) == 2
-        assert [key(rec) for rec in block] == [key(rec) for rec in singles]
-        assert max(abs(b.sup - s.sup) for b, s in zip(block, singles)) < 1e-12
+    # one block of all 13 simple characters of p = 13; the verify sample then
+    # extracts one character in two realizations
+    assert blocks == [13, 1, 1]
+    # records are scored once per (realization, character)
+    assert all(len(ks) == 1 for _, ks in scored)
+    assert len({(tag, min(ks)) for tag, ks in scored}) == len(scored) == 14 * 13
+    assert len(result.records) == 14 * 13
 
 
 def test_sweep_rows_match_one_pair_at_a_time():

@@ -15,6 +15,7 @@ from qcatlab.hecke import (
     transport,
 )
 from qcatlab.models import Realization, weil_op
+from qcatlab.harness import supremum_records
 
 A = CatMap(2, 1, 1, 1)
 
@@ -192,11 +193,20 @@ def test_transport_moves_a_batch_like_one_at_a_time(torus11):
     assert moved.characters.tolist() == fn.characters.tolist()
     assert moved.multiplicities.tolist() == fn.multiplicities.tolist()
     assert 2 in fn.multiplicities
-    for k in ks:
+    parts = moved.by_character()
+    assert [part.characters.tolist() for part in parts] == [
+        [k] * spectrum.space(k).multiplicity for k in ks]
+    for k, part in zip(ks, parts):
         alone = transport(eigenfunction(spectrum, k), target)
-        assert np.abs(moved.vectors[:, moved.characters == k] - alone.vectors).max() < 1e-12
+        assert np.abs(part.vectors - alone.vectors).max() < 1e-12
+    # a block's records are its characters' records, one character at a time
+    singles = [rec for k in ks for rec in supremum_records(eigenfunction(spectrum, k), "split")]
+    assert supremum_records(fn, "split") == singles
+    assert supremum_records(moved, "split") == [
+        rec for part in parts for rec in supremum_records(part, "split")]
     empty = transport(eigenfunction(spectrum), target)
     assert empty.vectors.shape == (11, 0) and empty.characters.size == 0
+    assert empty.by_character() == []
 
 
 # ---------------------------------------------------------------------------
