@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .arith import primes_in
 from .groups import CatMap, build_hecke_torus, classify_prime
-from .hecke import eigenfunction, eigenfunction_csv_rows, hecke_spectrum
+from .hecke import eigenfunction_csv_rows, hecke_spectrum
 from .harness import (
     SweepConfig,
     gating_failures,
@@ -114,7 +114,7 @@ def cmd_sweep(args) -> int:
         recs = by_prime[p]
         sup = max(r.sup for r in recs)
         print(f"p={p} kind={recs[0].kind} records={len(recs)} "
-              f"max_sup={sup:.6f} p^(3/8)={recs[0].power_bound:.6f}")
+              f"max_sup={sup:.6f} p^(3/8)={p ** 0.375:.6f}")
     failures = gating_failures(result.records)
     print(f"wrote {path} ({len(result.records)} records, "
           f"{len(failures)} gating failures)")
@@ -137,14 +137,13 @@ def cmd_spectrum(args) -> int:
     path = _out_dir(args) / f"spectrum_p{p}.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("p,kind,character_index,multiplicity,x,re,im\n")
-        fn = eigenfunction(spectrum, *(s.index for s in spectrum.spaces if s.multiplicity))
-        for row in eigenfunction_csv_rows(kind, fn):
+        for row in eigenfunction_csv_rows(kind, spectrum.eigenfunctions):
             fh.write(",".join(
                 f"{v:.12g}" if isinstance(v, float) else str(v) for v in row
             ) + "\n")
-    for space in spectrum.spaces:
-        flag = " (flagged)" if space.flagged else ""
-        print(f"character {space.index}: multiplicity {space.multiplicity}{flag}")
+    for k, (m, flagged) in enumerate(zip(spectrum.multiplicities().tolist(),
+                                         spectrum.flagged.tolist())):
+        print(f"character {k}: multiplicity {m}{' (flagged)' if flagged else ''}")
     print(f"wrote {path} (torus order {torus.order}, kind {kind})")
     return 0
 

@@ -8,10 +8,13 @@ the flat bound is exceeded by O(1/p), up to the proven envelope
 2/sqrt(1 - 1/p) (Weil's bound on the Salie sums the explicit split
 eigenfunctions produce), so split records above 2 fail `pass` by design.
 Both sweeps run per prime through `_map_primes`, where a prime that raises is
-an error, never a skip; flagged characters are skipped by both.  Sweeps move
-one block of eigenfunctions per realization, score it character by
-character, emit one record per (prime, realization, character, basis vector),
-and write a versioned CSV artifact whose bytes depend only on the config.
+an error, never a skip.  Each prime's defining spectrum is one labelled
+eigenbasis (a p x p block whose columns carry their torus character); both
+sweeps keep the columns of unflagged characters by mask, and the value
+distribution samples the simple ones.  Sweeps move that block once per
+realization, score it character by character, emit one record per (prime,
+realization, character, basis vector), and write a versioned CSV artifact
+whose bytes depend only on the config.
 """
 
 from __future__ import annotations
@@ -100,7 +103,6 @@ class SupremumRecord:
     a_max: float
     passed: bool
     gating: bool
-    power_bound: float  # p^(3/8), the previously best general bound, for context
 
     def csv_row(self) -> str:
         return ",".join([
@@ -134,7 +136,7 @@ def supremum_records(fn: HeckeEigenfunction, kind: str) -> list[SupremumRecord]:
         SupremumRecord(
             p=p, kind=kind, realization=tag, character=k, multiplicity=m,
             sup=sup, argmax=x, a_max=sup * sup, passed=sup <= SUP_BOUND + SUP_TOL,
-            gating=(m == 1 and p >= GATING_MIN_PRIME), power_bound=p ** 0.375,
+            gating=(m == 1 and p >= GATING_MIN_PRIME),
         )
         for k, m, sup, x in zip(fn.characters.tolist(), fn.multiplicities.tolist(),
                                 sups.tolist(), argmaxes.tolist())
@@ -163,20 +165,16 @@ def _map_primes(fn, primes: list[int], jobs: int, *args):
 
 
 def _defining_spectrum(p: int, A: CatMap):
-    """The torus spectrum at p in the defining realization and its nonempty
-    character spaces.  A flagged space is not an eigenspace, so it is left out
-    with a skip naming it."""
+    """The torus spectrum at p in the defining realization and the block of
+    its kept eigenfunctions.  A flagged character is not an eigenspace, so its
+    columns are left out with a skip naming it."""
     spectrum = hecke_spectrum(build_hecke_torus(A, p), Realization.standard(p))
-    spaces, skips = [], []
-    for space in spectrum.spaces:
-        if space.multiplicity == 0:
-            continue
-        if space.flagged:
-            skips.append((p, f"character {space.index} indeterminate "
-                             f"(basis fails the eigenvector equation); excluded"))
-            continue
-        spaces.append(space)
-    return spectrum, spaces, skips
+    flagged = spectrum.flagged
+    skips = [(p, f"character {k} indeterminate "
+                 f"(basis fails the eigenvector equation); excluded")
+             for k in np.flatnonzero(flagged).tolist()]
+    block = spectrum.eigenfunctions
+    return spectrum, block.columns(~flagged[block.characters]), skips
 
 
 def _sweep_one_prime(p: int, A: CatMap, realizations: str, verify_samples: int,
@@ -184,13 +182,12 @@ def _sweep_one_prime(p: int, A: CatMap, realizations: str, verify_samples: int,
     kind = classify_prime(A, p)
     if kind == "ramified":
         return [], [(p, "ramified prime skipped: p divides trace^2 - 4")]
-    spectrum, spaces, skips = _defining_spectrum(p, A)
-    defining = spectrum.realization
+    spectrum, fn, skips = _defining_spectrum(p, A)
+    defining = fn.realization
     if realizations == "all":
         targets = [Realization.canonical(l) for l in enumerate_lagrangians(p)]
     else:
         targets = [defining]
-    fn = eigenfunction(spectrum, *(s.index for s in spaces))
     # one intertwiner per realization moves every character; each (realization,
     # character) is scored on its own, the unit bench/tracer.py counts
     moved = (fn if r == defining else transport(fn, r) for r in targets)
@@ -198,7 +195,7 @@ def _sweep_one_prime(p: int, A: CatMap, realizations: str, verify_samples: int,
                for rec in supremum_records(block, kind)]
     # stable: rows go per character, then realization, then basis vector
     records.sort(key=lambda rec: rec.character)
-    simple_indices = [s.index for s in spaces if s.multiplicity == 1]
+    simple_indices = fn.characters[fn.multiplicities == 1].tolist()
     if verify_samples and simple_indices and len(targets) > 1:
         _verify_transport(spectrum, targets, simple_indices, verify_samples, seed, p)
     return records, skips
@@ -208,7 +205,7 @@ def _verify_transport(spectrum, targets, simple_indices, n_samples, seed, p):
     """Re-extract a few eigenfunctions directly in a non-defining realization
     and confirm they match the transported ones up to a global phase."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, p]))
-    others = [r for r in targets if r != spectrum.realization]
+    others = [r for r in targets if r != spectrum.eigenfunctions.realization]
     for _ in range(n_samples):
         r = others[rng.integers(len(others))]
         k = int(simple_indices[rng.integers(len(simple_indices))])
@@ -340,9 +337,8 @@ class DistributionReport:
 
 
 def _distribution_one_prime(p: int, A: CatMap):
-    spectrum, spaces, skips = _defining_spectrum(p, A)
-    fn = eigenfunction(spectrum, *(s.index for s in spaces if s.multiplicity == 1))
-    return np.abs(fn.vectors).ravel(order="F"), skips
+    _, fn, skips = _defining_spectrum(p, A)
+    return np.abs(fn.vectors[:, fn.multiplicities == 1]).ravel(order="F"), skips
 
 
 def value_distribution(cfg: SweepConfig) -> DistributionReport:

@@ -9,6 +9,10 @@ N-th root of unity and the Schur columns of a bin form an orthonormal basis
 of that character space.  Eigenfunctions travel as one block per
 realization: a (p, n) matrix whose columns are labelled by character, which
 `transport` carries to another realization with one intertwiner product.
+The spectrum is itself such a block with n = p: every Schur column,
+stable-sorted by character and normalized once, so a character's
+multiplicity is the count of its label and extracting characters selects
+columns.
 At a split prime the torus fixes the two eigenlines of the cat map; in a
 realization adapted to them the torus acts by coordinate scalings and the
 multiplicity one eigenfunctions are Legendre-times-multiplicative-character
@@ -24,6 +28,7 @@ import numpy as np
 from .arith import (
     CyclicCharacter,
     discrete_log_table,
+    half_mod,
     legendre_table,
     sqrt_mod,
     unit_roots,
@@ -32,7 +37,6 @@ from .groups import EnhancedLagrangian, HeckeTorus, SympMatrix, SymplecticVector
 from .models import Realization, canonical_intertwiner, weil_op
 
 __all__ = [
-    "CharacterSpace",
     "HeckeSpectrum",
     "HeckeEigenfunction",
     "hecke_spectrum",
@@ -43,34 +47,6 @@ __all__ = [
     "matched_character_index",
     "eigenfunction_csv_rows",
 ]
-
-@dataclass
-class CharacterSpace:
-    """One character's slice of the model: multiplicity and orthonormal basis."""
-
-    index: int
-    multiplicity: int
-    basis: np.ndarray  # (p, multiplicity), orthonormal columns
-    flagged: bool
-    residual: float
-
-
-@dataclass
-class HeckeSpectrum:
-    torus: HeckeTorus
-    realization: Realization
-    spaces: list[CharacterSpace]
-
-    @property
-    def p(self) -> int:
-        return self.realization.p
-
-    def space(self, k: int) -> CharacterSpace:
-        return self.spaces[k % self.torus.order]
-
-    def multiplicities(self) -> list[int]:
-        return [s.multiplicity for s in self.spaces]
-
 
 @dataclass
 class HeckeEigenfunction:
@@ -102,11 +78,46 @@ class HeckeEigenfunction:
                              f"pick a column of .vectors")
         return self.vectors[:, 0]
 
+    def columns(self, index) -> HeckeEigenfunction:
+        """The block of the columns a boolean mask or an index array picks."""
+        return HeckeEigenfunction(self.realization, self.vectors[:, index],
+                                  self.characters[index])
+
     def by_character(self) -> list[HeckeEigenfunction]:
         """One block per run of equal characters, in column order, as views."""
         cuts = np.flatnonzero(np.diff(self.characters, prepend=-1, append=-1)).tolist()
         return [HeckeEigenfunction(self.realization, self.vectors[:, a:b], self.characters[a:b])
                 for a, b in zip(cuts, cuts[1:])]
+
+
+@dataclass
+class HeckeSpectrum:
+    """The torus decomposition of one model, as one labelled eigenbasis.
+
+    eigenfunctions holds p orthonormal eigenvectors of the torus, rescaled to
+    squared norm p and grouped by nondecreasing character; residuals[k] is
+    ||rho(gen) B - exp(2 pi i k / N) B|| for the columns B of character k.
+    """
+
+    torus: HeckeTorus
+    eigenfunctions: HeckeEigenfunction
+    residuals: np.ndarray  # (N,)
+
+    @property
+    def p(self) -> int:
+        return self.eigenfunctions.p
+
+    @property
+    def flagged(self) -> np.ndarray:
+        """Per character: its columns miss the eigenvector equation.  An empty
+        character has residual 0, so it is never flagged."""
+        # rounding grows about like p * 1e-16 and an eigenvalue halfway between
+        # roots leaves about pi / N >= pi / (p + 1): 1e-7 p parts them for p < 5000
+        return self.residuals > 1e-7 * self.p
+
+    def multiplicities(self) -> np.ndarray:
+        """Per character: how many columns of the block carry it."""
+        return np.bincount(self.eigenfunctions.characters, minlength=self.torus.order)
 
 
 def _normalize_columns(basis: np.ndarray, p: int) -> np.ndarray:
@@ -124,15 +135,13 @@ def hecke_spectrum(torus: HeckeTorus, r: Realization) -> HeckeSpectrum:
     One complex Schur factorisation of rho(generator) gives its eigenvalues
     and an orthonormal eigenbasis.  Eigenvalue e goes to character
     k = round(angle(e) * N / 2 pi) mod N, and k's multiplicity is the size of
-    its bin.  A character whose basis B
-    misses the eigenvector equation, ||rho(gen) B - exp(2 pi i k / N) B|| >
-    1e-7 p, is flagged rather than silently kept.  An eigenvalue halfway
-    between two roots lands in a bin with a residual near pi / N, so it is
-    flagged too.
+    its bin.  A character whose columns B miss the eigenvector equation,
+    ||rho(gen) B - exp(2 pi i k / N) B|| > 1e-7 p, is flagged rather than
+    silently kept.  An eigenvalue halfway between two roots lands in a bin
+    with a residual near pi / N, so it is flagged too.
     """
     from scipy.linalg import schur
 
-    p = r.p
     n = torus.order
     rho_gen = weil_op(r, torus.generator).matrix
     t, z = schur(rho_gen, output="complex")
@@ -141,35 +150,23 @@ def hecke_spectrum(torus: HeckeTorus, r: Realization) -> HeckeSpectrum:
     # misfits summed per bin
     misfit = np.linalg.norm(rho_gen @ z - z * unit_roots(n)[bins], axis=0)
     residuals = np.sqrt(np.bincount(bins, weights=misfit ** 2, minlength=n))
-    spaces = []
-    for k in range(n):
-        basis = z[:, bins == k]
-        residual = float(residuals[k])
-        # rounding grows about like p * 1e-16 and an eigenvalue halfway between
-        # roots leaves about pi / N >= pi / (p + 1): 1e-7 p parts them for p < 5000
-        spaces.append(CharacterSpace(k, basis.shape[1], basis, residual > 1e-7 * p,
-                                     residual))
-    return HeckeSpectrum(torus, r, spaces)
+    order = np.argsort(bins, kind="stable")
+    block = HeckeEigenfunction(r, _normalize_columns(z[:, order], r.p), bins[order])
+    return HeckeSpectrum(torus, block, residuals)
 
 
 def eigenfunction(spectrum: HeckeSpectrum, *ks: int) -> HeckeEigenfunction:
     """The normalized eigenfunctions of characters ks, as one block.
 
-    Every character contributes its whole space, in the order given; a space
-    of multiplicity above one contributes its full orthonormal basis.  Raises
-    for an empty character space.
+    Every character contributes all of its columns of the spectrum, in the
+    order given.  Raises for an empty character space.
     """
-    spaces = [spectrum.space(k) for k in ks]
-    for space in spaces:
-        if space.multiplicity == 0:
-            raise ValueError(f"character {space.index} does not occur in the model")
-    # normalized space by space, so a column's rounding does not depend on
-    # which other characters share its block
-    vectors = np.hstack([np.empty((spectrum.p, 0))]
-                        + [_normalize_columns(s.basis, spectrum.p) for s in spaces])
-    characters = np.repeat(np.array([s.index for s in spaces], dtype=np.int64),
-                           [s.multiplicity for s in spaces])
-    return HeckeEigenfunction(spectrum.realization, vectors, characters)
+    block, n = spectrum.eigenfunctions, spectrum.torus.order
+    cols = [np.flatnonzero(block.characters == k % n) for k in ks]
+    for k, c in zip(ks, cols):
+        if not c.size:
+            raise ValueError(f"character {k % n} does not occur in the model")
+    return block.columns(np.concatenate([np.empty(0, dtype=np.int64), *cols]))
 
 
 def transport(fn: HeckeEigenfunction, target: Realization) -> HeckeEigenfunction:
@@ -192,9 +189,8 @@ def _eigenline_vectors(torus: HeckeTorus) -> tuple[SymplecticVector, SymplecticV
     root = sqrt_mod(disc, p)
     if root is None:
         raise RuntimeError("no eigenvalues in F_p for a split torus")
-    inv2 = (p + 1) // 2
     lines = []
-    for lam in ((A.trace() + root) * inv2 % p, (A.trace() - root) * inv2 % p):
+    for lam in (half_mod(A.trace() + root, p), half_mod(A.trace() - root, p)):
         if A.b % p != 0:
             v = SymplecticVector(A.b, lam - A.a, p)
         elif A.c % p != 0:

@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import inverse_mod, legendre_symbol, unit_roots
+from .arith import half_mod, inverse_mod, legendre_symbol, unit_roots
 from .groups import (
     EnhancedLagrangian,
     HeisenbergElement,
@@ -133,10 +133,6 @@ class WeilOperator:
     matrix: np.ndarray
 
 
-def _inv2(p: int) -> int:
-    return (p + 1) // 2
-
-
 def _decompose(r: Realization, v1, v2, z):
     """Coordinates (x, z0) with f((v, z)) = psi(z0) * f(x); vectorized."""
     p = r.p
@@ -144,7 +140,7 @@ def _decompose(r: Realization, v1, v2, z):
     t1, t2 = r.tau
     x = (s2 * v1 - s1 * v2) % p
     l = (t1 * v2 - t2 * v1) % p
-    z0 = (z + _inv2(p) * x * l) % p
+    z0 = (z + half_mod(x * l, p)) % p
     return x, z0
 
 
@@ -158,7 +154,7 @@ def heisenberg_op(r: Realization, h: HeisenbergElement) -> HeisOperator:
     x = np.arange(p)
     v1 = (x * t1 + a) % p
     v2 = (x * t2 + b) % p
-    z = (h.z + _inv2(p) * x * (t1 * b - t2 * a)) % p
+    z = (h.z + half_mod(x * (t1 * b - t2 * a), p)) % p
     xp, z0 = _decompose(r, v1, v2, z)
     m = np.zeros((p, p), dtype=np.complex128)
     m[x, xp] = unit_roots(p)[z0]
@@ -181,7 +177,7 @@ def raw_averaging(target: Realization, source: Realization) -> np.ndarray:
     y, m = np.meshgrid(np.arange(p), np.arange(p), indexing="ij")
     v1 = (m * sm1 + y * tm1) % p
     v2 = (m * sm2 + y * tm2) % p
-    z = (_inv2(p) * m * y * (p - 1)) % p  # omega(sigma, tau) = -1
+    z = half_mod(m * y * (p - 1), p)  # omega(sigma, tau) = -1
     x, z0 = _decompose(source, v1, v2, z)
     out = np.zeros((p, p), dtype=np.complex128)
     out[y.ravel(), x.ravel()] = unit_roots(p)[z0.ravel()]
@@ -198,7 +194,7 @@ def _coordinate_change(target: Realization, source: Realization) -> np.ndarray:
     e2 = (t1 * u2 - t2 * u1) % p
     y = np.arange(p)
     out = np.zeros((p, p), dtype=np.complex128)
-    out[y, (y * e1) % p] = unit_roots(p)[(_inv2(p) * e1 * e2 * y * y) % p]
+    out[y, (y * e1) % p] = unit_roots(p)[half_mod(e1 * e2 * y * y, p)]
     return out
 
 
@@ -222,7 +218,7 @@ def averaging_scale(p: int) -> complex:
     properties of the family once per prime before it is returned.
     """
     t = np.arange(p)
-    scale = complex(unit_roots(p)[(-t * t * _inv2(p)) % p].sum() / p)
+    scale = complex(unit_roots(p)[half_mod(-t * t, p)].sum() / p)
     _validate_family(p, scale)
     return scale
 
@@ -288,7 +284,7 @@ def _geometric_phase(r: Realization, g: SympMatrix, target: Realization) -> np.n
         raise RuntimeError("pulled-back transversal is not normalized")
     mu = (t1 * u.v2 - t2 * u.v1) % p
     y = np.arange(p)
-    return unit_roots(p)[(_inv2(p) * mu * y * y) % p]
+    return unit_roots(p)[half_mod(mu * y * y, p)]
 
 
 def geometric_action(r: Realization, g: SympMatrix) -> tuple[Realization, np.ndarray]:

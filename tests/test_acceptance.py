@@ -150,8 +150,7 @@ def test_criterion_3_split_closed_form():
         spectrum = hecke_spectrum(torus, adapted)
         for m in range(p - 1):
             fn = split_closed_form(torus, CyclicCharacter(p - 1, m), adapted)
-            space = spectrum.space(fn.characters[0])
-            if space.multiplicity != 1:
+            if spectrum.multiplicities()[fn.characters[0]] != 1:
                 continue
             num = eigenfunction(spectrum, fn.characters[0])
             overlap = np.vdot(num.amplitudes, fn.amplitudes)
@@ -274,7 +273,7 @@ def test_criterion_7_projector_identity(rng, defining_sweep, all_realization_swe
     for p in (7, 11, 13):
         torus = build_hecke_torus(A, p)
         spectrum = hecke_spectrum(torus, Realization.standard(p))
-        simple = [s.index for s in spectrum.spaces if s.multiplicity == 1]
+        simple = np.flatnonzero(spectrum.multiplicities() == 1)
         others = [Realization.canonical(l) for l in enumerate_lagrangians(p)]
         for _ in range(50):
             k = int(simple[rng.integers(len(simple))])

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qcatlab
@@ -78,7 +79,9 @@ def test_sweep_inert_range_exit_zero(tmp_path, capsys):
     assert lines[0].startswith("# schema:")
     assert len(lines) == 2 + 56  # header lines + one row per record
     out = capsys.readouterr().out
-    assert "p^(3/8)" in out
+    (line,) = [l for l in out.splitlines() if l.startswith("p=7 ")]
+    assert line.startswith("p=7 kind=inert records=56 max_sup=")
+    assert line.endswith(" p^(3/8)=2.074492")
 
 
 def test_sweep_split_prime_reports_gating_failure(tmp_path):
@@ -210,10 +213,46 @@ def test_out_dir_from_environment(tmp_path, monkeypatch, capsys):
 
 
 def test_selftest_passes(capsys):
-    assert run_cli(["selftest", "--prime", "7"]) == 0
-    out = capsys.readouterr().out
-    assert "FAIL" not in out
-    assert "supremum bound" in out
+    # p = 11 is split: its largest sup, 2.059491, is above 2 and under the envelope
+    for prime, bound in (("7", "flat bound 2 = 2.000000"),
+                         ("11", "split envelope 2/sqrt(1 - 1/p) = 2.097618")):
+        assert run_cli(["selftest", "--prime", prime]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out
+        (line,) = [l for l in out.splitlines() if "supremum bound" in l]
+        assert line.startswith("PASS") and line.endswith(bound)
+
+
+@pytest.mark.parametrize("prime", [7, 11])
+def test_selftest_fails_a_sup_above_its_bound_or_a_flagged_character(prime, monkeypatch,
+                                                                    capsys):
+    import qcatlab.selftest as selftest
+
+    original = selftest.hecke_spectrum
+    bound = 2.0 if prime == 7 else 2.0 / (1 - 1 / prime) ** 0.5
+
+    def pushed(torus, r):
+        # one simple column rescaled so its sup sits 1e-6 above its kind's bound
+        spectrum = original(torus, r)
+        fn = spectrum.eigenfunctions
+        j = int(np.flatnonzero(fn.multiplicities == 1)[0])
+        fn.vectors[:, j] *= (bound + 1e-6) / np.abs(fn.vectors[:, j]).max()
+        return spectrum
+
+    monkeypatch.setattr(selftest, "hecke_spectrum", pushed)
+    assert run_cli(["selftest", "--prime", str(prime)]) == 1
+    assert "FAIL  supremum bound" in capsys.readouterr().out
+
+    def flagged(torus, r):
+        spectrum = original(torus, r)
+        spectrum.residuals[spectrum.eigenfunctions.characters[0]] = 1.0
+        return spectrum
+
+    monkeypatch.setattr(selftest, "hecke_spectrum", flagged)
+    assert run_cli(["selftest", "--prime", str(prime)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [l for l in out if l.startswith("FAIL")] == [
+        "FAIL  character 0  flagged: basis fails the eigenvector equation"]
 
 
 def test_selftest_non_prime_is_a_usage_error(capsys):

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -45,15 +46,6 @@ def test_supremum_check_split_closed_form():
     assert rec.multiplicity == 1 and rec.p == 11
 
 
-def test_power_bound_recorded():
-    torus = build_hecke_torus(A, 7)
-    spectrum = hecke_spectrum(torus, Realization.standard(7))
-    k = next(s.index for s in spectrum.spaces if s.multiplicity == 1)
-    (rec,) = supremum_records(eigenfunction(spectrum, k), "inert")
-    assert abs(rec.power_bound - 7 ** 0.375) < 1e-12
-    assert abs(rec.power_bound - 2.0745) < 1e-3
-
-
 def test_argmax_is_least_point_of_a_tied_maximum():
     # |v(2)| = |v(5)| up to rounding, with the later entry the larger: the
     # record names the least tied point, not whichever one rounding favours
@@ -71,7 +63,7 @@ def test_argmax_is_least_point_of_a_tied_maximum():
 def test_supremum_check_enforces_normalization():
     torus = build_hecke_torus(A, 7)
     spectrum = hecke_spectrum(torus, Realization.standard(7))
-    k = next(s.index for s in spectrum.spaces if s.multiplicity == 1)
+    k = int(np.flatnonzero(spectrum.multiplicities() == 1)[0])
     fn = eigenfunction(spectrum, k)
     fn.vectors = fn.vectors * 2.0
     with pytest.raises(ValueError):
@@ -128,21 +120,22 @@ def test_sweep_isolation_of_prime_failures(monkeypatch):
     assert {r.p for r in result.records} == {7, 13}
 
 
-def test_flagged_character_excluded_from_sweep_and_distribution(monkeypatch):
-    import qcatlab.harness as harness
+def test_flagged_character_excluded_from_sweep_and_distribution(monkeypatch, rng):
+    import qcatlab.hecke as hecke
 
-    original = harness.hecke_spectrum
-
-    def flag_one_simple_space(torus, r):
-        spectrum = original(torus, r)
-        next(s for s in spectrum.spaces if s.multiplicity == 1).flagged = True
-        return spectrum
-
-    monkeypatch.setattr(harness, "hecke_spectrum", flag_one_simple_space)
+    # a unitary on the p = 7 model whose last eigenvalue sits halfway between
+    # the roots 6 and 7 of N = 8: the character that bins it fails the
+    # eigenvector equation, and its residual flags it
+    angles = 2 * np.pi * np.append(np.arange(6), 6.5) / 8
+    q, _ = np.linalg.qr(rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7)))
+    fake = q @ np.diag(np.exp(1j * angles)) @ q.conj().T
+    monkeypatch.setattr(hecke, "weil_op", lambda r, g: SimpleNamespace(matrix=fake))
     sweep = universal_sweep(config(7, 7))
     assert len(sweep.records) == 6
     (skip,) = sweep.skips
     assert "indeterminate" in skip[1]
+    assert skip[1].split()[:2] in (["character", "6"], ["character", "7"])
+    assert {r.character for r in sweep.records} == set(range(6))
     report = value_distribution(config(7, 7))
     assert report.sample_count == 6 * 7
     assert report.skipped == [skip]
@@ -180,22 +173,29 @@ def test_sweep_builds_one_intertwiner_per_realization(monkeypatch):
 def test_sweep_builds_one_block_per_prime(monkeypatch):
     import qcatlab.harness as harness
 
-    blocks, scored = [], []
+    extracted, moved, scored = [], [], []
 
     def counting_eigenfunction(spectrum, *ks, original=harness.eigenfunction):
-        blocks.append(len(ks))
+        extracted.append(len(ks))
         return original(spectrum, *ks)
+
+    def counting_transport(fn, r, original=harness.transport):
+        moved.append(fn.characters.size)
+        return original(fn, r)
 
     def counting_records(fn, kind, original=harness.supremum_records):
         scored.append((fn.realization.tag(), set(fn.characters.tolist())))
         return original(fn, kind)
 
     monkeypatch.setattr(harness, "eigenfunction", counting_eigenfunction)
+    monkeypatch.setattr(harness, "transport", counting_transport)
     monkeypatch.setattr(harness, "supremum_records", counting_records)
     result = universal_sweep(config(13, 13, realizations="all", verify_samples=1))
-    # one block of all 13 simple characters of p = 13; the verify sample then
-    # extracts one character in two realizations
-    assert blocks == [13, 1, 1]
+    # one block of all 13 simple characters of p = 13 moves to each of the 13
+    # other realizations; the verify sample then extracts one character in two
+    # realizations and moves it once
+    assert moved == [13] * 13 + [1]
+    assert extracted == [1, 1]
     # records are scored once per (realization, character)
     assert all(len(ks) == 1 for _, ks in scored)
     assert len({(tag, min(ks)) for tag, ks in scored}) == len(scored) == 14 * 13
@@ -208,12 +208,10 @@ def test_sweep_rows_match_one_pair_at_a_time():
     spectrum = hecke_spectrum(build_hecke_torus(A, p), Realization.standard(p))
     targets = [Realization.canonical(l) for l in enumerate_lagrangians(p)]
     expected = []
-    for space in spectrum.spaces:
-        if space.multiplicity == 0:
-            continue
-        fn = eigenfunction(spectrum, space.index)
+    for k in np.flatnonzero(spectrum.multiplicities()).tolist():
+        fn = eigenfunction(spectrum, k)
         for r in targets:
-            moved = fn if r == spectrum.realization else transport(fn, r)
+            moved = fn if r == fn.realization else transport(fn, r)
             expected.extend(supremum_records(moved, "split"))
     assert any(rec.multiplicity == 2 for rec in expected)
     records = universal_sweep(config(p, p, realizations="all")).records
@@ -249,7 +247,7 @@ def test_records_norm_equal_across_realizations():
 def test_projector_identity_direct_vs_projector(p, rng):
     torus = build_hecke_torus(A, p)
     spectrum = hecke_spectrum(torus, Realization.standard(p))
-    simple = [s.index for s in spectrum.spaces if s.multiplicity == 1]
+    simple = np.flatnonzero(spectrum.multiplicities() == 1)
     others = [Realization.of(1, 0, p), Realization.of(1, 2, p)]
     for _ in range(20):
         k = int(simple[rng.integers(len(simple))])
@@ -267,7 +265,7 @@ def test_projector_identity_sums_to_p():
     p = 7
     torus = build_hecke_torus(A, p)
     spectrum = hecke_spectrum(torus, Realization.standard(p))
-    k = next(s.index for s in spectrum.spaces if s.multiplicity == 1)
+    k = int(np.flatnonzero(spectrum.multiplicities() == 1)[0])
     fn = eigenfunction(spectrum, k)
     direct_sum = sum(projector_identity_check(fn, x)[0] for x in range(p))
     proj_sum = sum(projector_identity_check(fn, x, via=Realization.of(1, 0, p))[1]

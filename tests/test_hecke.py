@@ -54,17 +54,22 @@ def test_torus_operators_unitary_and_periodic(torus7):
 
 def test_multiplicities_p7(spectrum7):
     mults = spectrum7.multiplicities()
-    assert sum(mults) == 7
+    assert mults.sum() == 7
     # observed pattern at the inert prime 7: one empty character, the rest simple
-    assert sorted(mults) == [0, 1, 1, 1, 1, 1, 1, 1]
-    assert not any(s.flagged for s in spectrum7.spaces)
+    assert sorted(mults.tolist()) == [0, 1, 1, 1, 1, 1, 1, 1]
+    assert not spectrum7.flagged.any()
+    # the block is grouped by nondecreasing character, p orthonormal columns
+    block = spectrum7.eigenfunctions
+    assert (np.diff(block.characters) >= 0).all()
+    assert np.allclose(block.vectors.conj().T @ block.vectors, 7 * np.eye(7), atol=1e-9)
 
 
 def test_multiplicities_p11_split(torus11):
     spectrum = hecke_spectrum(torus11, Realization.standard(11))
     mults = spectrum.multiplicities()
-    assert sum(mults) == 11
-    assert sorted(mults) == [1] * 9 + [2]
+    assert mults.sum() == 11
+    assert sorted(mults.tolist()) == [1] * 9 + [2]
+    assert (np.diff(spectrum.eigenfunctions.characters) >= 0).all()
 
 
 @pytest.mark.parametrize("p", [7, 11])
@@ -85,44 +90,42 @@ def test_projectors_idempotent_and_orthogonal(p):
     for j in range(n):
         for k in range(j + 1, n):
             assert np.linalg.norm(projectors[j] @ projectors[k]) < 1e-8
-    # the spectrum's bases span the projectors' ranges, and each residual is
-    # its own block's ||rho(gen) B - e_k B||
+    # the spectrum's k-columns span the projectors' ranges, and each residual
+    # is its own columns' ||rho(gen) B - e_k B|| at unit norm
     spectrum = hecke_spectrum(torus, r)
     rho_gen = weil_op(r, torus.generator).matrix
+    block = spectrum.eigenfunctions
     for k, pk in enumerate(projectors):
-        space = spectrum.space(k)
-        assert round(np.trace(pk).real) == space.multiplicity
-        assert np.linalg.matrix_rank(pk, tol=1e-8) == space.multiplicity
-        assert np.linalg.norm(pk @ space.basis - space.basis) < 1e-8
-        block = np.linalg.norm(rho_gen @ space.basis - roots[k] * space.basis)
-        assert abs(space.residual - block) < 1e-12
+        basis = block.vectors[:, block.characters == k] / np.sqrt(p)
+        multiplicity = spectrum.multiplicities()[k]
+        assert round(np.trace(pk).real) == multiplicity
+        assert np.linalg.matrix_rank(pk, tol=1e-8) == multiplicity
+        assert np.linalg.norm(pk @ basis - basis) < 1e-8
+        misfit = np.linalg.norm(rho_gen @ basis - roots[k] * basis)
+        assert abs(spectrum.residuals[k] - misfit) < 1e-12
 
 
 def test_eigenvector_property_every_torus_element(torus7, spectrum7):
     r = Realization.standard(7)
     n = torus7.order
-    for space in spectrum7.spaces:
-        if space.multiplicity != 1:
-            continue
-        v = eigenfunction(spectrum7, space.index).amplitudes
+    for k in np.flatnonzero(spectrum7.multiplicities() == 1).tolist():
+        v = eigenfunction(spectrum7, k).amplitudes
         for g in torus7.elements:
             j = torus7.element_log(g)
-            lam = unit_roots(n)[(space.index * j) % n]
+            lam = unit_roots(n)[(k * j) % n]
             assert np.linalg.norm(weil_op(r, g).matrix @ v - lam * v) < 1e-8
 
 
 def test_eigenfunction_normalization_and_phase(spectrum7):
-    for space in spectrum7.spaces:
-        if space.multiplicity != 1:
-            continue
-        v = eigenfunction(spectrum7, space.index).amplitudes
+    for k in np.flatnonzero(spectrum7.multiplicities() == 1).tolist():
+        v = eigenfunction(spectrum7, k).amplitudes
         assert abs(np.vdot(v, v).real - 7) < 1e-9
         lead = v[np.flatnonzero(np.abs(v) > 1e-6)[0]]
         assert abs(lead.imag) < 1e-9 and lead.real > 0
 
 
 def test_eigenfunction_empty_character_raises(spectrum7):
-    empty = [s.index for s in spectrum7.spaces if s.multiplicity == 0]
+    empty = np.flatnonzero(spectrum7.multiplicities() == 0).tolist()
     assert len(empty) == 1
     with pytest.raises(ValueError):
         eigenfunction(spectrum7, empty[0])
@@ -139,20 +142,25 @@ def test_eigenvalue_between_roots_is_flagged(monkeypatch, torus7, rng):
     fake = q @ np.diag(np.exp(1j * angles)) @ q.conj().T
     monkeypatch.setattr(hecke, "weil_op", lambda r, g: SimpleNamespace(matrix=fake))
     spectrum = hecke_spectrum(torus7, Realization.standard(7))
-    flagged = [s.index for s in spectrum.spaces if s.flagged]
+    flagged = np.flatnonzero(spectrum.flagged).tolist()
     assert flagged in ([6], [7])
-    for s in spectrum.spaces:
-        block = np.linalg.norm(fake @ s.basis - unit_roots(8)[s.index] * s.basis)
-        assert abs(s.residual - block) < 1e-12
-    assert spectrum.space(flagged[0]).multiplicity == 1
-    assert sum(spectrum.multiplicities()) == 7
+    block = spectrum.eigenfunctions
+    for k in range(8):
+        basis = block.vectors[:, block.characters == k] / np.sqrt(7)
+        misfit = np.linalg.norm(fake @ basis - unit_roots(8)[k] * basis)
+        assert abs(spectrum.residuals[k] - misfit) < 1e-12
+    assert spectrum.multiplicities()[flagged[0]] == 1
+    assert spectrum.multiplicities().sum() == 7
 
 
 def test_degenerate_character_returns_flagged_basis(torus11):
     spectrum = hecke_spectrum(torus11, Realization.standard(11))
-    (k,) = [s.index for s in spectrum.spaces if s.multiplicity == 2]
+    (k,) = np.flatnonzero(spectrum.multiplicities() == 2).tolist()
     fn = eigenfunction(spectrum, k)
     assert fn.characters.tolist() == [k, k] and fn.multiplicities.tolist() == [2, 2]
+    # extraction is a column selection: the block's k-columns bit for bit
+    block = spectrum.eigenfunctions
+    assert fn.vectors.tobytes() == block.vectors[:, block.characters == k].tobytes()
     with pytest.raises(ValueError):
         _ = fn.amplitudes
     gram = fn.vectors.conj().T @ fn.vectors
@@ -161,7 +169,7 @@ def test_degenerate_character_returns_flagged_basis(torus11):
 
 def test_transport_preserves_eigenvector_property(torus7, spectrum7):
     target = Realization.of(1, 3, 7)
-    k = next(s.index for s in spectrum7.spaces if s.multiplicity == 1)
+    k = int(np.flatnonzero(spectrum7.multiplicities() == 1)[0])
     fn = transport(eigenfunction(spectrum7, k), target)
     assert abs(np.vdot(fn.amplitudes, fn.amplitudes).real - 7) < 1e-9
     lam = unit_roots(torus7.order)[k]
@@ -172,11 +180,9 @@ def test_transport_preserves_eigenvector_property(torus7, spectrum7):
 def test_transport_matches_direct_extraction(torus7, spectrum7):
     target = Realization.of(1, 2, 7)
     direct_spectrum = hecke_spectrum(torus7, target)
-    for space in spectrum7.spaces:
-        if space.multiplicity != 1:
-            continue
-        moved = transport(eigenfunction(spectrum7, space.index), target)
-        direct = eigenfunction(direct_spectrum, space.index)
+    for k in np.flatnonzero(spectrum7.multiplicities() == 1).tolist():
+        moved = transport(eigenfunction(spectrum7, k), target)
+        direct = eigenfunction(direct_spectrum, k)
         ov = np.vdot(direct.amplitudes, moved.amplitudes)
         assert abs(abs(ov) - 7) < 1e-8  # same line up to phase
         phase = ov / abs(ov)
@@ -185,7 +191,7 @@ def test_transport_matches_direct_extraction(torus7, spectrum7):
 
 def test_transport_moves_a_batch_like_one_at_a_time(torus11):
     spectrum = hecke_spectrum(torus11, Realization.standard(11))
-    ks = [s.index for s in spectrum.spaces if s.multiplicity]
+    ks = np.flatnonzero(spectrum.multiplicities()).tolist()
     fn = eigenfunction(spectrum, *ks)
     target = Realization.of(1, 4, 11)
     moved = transport(fn, target)
@@ -195,7 +201,7 @@ def test_transport_moves_a_batch_like_one_at_a_time(torus11):
     assert 2 in fn.multiplicities
     parts = moved.by_character()
     assert [part.characters.tolist() for part in parts] == [
-        [k] * spectrum.space(k).multiplicity for k in ks]
+        [k] * spectrum.multiplicities()[k] for k in ks]
     for k, part in zip(ks, parts):
         alone = transport(eigenfunction(spectrum, k), target)
         assert np.abs(part.vectors - alone.vectors).max() < 1e-12
@@ -269,7 +275,7 @@ def test_closed_form_matches_numeric_extraction(torus11):
         fn = split_closed_form(torus11, CyclicCharacter(p - 1, m), r)
         (k,) = fn.characters.tolist()
         matched.add(k)
-        if spectrum.space(k).multiplicity != 1:
+        if spectrum.multiplicities()[k] != 1:
             # the Legendre-character index lands in the two-dimensional space
             assert m == (p - 1) // 2
             continue
@@ -278,7 +284,7 @@ def test_closed_form_matches_numeric_extraction(torus11):
         phase = ov / abs(ov)
         assert np.abs(fn.amplitudes - phase * num.amplitudes).max() < 1e-8
     # the character matching is a bijection onto the torus characters that occur
-    assert matched == {s.index for s in spectrum.spaces if s.multiplicity >= 1}
+    assert matched == set(np.flatnonzero(spectrum.multiplicities()).tolist())
 
 
 def test_character_matching_uses_generator_eigenvalue(torus11):
@@ -299,7 +305,7 @@ def test_character_matching_uses_generator_eigenvalue(torus11):
 
 
 def test_eigenfunction_csv_rows(spectrum7):
-    k = next(s.index for s in spectrum7.spaces if s.multiplicity == 1)
+    k = int(np.flatnonzero(spectrum7.multiplicities() == 1)[0])
     fn = eigenfunction(spectrum7, k)
     rows = eigenfunction_csv_rows("inert", fn)
     assert len(rows) == 7
