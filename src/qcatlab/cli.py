@@ -8,6 +8,7 @@ usage error (exit 2), found before any prime runs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -81,9 +82,11 @@ def _out_dir(args) -> Path:
     return path
 
 
+MATRIX_HELP = "cat map entries 'a,b;c,d'; write a negative a as --matrix=-3,1;-1,0"
+
+
 def _add_common(sub, primes_default: str):
-    sub.add_argument("--matrix", type=_cat_map, required=True,
-                     help="cat map entries 'a,b;c,d'")
+    sub.add_argument("--matrix", type=_cat_map, required=True, help=MATRIX_HELP)
     sub.add_argument("--primes", type=_prime_range, default=primes_default,
                      help="inclusive range 'lo..hi', or a single prime")
 
@@ -158,7 +161,7 @@ def cmd_distribution(args) -> int:
     report = value_distribution(cfg)
     out = _out_dir(args)
     with open(out / "distribution.json", "w", encoding="utf-8") as fh:
-        json.dump(report.json_obj(), fh, indent=2, sort_keys=True)
+        json.dump(dataclasses.asdict(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
     with open(out / "histogram.csv", "w", encoding="utf-8") as fh:
         fh.write("bin_left,bin_right,count\n")
@@ -201,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_sweep)
 
     s = sub.add_parser("spectrum", help="character decomposition at one prime")
-    s.add_argument("--matrix", type=_cat_map, required=True)
+    s.add_argument("--matrix", type=_cat_map, required=True, help=MATRIX_HELP)
     s.add_argument("--prime", type=_odd_prime, required=True)
     s.add_argument("--realization", type=_vector, default=(0, 1),
                    help="sigma as 's1,s2' (default 0,1, the position model); "

@@ -321,20 +321,6 @@ class DistributionReport:
     bin_edges: list[float]
     bin_counts: list[int]
 
-    def json_obj(self) -> dict:
-        return {
-            "primes": self.primes,
-            "skipped": [list(s) for s in self.skipped],
-            "sample_count": self.sample_count,
-            "ks_distance": self.ks_distance,
-            "moments": self.moments,
-            "reference_moments": self.reference_moments,
-            "second_moment": self.second_moment,
-            "reference_second_moment": self.reference_second_moment,
-            "bin_edges": self.bin_edges,
-            "bin_counts": self.bin_counts,
-        }
-
 
 def _distribution_one_prime(p: int, A: CatMap):
     _, fn, skips = _defining_spectrum(p, A)

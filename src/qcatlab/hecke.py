@@ -3,13 +3,14 @@ extraction, including the closed form available at split primes.
 
 The torus is cyclic, so one operator carries the whole decomposition: the
 character space of index k is the eigenspace of rho(generator) for the
-eigenvalue exp(2 pi i k / N).  rho(generator) is unitary, so its complex Schur
-form is diagonal up to rounding; each diagonal entry is binned to its nearest
-N-th root of unity and the Schur columns of a bin form an orthonormal basis
-of that character space.  Eigenfunctions travel as one block per
+eigenvalue exp(2 pi i k / N).  rho(generator) is unitary, so numpy's
+eigendecomposition gives its eigenvalues and eigenvectors directly; each
+eigenvalue is binned to its nearest N-th root of unity, and one QR
+factorisation of the eigenvectors, sorted by bin, gives an orthonormal basis
+of every character space.  Eigenfunctions travel as one block per
 realization: a (p, n) matrix whose columns are labelled by character, which
 `transport` carries to another realization with one intertwiner product.
-The spectrum is itself such a block with n = p: every Schur column,
+The spectrum is itself such a block with n = p: every eigenvector,
 stable-sorted by character and normalized once, so a character's
 multiplicity is the count of its label and extracting characters selects
 columns.
@@ -132,26 +133,30 @@ def _normalize_columns(basis: np.ndarray, p: int) -> np.ndarray:
 def hecke_spectrum(torus: HeckeTorus, r: Realization) -> HeckeSpectrum:
     """Decompose the model of r into torus character spaces.
 
-    One complex Schur factorisation of rho(generator) gives its eigenvalues
-    and an orthonormal eigenbasis.  Eigenvalue e goes to character
+    One eigendecomposition of rho(generator) gives its eigenvalues and
+    eigenvectors.  Eigenvalue e goes to character
     k = round(angle(e) * N / 2 pi) mod N, and k's multiplicity is the size of
-    its bin.  A character whose columns B miss the eigenvector equation,
+    its bin.  The eigenvectors are stable-sorted by character and one QR
+    factorisation makes them an orthonormal basis, degenerate characters
+    included.  A character whose columns B miss the eigenvector equation,
     ||rho(gen) B - exp(2 pi i k / N) B|| > 1e-7 p, is flagged rather than
     silently kept.  An eigenvalue halfway between two roots lands in a bin
     with a residual near pi / N, so it is flagged too.
     """
-    from scipy.linalg import schur
-
     n = torus.order
     rho_gen = weil_op(r, torus.generator).matrix
-    t, z = schur(rho_gen, output="complex")
-    bins = np.rint(np.angle(np.diag(t)) * n / (2 * np.pi)).astype(np.int64) % n
+    eigenvalues, vectors = np.linalg.eig(rho_gen)
+    bins = np.rint(np.angle(eigenvalues) * n / (2 * np.pi)).astype(np.int64) % n
+    order = np.argsort(bins, kind="stable")
+    bins = bins[order]
+    # rho(gen) is unitary, so eigenvectors of different characters are already
+    # orthogonal up to rounding; the QR orthonormalises within each bin
+    z, _ = np.linalg.qr(vectors[:, order])
     # every bin's ||rho(gen) B - e_k B|| from one product: the squared column
     # misfits summed per bin
     misfit = np.linalg.norm(rho_gen @ z - z * unit_roots(n)[bins], axis=0)
     residuals = np.sqrt(np.bincount(bins, weights=misfit ** 2, minlength=n))
-    order = np.argsort(bins, kind="stable")
-    block = HeckeEigenfunction(r, _normalize_columns(z[:, order], r.p), bins[order])
+    block = HeckeEigenfunction(r, _normalize_columns(z, r.p), bins)
     return HeckeSpectrum(torus, block, residuals)
 
 

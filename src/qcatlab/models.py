@@ -379,22 +379,21 @@ def projective_egorov_solver(r: Realization, g: SympMatrix) -> np.ndarray:
     return x / np.linalg.norm(x)
 
 
-def commutant_dimension(r: Realization, tol: float = 1e-8) -> int:
+def commutant_dimension(r: Realization) -> int:
     """Dimension of the algebra commuting with the whole Heisenberg action.
 
     The first generator acts with p distinct eigenvalues, so any commuting X
     is diagonal in its eigenbasis; the entries of the second generator in that
     basis then tie diagonal values together, and the commutant dimension is
-    the number of connected components of the resulting graph.
+    the number of connected components of the resulting graph, the nullity of
+    its Laplacian.
     """
-    from scipy.linalg import schur
-    from scipy.sparse.csgraph import connected_components
-
     h1, h2 = _heis_generators(r.p)
     u1 = heisenberg_op(r, h1).matrix
     u2 = heisenberg_op(r, h2).matrix
-    _, z = schur(u1, output="complex")
-    u2t = z.conj().T @ u2 @ z
-    graph = np.abs(u2t) > tol
-    n_components, _ = connected_components(graph, directed=False)
-    return int(n_components)
+    _, z = np.linalg.eig(u1)
+    # u2 permutes u1's eigenlines: each entry is a phase or rounding (2e-13 at p = 199)
+    ties = np.abs(np.linalg.solve(z, u2 @ z)) > 1e-8
+    adjacency = (ties | ties.T).astype(float)
+    laplacian = np.diag(adjacency.sum(axis=1)) - adjacency
+    return r.p - int(np.linalg.matrix_rank(laplacian))

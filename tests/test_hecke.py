@@ -70,12 +70,37 @@ def test_multiplicities_p11_split(torus11):
     assert mults.sum() == 11
     assert sorted(mults.tolist()) == [1] * 9 + [2]
     assert (np.diff(spectrum.eigenfunctions.characters) >= 0).all()
+    # orthonormal to rounding, the two-dimensional space included
+    b = spectrum.eigenfunctions.vectors
+    assert np.abs(b.conj().T @ b / 11 - np.eye(11)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("p", [11, 13, 101, 103, 197, 199])
+def test_spectrum_matches_schur_oracle(p):
+    # an independent route: scipy's complex Schur form of rho(gen) is diagonal
+    # up to rounding, and its columns binned by diagonal entry span the
+    # character spaces.  Projectors B B^H / p compare without phases or a
+    # choice of basis inside a degenerate space.
+    from scipy.linalg import schur
+
+    torus = build_hecke_torus(A, p)
+    r = Realization.standard(p)
+    n = torus.order
+    t, z = schur(weil_op(r, torus.generator).matrix, output="complex")
+    bins = np.rint(np.angle(np.diag(t)) * n / (2 * np.pi)).astype(np.int64) % n
+    spectrum = hecke_spectrum(torus, r)
+    assert (spectrum.multiplicities() == np.bincount(bins, minlength=n)).all()
+    block = spectrum.eigenfunctions
+    for k in np.flatnonzero(spectrum.multiplicities()).tolist():
+        b = block.vectors[:, block.characters == k]
+        s = z[:, bins == k]
+        assert np.abs(b @ b.conj().T / p - s @ s.conj().T).max() <= 1e-12
 
 
 @pytest.mark.parametrize("p", [7, 11])
 def test_projectors_idempotent_and_orthogonal(p):
     # the projectors from their definition, independently of the spectrum's
-    # Schur factorisation; p = 11 is split and has a two-dimensional space
+    # eigendecomposition; p = 11 is split and has a two-dimensional space
     torus = build_hecke_torus(A, p)
     r = Realization.standard(p)
     n = torus.order

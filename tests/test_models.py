@@ -11,6 +11,7 @@ from qcatlab.groups import (
     SympMatrix,
     enumerate_lagrangians,
 )
+from qcatlab import models
 from qcatlab.models import (
     IntertwinerConstructionError,
     Realization,
@@ -396,6 +397,15 @@ def test_commutant_is_one_dimensional():
     for p in (5, 7, 13):
         for r in all_realizations(p):
             assert commutant_dimension(r) == 1
+
+
+def test_commutant_of_a_commuting_pair_is_diagonal(monkeypatch):
+    # with two copies of the first generator nothing ties u1's eigenlines
+    # together: each of the p diagonal entries is free
+    p = 7
+    h1 = HeisenbergElement.of(1, 0, 0, p)
+    monkeypatch.setattr(models, "_heis_generators", lambda p: [h1, h1])
+    assert commutant_dimension(Realization.standard(p)) == p
 
 
 def test_geometric_action_lands_in_translated_model(rng):
