@@ -93,8 +93,7 @@ class CyclicCharacter:
     """Character of a cyclic group of order N with a fixed generator g.
 
     The character of index k sends g^j to exp(2*pi*i*k*j/N); which concrete
-    group element is "g" is the caller's convention (the Hecke torus stores a
-    discrete-log table for exactly this purpose).
+    group element is "g" is the caller's convention.
     """
 
     order: int
@@ -104,19 +103,6 @@ class CyclicCharacter:
         if self.order < 1:
             raise ValueError("order must be positive")
         object.__setattr__(self, "index", self.index % self.order)
-
-    def value(self, element_log: int) -> complex:
-        if not 0 <= element_log < self.order:
-            raise ValueError(f"element log {element_log} outside [0, {self.order})")
-        return complex(unit_roots(self.order)[(self.index * element_log) % self.order])
-
-    def values(self, logs: np.ndarray) -> np.ndarray:
-        return unit_roots(self.order)[(self.index * np.asarray(logs)) % self.order]
-
-    def __mul__(self, other: "CyclicCharacter") -> "CyclicCharacter":
-        if other.order != self.order:
-            raise ValueError("characters of different group orders")
-        return CyclicCharacter(self.order, self.index + other.index)
 
 
 def _order_mod(a: int, p: int) -> int:

@@ -198,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s, primes_default="5..61")
     s.add_argument("--out", default=None, help="output directory")
     s.add_argument("--jobs", type=_jobs, default=1)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_count, default=0)
     s.add_argument("--realizations", choices=["defining", "all"], default="defining")
     s.add_argument("--verify-samples", type=_count, default=0)
     s.set_defaults(func=cmd_sweep)
@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("selftest", help="quick end-to-end checks")
     s.add_argument("--prime", type=_odd_prime, default=7)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_count, default=0)
     s.set_defaults(func=cmd_selftest)
     return parser
 

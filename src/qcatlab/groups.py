@@ -8,8 +8,7 @@ Heisenberg group by (v, z) -> (g v, z).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,9 +47,6 @@ class SymplecticVector:
         self._check(other)
         return SymplecticVector(self.v1 + other.v1, self.v2 + other.v2, self.p)
 
-    def __neg__(self):
-        return SymplecticVector(-self.v1, -self.v2, self.p)
-
     def scale(self, a: int) -> "SymplecticVector":
         return SymplecticVector(a * self.v1, a * self.v2, self.p)
 
@@ -80,10 +76,6 @@ class HeisenbergElement:
         return self.v.p
 
     @classmethod
-    def identity(cls, p: int) -> "HeisenbergElement":
-        return cls(SymplecticVector(0, 0, p), 0)
-
-    @classmethod
     def of(cls, v1: int, v2: int, z: int, p: int) -> "HeisenbergElement":
         return cls(SymplecticVector(v1, v2, p), z)
 
@@ -93,12 +85,6 @@ class HeisenbergElement:
             raise ValueError(f"mismatched moduli: {p} vs {other.p}")
         tw = half_mod(self.v.omega(other.v), p)
         return HeisenbergElement(self.v + other.v, self.z + other.z + tw)
-
-    def inverse(self) -> "HeisenbergElement":
-        return HeisenbergElement(-self.v, -self.z)
-
-    def is_central(self) -> bool:
-        return self.v.is_zero()
 
 
 @dataclass(frozen=True)
@@ -136,18 +122,6 @@ class SympMatrix:
     def inverse(self) -> "SympMatrix":
         return SympMatrix(self.d, -self.b, -self.c, self.a, self.p)
 
-    def __pow__(self, n: int) -> "SympMatrix":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = SympMatrix.identity(self.p)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def apply(self, v: SymplecticVector) -> SymplecticVector:
         if v.p != self.p:
             raise ValueError(f"mismatched moduli: {self.p} vs {v.p}")
@@ -156,9 +130,6 @@ class SympMatrix:
 
     def trace(self) -> int:
         return (self.a + self.d) % self.p
-
-    def entries(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
 
 
 @dataclass(frozen=True)
@@ -184,20 +155,8 @@ class EnhancedLagrangian:
     def of(cls, v1: int, v2: int, p: int) -> "EnhancedLagrangian":
         return cls(SymplecticVector(v1, v2, p))
 
-    def line_key(self) -> tuple[int, int]:
-        """Canonical representative of the underlying line: (1, slope) or (0, 1)."""
-        s1, s2 = self.sigma.coords()
-        if s1 != 0:
-            return (1, (s2 * inverse_mod(s1, self.p)) % self.p)
-        return (0, 1)
-
     def shares_line(self, other: "EnhancedLagrangian") -> bool:
         return self.sigma.omega(other.sigma) == 0
-
-    def scaled(self, a: int) -> "EnhancedLagrangian":
-        if a % self.p == 0:
-            raise ValueError("scale factor must be nonzero")
-        return EnhancedLagrangian(self.sigma.scale(a))
 
     def scale_from(self, other: "EnhancedLagrangian") -> int:
         """The a with self.sigma = a * other.sigma; requires a shared line."""
@@ -270,42 +229,23 @@ def classify_prime(A: CatMap, p: int) -> str:
     return "split" if sym == 1 else "inert"
 
 
-@dataclass
+@dataclass(frozen=True)
 class HeckeTorus:
-    """The commutant of the reduced cat map in SL2(F_p).
+    """The commutant of the reduced cat map in SL2(F_p), by its generator.
 
     For a non-ramified prime the commutant is {x*I + y*A : det = 1}, cyclic of
-    order p - 1 (split) or p + 1 (inert).  Built once and then read-only.
+    order p - 1 (split) or p + 1 (inert).  Character k sends generator^j to
+    exp(2 pi i k j / order), so the generator fixes every character label.
     """
 
     matrix: SympMatrix
     kind: str
     order: int
-    elements: list[SympMatrix]
     generator: SympMatrix
-    log_table: dict[tuple[int, int, int, int], int] = field(repr=False)
 
     @property
     def p(self) -> int:
         return self.matrix.p
-
-    def element_log(self, g: SympMatrix) -> int:
-        return self.log_table[g.entries()]
-
-    def power(self, j: int) -> SympMatrix:
-        return self.generator ** (j % self.order)
-
-
-def _torus_elements(A: SympMatrix) -> list[SympMatrix]:
-    p = A.p
-    t = A.trace()
-    x, y = np.meshgrid(np.arange(p), np.arange(p), indexing="ij")
-    det = (x * x + t * x * y + y * y) % p
-    pairs = np.argwhere(det == 1)
-    return [
-        SympMatrix(x0 + y0 * A.a, y0 * A.b, y0 * A.c, x0 + y0 * A.d, p)
-        for x0, y0 in pairs.tolist()
-    ]
 
 
 def _element_order(g: SympMatrix, bound: int) -> int:
@@ -318,7 +258,7 @@ def _element_order(g: SympMatrix, bound: int) -> int:
 
 
 def build_hecke_torus(A: CatMap, p: int) -> HeckeTorus:
-    """Enumerate the commutant torus of A mod p, find a generator, fill logs.
+    """The commutant torus of A mod p with its first element of full order.
 
     Ramified primes are rejected: there the commutant of the reduction is not
     a torus and the whole eigenfunction setup does not apply.
@@ -327,25 +267,14 @@ def build_hecke_torus(A: CatMap, p: int) -> HeckeTorus:
     if kind == "ramified":
         raise ValueError(f"p = {p} is ramified for this cat map; no Hecke torus")
     Ap = A.reduce(p)
-    elements = _torus_elements(Ap)
-    expected = p - 1 if kind == "split" else p + 1
-    if len(elements) != expected:
-        raise RuntimeError(
-            f"commutant size {len(elements)} != {expected} for {kind} p = {p}"
-        )
-    order = expected
-    generator = None
-    for g in elements:
+    # x*I + y*A has determinant x^2 + t*x*y + y^2; walk its solutions x-major
+    x, y = np.meshgrid(np.arange(p), np.arange(p), indexing="ij")
+    pairs = np.argwhere((x * x + Ap.trace() * x * y + y * y) % p == 1).tolist()
+    order = p - 1 if kind == "split" else p + 1
+    if len(pairs) != order:
+        raise RuntimeError(f"commutant size {len(pairs)} != {order} for {kind} p = {p}")
+    for x0, y0 in pairs:
+        g = SympMatrix(x0 + y0 * Ap.a, y0 * Ap.b, y0 * Ap.c, x0 + y0 * Ap.d, p)
         if _element_order(g, order) == order:
-            generator = g
-            break
-    if generator is None:
-        raise RuntimeError(f"no generator of order {order} found at p = {p}")
-    log_table: dict[tuple[int, int, int, int], int] = {}
-    acc = SympMatrix.identity(p)
-    for j in range(order):
-        log_table[acc.entries()] = j
-        acc = acc * generator
-    if len(log_table) != order or set(log_table) != {g.entries() for g in elements}:
-        raise RuntimeError(f"generator powers do not exhaust the torus at p = {p}")
-    return HeckeTorus(Ap, kind, order, elements, generator, log_table)
+            return HeckeTorus(Ap, kind, order, g)
+    raise RuntimeError(f"no generator of order {order} found at p = {p}")

@@ -41,7 +41,6 @@ __all__ = [
     "universal_sweep",
     "projector_identity_check",
     "value_distribution",
-    "su2_trace_density",
     "su2_abs_trace_cdf",
     "su2_abs_trace_moment",
     "write_records_csv",
@@ -275,15 +274,6 @@ def projector_identity_check(fn: HeckeEigenfunction, x: int,
     if abs(projector.imag) > 1e-8 * p:
         raise RuntimeError(f"projector form has imaginary part {projector.imag:.3g}")
     return direct, float(projector.real)
-
-
-def su2_trace_density(t: np.ndarray) -> np.ndarray:
-    """Density of the trace of a Haar-random SU(2) matrix on [-2, 2]."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    inside = np.abs(t) < 2
-    out[inside] = np.sqrt(4.0 - t[inside] ** 2) / (2.0 * np.pi)
-    return out
 
 
 def su2_abs_trace_cdf(s: np.ndarray) -> np.ndarray:

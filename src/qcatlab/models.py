@@ -52,8 +52,6 @@ __all__ = [
     "averaging_scale",
     "geometric_action",
     "weil_op",
-    "regauge",
-    "projective_egorov_solver",
     "commutant_dimension",
 ]
 
@@ -311,24 +309,6 @@ def canonical_intertwiner(target: Realization, source: Realization) -> Intertwin
     return Intertwiner(source, target, _intertwiner_matrix(target, source, scale))
 
 
-def regauge(op: Intertwiner, target: Realization, source: Realization) -> Intertwiner:
-    """The same operator written between other gauges of the same two lines.
-
-    Lets operator identities that mix enhancements (the sign rule, most
-    prominently) be checked as literal matrix equalities.
-    """
-    if not target.lagrangian.shares_line(op.target.lagrangian):
-        raise ValueError("target realization lies on a different line")
-    if not source.lagrangian.shares_line(op.source.lagrangian):
-        raise ValueError("source realization lies on a different line")
-    m = op.matrix
-    if target != op.target:
-        m = _coordinate_change(target, op.target) @ m
-    if source != op.source:
-        m = m @ _coordinate_change(op.source, source)
-    return Intertwiner(source, target, m)
-
-
 def weil_op(r: Realization, g: SympMatrix) -> WeilOperator:
     """The linearized action of g on the model of r.
 
@@ -354,29 +334,6 @@ def _conjugated_intertwiner(g: SympMatrix, rm: Realization, rl: Realization,
 
 def _heis_generators(p: int) -> list[HeisenbergElement]:
     return [HeisenbergElement.of(1, 0, 0, p), HeisenbergElement.of(0, 1, 0, p)]
-
-
-def projective_egorov_solver(r: Realization, g: SympMatrix) -> np.ndarray:
-    """Solve X pi(h) = pi(g h) X for the generators h, up to scalar.
-
-    The solution space is one-dimensional because both sides are irreducible
-    with the same central character; a unit Frobenius norm representative is
-    returned.  Used as an independent reconstruction of the g-action.
-    """
-    p = r.p
-    eye = np.eye(p)
-    blocks = []
-    for h in _heis_generators(p):
-        ph = heisenberg_op(r, h).matrix
-        pgh = heisenberg_op(r, HeisenbergElement(g.apply(h.v), h.z)).matrix
-        blocks.append(np.kron(eye, ph.T) - np.kron(pgh, eye))
-    system = np.vstack(blocks)
-    _, s, vh = np.linalg.svd(system)
-    null_dim = int(np.sum(s < 1e-8 * s[0]))
-    if null_dim != 1:
-        raise RuntimeError(f"solution space has dimension {null_dim}, expected 1")
-    x = np.conj(vh[-1]).reshape(p, p)  # right-singular vectors are conj(vh) rows
-    return x / np.linalg.norm(x)
 
 
 def commutant_dimension(r: Realization) -> int:

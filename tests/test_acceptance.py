@@ -17,9 +17,11 @@ import numpy as np
 import pytest
 
 from conftest import random_sl2
+from oracles import projective_egorov_solver, regauge
 from qcatlab.arith import CyclicCharacter, legendre_symbol, primes_in, unit_roots
 from qcatlab.groups import (
     CatMap,
+    EnhancedLagrangian,
     HeisenbergElement,
     SympMatrix,
     classify_prime,
@@ -38,8 +40,6 @@ from qcatlab.models import (
     commutant_dimension,
     geometric_action,
     heisenberg_op,
-    projective_egorov_solver,
-    regauge,
     weil_op,
 )
 from qcatlab.harness import (
@@ -208,11 +208,11 @@ def test_criterion_5_intertwiner_axioms(rng):
                 base = canonical_intertwiner(rt, rs).matrix
                 for a in range(2, p):
                     chi = legendre_symbol(a, p)
-                    st = Realization.canonical(rt.lagrangian.scaled(a))
+                    st = Realization.canonical(EnhancedLagrangian(rt.lagrangian.sigma.scale(a)))
                     dev = np.abs(regauge(canonical_intertwiner(st, rs), rt, rs).matrix
                                  - chi * base).max()
                     worst["sign"] = max(worst["sign"], float(dev))
-                    ss = Realization.canonical(rs.lagrangian.scaled(a))
+                    ss = Realization.canonical(EnhancedLagrangian(rs.lagrangian.sigma.scale(a)))
                     dev = np.abs(regauge(canonical_intertwiner(rt, ss), rt, rs).matrix
                                  - chi * base).max()
                     worst["sign"] = max(worst["sign"], float(dev))

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from qcatlab.arith import (
-    CyclicCharacter,
     discrete_log_table,
     half_mod,
     inverse_mod,
@@ -110,35 +109,6 @@ def test_legendre_multiplicative():
     for a in range(1, p):
         for b in range(1, p):
             assert legendre_symbol(a * b, p) == legendre_symbol(a, p) * legendre_symbol(b, p)
-
-
-def test_cyclic_character_trivial_and_order_two():
-    chi0 = CyclicCharacter(12, 0)
-    assert all(chi0.value(j) == 1 for j in range(12))
-    chi_half = CyclicCharacter(12, 6)
-    assert abs(chi_half.value(1) + 1) < 1e-12
-
-
-def test_cyclic_character_sum_vanishes():
-    for n in (5, 8, 13):
-        for k in range(1, n):
-            total = sum(CyclicCharacter(n, k).value(j) for j in range(n))
-            assert abs(total) < 1e-9
-
-
-def test_cyclic_character_product_rule():
-    n = 20
-    chi = CyclicCharacter(n, 3) * CyclicCharacter(n, 5)
-    assert chi.index == 8
-    for j in range(n):
-        assert abs(chi.value(j) - CyclicCharacter(n, 3).value(j) * CyclicCharacter(n, 5).value(j)) < 1e-12
-
-
-def test_cyclic_character_log_range_enforced():
-    with pytest.raises(ValueError):
-        CyclicCharacter(5, 1).value(5)
-    with pytest.raises(ValueError):
-        CyclicCharacter(5, 1).value(-1)
 
 
 def test_character_orthogonality_exhaustive():

@@ -8,7 +8,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from qcatlab.groups import SympMatrix
+from qcatlab.groups import CatMap, SympMatrix, build_hecke_torus
 from qcatlab.models import Realization, weil_op
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -27,6 +27,13 @@ def test_every_traced_function_resolves():
     for layer, name in traced:
         assert callable(getattr(importlib.import_module(f"qcatlab.{layer}"), name, None)), \
             f"qcatlab.{layer}.{name}"
+
+
+def test_torus_has_order_and_generator():
+    # bench/checks.py reads both to recompute the defining realization's spectrum
+    torus = build_hecke_torus(CatMap(2, 1, 1, 1), 7)
+    assert torus.order == 8
+    assert isinstance(torus.generator, SympMatrix)
 
 
 def test_weil_op_has_matrix():

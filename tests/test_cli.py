@@ -287,6 +287,13 @@ def test_selftest_non_prime_is_a_usage_error(capsys):
     assert "not an odd prime" in capsys.readouterr().err
 
 
+def test_selftest_negative_seed_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["selftest", "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "not a non-negative integer" in capsys.readouterr().err
+
+
 def test_bad_matrix_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["classify", "--matrix", "2,1;1,2", "--primes", "5..7"])
@@ -306,13 +313,15 @@ def test_bad_matrix_rejected(capsys):
     (["distribution", "--primes", "11..11"], "no inert prime"),
     (["sweep", "--primes", "7", "--realizations", "all", "--verify-samples", "-3"],
      "not a non-negative integer"),
+    (["sweep", "--primes", "7..13", "--realizations", "all", "--verify-samples", "1",
+      "--seed", "-1"], "not a non-negative integer"),
     (["spectrum", "--prime", "7", "--realization", "1"], "not a vector"),
     (["spectrum", "--prime", "7", "--realization", "a,b"], "not a vector"),
     (["spectrum", "--prime", "7", "--realization", "0,0"], "zero mod 7"),
     (["spectrum", "--prime", "7", "--realization", "7,14"], "zero mod 7"),
 ], ids=["unparsed-matrix", "not-hyperbolic", "reversed-range",
         "range-without-prime", "one-non-prime", "spectrum-non-prime", "sweep-jobs-0",
-        "distribution-jobs-0", "no-inert-prime", "negative-verify-samples",
+        "distribution-jobs-0", "no-inert-prime", "negative-verify-samples", "negative-seed",
         "realization-one-entry", "realization-not-integers", "realization-zero",
         "realization-zero-mod-p"])
 def test_bad_input_is_a_usage_error(args, message, tmp_path, capsys):

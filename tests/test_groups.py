@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
+from oracles import torus_powers
 from qcatlab.groups import (
     CatMap,
     EnhancedLagrangian,
@@ -38,7 +40,7 @@ def test_omega_antisymmetric_bilinear():
 
 def test_heis_identity_element():
     p = 7
-    e = HeisenbergElement.identity(p)
+    e = HeisenbergElement.of(0, 0, 0, p)
     for h in all_heisenberg(3)[:0] or [HeisenbergElement.of(1, 2, 3, p),
                                        HeisenbergElement.of(0, 6, 1, p)]:
         assert e * h == h
@@ -53,11 +55,12 @@ def test_heis_product_example_mod7():
 
 def test_heis_inverse_law(rng):
     p = 11
-    e = HeisenbergElement.identity(p)
+    e = HeisenbergElement.of(0, 0, 0, p)
     for _ in range(100):
         h = random_heis(rng, p)
-        assert h * h.inverse() == e
-        assert h.inverse() * h == e
+        inverse = HeisenbergElement.of(-h.v.v1, -h.v.v2, -h.z, p)
+        assert h * inverse == e
+        assert inverse * h == e
 
 
 def test_heis_associativity_exhaustive_p3():
@@ -77,7 +80,6 @@ def test_heis_center():
     p = 5
     for z in range(p):
         c = HeisenbergElement.of(0, 0, z, p)
-        assert c.is_central()
         for h in all_heisenberg(p)[::7]:
             assert c * h == h * c
     # non-central elements fail to commute with something
@@ -106,12 +108,17 @@ def test_symp_matrix_preserves_omega(rng):
 def test_symp_matrix_inverse_and_pow():
     p = 11
     g = SympMatrix(2, 1, 1, 1, p)
-    assert g * g.inverse() == SympMatrix.identity(p)
-    acc = SympMatrix.identity(p)
-    for k in range(8):
-        assert g ** k == acc
+    e = SympMatrix.identity(p)
+    assert g * g.inverse() == e
+    assert g.inverse() * g == e
+    assert (g * g).inverse() == g.inverse() * g.inverse()
+    # g has order 5 mod 11: the fifth power is the identity, the inverse the fourth
+    acc = e
+    for _ in range(4):
         acc = acc * g
-    assert g ** -2 == (g.inverse()) * (g.inverse())
+        assert acc != e
+    assert acc == g.inverse()
+    assert acc * g == e
 
 
 def matrix_act(g, h):
@@ -184,18 +191,18 @@ def test_torus_rejects_ramified():
 
 def test_torus_contains_identity_and_commutes():
     torus = build_hecke_torus(A_DEFAULT, 7)
-    assert SympMatrix.identity(7) in torus.elements
-    for g in torus.elements:
+    assert SympMatrix.identity(7) in torus_powers(torus)
+    for g in torus_powers(torus):
         assert g * torus.matrix == torus.matrix * g
 
 
 def test_torus_closed_under_product_and_inverse():
     torus = build_hecke_torus(A_DEFAULT, 7)
-    elems = set(g.entries() for g in torus.elements)
-    for g in torus.elements:
-        assert g.inverse().entries() in elems
-        for h in torus.elements:
-            assert (g * h).entries() in elems
+    elems = set(torus_powers(torus))
+    for g in elems:
+        assert g.inverse() in elems
+        for h in elems:
+            assert (g * h) in elems
             assert (g * h) == (h * g)
 
 
@@ -212,41 +219,62 @@ def test_torus_is_full_centralizer_brute_force():
                         continue
                     g = SympMatrix(a, b, c, d, p)
                     if g * Ap == Ap * g:
-                        centralizer.add(g.entries())
+                        centralizer.add(g)
+    # the generator's powers fill the centralizer only if it has full order
     torus = build_hecke_torus(A_DEFAULT, p)
-    assert centralizer == {g.entries() for g in torus.elements}
+    assert centralizer == set(torus_powers(torus))
 
 
 def test_torus_generator_and_log_table():
+    # the character labels read logs to the generator: j -> g^j must be a
+    # bijection from [0, N) onto the torus, closing up at g^N = I
     for p in (7, 11, 13):
         torus = build_hecke_torus(A_DEFAULT, p)
         n = torus.order
-        acc = SympMatrix.identity(p)
-        seen = set()
-        for j in range(n):
-            assert torus.element_log(acc) == j
-            seen.add(acc.entries())
-            acc = acc * torus.generator
-        assert acc == SympMatrix.identity(p)  # generator has exact order N
-        assert len(seen) == n
-        # g^k != I for 0 < k < N
-        acc = torus.generator
-        for k in range(1, n):
-            assert acc != SympMatrix.identity(p)
-            acc = acc * torus.generator
+        powers = torus_powers(torus)
+        assert len(powers) == n and len(set(powers)) == n
+        assert powers[-1] * torus.generator == SympMatrix.identity(p)
+
+
+# generator entries (a, b, c, d): every character label is a log to the
+# generator, so no change to how the torus is walked may move it
+PINNED_GENERATORS = {
+    "2,1;1,1": {7: (2, 1, 1, 1), 11: (9, 10, 10, 10), 13: (2, 1, 1, 1),
+                101: (28, 12, 12, 16), 103: (2, 1, 1, 1), 197: (2, 1, 1, 1),
+                199: (57, 125, 125, 131)},
+    "3,2;1,1": {7: (3, 2, 1, 1), 11: (3, 2, 1, 1), 13: (3, 2, 1, 1),
+                101: (95, 62, 31, 33), 103: (3, 2, 1, 1), 197: (194, 195, 196, 196),
+                199: (3, 2, 1, 1)},
+}
+
+
+@pytest.mark.parametrize("matrix", sorted(PINNED_GENERATORS))
+def test_generator_is_pinned(matrix):
+    A = CatMap.parse(matrix)
+    for p, entries in PINNED_GENERATORS[matrix].items():
+        g = build_hecke_torus(A, p).generator
+        assert (g.a, g.b, g.c, g.d) == entries, p
+
+
+def test_torus_is_frozen_to_its_generator():
+    torus = build_hecke_torus(A_DEFAULT, 7)
+    assert [f.name for f in dataclasses.fields(torus)] == ["matrix", "kind", "order", "generator"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        torus.order = 9
 
 
 def test_enumerate_lagrangians_counts():
     assert len(enumerate_lagrangians(3)) == 4
     assert len(enumerate_lagrangians(7)) == 8
-    lines = [l.line_key() for l in enumerate_lagrangians(7)]
-    assert len(set(lines)) == 8
+    lines = enumerate_lagrangians(7)
+    assert not any(l.shares_line(m) for l, m in itertools.combinations(lines, 2))
 
 
 def test_proportional_sigmas_share_line():
     l = EnhancedLagrangian.of(1, 3, 7)
-    assert l.shares_line(l.scaled(2))
-    assert l.scaled(2).scale_from(l) == 2
+    l2 = EnhancedLagrangian(l.sigma.scale(2))
+    assert l.shares_line(l2)
+    assert l2.scale_from(l) == 2
     m = EnhancedLagrangian.of(0, 1, 7)
     assert not l.shares_line(m)
     with pytest.raises(ValueError):

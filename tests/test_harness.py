@@ -21,7 +21,6 @@ from qcatlab.harness import (
     projector_identity_check,
     su2_abs_trace_cdf,
     su2_abs_trace_moment,
-    su2_trace_density,
     supremum_records,
     universal_sweep,
     value_distribution,
@@ -328,12 +327,6 @@ def test_ks_distance_matches_scipy(rng):
     samples = 2.0 * np.abs(np.cos(rng.uniform(0.0, np.pi, 5000)))
     expected = kstest(samples, su2_abs_trace_cdf).statistic
     assert _ks_distance(samples, su2_abs_trace_cdf) == expected
-
-
-def test_su2_density_normalized():
-    t = np.linspace(-2, 2, 20001)
-    mass = np.trapezoid(su2_trace_density(t), t)
-    assert abs(mass - 1.0) < 1e-6
 
 
 def test_value_distribution_small_inert_range():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_sl2
+from oracles import projective_egorov_solver, regauge
 from qcatlab.arith import legendre_symbol, primes_in, unit_roots
 from qcatlab.groups import (
     EnhancedLagrangian,
@@ -21,9 +22,7 @@ from qcatlab.models import (
     commutant_dimension,
     geometric_action,
     heisenberg_op,
-    projective_egorov_solver,
     raw_averaging,
-    regauge,
     weil_op,
 )
 
@@ -162,7 +161,7 @@ def test_canonical_gauge_is_first_transverse_enumerated_line(p):
 def test_model_dimension_is_p():
     for p in (5, 7, 11):
         r = Realization.standard(p)
-        assert heisenberg_op(r, HeisenbergElement.identity(p)).matrix.shape == (p, p)
+        assert heisenberg_op(r, HeisenbergElement.of(0, 0, 0, p)).matrix.shape == (p, p)
 
 
 # ---------------------------------------------------------------------------
