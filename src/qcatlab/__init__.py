@@ -5,7 +5,7 @@ line-model, extracts the joint eigenfunctions of the cat map's commutant
 torus, and checks the sup-norm bound and value statistics across primes.
 """
 
-from .arith import CyclicCharacter, primes_in
+from .arith import primes_in
 from .groups import (
     CatMap,
     EnhancedLagrangian,
@@ -30,7 +30,6 @@ from .hecke import (
     HeckeSpectrum,
     eigenfunction,
     hecke_spectrum,
-    split_adapted_realization,
     split_closed_form,
 )
 from .harness import (

@@ -2,30 +2,24 @@
 
 Everything downstream consumes three ingredients from this module: residue
 arithmetic in F_p, the additive character psi(a) = exp(2*pi*i*a/p) (read from
-the table unit_roots(p)), and the multiplicative characters (the Legendre
-symbol and the characters of a cyclic group with a fixed generator).  Complex
-values are double precision; the root-of-unity tables are computed once per
-modulus and cached so repeated character sums are bit-stable across calls.
+the table unit_roots(p)), and the Legendre symbol.  Complex values are double
+precision; the root-of-unity tables are computed once per modulus and cached,
+so repeated character sums are bit-stable across calls and the characters of
+any cyclic group of order n read the same table unit_roots(n).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "CyclicCharacter",
     "legendre_symbol",
-    "legendre_table",
     "unit_roots",
     "inverse_mod",
     "half_mod",
     "is_odd_prime",
-    "primitive_root",
-    "discrete_log_table",
-    "sqrt_mod",
     "primes_in",
 ]
 
@@ -78,71 +72,6 @@ def legendre_symbol(a: int, p: int) -> int:
         return 0
     e = pow(a, (p - 1) // 2, p)
     return 1 if e == 1 else -1
-
-
-@lru_cache(maxsize=None)
-def legendre_table(p: int) -> np.ndarray:
-    """legendre_symbol(x, p) for x in [0, p), as a read-only int array."""
-    table = np.array([legendre_symbol(x, p) for x in range(p)], dtype=np.int64)
-    table.setflags(write=False)
-    return table
-
-
-@dataclass(frozen=True)
-class CyclicCharacter:
-    """Character of a cyclic group of order N with a fixed generator g.
-
-    The character of index k sends g^j to exp(2*pi*i*k*j/N); which concrete
-    group element is "g" is the caller's convention.
-    """
-
-    order: int
-    index: int
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("order must be positive")
-        object.__setattr__(self, "index", self.index % self.order)
-
-
-def _order_mod(a: int, p: int) -> int:
-    k, x = 1, a % p
-    while x != 1:
-        x = (x * a) % p
-        k += 1
-    return k
-
-
-@lru_cache(maxsize=None)
-def primitive_root(p: int) -> int:
-    """Smallest generator of the multiplicative group F_p*."""
-    _require_odd_prime(p)
-    for g in range(2, p):
-        if _order_mod(g, p) == p - 1:
-            return g
-    raise RuntimeError(f"no primitive root found mod {p}")  # unreachable for prime p
-
-
-@lru_cache(maxsize=None)
-def discrete_log_table(p: int) -> np.ndarray:
-    """Index table ind[x] with x = primitive_root(p)**ind[x] mod p; ind[0] = -1."""
-    g = primitive_root(p)
-    table = np.full(p, -1, dtype=np.int64)
-    x = 1
-    for j in range(p - 1):
-        table[x] = j
-        x = (x * g) % p
-    table.setflags(write=False)
-    return table
-
-
-def sqrt_mod(a: int, p: int) -> int | None:
-    """A square root of a mod p, or None if a is a non-residue."""
-    a %= p
-    for x in range((p + 1) // 2 + 1):
-        if (x * x) % p == a:
-            return x
-    return None
 
 
 def primes_in(lo: int, hi: int) -> list[int]:

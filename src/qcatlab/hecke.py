@@ -14,10 +14,11 @@ The spectrum is itself such a block with n = p: every eigenvector,
 stable-sorted by character and normalized once, so a character's
 multiplicity is the count of its label and extracting characters selects
 columns.
-At a split prime the torus fixes the two eigenlines of the cat map; in a
-realization adapted to them the torus acts by coordinate scalings and the
-multiplicity one eigenfunctions are Legendre-times-multiplicative-character
-vectors.
+At a split prime the torus fixes the two eigenlines of the cat map; in the
+realization built on them the torus acts by coordinate scalings, and its
+eigenfunctions have a closed form, Legendre symbol times a multiplicative
+character, returned as one block labelled by torus character like the
+spectrum.
 """
 
 from __future__ import annotations
@@ -26,15 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import (
-    CyclicCharacter,
-    discrete_log_table,
-    half_mod,
-    legendre_table,
-    sqrt_mod,
-    unit_roots,
-)
-from .groups import EnhancedLagrangian, HeckeTorus, SympMatrix, SymplecticVector
+from .arith import inverse_mod, unit_roots
+from .groups import EnhancedLagrangian, HeckeTorus, enumerate_lagrangians
 from .models import Realization, canonical_intertwiner, weil_op
 
 __all__ = [
@@ -43,9 +37,7 @@ __all__ = [
     "hecke_spectrum",
     "eigenfunction",
     "transport",
-    "split_adapted_realization",
     "split_closed_form",
-    "matched_character_index",
     "eigenfunction_csv_rows",
 ]
 
@@ -187,87 +179,34 @@ def transport(fn: HeckeEigenfunction, target: Realization) -> HeckeEigenfunction
                               fn.characters)
 
 
-def _eigenline_vectors(torus: HeckeTorus) -> tuple[SymplecticVector, SymplecticVector]:
-    A = torus.matrix
-    p = A.p
-    disc = (A.trace() ** 2 - 4) % p
-    root = sqrt_mod(disc, p)
-    if root is None:
-        raise RuntimeError("no eigenvalues in F_p for a split torus")
-    lines = []
-    for lam in (half_mod(A.trace() + root, p), half_mod(A.trace() - root, p)):
-        if A.b % p != 0:
-            v = SymplecticVector(A.b, lam - A.a, p)
-        elif A.c % p != 0:
-            v = SymplecticVector(lam - A.d, A.c, p)
-        else:
-            v = SymplecticVector(1, 0, p) if lam == A.a else SymplecticVector(0, 1, p)
-        lines.append(v)
-    return lines[0], lines[1]
+def split_closed_form(torus: HeckeTorus) -> HeckeEigenfunction:
+    """Every closed-form eigenfunction of a split torus, as one block.
 
-
-def split_adapted_realization(torus: HeckeTorus) -> Realization:
-    """A realization whose line and transversal are both torus-fixed.
-
-    Exists exactly at split primes: sigma spans one eigenline of the cat map
-    and tau the other, scaled so omega(tau, sigma) = 1.
-    """
-    if torus.kind != "split":
-        raise ValueError(f"torus is {torus.kind}; no torus-fixed line exists")
-    sigma, other = _eigenline_vectors(torus)
-    p = torus.p
-    w = other.omega(sigma)
-    tau = other.scale(pow(w, -1, p))
-    return Realization(EnhancedLagrangian(sigma), tau.coords())
-
-
-def _line_eigenvalue(g: SympMatrix, sigma: SymplecticVector) -> int:
-    gv = g.apply(sigma)
-    if sigma.v1 != 0:
-        a = (gv.v1 * pow(sigma.v1, -1, g.p)) % g.p
-    else:
-        a = (gv.v2 * pow(sigma.v2, -1, g.p)) % g.p
-    if gv.coords() != sigma.scale(a).coords():
-        raise ValueError("line is not fixed by the torus element")
-    return a
-
-
-def matched_character_index(torus: HeckeTorus, r: Realization, chi: CyclicCharacter) -> int:
-    """Torus character index of the closed-form eigenfunction for chi.
-
-    Both characters are evaluated on the torus generator: the closed form has
-    eigenvalue chi(a0) where a0 is the generator's eigenvalue on the line of
-    r, and the spectrum's character k has eigenvalue exp(2 pi i k / N).
-    """
-    p = torus.p
-    if chi.order != p - 1:
-        raise ValueError("chi must be a character of the multiplicative group")
-    a0 = _line_eigenvalue(torus.generator, r.lagrangian.sigma)
-    ind = discrete_log_table(p)
-    return int((chi.index * ind[a0]) % torus.order)
-
-
-def split_closed_form(torus: HeckeTorus, chi: CyclicCharacter, r: Realization) -> HeckeEigenfunction:
-    """The explicit eigenfunction x -> chi_q(x) chi(x) in a torus-adapted model.
-
-    chi is a character of F_p* parametrized by the smallest primitive root.
-    The vector vanishes at x = 0, has constant modulus elsewhere, and is
-    rescaled to squared norm p; its torus character is the one reported by
-    matched_character_index.
+    The realization's line and transversal are the two lines A mod p fixes,
+    the first and second found in enumerate_lagrangians(p); the torus acts on
+    its model by scalings.  The generator scales the line by a, which
+    generates F_p*, so x = a^j has Legendre symbol (-1)^j and column k is
+    x -> (-1)^j exp(2 pi i k j / N) sqrt(p / (p - 1)), with 0 at x = 0: it is
+    real positive at x = 1 and has squared norm p.
     """
     if torus.kind != "split":
         raise ValueError(f"torus is {torus.kind}; closed form needs a split torus")
-    p = torus.p
-    _line_eigenvalue(torus.generator, r.lagrangian.sigma)
-    _line_eigenvalue(torus.generator, SymplecticVector(*r.tau, p))
-    if chi.order != p - 1:
-        raise ValueError("chi must be a character of the multiplicative group")
-    ind = discrete_log_table(p)
-    amps = np.zeros(p, dtype=np.complex128)
-    amps[1:] = legendre_table(p)[1:] * unit_roots(p - 1)[(chi.index * ind[1:]) % (p - 1)]
+    p, n, A = torus.p, torus.order, torus.matrix
+    line, other = [lag for lag in enumerate_lagrangians(p)
+                   if A.apply(lag.sigma).omega(lag.sigma) == 0]
+    tau = other.sigma.scale(inverse_mod(other.sigma.omega(line.sigma), p))
+    r = Realization(line, tau.coords())
+    a = EnhancedLagrangian(torus.generator.apply(line.sigma)).scale_from(line)
+    log = np.zeros(p, dtype=np.int64)  # log[a^j] = j on F_p*
+    x = 1
+    for j in range(n):
+        log[x] = j
+        x = x * a % p
+    j = log[1:, np.newaxis]
+    amps = np.zeros((p, n), dtype=np.complex128)
+    amps[1:] = (1 - 2 * (j % 2)) * unit_roots(n)[j * np.arange(n) % n]
     amps *= np.sqrt(p / (p - 1.0))
-    k = matched_character_index(torus, r, chi)
-    return HeckeEigenfunction(r, amps[:, np.newaxis], np.array([k]))
+    return HeckeEigenfunction(r, amps, np.arange(n))
 
 
 def eigenfunction_csv_rows(kind: str, fn: HeckeEigenfunction) -> list[tuple]:

@@ -18,7 +18,7 @@ import pytest
 
 from conftest import random_sl2
 from oracles import projective_egorov_solver, regauge
-from qcatlab.arith import CyclicCharacter, legendre_symbol, primes_in, unit_roots
+from qcatlab.arith import legendre_symbol, primes_in, unit_roots
 from qcatlab.groups import (
     CatMap,
     EnhancedLagrangian,
@@ -31,7 +31,6 @@ from qcatlab.groups import (
 from qcatlab.hecke import (
     eigenfunction,
     hecke_spectrum,
-    split_adapted_realization,
     split_closed_form,
 )
 from qcatlab.models import (
@@ -146,16 +145,17 @@ def test_criterion_3_split_closed_form():
         if classify_prime(A, p) != "split":
             continue
         torus = build_hecke_torus(A, p)
-        adapted = split_adapted_realization(torus)
-        spectrum = hecke_spectrum(torus, adapted)
-        for m in range(p - 1):
-            fn = split_closed_form(torus, CyclicCharacter(p - 1, m), adapted)
-            if spectrum.multiplicities()[fn.characters[0]] != 1:
+        block = split_closed_form(torus)
+        spectrum = hecke_spectrum(torus, block.realization)
+        mults = spectrum.multiplicities()
+        assert sorted(block.characters.tolist()) == list(range(torus.order))
+        for k, closed in zip(block.characters.tolist(), block.vectors.T):
+            if mults[k] != 1:
                 continue
-            num = eigenfunction(spectrum, fn.characters[0])
-            overlap = np.vdot(num.amplitudes, fn.amplitudes)
+            num = eigenfunction(spectrum, k)
+            overlap = np.vdot(num.amplitudes, closed)
             phase = overlap / abs(overlap)
-            worst = max(worst, float(np.abs(fn.amplitudes - phase * num.amplitudes).max()))
+            worst = max(worst, float(np.abs(closed - phase * num.amplitudes).max()))
             checked += 1
     passed = worst < TOL and checked > 0
     announce(3, passed,

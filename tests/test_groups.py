@@ -1,7 +1,6 @@
 import dataclasses
 import itertools
 
-import numpy as np
 import pytest
 
 from oracles import torus_powers

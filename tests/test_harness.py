@@ -4,13 +4,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qcatlab.arith import CyclicCharacter
 from qcatlab.groups import CatMap, build_hecke_torus, enumerate_lagrangians
 from qcatlab.hecke import (
     HeckeEigenfunction,
     eigenfunction,
     hecke_spectrum,
-    split_adapted_realization,
     split_closed_form,
     transport,
 )
@@ -35,14 +33,14 @@ def config(lo, hi, **kw):
 
 
 def test_supremum_check_split_closed_form():
-    torus = build_hecke_torus(A, 11)
-    r = split_adapted_realization(torus)
-    fn = split_closed_form(torus, CyclicCharacter(10, 3), r)
-    (rec,) = supremum_records(fn, "split")
-    assert abs(rec.sup - math.sqrt(11 / 10)) < 1e-9  # ~1.0488
-    assert rec.passed and rec.gating
-    assert abs(rec.a_max - rec.sup ** 2) < 1e-12
-    assert rec.multiplicity == 1 and rec.p == 11
+    fn = split_closed_form(build_hecke_torus(A, 11))
+    records = supremum_records(fn, "split")
+    assert [rec.character for rec in records] == list(range(10))
+    for rec in records:
+        assert abs(rec.sup - math.sqrt(11 / 10)) < 1e-9  # ~1.0488
+        assert rec.passed and rec.gating
+        assert abs(rec.a_max - rec.sup ** 2) < 1e-12
+        assert rec.multiplicity == 1 and rec.p == 11
 
 
 def test_argmax_is_least_point_of_a_tied_maximum():

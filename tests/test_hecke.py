@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 from oracles import torus_powers
-from qcatlab.arith import CyclicCharacter, legendre_symbol, unit_roots
-from qcatlab.groups import CatMap, SympMatrix, SymplecticVector, build_hecke_torus
+from qcatlab.arith import legendre_symbol, primes_in, unit_roots
+from qcatlab.groups import (
+    CatMap,
+    SymplecticVector,
+    build_hecke_torus,
+    classify_prime,
+    enumerate_lagrangians,
+)
 from qcatlab.hecke import (
     eigenfunction,
     eigenfunction_csv_rows,
     hecke_spectrum,
-    matched_character_index,
-    split_adapted_realization,
     split_closed_form,
     transport,
 )
@@ -245,88 +249,103 @@ def test_transport_moves_a_batch_like_one_at_a_time(torus11):
 
 
 def test_adapted_realization_lines_are_torus_fixed(torus11):
-    r = split_adapted_realization(torus11)
+    r = split_closed_form(torus11).realization
     sigma = SymplecticVector(*r.sigma, 11)
     tau = SymplecticVector(*r.tau, 11)
     for g in torus_powers(torus11):
         assert g.apply(sigma).omega(sigma) == 0
         assert g.apply(tau).omega(tau) == 0
+    # the first and second lines of the enumeration that A mod 11 fixes
+    first, second = [lag.sigma for lag in enumerate_lagrangians(11)
+                     if torus11.matrix.apply(lag.sigma).omega(lag.sigma) == 0]
+    assert r.sigma == first.coords() and tau.omega(second) == 0
 
 
 def test_adapted_realization_needs_split(torus7):
     with pytest.raises(ValueError):
-        split_adapted_realization(torus7)
-    chi = CyclicCharacter(6, 1)
-    with pytest.raises(ValueError):
-        split_closed_form(torus7, chi, Realization.standard(7))
-
-
-def test_closed_form_rejects_non_adapted_realization(torus11):
-    chi = CyclicCharacter(10, 1)
-    with pytest.raises(ValueError):
-        split_closed_form(torus11, chi, Realization.standard(11))
+        split_closed_form(torus7)
 
 
 def test_closed_form_values(torus11):
     p = 11
-    r = split_adapted_realization(torus11)
-    fn = split_closed_form(torus11, CyclicCharacter(p - 1, 3), r)
-    v = fn.amplitudes
-    assert abs(v[0]) < 1e-12
-    expected_mod = np.sqrt(p / (p - 1.0))
-    assert np.allclose(np.abs(v[1:]), expected_mod, atol=1e-12)
-    assert abs(np.vdot(v, v).real - p) < 1e-9
-    # sup = sqrt(p/(p-1)) <= 2
-    assert np.abs(v).max() <= 2.0
+    v = split_closed_form(torus11).vectors
+    assert v.shape == (p, p - 1)
+    assert np.all(v[0] == 0)
+    scale = np.sqrt(p / (p - 1.0))
+    assert np.allclose(np.abs(v[1:]), scale, atol=1e-12)
+    assert np.allclose(np.linalg.norm(v, axis=0) ** 2, p, atol=1e-9)
+    # real positive at x = 1, so the block already meets the normalisation
+    assert np.all(v[1] == scale)
+    # column 0 is the Legendre symbol, and each column over its value at 1 is
+    # a character of F_p*
+    assert np.allclose(v[:, 0], [legendre_symbol(x, p) * scale for x in range(p)], atol=1e-12)
+    for x in range(1, p):
+        for y in range(1, p):
+            assert np.allclose(v[x * y % p] * scale, v[x] * v[y], atol=1e-12)
 
 
 def test_closed_form_is_torus_eigenvector(torus11):
-    p = 11
-    r = split_adapted_realization(torus11)
-    n = torus11.order
-    for m in (0, 1, 4, 7):
-        fn = split_closed_form(torus11, CyclicCharacter(p - 1, m), r)
-        lam = unit_roots(n)[fn.characters[0]]
-        resid = weil_op(r, torus11.generator).matrix @ fn.amplitudes - lam * fn.amplitudes
-        assert np.linalg.norm(resid) < 1e-9
+    fn = split_closed_form(torus11)
+    assert fn.characters.tolist() == list(range(torus11.order))
+    lam = unit_roots(torus11.order)[fn.characters]
+    w = weil_op(fn.realization, torus11.generator).matrix
+    assert np.abs(w @ fn.vectors - fn.vectors * lam).max() < 1e-9
 
 
 def test_closed_form_matches_numeric_extraction(torus11):
-    p = 11
-    r = split_adapted_realization(torus11)
-    spectrum = hecke_spectrum(torus11, r)
-    matched = set()
-    for m in range(p - 1):
-        fn = split_closed_form(torus11, CyclicCharacter(p - 1, m), r)
-        (k,) = fn.characters.tolist()
-        matched.add(k)
-        if spectrum.multiplicities()[k] != 1:
-            # the Legendre-character index lands in the two-dimensional space
-            assert m == (p - 1) // 2
+    fn = split_closed_form(torus11)
+    n = torus11.order
+    # labels are 0..N-1, each once
+    assert sorted(fn.characters.tolist()) == list(range(n))
+    spectrum = hecke_spectrum(torus11, fn.realization)
+    mults = spectrum.multiplicities()
+    # every character occurs; the Legendre-constant column (-1)^j exp(pi i j)
+    # = 1 lands in the one two-dimensional space, k = N/2
+    assert np.flatnonzero(mults == 2).tolist() == [n // 2] and mults.min() == 1
+    for k in range(n):
+        col = fn.vectors[:, k]
+        num = eigenfunction(spectrum, k).vectors
+        if mults[k] != 1:
+            assert np.allclose(col, col[1] * (np.arange(11) > 0), atol=1e-12)
+            # the column lies in the spectrum's space for k
+            assert np.linalg.norm(col - num @ (num.conj().T @ col) / 11) < 1e-9
             continue
-        num = eigenfunction(spectrum, k)
-        ov = np.vdot(num.amplitudes, fn.amplitudes)
-        phase = ov / abs(ov)
-        assert np.abs(fn.amplitudes - phase * num.amplitudes).max() < 1e-8
-    # the character matching is a bijection onto the torus characters that occur
-    assert matched == set(np.flatnonzero(spectrum.multiplicities()).tolist())
+        ov = np.vdot(num[:, 0], col)
+        assert np.abs(col - ov / abs(ov) * num[:, 0]).max() < 1e-8
 
 
-def test_character_matching_uses_generator_eigenvalue(torus11):
-    p = 11
-    r = split_adapted_realization(torus11)
-    sigma = SymplecticVector(*r.sigma, p)
-    gs = torus11.generator.apply(sigma)
-    if sigma.v1:
-        a0 = gs.v1 * pow(sigma.v1, -1, p) % p
-    else:
-        a0 = gs.v2 * pow(sigma.v2, -1, p) % p
-    assert gs.coords() == sigma.scale(a0).coords()
-    from qcatlab.arith import discrete_log_table
-    ind = discrete_log_table(p)
-    for m in (1, 5, 8):
-        k = matched_character_index(torus11, r, CyclicCharacter(p - 1, m))
-        assert k == (m * int(ind[a0])) % torus11.order
+@pytest.mark.parametrize("matrix", ["2,1;1,1", "3,2;1,1"])
+def test_point_mass_at_zero_is_the_double_character_on_fixed_lines(matrix):
+    """In the canonical realization of a line the cat map fixes, the torus
+    scales coordinates, so rho(generator) sends delta_0 to a multiple of
+    delta_0; that multiple's character is the only one of multiplicity two,
+    which is why the sweep's multiplicity-two rows contain a sup of sqrt(p)."""
+    A = CatMap.parse(matrix)
+    tags = {}
+    for p in primes_in(7, 61):
+        if classify_prime(A, p) != "split":
+            continue
+        torus = build_hecke_torus(A, p)
+        n = torus.order
+        fixed = [lag for lag in enumerate_lagrangians(p)
+                 if torus.matrix.apply(lag.sigma).omega(lag.sigma) == 0]
+        assert len(fixed) == 2
+        for lag in fixed:
+            r = Realization.canonical(lag)
+            image = weil_op(r, torus.generator).matrix[:, 0]
+            c = image[0]
+            assert abs(abs(c) - 1) < 1e-12 and np.abs(image[1:]).max() < 1e-12
+            k = int(np.rint(np.angle(c) * n / (2 * np.pi))) % n
+            assert abs(c - unit_roots(n)[k]) < 1e-9
+            mults = hecke_spectrum(torus, r).multiplicities()
+            assert np.flatnonzero(mults == 2).tolist() == [k]
+            tags.setdefault(p, []).append(r.tag())
+    assert len(tags) == 7 and sum(map(len, tags.values())) == 14
+    if matrix == "2,1;1,1":
+        # the realizations the README names
+        assert tags[11] == ["1:3", "1:7"]
+        assert tags[19] == ["1:4", "1:14"]
+        assert tags[29] == ["1:5", "1:23"]
 
 
 def test_eigenfunction_csv_rows(spectrum7):
