@@ -16,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "legendre_symbol",
+    "pow_mod",
     "unit_roots",
     "inverse_mod",
     "half_mod",
@@ -64,14 +65,23 @@ def unit_roots(n: int) -> np.ndarray:
     return table
 
 
-def legendre_symbol(a: int, p: int) -> int:
-    """Legendre symbol of a mod p: +1 on nonzero squares, -1 otherwise, 0 at 0."""
+def pow_mod(a, e: int, p: int):
+    """a^e mod p for an int, or elementwise over an integer array (p < 3e9,
+    so that products of residues fit in int64)."""
+    out, a = 1, a % p
+    while e:
+        if e & 1:
+            out = out * a % p
+        a, e = a * a % p, e >> 1
+    return out
+
+
+def legendre_symbol(a, p: int):
+    """Legendre symbol of a mod p: +1 on nonzero squares, -1 otherwise, 0 at
+    0, by Euler's criterion; elementwise over an integer array."""
     _require_odd_prime(p)
-    a %= p
-    if a == 0:
-        return 0
-    e = pow(a, (p - 1) // 2, p)
-    return 1 if e == 1 else -1
+    s = pow_mod(a, (p - 1) // 2, p)
+    return s - (s == p - 1) * p
 
 
 def primes_in(lo: int, hi: int) -> list[int]:

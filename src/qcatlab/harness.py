@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -52,6 +52,9 @@ log = logging.getLogger("qcatlab")
 
 SWEEP_SCHEMA = "qcatlab-sweep v1"
 SUP_BOUND = 2.0
+# a sup carries rounding of about 1e-16 sqrt(p) (two solvers agree to 1e-13 for
+# p <= 199), far below 1e-9, while the worst inert sup, 2 sqrt(p / (p + 1)),
+# stays 1 / p below the bound, more than 1e-9 for p < 1e9
 SUP_TOL = 1e-9
 # |norm^2 - p| / p is rounding of the rescaling to norm^2 = p: at most about
 # 1e-16 p (2.3e-15 at p = 401), while a mis-scaled column misses by order 1
@@ -142,24 +145,66 @@ def supremum_records(fn: HeckeEigenfunction, kind: str) -> list[SupremumRecord]:
     ]
 
 
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy
+    bundles, or None where that library or its symbols are absent.  Looked up
+    at call time, so importing the package loads nothing."""
+    import ctypes
+    import glob
+    import os
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        lib = ctypes.CDLL(path)  # the copy numpy loaded: dlopen shares it
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get and put:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+@contextmanager
+def _blas_threads(n: int):
+    """Run the block with numpy's BLAS on n threads, then restore the count.
+    Processes forked inside the block inherit it.  Does nothing where the
+    library is absent."""
+    funcs = _openblas_threads()
+    if funcs is None:
+        yield
+        return
+    get, put = funcs
+    before = get()
+    put(n)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def _map_primes(fn, primes: list[int], jobs: int, *args):
     """Run fn(p, *args) for each prime; returns (results, errors), prime-ordered
     lists of (p, value) and of (p, "Type: message") for the primes that raised.
     Serial in this process for one job or one prime, else a pool of at most
-    one worker per prime, since the pool starts all its workers up front."""
+    one worker per prime, since the pool starts all its workers up front.
+    BLAS runs on one thread, here and in the workers: the per-prime products
+    are too small to gain from a second one, and workers on more threads than
+    cores only contend."""
     serial = jobs == 1 or len(primes) < 2
-    pool = nullcontext() if serial else ProcessPoolExecutor(
-        max_workers=min(jobs, len(primes)))
     results, errors = [], []
-    with pool:
-        calls = [partial(fn, p, *args) if serial else pool.submit(fn, p, *args).result
-                 for p in primes]
-        for p, call in zip(primes, calls):
-            try:
-                results.append((p, call()))
-            except Exception as exc:  # noqa: BLE001 - one prime must not hide the rest
-                log.exception("p = %d failed", p)
-                errors.append((p, f"{type(exc).__name__}: {exc}"))
+    with _blas_threads(1):
+        pool = nullcontext() if serial else ProcessPoolExecutor(
+            max_workers=min(jobs, len(primes)))
+        with pool:
+            calls = [partial(fn, p, *args) if serial else pool.submit(fn, p, *args).result
+                     for p in primes]
+            for p, call in zip(primes, calls):
+                try:
+                    results.append((p, call()))
+                except Exception as exc:  # noqa: BLE001 - one prime must not hide the rest
+                    log.exception("p = %d failed", p)
+                    errors.append((p, f"{type(exc).__name__}: {exc}"))
     return results, errors
 
 
@@ -271,6 +316,8 @@ def projector_identity_check(fn: HeckeEigenfunction, x: int,
         op = heisenberg_op(via, h).matrix
         total += np.conj(roots[(l * x) % p]) * np.vdot(v, op @ v)
     projector = total / p
+    # the form is real for any v: rounding leaves about 1.5e-17 p (2.9e-15 at
+    # p = 199), and a breakdown, not a wrong point mass, is what 1e-8 p catches
     if abs(projector.imag) > 1e-8 * p:
         raise RuntimeError(f"projector form has imaginary part {projector.imag:.3g}")
     return direct, float(projector.real)

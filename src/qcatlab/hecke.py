@@ -1,19 +1,19 @@
 """Character decomposition of the torus action on a model and eigenfunction
 extraction, including the closed form available at split primes.
 
-The torus is cyclic, so one operator carries the whole decomposition: the
-character space of index k is the eigenspace of rho(generator) for the
-eigenvalue exp(2 pi i k / N).  rho(generator) is unitary, so numpy's
-eigendecomposition gives its eigenvalues and eigenvectors directly; each
-eigenvalue is binned to its nearest N-th root of unity, and one QR
-factorisation of the eigenvectors, sorted by bin, gives an orthonormal basis
-of every character space.  Eigenfunctions travel as one block per
-realization: a (p, n) matrix whose columns are labelled by character, which
-`transport` carries to another realization with one intertwiner product.
-The spectrum is itself such a block with n = p: every eigenvector,
-stable-sorted by character and normalized once, so a character's
-multiplicity is the count of its label and extracting characters selects
-columns.
+The torus is cyclic of order N, with generator g.  Its character spaces are
+the ranges of the projectors P_k = (1/N) sum_j conj(chi_k(g^j)) rho(g^j), the
+function-level shadow of the paper's torus sums of Weil-representation
+kernels.  Every entry of rho(g^j) has a closed form (models.weil_entries), so
+one FFT along j of O(p)-cost diagonals and columns gives every point mass and
+every basis vector, with no eigensolver; a degenerate space gets a basis
+fixed by rule.  The dense rho(g) enters only the residual that checks the
+eigenvector equation.  Eigenfunctions travel as one block per realization:
+a (p, n) matrix whose columns are labelled by character, which `transport`
+carries to another realization with one intertwiner product.  The spectrum
+is itself such a block with n = p: every eigenvector, grouped by character
+and normalized once, so a character's multiplicity is the count of its
+label and extracting characters selects columns.
 At a split prime the torus fixes the two eigenlines of the cat map; in the
 realization built on them the torus acts by coordinate scalings, and its
 eigenfunctions have a closed form, Legendre symbol times a multiplicative
@@ -29,7 +29,7 @@ import numpy as np
 
 from .arith import inverse_mod, unit_roots
 from .groups import EnhancedLagrangian, HeckeTorus, enumerate_lagrangians
-from .models import Realization, canonical_intertwiner, weil_op
+from .models import Realization, canonical_intertwiner, weil_entries, weil_op
 
 __all__ = [
     "HeckeSpectrum",
@@ -40,6 +40,24 @@ __all__ = [
     "split_closed_form",
     "eigenfunction_csv_rows",
 ]
+
+# the points x = 0..3 whose projector columns give the eigenvectors: 0 holds
+# delta_0's space on a fixed line, and odd eigenfunctions, which vanish at 0,
+# still have three points
+BASE_POINTS = 4
+# tr P_k misses its integer by rounding, at most 2.7e-15 for p <= 1013 and
+# growing like sqrt(p) at most; one wrong operator in the table moves it by
+# order 1/N, so 1e-6 parts the two for p < 1e5
+TRACE_TOL = 1e-6
+# P_k is Hermitian: rounding leaves p |Im P_k[x, x]| below 7.1e-15 for
+# p <= 1013, with no growth seen in p, against order 1 for a non-unitary table
+MASS_IMAG_TOL = 1e-6
+# a column at a base point of mass c / p gives an eigenvector with rounding
+# about 1e-16 sqrt(p / c) per entry at norm sqrt(p), so c >= 1e-6 holds sups to
+# 1e-9 for p < 1e8; the least c used, for p < 100 in every realization of
+# either map, is 6.2e-3
+BASE_MASS_FLOOR = 1e-6
+
 
 @dataclass
 class HeckeEigenfunction:
@@ -122,33 +140,81 @@ def _normalize_columns(basis: np.ndarray, p: int) -> np.ndarray:
     return v * (np.abs(lead) / lead)
 
 
+def _torus_elements(torus: HeckeTorus) -> tuple[np.ndarray, ...]:
+    """Entries (a, b, c, d) of generator^j for j in [0, N), each an (N, 1)
+    integer array, so that they broadcast against a row of points."""
+    p, g = torus.p, torus.generator
+    rows = [(1, 0, 0, 1)]
+    for _ in range(torus.order - 1):
+        a, b, c, d = rows[-1]
+        rows.append(((g.a * a + g.b * c) % p, (g.a * b + g.b * d) % p,
+                     (g.c * a + g.d * c) % p, (g.c * b + g.d * d) % p))
+    return tuple(np.array(rows, dtype=np.int64).T[:, :, np.newaxis])
+
+
+def _character_basis(torus: HeckeTorus, r: Realization) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, basis): p nondecreasing character labels and p orthonormal
+    columns, column j in the space of character labels[j].
+
+    One FFT along j of the diagonals of the rho(g^j) gives every P_k[x, x],
+    and one of their columns at base point b every P_k delta_b; each table
+    costs O(N p) from weil_entries.  Character k has multiplicity
+    round(tr P_k), and its basis is pivoted Gram-Schmidt: P_k delta_b at the
+    base point b of largest remaining diagonal, less the vectors already
+    chosen, normalised, as many times as the multiplicity.  Raises when a
+    trace is not an integer, the multiplicities are not a partition of p, a
+    point mass has an imaginary part or a chosen base point has too little
+    mass.
+    """
+    p, n = r.p, torus.order
+    g = _torus_elements(torus)
+    x = np.arange(p)
+    base = x[:BASE_POINTS]
+    diag = np.fft.fft(weil_entries(r, g, x, x), axis=0) / n  # [k, x] = P_k[x, x]
+    cols = np.empty((n, base.size, p), dtype=np.complex128)  # [k, i] = P_k delta_base[i]
+    for i, b in enumerate(base.tolist()):
+        cols[:, i] = np.fft.fft(weil_entries(r, g, x, b), axis=0) / n
+    trace = diag.real.sum(axis=1)
+    mult = np.rint(trace).astype(np.int64)
+    off = np.abs(trace - mult).max()
+    if off > TRACE_TOL or mult.min() < 0 or mult.sum() != p:
+        raise RuntimeError(f"torus projector traces miss the integers by {off:.3g}, "
+                           f"or round to multiplicities {mult.tolist()} that are not "
+                           f"a partition of p = {p}")
+    imag = p * np.abs(diag.imag).max()
+    if imag > MASS_IMAG_TOL:
+        raise RuntimeError(f"point masses p P_k[x, x] have imaginary part {imag:.3g}")
+    units = np.zeros((int(mult.max()), n, p), dtype=np.complex128)
+    for i in range(units.shape[0]):
+        ks = np.flatnonzero(mult > i)
+        prev = units[:i][:, ks]  # (i, K, p): the vectors already chosen
+        left = diag.real[ks][:, base] - (np.abs(prev[:, :, base]) ** 2).sum(axis=0)
+        pivot = left.argmax(axis=1)
+        least = p * left[np.arange(ks.size), pivot].min()
+        if least < BASE_MASS_FLOOR:
+            raise RuntimeError(f"a base point of mass {least:.3g} / p carries an eigenvector")
+        at_pivot = np.conj(prev[:, np.arange(ks.size), base[pivot]])  # (i, K)
+        col = cols[ks, pivot] - (prev * at_pivot[:, :, np.newaxis]).sum(axis=0)
+        units[i, ks] = col / np.linalg.norm(col, axis=1, keepdims=True)
+    labels = np.repeat(np.arange(n), mult)
+    rank = x - np.repeat(np.cumsum(mult) - mult, mult)  # position within its character
+    return labels, units[rank, labels].T
+
+
 def hecke_spectrum(torus: HeckeTorus, r: Realization) -> HeckeSpectrum:
     """Decompose the model of r into torus character spaces.
 
-    One eigendecomposition of rho(generator) gives its eigenvalues and
-    eigenvectors.  Eigenvalue e goes to character
-    k = round(angle(e) * N / 2 pi) mod N, and k's multiplicity is the size of
-    its bin.  The eigenvectors are stable-sorted by character and one QR
-    factorisation makes them an orthonormal basis, degenerate characters
-    included.  A character whose columns B miss the eigenvector equation,
-    ||rho(gen) B - exp(2 pi i k / N) B|| > 1e-7 p, is flagged rather than
-    silently kept.  An eigenvalue halfway between two roots lands in a bin
-    with a residual near pi / N, so it is flagged too.
+    The basis comes from projector tables over the torus (_character_basis),
+    with no eigensolver.  The dense rho(generator) then checks it: a
+    character whose columns B miss the eigenvector equation,
+    ||rho(gen) B - exp(2 pi i k / N) B|| > 1e-7 p, is flagged.
     """
     n = torus.order
+    characters, z = _character_basis(torus, r)
     rho_gen = weil_op(r, torus.generator).matrix
-    eigenvalues, vectors = np.linalg.eig(rho_gen)
-    bins = np.rint(np.angle(eigenvalues) * n / (2 * np.pi)).astype(np.int64) % n
-    order = np.argsort(bins, kind="stable")
-    bins = bins[order]
-    # rho(gen) is unitary, so eigenvectors of different characters are already
-    # orthogonal up to rounding; the QR orthonormalises within each bin
-    z, _ = np.linalg.qr(vectors[:, order])
-    # every bin's ||rho(gen) B - e_k B|| from one product: the squared column
-    # misfits summed per bin
-    misfit = np.linalg.norm(rho_gen @ z - z * unit_roots(n)[bins], axis=0)
-    residuals = np.sqrt(np.bincount(bins, weights=misfit ** 2, minlength=n))
-    block = HeckeEigenfunction(r, _normalize_columns(z, r.p), bins)
+    misfit = np.linalg.norm(rho_gen @ z - z * unit_roots(n)[characters], axis=0)
+    residuals = np.sqrt(np.bincount(characters, weights=misfit ** 2, minlength=n))
+    block = HeckeEigenfunction(r, _normalize_columns(z, r.p), characters)
     return HeckeSpectrum(torus, block, residuals)
 
 

@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import half_mod, inverse_mod, legendre_symbol, unit_roots
+from .arith import half_mod, legendre_symbol, pow_mod, unit_roots
 from .groups import (
     EnhancedLagrangian,
     HeisenbergElement,
@@ -52,6 +52,7 @@ __all__ = [
     "averaging_scale",
     "geometric_action",
     "weil_op",
+    "weil_entries",
     "commutant_dimension",
 ]
 
@@ -90,12 +91,7 @@ class Realization:
 
     @classmethod
     def canonical(cls, lag: EnhancedLagrangian) -> "Realization":
-        # enumerate_lagrangians starts (1, 0), (1, 1): the first is transverse
-        # unless sigma lies on it, and then the second is
-        p = lag.p
-        cand = SymplecticVector(1, 0 if lag.sigma.v2 else 1, p)
-        tau = cand.scale(inverse_mod(cand.omega(lag.sigma), p))
-        return cls(lag, tau.coords())
+        return cls(lag, _canonical_tau(lag.sigma.v1, lag.sigma.v2, lag.p))
 
     @classmethod
     def of(cls, s1: int, s2: int, p: int) -> "Realization":
@@ -159,6 +155,60 @@ def heisenberg_op(r: Realization, h: HeisenbergElement) -> HeisOperator:
     return HeisOperator(r, h, m)
 
 
+def _omega(u1, u2, v1, v2, p: int):
+    return (u1 * v2 - u2 * v1) % p
+
+
+def _canonical_tau(s1, s2, p: int):
+    """The transversal Realization.canonical pairs with sigma = (s1, s2),
+    elementwise over integer arrays.  enumerate_lagrangians starts (1, 0),
+    (1, 1): the first is transverse unless sigma lies on it, and then the
+    second is; it is scaled to omega(tau, sigma) = 1."""
+    c = (s2 % p == 0) * 1
+    inv = pow_mod(s2 - c * s1, p - 2, p)
+    return inv, c * inv % p
+
+
+def _frame(r: Realization) -> tuple:
+    return (*r.sigma, *r.tau)
+
+
+def _averaging_entries(target, source, y, x, p: int) -> np.ndarray:
+    """Entries [y, x] of the raw averaging sum source -> target.
+
+    target and source are frames (sigma1, sigma2, tau1, tau2) of ints or
+    integer arrays that broadcast with the rows y and columns x.  Row y sums
+    over v = m sigma + y tau; that point lands at source coordinate
+    x = m w + y c with w = omega(sigma, sigma') != 0, so each (y, x) has the
+    one term m = (x - c y) / w, of value psi(x l / 2 - m y / 2) with
+    l = omega(tau', v).
+    """
+    s1, s2, t1, t2 = target
+    u1, u2, r1, r2 = source
+    w = _omega(s1, s2, u1, u2, p)
+    c = _omega(t1, t2, u1, u2, p)
+    m = (x - c * y) % p * pow_mod(w, p - 2, p) % p
+    l = (m * _omega(r1, r2, s1, s2, p) + y * _omega(r1, r2, t1, t2, p)) % p
+    return unit_roots(p)[half_mod((x * l - m * y) % p, p)]
+
+
+def _shared_line_entries(target, source, y, x, p: int) -> np.ndarray:
+    """Entries [y, x] of the identity between two gauges of one line, frames
+    as in _averaging_entries: psi(e1 e2 y^2 / 2) where x = e1 y, else 0."""
+    _, _, t1, t2 = target
+    u1, u2, r1, r2 = source
+    e1 = _omega(t1, t2, u1, u2, p)
+    e2 = _omega(r1, r2, t1, t2, p)
+    phase = unit_roots(p)[half_mod(e1 * e2 % p * (y * y % p) % p, p)]
+    return np.where(x == e1 * y % p, phase, 0)
+
+
+def _grid(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices whose broadcast is the whole p x p matrix."""
+    y = np.arange(p)
+    return y[:, np.newaxis], y[np.newaxis, :]
+
+
 def raw_averaging(target: Realization, source: Realization) -> np.ndarray:
     """Unnormalized sum over the target line, as a matrix source -> target.
 
@@ -168,32 +218,14 @@ def raw_averaging(target: Realization, source: Realization) -> np.ndarray:
     p = target.p
     if source.p != p:
         raise ValueError(f"mismatched moduli: {p} vs {source.p}")
-    sm1, sm2 = target.sigma
     if not target.lagrangian.sigma.omega(source.lagrangian.sigma):
         raise ValueError("raw averaging needs transverse lines")
-    tm1, tm2 = target.tau
-    y, m = np.meshgrid(np.arange(p), np.arange(p), indexing="ij")
-    v1 = (m * sm1 + y * tm1) % p
-    v2 = (m * sm2 + y * tm2) % p
-    z = half_mod(m * y * (p - 1), p)  # omega(sigma, tau) = -1
-    x, z0 = _decompose(source, v1, v2, z)
-    out = np.zeros((p, p), dtype=np.complex128)
-    out[y.ravel(), x.ravel()] = unit_roots(p)[z0.ravel()]
-    return out
+    return _averaging_entries(_frame(target), _frame(source), *_grid(p), p)
 
 
 def _coordinate_change(target: Realization, source: Realization) -> np.ndarray:
     """Matrix of the identity operator between two gauges of the same line."""
-    p = target.p
-    s1, s2 = source.sigma
-    t1, t2 = source.tau
-    u1, u2 = target.tau
-    e1 = (s2 * u1 - s1 * u2) % p
-    e2 = (t1 * u2 - t2 * u1) % p
-    y = np.arange(p)
-    out = np.zeros((p, p), dtype=np.complex128)
-    out[y, (y * e1) % p] = unit_roots(p)[half_mod(e1 * e2 * y * y, p)]
-    return out
+    return _shared_line_entries(_frame(target), _frame(source), *_grid(target.p), target.p)
 
 
 def _intertwiner_matrix(target: Realization, source: Realization, scale: complex) -> np.ndarray:
@@ -272,17 +304,20 @@ def _validate_family(p: int, scale: complex) -> None:
             raise IntertwinerConstructionError("invariance fails")
 
 
+def _pull_back(g, v, p: int):
+    """g^-1 v for g = (a, b, c, d) of determinant 1, elementwise."""
+    a, b, c, d = g
+    return (d * v[0] - b * v[1]) % p, (a * v[1] - c * v[0]) % p
+
+
 def _geometric_phase(r: Realization, g: SympMatrix, target: Realization) -> np.ndarray:
     """Diagonal of the map f -> f(g^{-1} .) from the model of r to that of g.r."""
     p = r.p
-    u = g.inverse().apply(SymplecticVector(*target.tau, p))
-    s1, s2 = r.sigma
-    t1, t2 = r.tau
-    if (s2 * u.v1 - s1 * u.v2) % p != 1:
+    u = _pull_back((g.a, g.b, g.c, g.d), target.tau, p)
+    if _omega(*u, *r.sigma, p) != 1:
         raise RuntimeError("pulled-back transversal is not normalized")
-    mu = (t1 * u.v2 - t2 * u.v1) % p
     y = np.arange(p)
-    return unit_roots(p)[half_mod(mu * y * y, p)]
+    return unit_roots(p)[half_mod(_omega(*r.tau, *u, p) * y * y, p)]
 
 
 def geometric_action(r: Realization, g: SympMatrix) -> tuple[Realization, np.ndarray]:
@@ -321,6 +356,36 @@ def weil_op(r: Realization, g: SympMatrix) -> WeilOperator:
     target, phases = geometric_action(r, g)
     f = canonical_intertwiner(r, target)
     return WeilOperator(g, r, f.matrix * phases[np.newaxis, :])
+
+
+def weil_entries(r: Realization, g, y, x) -> np.ndarray:
+    """Entries [y, x] of weil_op(r, g) for a batch of elements, with no p x p
+    matrix.
+
+    g = (a, b, c, d) holds the entries of SL2(F_p) elements as ints or
+    integer arrays.  They broadcast with the rows y and columns x, so an
+    (N, 1) batch against y = x = arange(p) gives N diagonals, and against
+    x = b gives N columns at b.  It is weil_op's formula entry by entry: the
+    canonical intertwiner from the model of g.r, whose gauge is
+    Realization.canonical's, times the geometric phase of the column.
+    """
+    p = r.p
+    a, b, c, d = g
+    s1, s2 = r.sigma
+    u1, u2 = (a * s1 + b * s2) % p, (c * s1 + d * s2) % p  # g sigma
+    r1, r2 = _canonical_tau(u1, u2, p)
+    target, source = _frame(r), (u1, u2, r1, r2)
+    w = _omega(s1, s2, u1, u2, p)
+    transverse = w != 0
+    scale = averaging_scale(p) if np.any(transverse) else 0.0
+    # on a shared line sigma = e sigma' with 1 / e = omega(tau, sigma'), and
+    # chi_q(e) = chi_q(1 / e)
+    coef = np.where(transverse, scale * legendre_symbol(w, p),
+                    legendre_symbol(_omega(*r.tau, u1, u2, p), p))
+    entries = np.where(transverse, _averaging_entries(target, source, y, x, p),
+                       _shared_line_entries(target, source, y, x, p))
+    mu = _omega(*r.tau, *_pull_back(g, (r1, r2), p), p)
+    return coef * entries * unit_roots(p)[half_mod(mu * (x * x % p) % p, p)]
 
 
 def _conjugated_intertwiner(g: SympMatrix, rm: Realization, rl: Realization,

@@ -2,14 +2,17 @@
 
 None of this runs in the program: each helper rebuilds a quantity the
 package computes by another path (the whole torus from its generator, an
-intertwiner in another gauge, the SL2 action from the Egorov equation), so
-that a test can hold the package's answer against it.
+intertwiner in another gauge, the SL2 action from the Egorov equation, the
+torus spectrum from a dense eigensolver), so that a test can hold the
+package's answer against it.
 """
 
 import numpy as np
 
+from qcatlab.arith import unit_roots
 from qcatlab.groups import HeckeTorus, HeisenbergElement, SympMatrix
-from qcatlab.models import Intertwiner, Realization, _coordinate_change, heisenberg_op
+from qcatlab.hecke import HeckeEigenfunction, HeckeSpectrum, _normalize_columns
+from qcatlab.models import Intertwiner, Realization, _coordinate_change, heisenberg_op, weil_op
 
 
 def torus_powers(torus: HeckeTorus) -> list[SympMatrix]:
@@ -18,6 +21,27 @@ def torus_powers(torus: HeckeTorus) -> list[SympMatrix]:
     for _ in range(torus.order - 1):
         out.append(out[-1] * torus.generator)
     return out
+
+
+def eig_spectrum(torus: HeckeTorus, r: Realization) -> HeckeSpectrum:
+    """The torus spectrum from numpy's eigendecomposition of rho(generator).
+
+    Each eigenvalue goes to its nearest N-th root of unity, the eigenvectors
+    are stable-sorted by that character, and one QR factorisation makes them
+    an orthonormal basis; residuals are computed as hecke_spectrum's.  The
+    basis of a degenerate character is whatever the solver returns.
+    """
+    n = torus.order
+    rho_gen = weil_op(r, torus.generator).matrix
+    eigenvalues, vectors = np.linalg.eig(rho_gen)
+    bins = np.rint(np.angle(eigenvalues) * n / (2 * np.pi)).astype(np.int64) % n
+    order = np.argsort(bins, kind="stable")
+    bins = bins[order]
+    z, _ = np.linalg.qr(vectors[:, order])
+    misfit = np.linalg.norm(rho_gen @ z - z * unit_roots(n)[bins], axis=0)
+    residuals = np.sqrt(np.bincount(bins, weights=misfit ** 2, minlength=n))
+    return HeckeSpectrum(torus, HeckeEigenfunction(r, _normalize_columns(z, r.p), bins),
+                         residuals)
 
 
 def regauge(op: Intertwiner, target: Realization, source: Realization) -> Intertwiner:
@@ -54,6 +78,8 @@ def projective_egorov_solver(r: Realization, g: SympMatrix) -> np.ndarray:
         blocks.append(np.kron(eye, ph.T) - np.kron(pgh, eye))
     system = np.vstack(blocks)
     _, s, vh = np.linalg.svd(system)
+    # the null singular value sits near 2e-16 s[0] (p <= 13), the next one at
+    # 2 sin(pi / p) ~ 2.2 s[0] / p, so 1e-8 s[0] parts them for p < 1e8
     null_dim = int(np.sum(s < 1e-8 * s[0]))
     if null_dim != 1:
         raise RuntimeError(f"solution space has dimension {null_dim}, expected 1")

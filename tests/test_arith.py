@@ -93,9 +93,10 @@ def test_legendre_examples():
 def test_legendre_matches_square_enumeration_everywhere():
     for p in primes_in(3, 199):
         squares = {(x * x) % p for x in range(1, p)}
-        for a in range(p):
-            expected = 0 if a == 0 else (1 if a in squares else -1)
-            assert legendre_symbol(a, p) == expected
+        expected = [0 if a == 0 else (1 if a in squares else -1) for a in range(p)]
+        assert [legendre_symbol(a, p) for a in range(p)] == expected
+        # elementwise over an array, negative entries included
+        assert legendre_symbol(np.arange(-p, p), p).tolist() == expected * 2
 
 
 def test_legendre_multiplicative():

@@ -108,11 +108,15 @@ def test_sweep_split_prime_reports_gating_failure(tmp_path):
 
 
 def test_sweep_deterministic_bytes(tmp_path):
-    out1, out2 = tmp_path / "r1", tmp_path / "r2"
-    for out in (out1, out2):
-        run_cli(["sweep", "--matrix", "2,1;1,1", "--primes", "5..13",
-                 "--seed", "42", "--out", str(out)])
-    assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+    # reruns and --jobs 2 write the same bytes, the multiplicity-two rows of
+    # the split primes 11, 19, 29 and 31 included
+    outs = [tmp_path / name for name in ("r1", "r2", "jobs2")]
+    for out, jobs in zip(outs, ("1", "1", "2")):
+        run_cli(["sweep", "--matrix", "2,1;1,1", "--primes", "5..31", "--realizations", "all",
+                 "--verify-samples", "1", "--seed", "42", "--jobs", jobs, "--out", str(out)])
+    first = (outs[0] / "sweep.csv").read_bytes()
+    assert "2" in [row.split(",")[4] for row in first.decode().splitlines()[2:]]
+    assert all((out / "sweep.csv").read_bytes() == first for out in outs[1:])
 
 
 def test_sweep_crashed_primes_exit_3(tmp_path, monkeypatch, capsys):
@@ -140,6 +144,21 @@ def test_sweep_crashed_primes_exit_3(tmp_path, monkeypatch, capsys):
     assert run_cli(args) == 3
     rows = (tmp_path / "sweep.csv").read_text().strip().split("\n")[2:]
     assert {int(row.split(",")[0]) for row in rows} == {11, 13}
+
+
+def test_sweep_spectrum_failure_is_an_error_not_a_skip(tmp_path, monkeypatch, capsys):
+    # projector traces off the integers make the engine raise: exit 3
+    import qcatlab.hecke as hecke
+
+    original = hecke.weil_entries
+    monkeypatch.setattr(hecke, "weil_entries", lambda *args: 0.9 * original(*args))
+    assert run_cli(["sweep", "--matrix", "2,1;1,1", "--primes", "7..11",
+                    "--out", str(tmp_path)]) == 3
+    out = capsys.readouterr().out
+    errors = [l for l in out.splitlines() if l.startswith("error ")]
+    assert [l.split(":")[0] for l in errors] == ["error p=7", "error p=11"]
+    assert all("traces miss the integers" in l for l in errors)
+    assert "skip " not in out
 
 
 def test_sweep_workers_bounded_by_primes(tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import operator_with_a_moved_eigenvalue
 from qcatlab.groups import CatMap, build_hecke_torus, enumerate_lagrangians
 from qcatlab.hecke import (
     HeckeEigenfunction,
@@ -15,6 +16,9 @@ from qcatlab.hecke import (
 from qcatlab.models import Realization
 from qcatlab.harness import (
     SweepConfig,
+    _blas_threads,
+    _map_primes,
+    _openblas_threads,
     gating_failures,
     projector_identity_check,
     su2_abs_trace_cdf,
@@ -117,22 +121,21 @@ def test_sweep_isolation_of_prime_failures(monkeypatch):
     assert {r.p for r in result.records} == {7, 13}
 
 
-def test_flagged_character_excluded_from_sweep_and_distribution(monkeypatch, rng):
+def test_flagged_character_excluded_from_sweep_and_distribution(monkeypatch):
     import qcatlab.hecke as hecke
 
-    # a unitary on the p = 7 model whose last eigenvalue sits halfway between
-    # the roots 6 and 7 of N = 8: the character that bins it fails the
-    # eigenvector equation, and its residual flags it
-    angles = 2 * np.pi * np.append(np.arange(6), 6.5) / 8
-    q, _ = np.linalg.qr(rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7)))
-    fake = q @ np.diag(np.exp(1j * angles)) @ q.conj().T
+    # rho(gen) on the p = 7 model with character 7's eigenvalue moved halfway
+    # towards the next root of N = 8: that character fails the eigenvector
+    # equation, and its residual flags it
+    fake = operator_with_a_moved_eigenvalue(build_hecke_torus(A, 7), Realization.standard(7), 7)
     monkeypatch.setattr(hecke, "weil_op", lambda r, g: SimpleNamespace(matrix=fake))
     sweep = universal_sweep(config(7, 7))
     assert len(sweep.records) == 6
     (skip,) = sweep.skips
     assert "indeterminate" in skip[1]
-    assert skip[1].split()[:2] in (["character", "6"], ["character", "7"])
-    assert {r.character for r in sweep.records} == set(range(6))
+    assert skip[1].split()[:2] == ["character", "7"]
+    # character 4 is empty at p = 7
+    assert {r.character for r in sweep.records} == {0, 1, 2, 3, 5, 6}
     report = value_distribution(config(7, 7))
     assert report.sample_count == 6 * 7
     assert report.skipped == [skip]
@@ -222,6 +225,20 @@ def test_sweep_parallel_matches_serial():
     serial = universal_sweep(config(7, 13))
     parallel = universal_sweep(config(7, 13, jobs=2))
     assert [r.csv_row() for r in serial.records] == [r.csv_row() for r in parallel.records]
+
+
+def _blas_thread_count(p):
+    return _openblas_threads()[0]()
+
+
+def test_map_primes_runs_blas_on_one_thread_and_restores_the_count():
+    if _openblas_threads() is None:
+        pytest.skip("numpy's OpenBLAS thread functions are not available")
+    with _blas_threads(2):
+        for jobs in (1, 2):
+            results, errors = _map_primes(_blas_thread_count, [7, 11], jobs)
+            assert not errors and results == [(7, 1), (11, 1)]
+            assert _blas_thread_count(0) == 2
 
 
 def test_records_norm_equal_across_realizations():

@@ -3,7 +3,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import torus_powers
+from conftest import operator_with_a_moved_eigenvalue
+from oracles import eig_spectrum, torus_powers
 from qcatlab.arith import legendre_symbol, primes_in, unit_roots
 from qcatlab.groups import (
     CatMap,
@@ -20,7 +21,7 @@ from qcatlab.hecke import (
     transport,
 )
 from qcatlab.models import Realization, weil_op
-from qcatlab.harness import supremum_records
+from qcatlab.harness import _blas_threads, _openblas_threads, supremum_records
 
 A = CatMap(2, 1, 1, 1)
 
@@ -160,26 +161,106 @@ def test_eigenfunction_empty_character_raises(spectrum7):
         eigenfunction(spectrum7, empty[0])
 
 
-def test_eigenvalue_between_roots_is_flagged(monkeypatch, torus7, rng):
-    # a unitary whose last eigenvalue sits halfway between the roots 6 and 7
-    # of N = 8: every eigenvalue is still binned, and the bin that takes it
-    # fails the eigenvector equation
+def test_eigenvalue_between_roots_is_flagged(monkeypatch, torus7, spectrum7):
+    # rho(gen) with character 7's eigenvalue moved halfway towards root 0 of
+    # N = 8: the tables still give character 7 its true eigenvector, and the
+    # residual against the wrong dense operator flags that character alone
     import qcatlab.hecke as hecke
 
-    angles = 2 * np.pi * np.append(np.arange(6), 6.5) / torus7.order
-    q, _ = np.linalg.qr(rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7)))
-    fake = q @ np.diag(np.exp(1j * angles)) @ q.conj().T
+    r = Realization.standard(7)
+    fake = operator_with_a_moved_eigenvalue(torus7, r, 7)
     monkeypatch.setattr(hecke, "weil_op", lambda r, g: SimpleNamespace(matrix=fake))
-    spectrum = hecke_spectrum(torus7, Realization.standard(7))
-    flagged = np.flatnonzero(spectrum.flagged).tolist()
-    assert flagged in ([6], [7])
+    spectrum = hecke_spectrum(torus7, r)
+    assert np.flatnonzero(spectrum.flagged).tolist() == [7]
+    assert abs(spectrum.residuals[7] - 2 * np.sin(np.pi / 16)) < 1e-12
     block = spectrum.eigenfunctions
     for k in range(8):
         basis = block.vectors[:, block.characters == k] / np.sqrt(7)
         misfit = np.linalg.norm(fake @ basis - unit_roots(8)[k] * basis)
         assert abs(spectrum.residuals[k] - misfit) < 1e-12
-    assert spectrum.multiplicities()[flagged[0]] == 1
-    assert spectrum.multiplicities().sum() == 7
+    assert (spectrum.multiplicities() == spectrum7.multiplicities()).all()
+    assert block.vectors.tobytes() == spectrum7.eigenfunctions.vectors.tobytes()
+
+
+@pytest.mark.parametrize("matrix", ["2,1;1,1", "3,2;1,1"])
+def test_spectrum_matches_eig_oracle(matrix):
+    # every non-ramified p <= 199 in the defining realization, and every
+    # realization for p <= 31: the same multiplicities, the same sup and
+    # argmax on every simple character, and the same character spaces
+    with _blas_threads(1):  # the eigensolver gains nothing from a second thread here
+        assert _compare_with_eig_oracle(CatMap.parse(matrix)) > 150
+
+
+def _compare_with_eig_oracle(cat):
+    checked = 0
+    for p in primes_in(3, 199):
+        if classify_prime(cat, p) == "ramified":
+            continue
+        torus = build_hecke_torus(cat, p)
+        lags = enumerate_lagrangians(p) if p <= 31 else [Realization.standard(p).lagrangian]
+        for lag in lags:
+            r = Realization.canonical(lag)
+            spectrum, oracle = hecke_spectrum(torus, r), eig_spectrum(torus, r)
+            assert not spectrum.flagged.any()
+            assert (spectrum.multiplicities() == oracle.multiplicities()).all()
+            ours, theirs = spectrum.eigenfunctions, oracle.eigenfunctions
+            simple = ours.multiplicities == 1
+            a = supremum_records(ours.columns(simple), "any")
+            b = supremum_records(theirs.columns(simple), "any")
+            assert [x.argmax for x in a] == [x.argmax for x in b]
+            assert max(abs(x.sup - y.sup) for x, y in zip(a, b)) <= 1e-9
+            for k in np.flatnonzero(spectrum.multiplicities()).tolist():
+                u = ours.vectors[:, ours.characters == k]
+                v = theirs.vectors[:, theirs.characters == k]
+                assert np.abs(u @ u.conj().T - v @ v.conj().T).max() / p <= 1e-12
+            checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("scale, message", [
+    (0.9, "traces miss the integers"),  # tr P_k = 0.9 m_k
+    (1 + 1e-3j, "imaginary part"),  # real traces, complex point masses
+])
+def test_a_wrong_operator_table_raises(monkeypatch, torus7, scale, message):
+    import qcatlab.hecke as hecke
+
+    original = hecke.weil_entries
+    monkeypatch.setattr(hecke, "weil_entries", lambda *args: scale * original(*args))
+    with pytest.raises(RuntimeError, match=message):
+        hecke_spectrum(torus7, Realization.standard(7))
+
+
+def test_a_base_point_without_mass_raises(monkeypatch, torus7):
+    # odd eigenfunctions vanish at 0, so x = 0 alone cannot carry them
+    import qcatlab.hecke as hecke
+
+    monkeypatch.setattr(hecke, "BASE_POINTS", 1)
+    with pytest.raises(RuntimeError, match="base point of mass 0"):
+        hecke_spectrum(torus7, Realization.standard(7))
+
+
+def test_degenerate_basis_follows_the_largest_diagonal():
+    # the two-dimensional space at a split prime: its first vector is the
+    # projector column at the base point of largest point mass, the second is
+    # orthogonal to it, and neither depends on the BLAS thread count
+    for p in (11, 19, 29, 31, 59, 61):
+        torus = build_hecke_torus(A, p)
+        r = Realization.standard(p)
+        spectrum = hecke_spectrum(torus, r)
+        (k,) = np.flatnonzero(spectrum.multiplicities() == 2).tolist()
+        u, v = eigenfunction(spectrum, k).vectors.T
+        masses = np.abs(u[:4]) ** 2 + np.abs(v[:4]) ** 2
+        b = int(masses.argmax())
+        # P_k delta_b = (u conj(u[b]) + v conj(v[b])) / p lies along u
+        assert abs(v[b]) < 1e-12 and abs(np.vdot(u, v)) < 1e-12 * p
+    if _openblas_threads() is None:
+        pytest.skip("numpy's OpenBLAS thread functions are not available")
+    blocks = {}
+    for n in (1, 2):
+        with _blas_threads(n):
+            blocks[n] = [hecke_spectrum(build_hecke_torus(A, p), Realization.standard(p))
+                         .eigenfunctions.vectors.tobytes() for p in (11, 19, 29)]
+    assert blocks[1] == blocks[2]
 
 
 def test_degenerate_character_returns_flagged_basis(torus11):

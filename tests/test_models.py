@@ -23,6 +23,7 @@ from qcatlab.models import (
     geometric_action,
     heisenberg_op,
     raw_averaging,
+    weil_entries,
     weil_op,
 )
 
@@ -352,6 +353,29 @@ def test_weil_multiplicativity_other_realization(rng):
         g1, g2 = random_sl2(rng, p), random_sl2(rng, p)
         assert np.allclose(weil_op(r, g1).matrix @ weil_op(r, g2).matrix,
                            weil_op(r, g1 * g2).matrix, atol=1e-9)
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_weil_entries_are_the_dense_operator_entry_by_entry(p, rng):
+    # one element at a time on the full grid, and a batch on its diagonals
+    # and on one column, in every realization and in a non-canonical gauge:
+    # sigma = (2, 4) with tau on the line of (1, 1), where the canonical gauge
+    # takes (1, 0); the batch holds the identity and -I, which keep every line
+    y = np.arange(p)
+    gs = [SympMatrix.identity(p), SympMatrix(-1, 0, 0, -1, p)]
+    gs += [random_sl2(rng, p) for _ in range(6)]
+    batch = tuple(np.array([[getattr(g, e)] for g in gs]) for e in "abcd")
+    half = pow(2, -1, p)
+    gauge = Realization(EnhancedLagrangian.of(2, 4, p), (half, half))
+    for r in all_realizations(p) + [gauge]:
+        dense = [weil_op(r, g).matrix for g in gs]
+        for g, m in zip(gs, dense):
+            entries = weil_entries(r, (g.a, g.b, g.c, g.d), y[:, np.newaxis], y[np.newaxis, :])
+            assert np.abs(entries - m).max() < 1e-14
+        diagonals = weil_entries(r, batch, y, y)
+        assert np.abs(diagonals - [np.diag(m) for m in dense]).max() < 1e-14
+        columns = weil_entries(r, batch, y, 2)
+        assert np.abs(columns - [m[:, 2] for m in dense]).max() < 1e-14
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])
