@@ -30,13 +30,11 @@ from .hecke import (
     HeckeSpectrum,
     eigenfunction,
     hecke_spectrum,
-    split_closed_form,
 )
 from .harness import (
     DistributionReport,
     SupremumRecord,
     SweepConfig,
-    projector_identity_check,
     universal_sweep,
     value_distribution,
 )

@@ -1,5 +1,5 @@
-"""Experiment driver: prime sweeps for the sup-norm bound, the projector
-identity for point masses, and value-distribution statistics.
+"""Experiments: prime sweeps for the sup-norm bound and
+value-distribution statistics.
 
 Every eigenfunction is normalized to squared norm p.  A record's `pass`
 flag and the gating decision record the flat bound sup_x |amplitude(x)| <= 2
@@ -27,10 +27,10 @@ from functools import partial
 
 import numpy as np
 
-from .arith import primes_in, unit_roots
-from .groups import CatMap, HeisenbergElement, classify_prime, build_hecke_torus, enumerate_lagrangians
+from .arith import primes_in
+from .groups import CatMap, classify_prime, build_hecke_torus, enumerate_lagrangians
 from .hecke import HeckeEigenfunction, eigenfunction, hecke_spectrum, transport
-from .models import Realization, canonical_intertwiner, heisenberg_op
+from .models import Realization
 
 __all__ = [
     "SweepConfig",
@@ -39,7 +39,6 @@ __all__ = [
     "DistributionReport",
     "supremum_records",
     "universal_sweep",
-    "projector_identity_check",
     "value_distribution",
     "su2_abs_trace_cdf",
     "su2_abs_trace_moment",
@@ -287,40 +286,6 @@ def universal_sweep(cfg: SweepConfig) -> SweepResult:
 
 def gating_failures(records: list[SupremumRecord]) -> list[SupremumRecord]:
     return [r for r in records if r.gating and not r.passed]
-
-
-def projector_identity_check(fn: HeckeEigenfunction, x: int,
-                             via: Realization | None = None) -> tuple[float, float]:
-    """The point mass at x computed two ways: directly and through the
-    averaging projector onto the x-character of the realization's line.
-
-    The projector form (1/|L|) sum_l psi_x(l) <pi(l) v, v> is evaluated in the
-    realization `via` (default: the eigenfunction's own), with v transported
-    there first; agreement across choices of `via` is the model-independence
-    of the quantity.
-    """
-    p = fn.p
-    amps = fn.amplitudes
-    direct = float(abs(amps[x % p]) ** 2)
-    source = fn.realization
-    if via is None or via == source:
-        via = source
-        v = amps
-    else:
-        v = canonical_intertwiner(via, source).matrix @ amps
-    s1, s2 = source.sigma
-    roots = unit_roots(p)
-    total = 0.0j
-    for l in range(p):
-        h = HeisenbergElement.of(l * s1, l * s2, 0, p)
-        op = heisenberg_op(via, h).matrix
-        total += np.conj(roots[(l * x) % p]) * np.vdot(v, op @ v)
-    projector = total / p
-    # the form is real for any v: rounding leaves about 1.5e-17 p (2.9e-15 at
-    # p = 199), and a breakdown, not a wrong point mass, is what 1e-8 p catches
-    if abs(projector.imag) > 1e-8 * p:
-        raise RuntimeError(f"projector form has imaginary part {projector.imag:.3g}")
-    return direct, float(projector.real)
 
 
 def su2_abs_trace_cdf(s: np.ndarray) -> np.ndarray:

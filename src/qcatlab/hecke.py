@@ -1,5 +1,5 @@
 """Character decomposition of the torus action on a model and eigenfunction
-extraction, including the closed form available at split primes.
+extraction.
 
 The torus is cyclic of order N, with generator g.  Its character spaces are
 the ranges of the projectors P_k = (1/N) sum_j conj(chi_k(g^j)) rho(g^j), the
@@ -10,15 +10,11 @@ every basis vector, with no eigensolver; a degenerate space gets a basis
 fixed by rule.  The dense rho(g) enters only the residual that checks the
 eigenvector equation.  Eigenfunctions travel as one block per realization:
 a (p, n) matrix whose columns are labelled by character, which `transport`
-carries to another realization with one intertwiner product.  The spectrum
-is itself such a block with n = p: every eigenvector, grouped by character
-and normalized once, so a character's multiplicity is the count of its
-label and extracting characters selects columns.
-At a split prime the torus fixes the two eigenlines of the cat map; in the
-realization built on them the torus acts by coordinate scalings, and its
-eigenfunctions have a closed form, Legendre symbol times a multiplicative
-character, returned as one block labelled by torus character like the
-spectrum.
+carries to another realization with one application of the canonical
+intertwiner (models.intertwine, an FFT between chirps).  The spectrum is
+itself such a block with n = p: every eigenvector, grouped by character and
+normalized once, so a character's multiplicity is the count of its label
+and extracting characters selects columns.
 """
 
 from __future__ import annotations
@@ -27,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import inverse_mod, unit_roots
-from .groups import EnhancedLagrangian, HeckeTorus, enumerate_lagrangians
-from .models import Realization, canonical_intertwiner, weil_entries, weil_op
+from .arith import unit_roots
+from .groups import HeckeTorus
+from .models import Realization, intertwine, weil_entries, weil_op
 
 __all__ = [
     "HeckeSpectrum",
@@ -37,7 +33,6 @@ __all__ = [
     "hecke_spectrum",
     "eigenfunction",
     "transport",
-    "split_closed_form",
     "eigenfunction_csv_rows",
 ]
 
@@ -236,43 +231,13 @@ def transport(fn: HeckeEigenfunction, target: Realization) -> HeckeEigenfunction
     """Carry a realization's eigenfunctions to another realization.
 
     The canonical intertwiner depends only on the two realizations, so one
-    operator moves every column in one product.  It commutes with the torus
-    action, so each image is again an eigenfunction for its character; it is
-    unitary, so only the leading-phase convention needs re-applying.
+    application moves every column, with no p x p matrix.  It commutes with
+    the torus action, so each image is again an eigenfunction for its
+    character; it is unitary, so only the leading-phase convention needs
+    re-applying.
     """
-    op = canonical_intertwiner(target, fn.realization)
-    return HeckeEigenfunction(target, _normalize_columns(op.matrix @ fn.vectors, fn.p),
-                              fn.characters)
-
-
-def split_closed_form(torus: HeckeTorus) -> HeckeEigenfunction:
-    """Every closed-form eigenfunction of a split torus, as one block.
-
-    The realization's line and transversal are the two lines A mod p fixes,
-    the first and second found in enumerate_lagrangians(p); the torus acts on
-    its model by scalings.  The generator scales the line by a, which
-    generates F_p*, so x = a^j has Legendre symbol (-1)^j and column k is
-    x -> (-1)^j exp(2 pi i k j / N) sqrt(p / (p - 1)), with 0 at x = 0: it is
-    real positive at x = 1 and has squared norm p.
-    """
-    if torus.kind != "split":
-        raise ValueError(f"torus is {torus.kind}; closed form needs a split torus")
-    p, n, A = torus.p, torus.order, torus.matrix
-    line, other = [lag for lag in enumerate_lagrangians(p)
-                   if A.apply(lag.sigma).omega(lag.sigma) == 0]
-    tau = other.sigma.scale(inverse_mod(other.sigma.omega(line.sigma), p))
-    r = Realization(line, tau.coords())
-    a = EnhancedLagrangian(torus.generator.apply(line.sigma)).scale_from(line)
-    log = np.zeros(p, dtype=np.int64)  # log[a^j] = j on F_p*
-    x = 1
-    for j in range(n):
-        log[x] = j
-        x = x * a % p
-    j = log[1:, np.newaxis]
-    amps = np.zeros((p, n), dtype=np.complex128)
-    amps[1:] = (1 - 2 * (j % 2)) * unit_roots(n)[j * np.arange(n) % n]
-    amps *= np.sqrt(p / (p - 1.0))
-    return HeckeEigenfunction(r, amps, np.arange(n))
+    moved = intertwine(target, fn.realization, fn.vectors)
+    return HeckeEigenfunction(target, _normalize_columns(moved, fn.p), fn.characters)
 
 
 def eigenfunction_csv_rows(kind: str, fn: HeckeEigenfunction) -> list[tuple]:

@@ -18,11 +18,15 @@ Intertwiners.  For transverse lines the span of intertwining operators is
 the averaging over the target line; the canonical normalization multiplies
 that raw sum by scale(p) * chi_q(omega(sigma_target, sigma_source)), where
 chi_q is the Legendre character and scale(p) is the normalized quadratic
-Gauss sum (1/p) sum_t psi(-t^2/2), of modulus p^-1/2.  The construction
-fails loudly if the resulting family does not satisfy normalization,
-invariance, convolution and the sign rule.
+Gauss sum (1/p) sum_t psi(-t^2/2), of modulus p^-1/2.  Each entry of the raw
+sum is psi of a quadratic form in (y, x), so the operator is chirp * DFT *
+chirp, a[y] psi(beta x y) b[x]; `intertwine` applies it to a block of
+columns with one FFT in O(n p log p) and builds no p x p matrix.
 For realizations on a shared line the canonical operator is chi_q of the
-enhancement ratio times the coordinate-change matrix of the identity map.
+enhancement ratio times the coordinate change of the identity map, a
+permutation times phases.  The construction fails loudly if the family does
+not satisfy normalization, invariance, convolution and the sign rule,
+checked once per prime on three probe vectors.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ __all__ = [
     "heisenberg_op",
     "raw_averaging",
     "canonical_intertwiner",
+    "intertwine",
     "averaging_scale",
     "geometric_action",
     "weil_op",
@@ -239,6 +244,67 @@ def _intertwiner_matrix(target: Realization, source: Realization, scale: complex
     return scale * legendre_symbol(w, p) * raw_averaging(target, source)
 
 
+def _averaging_chirps(target: Realization, source: Realization) -> tuple[int, int, int]:
+    """(q_a, beta, q_b) with raw averaging entry [y, x] equal to
+    psi(q_a y^2) psi(beta x y) psi(q_b x^2), for transverse lines.
+
+    With w = omega(sigma, sigma'), c = omega(tau, sigma'), alpha =
+    omega(tau', sigma) and gamma = omega(tau', tau), _averaging_entries' term
+    (x l - m y) / 2 with m = (x - c y) / w and l = alpha m + gamma y expands to
+    q_a = c / 2w, q_b = alpha / 2w and beta = (gamma w - 1 - c alpha) / 2w.
+    """
+    p = target.p
+    s1, s2, t1, t2 = _frame(target)
+    u1, u2, r1, r2 = _frame(source)
+    w = _omega(s1, s2, u1, u2, p)
+    c = _omega(t1, t2, u1, u2, p)
+    alpha = _omega(r1, r2, s1, s2, p)
+    gamma = _omega(r1, r2, t1, t2, p)
+    h = pow(2 * w, -1, p)
+    return c * h % p, (gamma * w - 1 - c * alpha) * h % p, alpha * h % p
+
+
+def _apply_averaging(target: Realization, source: Realization, block: np.ndarray) -> np.ndarray:
+    """raw_averaging(target, source) @ block, as chirp * FFT * chirp.
+
+    numpy's FFT computes sum_x exp(-2 pi i k x / p) f[x], so the sum
+    sum_x psi(beta x y) f[x] is its entry k = -beta y mod p.
+    """
+    p = target.p
+    qa, beta, qb = _averaging_chirps(target, source)
+    roots, y = unit_roots(p), np.arange(p)
+    square = y * y % p
+    spectrum = np.fft.fft(roots[qb * square % p][:, np.newaxis] * block, axis=0)
+    return roots[qa * square % p][:, np.newaxis] * spectrum[-beta * y % p]
+
+
+def _apply_coordinate_change(target: Realization, source: Realization,
+                             block: np.ndarray) -> np.ndarray:
+    """_coordinate_change(target, source) @ block: row y is the source row
+    e1 y times the phase psi(e1 e2 y^2 / 2), as in _shared_line_entries."""
+    p = target.p
+    _, _, t1, t2 = _frame(target)
+    u1, u2, r1, r2 = _frame(source)
+    e1 = _omega(t1, t2, u1, u2, p)
+    e2 = _omega(r1, r2, t1, t2, p)
+    y = np.arange(p)
+    phase = unit_roots(p)[half_mod(e1 * e2 % p * (y * y % p) % p, p)]
+    return phase[:, np.newaxis] * block[e1 * y % p]
+
+
+def _apply_intertwiner(target: Realization, source: Realization, block: np.ndarray,
+                       scale: complex) -> np.ndarray:
+    """_intertwiner_matrix(target, source, scale) @ block, with no p x p matrix."""
+    p = target.p
+    w = target.lagrangian.sigma.omega(source.lagrangian.sigma)
+    if w == 0:
+        if target == source:
+            return np.array(block, dtype=np.complex128)
+        a = target.lagrangian.scale_from(source.lagrangian)
+        return legendre_symbol(a, p) * _apply_coordinate_change(target, source, block)
+    return scale * legendre_symbol(w, p) * _apply_averaging(target, source, block)
+
+
 @lru_cache(maxsize=None)
 def averaging_scale(p: int) -> complex:
     """The per-prime scalar multiplying the raw averaging sum.
@@ -253,55 +319,72 @@ def averaging_scale(p: int) -> complex:
     return scale
 
 
+# Weyl sequences x * theta mod 1 at three irrationals: deterministic,
+# unit-modulus and independent probes, built without a random generator
+PROBE_FREQUENCIES = (2 ** 0.5, 3 ** 0.5, (1 + 5 ** 0.5) / 2)
+
+
+def _probes(p: int) -> np.ndarray:
+    """The (p, 3) block of probe vectors exp(2 pi i frac(x theta_j))."""
+    x = np.arange(p)[:, np.newaxis]
+    return np.exp(2j * np.pi * np.mod(x * np.array(PROBE_FREQUENCIES), 1.0))
+
+
 def _validate_family(p: int, scale: complex) -> None:
     """Assert the four characterizing properties on a fixed instance set.
 
-    Convolution on a transverse triple pins the phase of scale: the product
-    of two intertwiners is quadratic in it and the third intertwiner linear,
-    so -scale fails there and passes every other check.
+    Each property is an operator identity A B = C, checked as A(Bv) = Cv on
+    the probe block v, with no p x p matrix.  Convolution on a transverse
+    triple pins the phase of scale: the product of two intertwiners is
+    quadratic in it and the third intertwiner linear, so -scale fails there
+    and passes every other check.
     """
-    # rounding leaves Frobenius residuals below 5e-16 * p (measured for
-    # p < 400); a wrong constant leaves one of order sqrt(p)
-    tol = 1e-9 * p
+    v = _probes(p)
+    # ||v|| = sqrt(3 p); rounding leaves residuals below 1.3e-14 ||v|| at
+    # every prime p <= 2003, growing slowly with p through the prime-length
+    # FFT, while a wrong constant or operator leaves one of order ||v||
+    # (2 ||v|| for -scale): 1e-9 ||v|| parts them far beyond any p used
+    tol = 1e-9 * np.linalg.norm(v)
+
+    def check(lhs, rhs, failure):
+        if np.linalg.norm(lhs - rhs) > tol:
+            raise IntertwinerConstructionError(failure)
+
+    def apply(target, source, block):
+        return _apply_intertwiner(target, source, block, scale)
+
     rl = Realization.of(1, 0, p)
     rm = Realization.of(0, 1, p)
-    # normalization
-    if np.linalg.norm(_intertwiner_matrix(rl, rl, scale) - np.eye(p)) > tol:
-        raise IntertwinerConstructionError("normalization fails")
+    check(apply(rl, rl, v), v, "normalization fails")
     # returning pair composes to the identity (convolution + normalization)
-    f_lm = _intertwiner_matrix(rl, rm, scale)
-    f_ml = _intertwiner_matrix(rm, rl, scale)
-    if np.linalg.norm(f_lm @ f_ml - np.eye(p)) > tol:
-        raise IntertwinerConstructionError("returning pair is not the identity")
-    # convolution on two pairwise transverse triples
+    f_ml = apply(rm, rl, v)
+    check(apply(rl, rm, f_ml), v, "returning pair is not the identity")
     for triple in (((1, 0), (0, 1), (1, 1)), ((0, 1), (1, 2), (1, 0))):
         first, middle, last = (Realization.of(s1, s2, p) for s1, s2 in triple)
-        composite = (_intertwiner_matrix(first, middle, scale)
-                     @ _intertwiner_matrix(middle, last, scale))
-        if np.linalg.norm(composite - _intertwiner_matrix(first, last, scale)) > tol:
-            raise IntertwinerConstructionError("convolution fails on an anchor triple")
+        check(apply(first, middle, apply(middle, last, v)), apply(first, last, v),
+              "convolution fails on an anchor triple")
     # sign rule in source and target slots; operators compared in one gauge
+    # through the coordinate change, without its Legendre sign
     for a in (2 % p, p - 1):
         if a == 1:
             continue
         chi = legendre_symbol(a, p)
-        target_scaled = Realization.of(0, a, p)
-        f_scaled = _intertwiner_matrix(target_scaled, rl, scale)
-        back = _coordinate_change(rm, target_scaled)
-        if np.linalg.norm(back @ f_scaled - chi * f_ml) > tol:
-            raise IntertwinerConstructionError("sign rule fails in target slot")
-        source_scaled = Realization.of(a, 0, p)
-        f_scaled = _intertwiner_matrix(rm, source_scaled, scale)
-        fwd = _coordinate_change(source_scaled, rl)
-        if np.linalg.norm(f_scaled @ fwd - chi * f_ml) > tol:
-            raise IntertwinerConstructionError("sign rule fails in source slot")
-    # invariance under one shear and one rotation-like element
+        # transversals off the canonical ones' lines, so that the
+        # coordinate change carries its phases
+        inv = pow(a, -1, p)
+        target_scaled = Realization(EnhancedLagrangian.of(0, a, p), (inv, 1))
+        check(_apply_coordinate_change(rm, target_scaled, apply(target_scaled, rl, v)),
+              chi * f_ml, "sign rule fails in target slot")
+        source_scaled = Realization(EnhancedLagrangian.of(a, 0, p), (0, -inv))
+        check(apply(rm, source_scaled, _apply_coordinate_change(source_scaled, rl, v)),
+              chi * f_ml, "sign rule fails in source slot")
+    # invariance under one shear and one rotation-like element:
+    # geo(g) F_{m,l} geo(g)^-1 = F_{g.m, g.l}
     for g in (SympMatrix(1, 1, 0, 1, p), SympMatrix(0, 1, -1, 0, p)):
-        lhs = _conjugated_intertwiner(g, rm, rl, scale)
-        gm = Realization.canonical(EnhancedLagrangian(g.apply(rm.lagrangian.sigma)))
-        gl = Realization.canonical(EnhancedLagrangian(g.apply(rl.lagrangian.sigma)))
-        if np.linalg.norm(lhs - _intertwiner_matrix(gm, gl, scale)) > tol:
-            raise IntertwinerConstructionError("invariance fails")
+        gm, phase_m = geometric_action(rm, g)
+        gl, phase_l = geometric_action(rl, g)
+        conjugated = phase_m[:, np.newaxis] * apply(rm, rl, np.conj(phase_l)[:, np.newaxis] * v)
+        check(conjugated, apply(gm, gl, v), "invariance fails")
 
 
 def _pull_back(g, v, p: int):
@@ -344,6 +427,18 @@ def canonical_intertwiner(target: Realization, source: Realization) -> Intertwin
     return Intertwiner(source, target, _intertwiner_matrix(target, source, scale))
 
 
+def intertwine(target: Realization, source: Realization, block: np.ndarray) -> np.ndarray:
+    """canonical_intertwiner(target, source).matrix @ block for a (p, n) block
+    of columns, in O(n p log p): one FFT between chirps for transverse lines,
+    a permutation times phases on a shared line.  numpy's FFT calls no BLAS,
+    so the result does not depend on the thread count."""
+    if target.p != source.p:
+        raise ValueError(f"mismatched moduli: {target.p} vs {source.p}")
+    w = target.lagrangian.sigma.omega(source.lagrangian.sigma)
+    scale = averaging_scale(target.p) if w != 0 else 0.0
+    return _apply_intertwiner(target, source, block, scale)
+
+
 def weil_op(r: Realization, g: SympMatrix) -> WeilOperator:
     """The linearized action of g on the model of r.
 
@@ -382,19 +477,16 @@ def weil_entries(r: Realization, g, y, x) -> np.ndarray:
     # chi_q(e) = chi_q(1 / e)
     coef = np.where(transverse, scale * legendre_symbol(w, p),
                     legendre_symbol(_omega(*r.tau, u1, u2, p), p))
-    entries = np.where(transverse, _averaging_entries(target, source, y, x, p),
-                       _shared_line_entries(target, source, y, x, p))
+    entries = _averaging_entries(target, source, y, x, p)
+    shared = np.logical_not(transverse)
+    if np.any(shared):
+        # only the elements that keep sigma's line (+-I in a generic
+        # realization) take the shared-line formula, on their entries alone
+        at = np.broadcast_to(shared, entries.shape)
+        pick = [np.broadcast_to(v, entries.shape)[at] for v in (*source, y, x)]
+        entries[at] = _shared_line_entries(target, pick[:4], *pick[4:], p)
     mu = _omega(*r.tau, *_pull_back(g, (r1, r2), p), p)
     return coef * entries * unit_roots(p)[half_mod(mu * (x * x % p) % p, p)]
-
-
-def _conjugated_intertwiner(g: SympMatrix, rm: Realization, rl: Realization,
-                            scale: complex) -> np.ndarray:
-    """geo(g) o F_{m,l} o geo(g)^{-1}, landing between the g-translated models."""
-    _, phase_m = geometric_action(rm, g)
-    _, phase_l = geometric_action(rl, g)
-    f = _intertwiner_matrix(rm, rl, scale)
-    return (phase_m[:, np.newaxis] * f) * np.conj(phase_l)[np.newaxis, :]
 
 
 def _heis_generators(p: int) -> list[HeisenbergElement]:

@@ -3,16 +3,33 @@
 None of this runs in the program: each helper rebuilds a quantity the
 package computes by another path (the whole torus from its generator, an
 intertwiner in another gauge, the SL2 action from the Egorov equation, the
-torus spectrum from a dense eigensolver), so that a test can hold the
-package's answer against it.
+torus spectrum from a dense eigensolver, the split eigenfunctions in closed
+form, point masses through the averaging projector, the family validation on
+dense matrices), so that a test can hold the package's answer against it.
 """
 
 import numpy as np
 
-from qcatlab.arith import unit_roots
-from qcatlab.groups import HeckeTorus, HeisenbergElement, SympMatrix
+from qcatlab.arith import inverse_mod, legendre_symbol, unit_roots
+from qcatlab.groups import (
+    EnhancedLagrangian,
+    HeckeTorus,
+    HeisenbergElement,
+    SympMatrix,
+    enumerate_lagrangians,
+)
 from qcatlab.hecke import HeckeEigenfunction, HeckeSpectrum, _normalize_columns
-from qcatlab.models import Intertwiner, Realization, _coordinate_change, heisenberg_op, weil_op
+from qcatlab.models import (
+    Intertwiner,
+    IntertwinerConstructionError,
+    Realization,
+    _coordinate_change,
+    _intertwiner_matrix,
+    canonical_intertwiner,
+    geometric_action,
+    heisenberg_op,
+    weil_op,
+)
 
 
 def torus_powers(torus: HeckeTorus) -> list[SympMatrix]:
@@ -85,3 +102,112 @@ def projective_egorov_solver(r: Realization, g: SympMatrix) -> np.ndarray:
         raise RuntimeError(f"solution space has dimension {null_dim}, expected 1")
     x = np.conj(vh[-1]).reshape(p, p)  # right-singular vectors are conj(vh) rows
     return x / np.linalg.norm(x)
+
+
+def split_closed_form(torus: HeckeTorus) -> HeckeEigenfunction:
+    """Every closed-form eigenfunction of a split torus, as one block.
+
+    The realization's line and transversal are the two lines A mod p fixes,
+    the first and second found in enumerate_lagrangians(p); the torus acts on
+    its model by scalings.  The generator scales the line by a, which
+    generates F_p*, so x = a^j has Legendre symbol (-1)^j and column k is
+    x -> (-1)^j exp(2 pi i k j / N) sqrt(p / (p - 1)), with 0 at x = 0: it is
+    real positive at x = 1 and has squared norm p.
+    """
+    if torus.kind != "split":
+        raise ValueError(f"torus is {torus.kind}; closed form needs a split torus")
+    p, n, A = torus.p, torus.order, torus.matrix
+    line, other = [lag for lag in enumerate_lagrangians(p)
+                   if A.apply(lag.sigma).omega(lag.sigma) == 0]
+    tau = other.sigma.scale(inverse_mod(other.sigma.omega(line.sigma), p))
+    r = Realization(line, tau.coords())
+    a = EnhancedLagrangian(torus.generator.apply(line.sigma)).scale_from(line)
+    log = np.zeros(p, dtype=np.int64)  # log[a^j] = j on F_p*
+    x = 1
+    for j in range(n):
+        log[x] = j
+        x = x * a % p
+    j = log[1:, np.newaxis]
+    amps = np.zeros((p, n), dtype=np.complex128)
+    amps[1:] = (1 - 2 * (j % 2)) * unit_roots(n)[j * np.arange(n) % n]
+    amps *= np.sqrt(p / (p - 1.0))
+    return HeckeEigenfunction(r, amps, np.arange(n))
+
+
+def projector_identity_check(fn: HeckeEigenfunction, x: int,
+                             via: Realization | None = None) -> tuple[float, float]:
+    """The point mass at x computed two ways: directly and through the
+    averaging projector onto the x-character of the realization's line.
+
+    The projector form (1/|L|) sum_l psi_x(l) <pi(l) v, v> is evaluated in the
+    realization `via` (default: the eigenfunction's own), with v transported
+    there first; agreement across choices of `via` is the model-independence
+    of the quantity.
+    """
+    p = fn.p
+    amps = fn.amplitudes
+    direct = float(abs(amps[x % p]) ** 2)
+    source = fn.realization
+    if via is None or via == source:
+        via = source
+        v = amps
+    else:
+        v = canonical_intertwiner(via, source).matrix @ amps
+    s1, s2 = source.sigma
+    roots = unit_roots(p)
+    total = 0.0j
+    for l in range(p):
+        h = HeisenbergElement.of(l * s1, l * s2, 0, p)
+        op = heisenberg_op(via, h).matrix
+        total += np.conj(roots[(l * x) % p]) * np.vdot(v, op @ v)
+    projector = total / p
+    # the form is real for any v: rounding leaves about 1.5e-17 p (2.9e-15 at
+    # p = 199), and a breakdown, not a wrong point mass, is what 1e-8 p catches
+    if abs(projector.imag) > 1e-8 * p:
+        raise RuntimeError(f"projector form has imaginary part {projector.imag:.3g}")
+    return direct, float(projector.real)
+
+
+def dense_validate_family(p: int, scale: complex) -> None:
+    """models._validate_family on dense p x p operators: each property is a
+    matrix identity A B = C, checked in the Frobenius norm."""
+    # rounding leaves Frobenius residuals below 5e-16 * p (measured for
+    # p < 400); a wrong constant leaves one of order sqrt(p)
+    tol = 1e-9 * p
+    rl = Realization.of(1, 0, p)
+    rm = Realization.of(0, 1, p)
+    if np.linalg.norm(_intertwiner_matrix(rl, rl, scale) - np.eye(p)) > tol:
+        raise IntertwinerConstructionError("normalization fails")
+    f_lm = _intertwiner_matrix(rl, rm, scale)
+    f_ml = _intertwiner_matrix(rm, rl, scale)
+    if np.linalg.norm(f_lm @ f_ml - np.eye(p)) > tol:
+        raise IntertwinerConstructionError("returning pair is not the identity")
+    for triple in (((1, 0), (0, 1), (1, 1)), ((0, 1), (1, 2), (1, 0))):
+        first, middle, last = (Realization.of(s1, s2, p) for s1, s2 in triple)
+        composite = (_intertwiner_matrix(first, middle, scale)
+                     @ _intertwiner_matrix(middle, last, scale))
+        if np.linalg.norm(composite - _intertwiner_matrix(first, last, scale)) > tol:
+            raise IntertwinerConstructionError("convolution fails on an anchor triple")
+    for a in (2 % p, p - 1):
+        if a == 1:
+            continue
+        chi = legendre_symbol(a, p)
+        # transversals off the canonical ones' lines, so that the
+        # coordinate change carries its phases
+        inv = pow(a, -1, p)
+        target_scaled = Realization(EnhancedLagrangian.of(0, a, p), (inv, 1))
+        f_scaled = _intertwiner_matrix(target_scaled, rl, scale)
+        back = _coordinate_change(rm, target_scaled)
+        if np.linalg.norm(back @ f_scaled - chi * f_ml) > tol:
+            raise IntertwinerConstructionError("sign rule fails in target slot")
+        source_scaled = Realization(EnhancedLagrangian.of(a, 0, p), (0, -inv))
+        f_scaled = _intertwiner_matrix(rm, source_scaled, scale)
+        fwd = _coordinate_change(source_scaled, rl)
+        if np.linalg.norm(f_scaled @ fwd - chi * f_ml) > tol:
+            raise IntertwinerConstructionError("sign rule fails in source slot")
+    for g in (SympMatrix(1, 1, 0, 1, p), SympMatrix(0, 1, -1, 0, p)):
+        gm, phase_m = geometric_action(rm, g)
+        gl, phase_l = geometric_action(rl, g)
+        conjugated = (phase_m[:, np.newaxis] * f_ml) * np.conj(phase_l)[np.newaxis, :]
+        if np.linalg.norm(conjugated - _intertwiner_matrix(gm, gl, scale)) > tol:
+            raise IntertwinerConstructionError("invariance fails")

@@ -17,7 +17,12 @@ import numpy as np
 import pytest
 
 from conftest import random_sl2
-from oracles import projective_egorov_solver, regauge
+from oracles import (
+    projective_egorov_solver,
+    projector_identity_check,
+    regauge,
+    split_closed_form,
+)
 from qcatlab.arith import legendre_symbol, primes_in, unit_roots
 from qcatlab.groups import (
     CatMap,
@@ -31,7 +36,6 @@ from qcatlab.groups import (
 from qcatlab.hecke import (
     eigenfunction,
     hecke_spectrum,
-    split_closed_form,
 )
 from qcatlab.models import (
     Realization,
@@ -267,8 +271,6 @@ def test_criterion_6_stone_von_neumann():
 
 
 def test_criterion_7_projector_identity(rng, defining_sweep, all_realization_sweep):
-    from qcatlab.harness import projector_identity_check
-
     worst = 0.0
     for p in (7, 11, 13):
         torus = build_hecke_torus(A, p)

@@ -1,16 +1,21 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import operator_with_a_moved_eigenvalue
+from oracles import projector_identity_check, split_closed_form
+import qcatlab
 from qcatlab.groups import CatMap, build_hecke_torus, enumerate_lagrangians
 from qcatlab.hecke import (
     HeckeEigenfunction,
     eigenfunction,
     hecke_spectrum,
-    split_closed_form,
     transport,
 )
 from qcatlab.models import Realization
@@ -20,7 +25,6 @@ from qcatlab.harness import (
     _map_primes,
     _openblas_threads,
     gating_failures,
-    projector_identity_check,
     su2_abs_trace_cdf,
     su2_abs_trace_moment,
     supremum_records,
@@ -153,21 +157,42 @@ def test_sweep_builds_one_intertwiner_per_realization(monkeypatch):
     calls = {"hecke": 0, "models": 0}
 
     def counting(module, original):
-        def wrapper(target, source):
+        def wrapper(*args):
             calls[module] += 1
-            return original(target, source)
+            return original(*args)
         return wrapper
 
-    monkeypatch.setattr(hecke, "canonical_intertwiner",
-                        counting("hecke", hecke.canonical_intertwiner))
+    monkeypatch.setattr(hecke, "intertwine", counting("hecke", hecke.intertwine))
     monkeypatch.setattr(models, "canonical_intertwiner",
                         counting("models", models.canonical_intertwiner))
     result = universal_sweep(config(13, 13, realizations="all", verify_samples=1))
     assert len({r.realization for r in result.records}) == 14
-    # transport: one operator for each of the 13 non-defining realizations,
-    # plus the verify sample's; weil_op: the defining spectrum and the verify
-    # sample's re-extraction
+    # transport: one operator application for each of the 13 non-defining
+    # realizations, plus the verify sample's; dense weil_op builds: the
+    # defining spectrum's residual and the verify sample's re-extraction
     assert calls == {"hecke": 13 + 1, "models": 2}
+
+
+def test_validation_and_defining_sweep_load_no_numpy_random():
+    # the family is validated on deterministic probes, so the validation and
+    # a defining sweep never import numpy.random, whose import alone costs
+    # resident memory; a fresh interpreter sees what they load
+    code = """
+import sys
+from qcatlab.groups import CatMap
+from qcatlab.harness import SweepConfig, universal_sweep
+from qcatlab.models import averaging_scale
+averaging_scale(101)
+result = universal_sweep(SweepConfig(matrix=CatMap(2, 1, 1, 1), prime_lo=101, prime_hi=101))
+print(len(result.records), "numpy.random" in sys.modules)
+"""
+    src = str(Path(qcatlab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.split() == ["101", "False"]
+
 
 
 def test_sweep_builds_one_block_per_prime(monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import operator_with_a_moved_eigenvalue
-from oracles import eig_spectrum, torus_powers
+from oracles import eig_spectrum, split_closed_form, torus_powers
 from qcatlab.arith import legendre_symbol, primes_in, unit_roots
 from qcatlab.groups import (
     CatMap,
@@ -17,7 +17,6 @@ from qcatlab.hecke import (
     eigenfunction,
     eigenfunction_csv_rows,
     hecke_spectrum,
-    split_closed_form,
     transport,
 )
 from qcatlab.models import Realization, weil_op

@@ -1,10 +1,11 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import random_sl2
-from oracles import projective_egorov_solver, regauge
+from oracles import dense_validate_family, projective_egorov_solver, regauge
 from qcatlab.arith import legendre_symbol, primes_in, unit_roots
 from qcatlab.groups import (
     EnhancedLagrangian,
@@ -22,6 +23,7 @@ from qcatlab.models import (
     commutant_dimension,
     geometric_action,
     heisenberg_op,
+    intertwine,
     raw_averaging,
     weil_entries,
     weil_op,
@@ -254,6 +256,110 @@ def test_validation_rejects_a_wrong_constant(p):
     # invariance; only convolution on a transverse triple catches it
     with pytest.raises(IntertwinerConstructionError, match="convolution"):
         _validate_family(p, -averaging_scale(p))
+
+
+@pytest.mark.parametrize("p", [7, 11])
+def test_validation_rejects_a_conjugate_constant(p):
+    # at p = 3 mod 4 the Gauss sum is imaginary, so its conjugate is -scale
+    with pytest.raises(IntertwinerConstructionError, match="convolution"):
+        _validate_family(p, np.conj(averaging_scale(p)))
+
+
+@pytest.mark.parametrize("p", [7, 11])
+def test_validation_rejects_a_beta_off_by_one(p, monkeypatch):
+    # a wrong bilinear frequency breaks the operators themselves: the
+    # returning pair no longer composes to the identity
+    scale = averaging_scale(p)
+    chirps = models._averaging_chirps
+
+    def off_by_one(target, source):
+        qa, beta, qb = chirps(target, source)
+        return qa, (beta + 1) % p, qb
+
+    monkeypatch.setattr(models, "_averaging_chirps", off_by_one)
+    with pytest.raises(IntertwinerConstructionError, match="returning pair"):
+        _validate_family(p, scale)
+
+
+@pytest.mark.parametrize("p", [3, 7, 11])
+def test_validation_rejects_a_coordinate_change_without_phases(p, monkeypatch):
+    # the sign rule's gauges have transversals on different lines, so the
+    # coordinate change it compares through carries nontrivial phases
+    scale = averaging_scale(p)
+    change = models._apply_coordinate_change
+
+    def permutation_only(target, source, block):
+        return np.abs(change(target, source, np.eye(p))) @ block
+
+    monkeypatch.setattr(models, "_apply_coordinate_change", permutation_only)
+    with pytest.raises(IntertwinerConstructionError, match="sign rule"):
+        _validate_family(p, scale)
+
+
+def test_validation_allocates_no_p_by_p_array():
+    # one p x p complex array is 16 p^2 bytes (16.3 MB at p = 1009); the
+    # probe validation's traced peak stays near 0.5 MB there
+    p = 1009
+    scale = averaging_scale(p)
+    tracemalloc.start()
+    try:
+        _validate_family(p, scale)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * p * p / 10
+
+
+def verdict(validate, p, scale):
+    try:
+        validate(p, scale)
+    except IntertwinerConstructionError as exc:
+        return str(exc)
+    return None
+
+
+def test_probe_validation_agrees_with_dense_validation():
+    # the same property fails first, or none does, for the right constant,
+    # its negative and its conjugate (equal to it at p = 1 mod 4)
+    for p in primes_in(3, 31):
+        scale = averaging_scale(p)
+        for candidate in (scale, -scale, np.conj(scale)):
+            expected = verdict(dense_validate_family, p, candidate)
+            assert verdict(_validate_family, p, candidate) == expected
+        assert verdict(_validate_family, p, scale) is None
+        assert verdict(_validate_family, p, -scale) is not None
+
+
+def realizations_with_regauged(p):
+    """Every line's canonical realization, two re-enhanced sigmas on the
+    first lines and a non-canonical transversal: sigma = (2, 4) with tau on
+    the line of (1, 1)."""
+    half = pow(2, -1, p)
+    out = all_realizations(p)
+    out += [Realization.of(2 * s1 % p, 2 * s2 % p, p) for s1, s2 in (r.sigma for r in out[:2])]
+    return out + [Realization(EnhancedLagrangian.of(2, 4, p), (half, half))]
+
+
+@pytest.mark.parametrize("p", primes_in(3, 31))
+def test_intertwine_is_the_dense_operator_at_every_pair(p, rng):
+    # identity, shared lines (re-enhanced and re-gauged) and transverse pairs
+    # (FFT rounding: at most 4.6e-15 per entry for p <= 31 on these blocks)
+    block = rng.normal(size=(p, 5)) + 1j * rng.normal(size=(p, 5))
+    rs = realizations_with_regauged(p)
+    for target, source in itertools.product(rs, repeat=2):
+        dense = canonical_intertwiner(target, source).matrix @ block
+        assert np.abs(intertwine(target, source, block) - dense).max() < 1e-13
+    assert np.array_equal(intertwine(rs[0], rs[0], block), block)
+
+
+def test_intertwine_is_the_dense_operator_at_sampled_pairs(rng):
+    # rounding grows slowly with p: 4.7e-15 per entry at p = 101
+    for p in primes_in(37, 199):
+        block = rng.normal(size=(p, 3)) + 1j * rng.normal(size=(p, 3))
+        for _ in range(4):
+            target, source = random_enhanced(rng, p), random_enhanced(rng, p)
+            dense = canonical_intertwiner(target, source).matrix @ block
+            assert np.abs(intertwine(target, source, block) - dense).max() < 1e-12
 
 
 def test_sign_rule_exhaustive_p7():
