@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -144,66 +144,25 @@ def supremum_records(fn: HeckeEigenfunction, kind: str) -> list[SupremumRecord]:
     ]
 
 
-def _openblas_threads():
-    """The (get, set) thread-count functions of the OpenBLAS that numpy
-    bundles, or None where that library or its symbols are absent.  Looked up
-    at call time, so importing the package loads nothing."""
-    import ctypes
-    import glob
-    import os
-
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
-        lib = ctypes.CDLL(path)  # the copy numpy loaded: dlopen shares it
-        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
-        put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
-        if get and put:
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            return get, put
-    return None
-
-
-@contextmanager
-def _blas_threads(n: int):
-    """Run the block with numpy's BLAS on n threads, then restore the count.
-    Processes forked inside the block inherit it.  Does nothing where the
-    library is absent."""
-    funcs = _openblas_threads()
-    if funcs is None:
-        yield
-        return
-    get, put = funcs
-    before = get()
-    put(n)
-    try:
-        yield
-    finally:
-        put(before)
-
-
 def _map_primes(fn, primes: list[int], jobs: int, *args):
     """Run fn(p, *args) for each prime; returns (results, errors), prime-ordered
     lists of (p, value) and of (p, "Type: message") for the primes that raised.
     Serial in this process for one job or one prime, else a pool of at most
     one worker per prime, since the pool starts all its workers up front.
-    BLAS runs on one thread, here and in the workers: the per-prime products
-    are too small to gain from a second one, and workers on more threads than
-    cores only contend."""
+    The per-prime work is FFTs and elementwise numpy, with no matrix product,
+    so neither the result nor its cost depends on the BLAS thread count."""
     serial = jobs == 1 or len(primes) < 2
     results, errors = [], []
-    with _blas_threads(1):
-        pool = nullcontext() if serial else ProcessPoolExecutor(
-            max_workers=min(jobs, len(primes)))
-        with pool:
-            calls = [partial(fn, p, *args) if serial else pool.submit(fn, p, *args).result
-                     for p in primes]
-            for p, call in zip(primes, calls):
-                try:
-                    results.append((p, call()))
-                except Exception as exc:  # noqa: BLE001 - one prime must not hide the rest
-                    log.exception("p = %d failed", p)
-                    errors.append((p, f"{type(exc).__name__}: {exc}"))
+    pool = nullcontext() if serial else ProcessPoolExecutor(max_workers=min(jobs, len(primes)))
+    with pool:
+        calls = [partial(fn, p, *args) if serial else pool.submit(fn, p, *args).result
+                 for p in primes]
+        for p, call in zip(primes, calls):
+            try:
+                results.append((p, call()))
+            except Exception as exc:  # noqa: BLE001 - one prime must not hide the rest
+                log.exception("p = %d failed", p)
+                errors.append((p, f"{type(exc).__name__}: {exc}"))
     return results, errors
 
 

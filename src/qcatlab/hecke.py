@@ -7,8 +7,10 @@ function-level shadow of the paper's torus sums of Weil-representation
 kernels.  Every entry of rho(g^j) has a closed form (models.weil_entries), so
 one FFT along j of O(p)-cost diagonals and columns gives every point mass and
 every basis vector, with no eigensolver; a degenerate space gets a basis
-fixed by rule.  The dense rho(g) enters only the residual that checks the
-eigenvector equation.  Eigenfunctions travel as one block per realization:
+fixed by rule.  The residual that checks the eigenvector equation applies
+rho(g) as the canonical intertwiner from the model of g.r composed with its
+geometric phases, one FFT for the whole basis, so it shares no entry formula
+with the tables.  Eigenfunctions travel as one block per realization:
 a (p, n) matrix whose columns are labelled by character, which `transport`
 carries to another realization with one application of the canonical
 intertwiner (models.intertwine, an FFT between chirps).  The spectrum is
@@ -25,7 +27,7 @@ import numpy as np
 
 from .arith import unit_roots
 from .groups import HeckeTorus
-from .models import Realization, intertwine, weil_entries, weil_op
+from .models import Realization, geometric_action, intertwine, weil_entries
 
 __all__ = [
     "HeckeSpectrum",
@@ -117,8 +119,10 @@ class HeckeSpectrum:
     def flagged(self) -> np.ndarray:
         """Per character: its columns miss the eigenvector equation.  An empty
         character has residual 0, so it is never flagged."""
-        # rounding grows about like p * 1e-16 and an eigenvalue halfway between
-        # roots leaves about pi / N >= pi / (p + 1): 1e-7 p parts them for p < 5000
+        # the FFT residual's rounding grows slowly with p (at most 6.2e-15 for
+        # p <= 199 with either map, 5.6e-15 at p = 1009), and an eigenvalue halfway
+        # between roots leaves about pi / N >= pi / (p + 1): 1e-7 p parts them
+        # for p < 5000
         return self.residuals > 1e-7 * self.p
 
     def multiplicities(self) -> np.ndarray:
@@ -200,14 +204,16 @@ def hecke_spectrum(torus: HeckeTorus, r: Realization) -> HeckeSpectrum:
     """Decompose the model of r into torus character spaces.
 
     The basis comes from projector tables over the torus (_character_basis),
-    with no eigensolver.  The dense rho(generator) then checks it: a
-    character whose columns B miss the eigenvector equation,
-    ||rho(gen) B - exp(2 pi i k / N) B|| > 1e-7 p, is flagged.
+    with no eigensolver.  rho(gen) then checks it, applied to the whole basis
+    as the canonical intertwiner from the model of gen.r after the geometric
+    phases, in O(p^2 log p): a character whose columns B miss the eigenvector
+    equation, ||rho(gen) B - exp(2 pi i k / N) B|| > 1e-7 p, is flagged.
     """
     n = torus.order
     characters, z = _character_basis(torus, r)
-    rho_gen = weil_op(r, torus.generator).matrix
-    misfit = np.linalg.norm(rho_gen @ z - z * unit_roots(n)[characters], axis=0)
+    image, phases = geometric_action(r, torus.generator)
+    rho_z = intertwine(r, image, phases[:, np.newaxis] * z)
+    misfit = np.linalg.norm(rho_z - z * unit_roots(n)[characters], axis=0)
     residuals = np.sqrt(np.bincount(characters, weights=misfit ** 2, minlength=n))
     block = HeckeEigenfunction(r, _normalize_columns(z, r.p), characters)
     return HeckeSpectrum(torus, block, residuals)

@@ -15,6 +15,14 @@ def run_cli(args):
     return main(args)
 
 
+def fresh_env(**extra):
+    """The environment, plus extra, for a fresh interpreter that imports this
+    checkout's package."""
+    src = str(Path(qcatlab.__file__).parents[1])
+    return {**os.environ, **extra,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def test_commands_load_no_scipy(tmp_path):
     # numpy is the only runtime dependency: importing the CLI and running a
     # transporting sweep, a spectrum and the selftest loads no scipy module
@@ -30,11 +38,8 @@ with contextlib.redirect_stdout(io.StringIO()):
              main(["selftest", "--prime", "11"])]
 print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
-    src = str(Path(qcatlab.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env).stdout
+                         text=True, check=True, env=fresh_env()).stdout
     # the sweep range holds the split prime 11, so it exits 1 (README)
     assert out.strip() == "[1, 0, 0] []"
 
@@ -108,12 +113,21 @@ def test_sweep_split_prime_reports_gating_failure(tmp_path):
 
 
 def test_sweep_deterministic_bytes(tmp_path):
-    # reruns and --jobs 2 write the same bytes, the multiplicity-two rows of
-    # the split primes 11, 19, 29 and 31 included
+    # reruns, --jobs 2 and fresh interpreters with BLAS on one or two threads
+    # write the same bytes, the multiplicity-two rows of the split primes 11,
+    # 19, 29 and 31 included
+    args = ["sweep", "--matrix", "2,1;1,1", "--primes", "5..31", "--realizations", "all",
+            "--verify-samples", "1", "--seed", "42"]
     outs = [tmp_path / name for name in ("r1", "r2", "jobs2")]
     for out, jobs in zip(outs, ("1", "1", "2")):
-        run_cli(["sweep", "--matrix", "2,1;1,1", "--primes", "5..31", "--realizations", "all",
-                 "--verify-samples", "1", "--seed", "42", "--jobs", jobs, "--out", str(out)])
+        run_cli(args + ["--jobs", jobs, "--out", str(out)])
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        # the split primes fail the flat bound, so the sweep exits 1 (README)
+        assert subprocess.run([sys.executable, "-m", "qcatlab.cli", *args, "--out", str(out)],
+                              capture_output=True,
+                              env=fresh_env(OPENBLAS_NUM_THREADS=threads)).returncode == 1
+        outs.append(out)
     first = (outs[0] / "sweep.csv").read_bytes()
     assert "2" in [row.split(",")[4] for row in first.decode().splitlines()[2:]]
     assert all((out / "sweep.csv").read_bytes() == first for out in outs[1:])

@@ -3,12 +3,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import operator_with_a_moved_eigenvalue
+from conftest import intertwine_with_a_moved_eigenvalue
 from oracles import projector_identity_check, split_closed_form
 import qcatlab
 from qcatlab.groups import CatMap, build_hecke_torus, enumerate_lagrangians
@@ -21,9 +20,6 @@ from qcatlab.hecke import (
 from qcatlab.models import Realization
 from qcatlab.harness import (
     SweepConfig,
-    _blas_threads,
-    _map_primes,
-    _openblas_threads,
     gating_failures,
     su2_abs_trace_cdf,
     su2_abs_trace_moment,
@@ -129,10 +125,12 @@ def test_flagged_character_excluded_from_sweep_and_distribution(monkeypatch):
     import qcatlab.hecke as hecke
 
     # rho(gen) on the p = 7 model with character 7's eigenvalue moved halfway
-    # towards the next root of N = 8: that character fails the eigenvector
-    # equation, and its residual flags it
-    fake = operator_with_a_moved_eigenvalue(build_hecke_torus(A, 7), Realization.standard(7), 7)
-    monkeypatch.setattr(hecke, "weil_op", lambda r, g: SimpleNamespace(matrix=fake))
+    # towards the next root of N = 8, injected through the intertwiner the
+    # residual applies: that character fails the eigenvector equation, and
+    # its residual flags it
+    _, stand_in = intertwine_with_a_moved_eigenvalue(
+        build_hecke_torus(A, 7), Realization.standard(7), 7)
+    monkeypatch.setattr(hecke, "intertwine", stand_in)
     sweep = universal_sweep(config(7, 7))
     assert len(sweep.records) == 6
     (skip,) = sweep.skips
@@ -167,10 +165,10 @@ def test_sweep_builds_one_intertwiner_per_realization(monkeypatch):
                         counting("models", models.canonical_intertwiner))
     result = universal_sweep(config(13, 13, realizations="all", verify_samples=1))
     assert len({r.realization for r in result.records}) == 14
-    # transport: one operator application for each of the 13 non-defining
-    # realizations, plus the verify sample's; dense weil_op builds: the
-    # defining spectrum's residual and the verify sample's re-extraction
-    assert calls == {"hecke": 13 + 1, "models": 2}
+    # intertwiner applications: one transport to each of the 13 non-defining
+    # realizations and the verify sample's, then the residuals of the defining
+    # spectrum and of the verify sample's re-extraction; no dense operator
+    assert calls == {"hecke": 13 + 1 + 2, "models": 0}
 
 
 def test_validation_and_defining_sweep_load_no_numpy_random():
@@ -250,20 +248,6 @@ def test_sweep_parallel_matches_serial():
     serial = universal_sweep(config(7, 13))
     parallel = universal_sweep(config(7, 13, jobs=2))
     assert [r.csv_row() for r in serial.records] == [r.csv_row() for r in parallel.records]
-
-
-def _blas_thread_count(p):
-    return _openblas_threads()[0]()
-
-
-def test_map_primes_runs_blas_on_one_thread_and_restores_the_count():
-    if _openblas_threads() is None:
-        pytest.skip("numpy's OpenBLAS thread functions are not available")
-    with _blas_threads(2):
-        for jobs in (1, 2):
-            results, errors = _map_primes(_blas_thread_count, [7, 11], jobs)
-            assert not errors and results == [(7, 1), (11, 1)]
-            assert _blas_thread_count(0) == 2
 
 
 def test_records_norm_equal_across_realizations():

@@ -1,9 +1,7 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
-from conftest import operator_with_a_moved_eigenvalue
+from conftest import intertwine_with_a_moved_eigenvalue
 from oracles import eig_spectrum, split_closed_form, torus_powers
 from qcatlab.arith import legendre_symbol, primes_in, unit_roots
 from qcatlab.groups import (
@@ -20,7 +18,7 @@ from qcatlab.hecke import (
     transport,
 )
 from qcatlab.models import Realization, weil_op
-from qcatlab.harness import _blas_threads, _openblas_threads, supremum_records
+from qcatlab.harness import supremum_records
 
 A = CatMap(2, 1, 1, 1)
 
@@ -162,13 +160,14 @@ def test_eigenfunction_empty_character_raises(spectrum7):
 
 def test_eigenvalue_between_roots_is_flagged(monkeypatch, torus7, spectrum7):
     # rho(gen) with character 7's eigenvalue moved halfway towards root 0 of
-    # N = 8: the tables still give character 7 its true eigenvector, and the
-    # residual against the wrong dense operator flags that character alone
+    # N = 8, injected through the intertwiner the residual applies: the tables
+    # still give character 7 its true eigenvector, and the residual against
+    # the wrong operator flags that character alone
     import qcatlab.hecke as hecke
 
     r = Realization.standard(7)
-    fake = operator_with_a_moved_eigenvalue(torus7, r, 7)
-    monkeypatch.setattr(hecke, "weil_op", lambda r, g: SimpleNamespace(matrix=fake))
+    fake, stand_in = intertwine_with_a_moved_eigenvalue(torus7, r, 7)
+    monkeypatch.setattr(hecke, "intertwine", stand_in)
     spectrum = hecke_spectrum(torus7, r)
     assert np.flatnonzero(spectrum.flagged).tolist() == [7]
     assert abs(spectrum.residuals[7] - 2 * np.sin(np.pi / 16)) < 1e-12
@@ -185,9 +184,9 @@ def test_eigenvalue_between_roots_is_flagged(monkeypatch, torus7, spectrum7):
 def test_spectrum_matches_eig_oracle(matrix):
     # every non-ramified p <= 199 in the defining realization, and every
     # realization for p <= 31: the same multiplicities, the same sup and
-    # argmax on every simple character, and the same character spaces
-    with _blas_threads(1):  # the eigensolver gains nothing from a second thread here
-        assert _compare_with_eig_oracle(CatMap.parse(matrix)) > 150
+    # argmax on every simple character, the same character spaces, and each
+    # residual equal to the dense operator's
+    assert _compare_with_eig_oracle(CatMap.parse(matrix)) > 150
 
 
 def _compare_with_eig_oracle(cat):
@@ -200,6 +199,8 @@ def _compare_with_eig_oracle(cat):
         for lag in lags:
             r = Realization.canonical(lag)
             spectrum, oracle = hecke_spectrum(torus, r), eig_spectrum(torus, r)
+            rho_gen = weil_op(r, torus.generator).matrix
+            roots = unit_roots(torus.order)
             assert not spectrum.flagged.any()
             assert (spectrum.multiplicities() == oracle.multiplicities()).all()
             ours, theirs = spectrum.eigenfunctions, oracle.eigenfunctions
@@ -212,6 +213,9 @@ def _compare_with_eig_oracle(cat):
                 u = ours.vectors[:, ours.characters == k]
                 v = theirs.vectors[:, theirs.characters == k]
                 assert np.abs(u @ u.conj().T - v @ v.conj().T).max() / p <= 1e-12
+                b = u / np.sqrt(p)
+                misfit = np.linalg.norm(rho_gen @ b - roots[k] * b)
+                assert abs(spectrum.residuals[k] - misfit) <= 1e-12
             checked += 1
     return checked
 
@@ -240,8 +244,8 @@ def test_a_base_point_without_mass_raises(monkeypatch, torus7):
 
 def test_degenerate_basis_follows_the_largest_diagonal():
     # the two-dimensional space at a split prime: its first vector is the
-    # projector column at the base point of largest point mass, the second is
-    # orthogonal to it, and neither depends on the BLAS thread count
+    # projector column at the base point of largest point mass, and the second
+    # is orthogonal to it
     for p in (11, 19, 29, 31, 59, 61):
         torus = build_hecke_torus(A, p)
         r = Realization.standard(p)
@@ -252,14 +256,6 @@ def test_degenerate_basis_follows_the_largest_diagonal():
         b = int(masses.argmax())
         # P_k delta_b = (u conj(u[b]) + v conj(v[b])) / p lies along u
         assert abs(v[b]) < 1e-12 and abs(np.vdot(u, v)) < 1e-12 * p
-    if _openblas_threads() is None:
-        pytest.skip("numpy's OpenBLAS thread functions are not available")
-    blocks = {}
-    for n in (1, 2):
-        with _blas_threads(n):
-            blocks[n] = [hecke_spectrum(build_hecke_torus(A, p), Realization.standard(p))
-                         .eigenfunctions.vectors.tobytes() for p in (11, 19, 29)]
-    assert blocks[1] == blocks[2]
 
 
 def test_degenerate_character_returns_flagged_basis(torus11):
