@@ -99,10 +99,13 @@ def cmd_classify(args) -> int:
 
 def cmd_sweep(args) -> int:
     lo, hi = args.primes
-    cfg = SweepConfig(
-        matrix=args.matrix, prime_lo=lo, prime_hi=hi, realizations=args.realizations,
-        seed=args.seed, jobs=args.jobs, verify_samples=args.verify_samples,
-    )
+    try:
+        cfg = SweepConfig(matrix=args.matrix, prime_lo=lo, prime_hi=hi,
+                          realizations=args.realizations, seed=args.seed, jobs=args.jobs,
+                          verify_samples=args.verify_samples)
+    except ValueError as exc:
+        print(f"qcatlab sweep: error: {exc}", file=sys.stderr)
+        return 2
     result = universal_sweep(cfg)
     path = _out_dir(args) / "sweep.csv"
     write_records_csv(path, result.records)

@@ -12,7 +12,7 @@ an error, never a skip.  Each prime's defining spectrum is one labelled
 eigenbasis (a p x p block whose columns carry their torus character); both
 sweeps keep the columns of unflagged characters by mask, and the value
 distribution samples the simple ones.  Sweeps move that block once per
-realization, score it character by character, emit one record per (prime,
+realization, score each moved block in one pass, emit one record per (prime,
 realization, character, basis vector), and write a versioned CSV artifact
 whose bytes depend only on the config.
 """
@@ -85,6 +85,8 @@ class SweepConfig:
             raise ValueError(f"jobs must be at least 1, got {self.jobs}")
         if self.verify_samples < 0:
             raise ValueError(f"verify_samples must be at least 0, got {self.verify_samples}")
+        if self.verify_samples and self.realizations != "all":
+            raise ValueError("verify samples need all realizations to re-extract in")
         if not self.matrix.is_hyperbolic():
             raise ValueError("cat map must be hyperbolic")
 
@@ -190,15 +192,12 @@ def _sweep_one_prime(p: int, A: CatMap, realizations: str, verify_samples: int,
         targets = [Realization.canonical(l) for l in enumerate_lagrangians(p)]
     else:
         targets = [defining]
-    # one intertwiner per realization moves every character; each (realization,
-    # character) is scored on its own, the unit bench/tracer.py counts
     moved = (fn if r == defining else transport(fn, r) for r in targets)
-    records = [rec for m in moved for block in m.by_character()
-               for rec in supremum_records(block, kind)]
+    records = [rec for m in moved for rec in supremum_records(m, kind)]
     # stable: rows go per character, then realization, then basis vector
     records.sort(key=lambda rec: rec.character)
     simple_indices = fn.characters[fn.multiplicities == 1].tolist()
-    if verify_samples and simple_indices and len(targets) > 1:
+    if verify_samples and simple_indices:
         _verify_transport(spectrum, targets, simple_indices, verify_samples, seed, p)
     return records, skips
 

@@ -91,12 +91,6 @@ class HeckeEigenfunction:
         return HeckeEigenfunction(self.realization, self.vectors[:, index],
                                   self.characters[index])
 
-    def by_character(self) -> list[HeckeEigenfunction]:
-        """One block per run of equal characters, in column order, as views."""
-        cuts = np.flatnonzero(np.diff(self.characters, prepend=-1, append=-1)).tolist()
-        return [HeckeEigenfunction(self.realization, self.vectors[:, a:b], self.characters[a:b])
-                for a, b in zip(cuts, cuts[1:])]
-
 
 @dataclass
 class HeckeSpectrum:

@@ -348,6 +348,7 @@ def test_bad_matrix_rejected(capsys):
      "not a non-negative integer"),
     (["sweep", "--primes", "7..13", "--realizations", "all", "--verify-samples", "1",
       "--seed", "-1"], "not a non-negative integer"),
+    (["sweep", "--primes", "7..13", "--verify-samples", "1"], "need all realizations"),
     (["spectrum", "--prime", "7", "--realization", "1"], "not a vector"),
     (["spectrum", "--prime", "7", "--realization", "a,b"], "not a vector"),
     (["spectrum", "--prime", "7", "--realization", "0,0"], "zero mod 7"),
@@ -355,6 +356,7 @@ def test_bad_matrix_rejected(capsys):
 ], ids=["unparsed-matrix", "not-hyperbolic", "reversed-range",
         "range-without-prime", "one-non-prime", "spectrum-non-prime", "sweep-jobs-0",
         "distribution-jobs-0", "no-inert-prime", "negative-verify-samples", "negative-seed",
+        "verify-samples-defining-only",
         "realization-one-entry", "realization-not-integers", "realization-zero",
         "realization-zero-mod-p"])
 def test_bad_input_is_a_usage_error(args, message, tmp_path, capsys):

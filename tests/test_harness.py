@@ -219,9 +219,10 @@ def test_sweep_builds_one_block_per_prime(monkeypatch):
     # realizations and moves it once
     assert moved == [13] * 13 + [1]
     assert extracted == [1, 1]
-    # records are scored once per (realization, character)
-    assert all(len(ks) == 1 for _, ks in scored)
-    assert len({(tag, min(ks)) for tag, ks in scored}) == len(scored) == 14 * 13
+    # each realization's moved block is scored in one pass, all 13 characters
+    # at once
+    assert [len(ks) for _, ks in scored] == [13] * 14
+    assert len({tag for tag, _ in scored}) == 14
     assert len(result.records) == 14 * 13
 
 
@@ -429,5 +430,7 @@ def test_config_validation():
         config(5, 7, jobs=0)
     with pytest.raises(ValueError):
         config(5, 7, verify_samples=-1)
+    with pytest.raises(ValueError, match="need all realizations"):
+        config(5, 7, verify_samples=1)  # the defining realization has no other
     with pytest.raises(ValueError):
         SweepConfig(matrix=CatMap(1, 1, 0, 1), prime_lo=5, prime_hi=7)

@@ -1,5 +1,8 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import intertwine_with_a_moved_eigenvalue
 from oracles import eig_spectrum, split_closed_form, torus_powers
@@ -304,20 +307,41 @@ def test_transport_moves_a_batch_like_one_at_a_time(torus11):
     assert moved.characters.tolist() == fn.characters.tolist()
     assert moved.multiplicities.tolist() == fn.multiplicities.tolist()
     assert 2 in fn.multiplicities
-    parts = moved.by_character()
-    assert [part.characters.tolist() for part in parts] == [
-        [k] * spectrum.multiplicities()[k] for k in ks]
-    for k, part in zip(ks, parts):
+    for k in ks:
+        part = moved.columns(moved.characters == k)
+        assert part.characters.tolist() == [k] * spectrum.multiplicities()[k]
         alone = transport(eigenfunction(spectrum, k), target)
         assert np.abs(part.vectors - alone.vectors).max() < 1e-12
-    # a block's records are its characters' records, one character at a time
-    singles = [rec for k in ks for rec in supremum_records(eigenfunction(spectrum, k), "split")]
-    assert supremum_records(fn, "split") == singles
-    assert supremum_records(moved, "split") == [
-        rec for part in parts for rec in supremum_records(part, "split")]
     empty = transport(eigenfunction(spectrum), target)
     assert empty.vectors.shape == (11, 0) and empty.characters.size == 0
-    assert empty.by_character() == []
+
+
+@lru_cache(maxsize=None)
+def _defining_block(matrix, p):
+    return hecke_spectrum(build_hecke_torus(matrix, p), Realization.standard(p)).eigenfunctions
+
+
+@st.composite
+def moved_defining_block(draw):
+    """A cat map, a non-ramified odd prime p <= 97, and the defining block of
+    every eigenfunction at p moved to any of the p + 1 lines."""
+    matrix = draw(st.sampled_from([A, CatMap(3, 2, 1, 1)]))
+    p = draw(st.sampled_from([p for p in primes_in(3, 97)
+                              if classify_prime(matrix, p) != "ramified"]))
+    line = draw(st.sampled_from(enumerate_lagrangians(p)))
+    fn, target = _defining_block(matrix, p), Realization.canonical(line)
+    return classify_prime(matrix, p), fn if target == fn.realization else transport(fn, target)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(moved_defining_block())
+def test_block_records_are_its_characters_records(case):
+    # the sweep scores a realization's whole block in one pass: its rows are
+    # those of each character's columns scored alone, field for field
+    kind, block = case
+    assert supremum_records(block, kind) == [
+        rec for k in np.unique(block.characters).tolist()
+        for rec in supremum_records(block.columns(block.characters == k), kind)]
 
 
 # ---------------------------------------------------------------------------
