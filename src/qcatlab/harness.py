@@ -83,6 +83,8 @@ class SweepConfig:
             raise ValueError(f"unknown realization policy {self.realizations!r}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
         if self.verify_samples < 0:
             raise ValueError(f"verify_samples must be at least 0, got {self.verify_samples}")
         if self.verify_samples and self.realizations != "all":

@@ -20,13 +20,16 @@ that raw sum by scale(p) * chi_q(omega(sigma_target, sigma_source)), where
 chi_q is the Legendre character and scale(p) is the normalized quadratic
 Gauss sum (1/p) sum_t psi(-t^2/2), of modulus p^-1/2.  Each entry of the raw
 sum is psi of a quadratic form in (y, x), so the operator is chirp * DFT *
-chirp, a[y] psi(beta x y) b[x]; `intertwine` applies it to a block of
-columns with one FFT in O(n p log p) and builds no p x p matrix.
-For realizations on a shared line the canonical operator is chi_q of the
-enhancement ratio times the coordinate change of the identity map, a
-permutation times phases.  The construction fails loudly if the family does
-not satisfy normalization, invariance, convolution and the sign rule,
-checked once per prime on three probe vectors.
+chirp, psi(q_a y^2) psi(beta x y) psi(q_b x^2).  For realizations on a
+shared line the canonical operator is chi_q of the enhancement ratio times
+the coordinate change of the identity map, a permutation times phases.
+Each kind has one formula, _averaging_chirps and _shared_line_map:
+`intertwine` applies it to a block of columns in O(n p log p), weil_entries
+reads it entry by entry, and the dense operators (canonical_intertwiner,
+raw_averaging, weil_op) are `intertwine` applied to the identity.  The
+construction fails loudly if the family does not satisfy normalization,
+invariance, convolution and the sign rule, checked once per prime on three
+probe vectors.
 """
 
 from __future__ import annotations
@@ -178,40 +181,41 @@ def _frame(r: Realization) -> tuple:
     return (*r.sigma, *r.tau)
 
 
-def _averaging_entries(target, source, y, x, p: int) -> np.ndarray:
-    """Entries [y, x] of the raw averaging sum source -> target.
+def _averaging_chirps(target, source, p: int) -> tuple:
+    """(q_a, beta, q_b) with raw averaging entry [y, x] equal to
+    psi(q_a y^2 + beta x y + q_b x^2), for transverse lines.
 
     target and source are frames (sigma1, sigma2, tau1, tau2) of ints or
-    integer arrays that broadcast with the rows y and columns x.  Row y sums
-    over v = m sigma + y tau; that point lands at source coordinate
-    x = m w + y c with w = omega(sigma, sigma') != 0, so each (y, x) has the
-    one term m = (x - c y) / w, of value psi(x l / 2 - m y / 2) with
-    l = omega(tau', v).
+    integer arrays, taken elementwise.  Row y sums over v = m sigma + y tau;
+    that point lands at source coordinate x = m w + y c with
+    w = omega(sigma, sigma') != 0 and c = omega(tau, sigma'), so each (y, x)
+    has the one term m = (x - c y) / w, of value psi(x l / 2 - m y / 2) with
+    l = omega(tau', v) = alpha m + gamma y, alpha = omega(tau', sigma) and
+    gamma = omega(tau', tau).  Expanding gives q_a = c / 2w, q_b = alpha / 2w
+    and beta = (gamma w - 1 - c alpha) / 2w.
     """
     s1, s2, t1, t2 = target
     u1, u2, r1, r2 = source
     w = _omega(s1, s2, u1, u2, p)
     c = _omega(t1, t2, u1, u2, p)
-    m = (x - c * y) % p * pow_mod(w, p - 2, p) % p
-    l = (m * _omega(r1, r2, s1, s2, p) + y * _omega(r1, r2, t1, t2, p)) % p
-    return unit_roots(p)[half_mod((x * l - m * y) % p, p)]
+    alpha = _omega(r1, r2, s1, s2, p)
+    gamma = _omega(r1, r2, t1, t2, p)
+    h = pow_mod(2 * w, p - 2, p)
+    return c * h % p, (gamma * w - 1 - c * alpha) % p * h % p, alpha * h % p
 
 
-def _shared_line_entries(target, source, y, x, p: int) -> np.ndarray:
-    """Entries [y, x] of the identity between two gauges of one line, frames
-    as in _averaging_entries: psi(e1 e2 y^2 / 2) where x = e1 y, else 0."""
-    _, _, t1, t2 = target
-    u1, u2, r1, r2 = source
-    e1 = _omega(t1, t2, u1, u2, p)
-    e2 = _omega(r1, r2, t1, t2, p)
-    phase = unit_roots(p)[half_mod(e1 * e2 % p * (y * y % p) % p, p)]
-    return np.where(x == e1 * y % p, phase, 0)
+def _apply_averaging(target: Realization, source: Realization, block: np.ndarray) -> np.ndarray:
+    """The raw averaging sum applied to block, as chirp * FFT * chirp.
 
-
-def _grid(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices whose broadcast is the whole p x p matrix."""
-    y = np.arange(p)
-    return y[:, np.newaxis], y[np.newaxis, :]
+    numpy's FFT computes sum_x exp(-2 pi i k x / p) f[x], so the sum
+    sum_x psi(beta x y) f[x] is its entry k = -beta y mod p.
+    """
+    p = target.p
+    qa, beta, qb = _averaging_chirps(_frame(target), _frame(source), p)
+    roots, y = unit_roots(p), np.arange(p)
+    square = y * y % p
+    spectrum = np.fft.fft(roots[qb * square % p][:, np.newaxis] * block, axis=0)
+    return roots[qa * square % p][:, np.newaxis] * spectrum[-beta * y % p]
 
 
 def raw_averaging(target: Realization, source: Realization) -> np.ndarray:
@@ -225,76 +229,37 @@ def raw_averaging(target: Realization, source: Realization) -> np.ndarray:
         raise ValueError(f"mismatched moduli: {p} vs {source.p}")
     if not target.lagrangian.sigma.omega(source.lagrangian.sigma):
         raise ValueError("raw averaging needs transverse lines")
-    return _averaging_entries(_frame(target), _frame(source), *_grid(p), p)
+    return _apply_averaging(target, source, np.eye(p))
 
 
-def _coordinate_change(target: Realization, source: Realization) -> np.ndarray:
-    """Matrix of the identity operator between two gauges of the same line."""
-    return _shared_line_entries(_frame(target), _frame(source), *_grid(target.p), target.p)
+def _shared_line_map(target, source, y, p: int) -> tuple:
+    """(rows, phase) of the identity between two gauges of one line: row y
+    of the target model is phase[y] times source entry rows[y].
 
-
-def _intertwiner_matrix(target: Realization, source: Realization, scale: complex) -> np.ndarray:
-    p = target.p
-    w = target.lagrangian.sigma.omega(source.lagrangian.sigma)
-    if w == 0:
-        a = target.lagrangian.scale_from(source.lagrangian)
-        if target == source:
-            return np.eye(p, dtype=np.complex128)
-        return legendre_symbol(a, p) * _coordinate_change(target, source)
-    return scale * legendre_symbol(w, p) * raw_averaging(target, source)
-
-
-def _averaging_chirps(target: Realization, source: Realization) -> tuple[int, int, int]:
-    """(q_a, beta, q_b) with raw averaging entry [y, x] equal to
-    psi(q_a y^2) psi(beta x y) psi(q_b x^2), for transverse lines.
-
-    With w = omega(sigma, sigma'), c = omega(tau, sigma'), alpha =
-    omega(tau', sigma) and gamma = omega(tau', tau), _averaging_entries' term
-    (x l - m y) / 2 with m = (x - c y) / w and l = alpha m + gamma y expands to
-    q_a = c / 2w, q_b = alpha / 2w and beta = (gamma w - 1 - c alpha) / 2w.
+    Frames as in _averaging_chirps.  The point (y tau, 0) lands at source
+    coordinate x = e1 y with l = e2 y, where e1 = omega(tau, sigma') and
+    e2 = omega(tau', tau), so its value is psi(e1 e2 y^2 / 2) f(e1 y).
     """
-    p = target.p
-    s1, s2, t1, t2 = _frame(target)
-    u1, u2, r1, r2 = _frame(source)
-    w = _omega(s1, s2, u1, u2, p)
-    c = _omega(t1, t2, u1, u2, p)
-    alpha = _omega(r1, r2, s1, s2, p)
-    gamma = _omega(r1, r2, t1, t2, p)
-    h = pow(2 * w, -1, p)
-    return c * h % p, (gamma * w - 1 - c * alpha) * h % p, alpha * h % p
-
-
-def _apply_averaging(target: Realization, source: Realization, block: np.ndarray) -> np.ndarray:
-    """raw_averaging(target, source) @ block, as chirp * FFT * chirp.
-
-    numpy's FFT computes sum_x exp(-2 pi i k x / p) f[x], so the sum
-    sum_x psi(beta x y) f[x] is its entry k = -beta y mod p.
-    """
-    p = target.p
-    qa, beta, qb = _averaging_chirps(target, source)
-    roots, y = unit_roots(p), np.arange(p)
-    square = y * y % p
-    spectrum = np.fft.fft(roots[qb * square % p][:, np.newaxis] * block, axis=0)
-    return roots[qa * square % p][:, np.newaxis] * spectrum[-beta * y % p]
+    _, _, t1, t2 = target
+    u1, u2, r1, r2 = source
+    e1 = _omega(t1, t2, u1, u2, p)
+    e2 = _omega(r1, r2, t1, t2, p)
+    return e1 * y % p, unit_roots(p)[half_mod(e1 * e2 % p * (y * y % p) % p, p)]
 
 
 def _apply_coordinate_change(target: Realization, source: Realization,
                              block: np.ndarray) -> np.ndarray:
-    """_coordinate_change(target, source) @ block: row y is the source row
-    e1 y times the phase psi(e1 e2 y^2 / 2), as in _shared_line_entries."""
+    """The identity between two gauges of one line applied to block: its
+    rows permuted, times phases."""
     p = target.p
-    _, _, t1, t2 = _frame(target)
-    u1, u2, r1, r2 = _frame(source)
-    e1 = _omega(t1, t2, u1, u2, p)
-    e2 = _omega(r1, r2, t1, t2, p)
-    y = np.arange(p)
-    phase = unit_roots(p)[half_mod(e1 * e2 % p * (y * y % p) % p, p)]
-    return phase[:, np.newaxis] * block[e1 * y % p]
+    rows, phase = _shared_line_map(_frame(target), _frame(source), np.arange(p), p)
+    return phase[:, np.newaxis] * block[rows]
 
 
 def _apply_intertwiner(target: Realization, source: Realization, block: np.ndarray,
                        scale: complex) -> np.ndarray:
-    """_intertwiner_matrix(target, source, scale) @ block, with no p x p matrix."""
+    """intertwine with the averaging scale passed in, so that
+    _validate_family can run it before the scale is trusted."""
     p = target.p
     w = target.lagrangian.sigma.omega(source.lagrangian.sigma)
     if w == 0:
@@ -414,24 +379,21 @@ def geometric_action(r: Realization, g: SympMatrix) -> tuple[Realization, np.nda
 
 
 def canonical_intertwiner(target: Realization, source: Realization) -> Intertwiner:
-    """The canonical operator model(source) -> model(target).
-
-    Identical realizations give the exact identity; a shared line gives the
-    Legendre sign of the enhancement ratio times the coordinate change; for
-    transverse lines the normalized averaging operator is returned.
-    """
-    if target.p != source.p:
-        raise ValueError(f"mismatched moduli: {target.p} vs {source.p}")
-    w = target.lagrangian.sigma.omega(source.lagrangian.sigma)
-    scale = averaging_scale(target.p) if w != 0 else 0.0
-    return Intertwiner(source, target, _intertwiner_matrix(target, source, scale))
+    """The canonical operator model(source) -> model(target) as a p x p
+    matrix: intertwine applied to the identity."""
+    return Intertwiner(source, target, intertwine(target, source, np.eye(target.p)))
 
 
 def intertwine(target: Realization, source: Realization, block: np.ndarray) -> np.ndarray:
-    """canonical_intertwiner(target, source).matrix @ block for a (p, n) block
-    of columns, in O(n p log p): one FFT between chirps for transverse lines,
-    a permutation times phases on a shared line.  numpy's FFT calls no BLAS,
-    so the result does not depend on the thread count."""
+    """The canonical operator model(source) -> model(target) applied to a
+    (p, n) block of columns, in O(n p log p).
+
+    Identical realizations give the block itself; a shared line gives the
+    Legendre sign of the enhancement ratio times the coordinate change, a
+    permutation times phases; transverse lines give the normalized
+    averaging, one FFT between chirps.  numpy's FFT calls no BLAS, so the
+    result does not depend on the thread count.
+    """
     if target.p != source.p:
         raise ValueError(f"mismatched moduli: {target.p} vs {source.p}")
     w = target.lagrangian.sigma.omega(source.lagrangian.sigma)
@@ -462,7 +424,8 @@ def weil_entries(r: Realization, g, y, x) -> np.ndarray:
     (N, 1) batch against y = x = arange(p) gives N diagonals, and against
     x = b gives N columns at b.  It is weil_op's formula entry by entry: the
     canonical intertwiner from the model of g.r, whose gauge is
-    Realization.canonical's, times the geometric phase of the column.
+    Realization.canonical's, read off the same chirps and shared-line map that
+    intertwine applies, times the geometric phase of the column.
     """
     p = r.p
     a, b, c, d = g
@@ -477,14 +440,16 @@ def weil_entries(r: Realization, g, y, x) -> np.ndarray:
     # chi_q(e) = chi_q(1 / e)
     coef = np.where(transverse, scale * legendre_symbol(w, p),
                     legendre_symbol(_omega(*r.tau, u1, u2, p), p))
-    entries = _averaging_entries(target, source, y, x, p)
+    qa, beta, qb = _averaging_chirps(target, source, p)
+    entries = unit_roots(p)[(qa * (y * y % p) + beta * (x * y % p) + qb * (x * x % p)) % p]
     shared = np.logical_not(transverse)
     if np.any(shared):
         # only the elements that keep sigma's line (+-I in a generic
-        # realization) take the shared-line formula, on their entries alone
+        # realization) take the shared-line map, on their entries alone
         at = np.broadcast_to(shared, entries.shape)
         pick = [np.broadcast_to(v, entries.shape)[at] for v in (*source, y, x)]
-        entries[at] = _shared_line_entries(target, pick[:4], *pick[4:], p)
+        rows, phase = _shared_line_map(target, pick[:4], pick[4], p)
+        entries[at] = np.where(pick[5] == rows, phase, 0)
     mu = _omega(*r.tau, *_pull_back(g, (r1, r2), p), p)
     return coef * entries * unit_roots(p)[half_mod(mu * (x * x % p) % p, p)]
 

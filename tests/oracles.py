@@ -1,16 +1,18 @@
 """Independent routes that the tests compare the program against.
 
 None of this runs in the program: each helper rebuilds a quantity the
-package computes by another path (the whole torus from its generator, an
-intertwiner in another gauge, the SL2 action from the Egorov equation, the
-torus spectrum from a dense eigensolver, the split eigenfunctions in closed
-form, point masses through the averaging projector, the family validation on
-dense matrices), so that a test can hold the package's answer against it.
+package computes by another path (the whole torus from its generator, the
+canonical intertwiners from their definitions by summation and by
+decomposition, an intertwiner in another gauge, the SL2 action from the
+Egorov equation, the torus spectrum from a dense eigensolver, the split
+eigenfunctions in closed form, point masses through the averaging projector,
+the family validation on dense matrices), so that a test can hold the
+package's answer against it.
 """
 
 import numpy as np
 
-from qcatlab.arith import inverse_mod, legendre_symbol, unit_roots
+from qcatlab.arith import half_mod, inverse_mod, legendre_symbol, unit_roots
 from qcatlab.groups import (
     EnhancedLagrangian,
     HeckeTorus,
@@ -23,8 +25,10 @@ from qcatlab.models import (
     Intertwiner,
     IntertwinerConstructionError,
     Realization,
-    _coordinate_change,
-    _intertwiner_matrix,
+    _apply_coordinate_change,
+    _apply_intertwiner,
+    _decompose,
+    averaging_scale,
     canonical_intertwiner,
     geometric_action,
     heisenberg_op,
@@ -61,6 +65,44 @@ def eig_spectrum(torus: HeckeTorus, r: Realization) -> HeckeSpectrum:
                          residuals)
 
 
+def averaging_by_summation(target: Realization, source: Realization) -> np.ndarray:
+    """The canonical operator between transverse lines by its definition.
+
+    Row y sums p terms, one per point of the target line: the group point
+    (m sigma, 0) (y tau, 0) = (m sigma + y tau, m y omega(sigma, tau) / 2),
+    decomposed into source coordinates with models._decompose, adds its
+    phase at the column it lands on.  The sum is times scale(p) chi_q(w),
+    w = omega(sigma, sigma').
+    """
+    w = target.lagrangian.sigma.omega(source.lagrangian.sigma)
+    if w == 0:
+        raise ValueError("summation over the target line needs transverse lines")
+    p = target.p
+    (s1, s2), (t1, t2) = target.sigma, target.tau
+    y, m = np.arange(p)[:, np.newaxis], np.arange(p)[np.newaxis, :]
+    z = half_mod(m * y % p * ((s1 * t2 - s2 * t1) % p), p)
+    x, z0 = _decompose(source, (m * s1 + y * t1) % p, (m * s2 + y * t2) % p, z)
+    out = np.zeros((p, p), dtype=np.complex128)
+    np.add.at(out, (np.broadcast_to(y, x.shape), x), unit_roots(p)[z0])
+    return averaging_scale(p) * legendre_symbol(w, p) * out
+
+
+def coordinate_change_by_decomposition(target: Realization,
+                                       source: Realization) -> np.ndarray:
+    """The canonical operator between realizations on one line by its
+    definition: row y is the target's transversal point (y tau, 0),
+    decomposed once into source coordinates, times chi_q of the enhancement
+    ratio.  Identical realizations give the identity."""
+    p = target.p
+    ratio = target.lagrangian.scale_from(source.lagrangian)
+    t1, t2 = target.tau
+    y = np.arange(p)
+    x, z0 = _decompose(source, y * t1 % p, y * t2 % p, 0)
+    out = np.zeros((p, p), dtype=np.complex128)
+    out[y, x] = unit_roots(p)[z0]
+    return legendre_symbol(ratio, p) * out
+
+
 def regauge(op: Intertwiner, target: Realization, source: Realization) -> Intertwiner:
     """The same operator written between other gauges of the same two lines.
 
@@ -73,9 +115,9 @@ def regauge(op: Intertwiner, target: Realization, source: Realization) -> Intert
         raise ValueError("source realization lies on a different line")
     m = op.matrix
     if target != op.target:
-        m = _coordinate_change(target, op.target) @ m
+        m = _apply_coordinate_change(target, op.target, m)
     if source != op.source:
-        m = m @ _coordinate_change(op.source, source)
+        m = m @ _apply_coordinate_change(op.source, source, np.eye(op.source.p))
     return Intertwiner(source, target, m)
 
 
@@ -174,19 +216,23 @@ def dense_validate_family(p: int, scale: complex) -> None:
     # rounding leaves Frobenius residuals below 5e-16 * p (measured for
     # p < 400); a wrong constant leaves one of order sqrt(p)
     tol = 1e-9 * p
+    eye = np.eye(p)
+
+    def dense(target, source):
+        return _apply_intertwiner(target, source, eye, scale)
+
     rl = Realization.of(1, 0, p)
     rm = Realization.of(0, 1, p)
-    if np.linalg.norm(_intertwiner_matrix(rl, rl, scale) - np.eye(p)) > tol:
+    if np.linalg.norm(dense(rl, rl) - eye) > tol:
         raise IntertwinerConstructionError("normalization fails")
-    f_lm = _intertwiner_matrix(rl, rm, scale)
-    f_ml = _intertwiner_matrix(rm, rl, scale)
-    if np.linalg.norm(f_lm @ f_ml - np.eye(p)) > tol:
+    f_lm = dense(rl, rm)
+    f_ml = dense(rm, rl)
+    if np.linalg.norm(f_lm @ f_ml - eye) > tol:
         raise IntertwinerConstructionError("returning pair is not the identity")
     for triple in (((1, 0), (0, 1), (1, 1)), ((0, 1), (1, 2), (1, 0))):
         first, middle, last = (Realization.of(s1, s2, p) for s1, s2 in triple)
-        composite = (_intertwiner_matrix(first, middle, scale)
-                     @ _intertwiner_matrix(middle, last, scale))
-        if np.linalg.norm(composite - _intertwiner_matrix(first, last, scale)) > tol:
+        composite = dense(first, middle) @ dense(middle, last)
+        if np.linalg.norm(composite - dense(first, last)) > tol:
             raise IntertwinerConstructionError("convolution fails on an anchor triple")
     for a in (2 % p, p - 1):
         if a == 1:
@@ -196,18 +242,18 @@ def dense_validate_family(p: int, scale: complex) -> None:
         # coordinate change carries its phases
         inv = pow(a, -1, p)
         target_scaled = Realization(EnhancedLagrangian.of(0, a, p), (inv, 1))
-        f_scaled = _intertwiner_matrix(target_scaled, rl, scale)
-        back = _coordinate_change(rm, target_scaled)
+        f_scaled = dense(target_scaled, rl)
+        back = _apply_coordinate_change(rm, target_scaled, eye)
         if np.linalg.norm(back @ f_scaled - chi * f_ml) > tol:
             raise IntertwinerConstructionError("sign rule fails in target slot")
         source_scaled = Realization(EnhancedLagrangian.of(a, 0, p), (0, -inv))
-        f_scaled = _intertwiner_matrix(rm, source_scaled, scale)
-        fwd = _coordinate_change(source_scaled, rl)
+        f_scaled = dense(rm, source_scaled)
+        fwd = _apply_coordinate_change(source_scaled, rl, eye)
         if np.linalg.norm(f_scaled @ fwd - chi * f_ml) > tol:
             raise IntertwinerConstructionError("sign rule fails in source slot")
     for g in (SympMatrix(1, 1, 0, 1, p), SympMatrix(0, 1, -1, 0, p)):
         gm, phase_m = geometric_action(rm, g)
         gl, phase_l = geometric_action(rl, g)
         conjugated = (phase_m[:, np.newaxis] * f_ml) * np.conj(phase_l)[np.newaxis, :]
-        if np.linalg.norm(conjugated - _intertwiner_matrix(gm, gl, scale)) > tol:
+        if np.linalg.norm(conjugated - dense(gm, gl)) > tol:
             raise IntertwinerConstructionError("invariance fails")

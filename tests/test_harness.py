@@ -430,6 +430,8 @@ def test_config_validation():
         config(5, 7, jobs=0)
     with pytest.raises(ValueError):
         config(5, 7, verify_samples=-1)
+    with pytest.raises(ValueError, match="seed"):
+        config(5, 7, realizations="all", seed=-1, verify_samples=1)
     with pytest.raises(ValueError, match="need all realizations"):
         config(5, 7, verify_samples=1)  # the defining realization has no other
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Static checks that stand in for a linter over the package and the tests:
-every imported name is read in its module, and every name a qcatlab module
-lists in __all__ exists.  bench/ is not scanned."""
+every imported name is read in its module, every name a qcatlab module
+lists in __all__ exists, and every private module-level name the package
+defines is read somewhere in the package.  bench/ is not scanned."""
 
 import ast
 import importlib
@@ -55,3 +56,36 @@ def test_imports_are_read_and_all_resolves():
         missing += [f"{module.__name__}.{name}" for name in getattr(module, "__all__", [])
                     if not hasattr(module, name)]
     assert not missing, "listed in __all__ but not defined: " + ", ".join(missing)
+
+
+def _private_definitions(path: Path) -> list[tuple[str, str]]:
+    """(name, 'file:line') for each module-level _name (not __dunder__) the
+    file defines by def, class or assignment."""
+    out = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        out += [(name, f"{path.relative_to(ROOT)}:{node.lineno}") for name in names
+                if name.startswith("_") and not name.startswith("__")]
+    return out
+
+
+def test_private_names_are_read_in_the_package():
+    # a private helper that only the tests read belongs in tests/oracles.py
+    files = sorted(PACKAGE.glob("*.py"))
+    assert PACKAGE / "models.py" in files, "package sources not found"
+    read = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = [f"{where}: {name}" for path in files
+              for name, where in _private_definitions(path) if name not in read]
+    assert not unread, "defined and read nowhere in src/qcatlab:\n" + "\n".join(unread)

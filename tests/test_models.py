@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_sl2
-from oracles import dense_validate_family, projective_egorov_solver, regauge
+from oracles import (
+    averaging_by_summation,
+    coordinate_change_by_decomposition,
+    dense_validate_family,
+    projective_egorov_solver,
+    regauge,
+)
 from qcatlab.arith import legendre_symbol, primes_in, unit_roots
 from qcatlab.groups import (
     EnhancedLagrangian,
@@ -273,9 +279,9 @@ def test_validation_rejects_a_beta_off_by_one(p, monkeypatch):
     scale = averaging_scale(p)
     chirps = models._averaging_chirps
 
-    def off_by_one(target, source):
-        qa, beta, qb = chirps(target, source)
-        return qa, (beta + 1) % p, qb
+    def off_by_one(target, source, modulus):
+        qa, beta, qb = chirps(target, source, modulus)
+        return qa, (beta + 1) % modulus, qb
 
     monkeypatch.setattr(models, "_averaging_chirps", off_by_one)
     with pytest.raises(IntertwinerConstructionError, match="returning pair"):
@@ -341,14 +347,23 @@ def realizations_with_regauged(p):
     return out + [Realization(EnhancedLagrangian.of(2, 4, p), (half, half))]
 
 
+def by_definition(target, source):
+    """The canonical operator from its definition: the summation oracle for
+    transverse lines, the decomposition oracle on a shared line."""
+    if target.lagrangian.sigma.omega(source.lagrangian.sigma):
+        return averaging_by_summation(target, source)
+    return coordinate_change_by_decomposition(target, source)
+
+
 @pytest.mark.parametrize("p", primes_in(3, 31))
 def test_intertwine_is_the_dense_operator_at_every_pair(p, rng):
-    # identity, shared lines (re-enhanced and re-gauged) and transverse pairs
-    # (FFT rounding: at most 4.6e-15 per entry for p <= 31 on these blocks)
+    # identity, shared lines (re-enhanced and re-gauged) and transverse pairs,
+    # against the operator by its definition (FFT rounding: at most 4.6e-15
+    # per entry for p <= 31 on these blocks)
     block = rng.normal(size=(p, 5)) + 1j * rng.normal(size=(p, 5))
     rs = realizations_with_regauged(p)
     for target, source in itertools.product(rs, repeat=2):
-        dense = canonical_intertwiner(target, source).matrix @ block
+        dense = by_definition(target, source) @ block
         assert np.abs(intertwine(target, source, block) - dense).max() < 1e-13
     assert np.array_equal(intertwine(rs[0], rs[0], block), block)
 
@@ -359,7 +374,7 @@ def test_intertwine_is_the_dense_operator_at_sampled_pairs(rng):
         block = rng.normal(size=(p, 3)) + 1j * rng.normal(size=(p, 3))
         for _ in range(4):
             target, source = random_enhanced(rng, p), random_enhanced(rng, p)
-            dense = canonical_intertwiner(target, source).matrix @ block
+            dense = by_definition(target, source) @ block
             assert np.abs(intertwine(target, source, block) - dense).max() < 1e-12
 
 
@@ -390,9 +405,12 @@ def test_weil_operator_is_an_intertwiner_after_the_geometric_phases(case):
     block = rng.normal(size=(r.p, 3)) + 1j * rng.normal(size=(r.p, 3))
     image, phases = geometric_action(r, g)
     fast = intertwine(r, image, phases[:, np.newaxis] * block)
-    # FFT rounding grows slowly with p: at most 5.6e-15 per entry for
+    # against weil_entries, the same chirps evaluated entry by entry with no
+    # FFT; FFT rounding grows slowly with p: at most 5.6e-15 per entry for
     # p <= 97 on standard normal blocks, against order 1 for a wrong phase
-    assert np.abs(fast - weil_op(r, g).matrix @ block).max() < 1e-12
+    y = np.arange(r.p)
+    entries = weil_entries(r, (g.a, g.b, g.c, g.d), y[:, np.newaxis], y[np.newaxis, :])
+    assert np.abs(fast - entries @ block).max() < 1e-12
 
 
 def test_sign_rule_exhaustive_p7():
