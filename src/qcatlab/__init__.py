@@ -33,7 +33,6 @@ from .hecke import (
 )
 from .harness import (
     DistributionReport,
-    SupremumRecord,
     SweepConfig,
     universal_sweep,
     value_distribution,

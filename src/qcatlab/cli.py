@@ -15,14 +15,17 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .arith import primes_in
 from .groups import CatMap, build_hecke_torus, classify_prime
-from .hecke import eigenfunction_csv_rows, hecke_spectrum
+from .hecke import hecke_spectrum
 from .harness import (
     SweepConfig,
     gating_failures,
     universal_sweep,
     value_distribution,
+    write_csv_rows,
     write_records_csv,
 )
 from .models import Realization
@@ -113,18 +116,15 @@ def cmd_sweep(args) -> int:
         print(f"skip p={p}: {reason}")
     for p, message in result.errors:
         print(f"error p={p}: {message}")
-    by_prime: dict[int, list] = {}
-    for rec in result.records:
-        by_prime.setdefault(rec.p, []).append(rec)
-    for p in sorted(by_prime):
-        recs = by_prime[p]
-        sup = max(r.sup for r in recs)
-        print(f"p={p} kind={recs[0].kind} records={len(recs)} "
-              f"max_sup={sup:.6f} p^(3/8)={p ** 0.375:.6f}")
-    failures = gating_failures(result.records)
-    print(f"wrote {path} ({len(result.records)} records, "
+    records = result.records  # in prime order
+    primes, starts, counts = np.unique(records["p"], return_index=True, return_counts=True)
+    for p, start, n in zip(primes.tolist(), starts.tolist(), counts.tolist()):
+        print(f"p={p} kind={records['kind'][start]} records={n} "
+              f"max_sup={records['sup'][start:start + n].max():.6f} p^(3/8)={p ** 0.375:.6f}")
+    failures = gating_failures(records)
+    print(f"wrote {path} ({len(records)} records, "
           f"{len(failures)} gating failures)")
-    return 3 if result.errors else 1 if failures else 0  # a crash outranks a failed bound
+    return 3 if result.errors else 1 if len(failures) else 0  # a crash outranks a failed bound
 
 
 def cmd_spectrum(args) -> int:
@@ -141,12 +141,13 @@ def cmd_spectrum(args) -> int:
     torus = build_hecke_torus(args.matrix, p)
     spectrum = hecke_spectrum(torus, Realization.of(s1, s2, p))
     path = _out_dir(args) / f"spectrum_p{p}.csv"
+    fn = spectrum.eigenfunctions
+    values = fn.vectors.T.ravel()  # column by column
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("p,kind,character_index,multiplicity,x,re,im\n")
-        for row in eigenfunction_csv_rows(kind, spectrum.eigenfunctions):
-            fh.write(",".join(
-                f"{v:.12g}" if isinstance(v, float) else str(v) for v in row
-            ) + "\n")
+        write_csv_rows(fh, f"{p},{kind},%d,%d,%d,%.12g,%.12g\n",
+                       [np.repeat(fn.characters, p), np.repeat(fn.multiplicities, p),
+                        np.tile(np.arange(p), p), values.real, values.imag])
     for k, (m, flagged) in enumerate(zip(spectrum.multiplicities().tolist(),
                                          spectrum.flagged.tolist())):
         print(f"character {k}: multiplicity {m}{' (flagged)' if flagged else ''}")
@@ -166,10 +167,10 @@ def cmd_distribution(args) -> int:
     with open(out / "distribution.json", "w", encoding="utf-8") as fh:
         json.dump(dataclasses.asdict(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
+    edges = np.array(report.bin_edges)
     with open(out / "histogram.csv", "w", encoding="utf-8") as fh:
         fh.write("bin_left,bin_right,count\n")
-        for i, c in enumerate(report.bin_counts):
-            fh.write(f"{report.bin_edges[i]:.12g},{report.bin_edges[i+1]:.12g},{c}\n")
+        write_csv_rows(fh, "%.12g,%.12g,%d\n", [edges[:-1], edges[1:], np.array(report.bin_counts)])
     print(f"primes: {report.primes}")
     print(f"samples: {report.sample_count}")
     print(f"KS distance to SU(2) |trace| law: {report.ks_distance:.4f}")

@@ -12,9 +12,10 @@ an error, never a skip.  Each prime's defining spectrum is one labelled
 eigenbasis (a p x p block whose columns carry their torus character); both
 sweeps keep the columns of unflagged characters by mask, and the value
 distribution samples the simple ones.  Sweeps move that block once per
-realization, score each moved block in one pass, emit one record per (prime,
-realization, character, basis vector), and write a versioned CSV artifact
-whose bytes depend only on the config.
+realization, score each moved block in one pass into a record table (a numpy
+structured array, one row per (prime, realization, character, basis vector)),
+and write a versioned CSV artifact whose bytes depend only on the config.  One
+writer, write_csv_rows, formats every CSV artifact a chunk of rows at a time.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .models import Realization
 
 __all__ = [
     "SweepConfig",
-    "SupremumRecord",
+    "RECORD_DTYPE",
     "SweepResult",
     "DistributionReport",
     "supremum_records",
@@ -42,6 +43,7 @@ __all__ = [
     "value_distribution",
     "su2_abs_trace_cdf",
     "su2_abs_trace_moment",
+    "write_csv_rows",
     "write_records_csv",
     "gating_failures",
     "SWEEP_SCHEMA",
@@ -62,6 +64,15 @@ NORM_TOL = 1e-6
 ARGMAX_TIE_TOL = 1e-9
 GATING_MIN_PRIME = 5  # p = 3 is reported but never gates
 HISTOGRAM_BINS = 40  # equal-width bins of the value distribution's histogram
+CSV_CHUNK = 1024  # rows a CSV writer formats at once: about 0.4 MB of sweep.csv objects
+# fields in sweep.csv column order (a_max is written as sup * sup); kind and
+# realization are objects, one shared str per block: a fixed-width str field
+# would widen every row and truncate long realization tags
+RECORD_DTYPE = np.dtype([("p", np.int64), ("kind", object), ("realization", object),
+                         ("character", np.int64), ("multiplicity", np.int64),
+                         ("sup", np.float64), ("argmax", np.int64),
+                         ("passed", np.bool_), ("gating", np.bool_)])
+_NO_RECORDS = np.empty(0, dtype=RECORD_DTYPE)
 
 
 @dataclass(frozen=True)
@@ -97,35 +108,15 @@ class SweepConfig:
 
 
 @dataclass
-class SupremumRecord:
-    p: int
-    kind: str
-    realization: str
-    character: int
-    multiplicity: int
-    sup: float
-    argmax: int
-    a_max: float
-    passed: bool
-    gating: bool
-
-    def csv_row(self) -> str:
-        return ",".join([
-            str(self.p), self.kind, self.realization, str(self.character),
-            str(self.multiplicity), f"{self.sup:.12g}", str(self.argmax),
-            f"{self.a_max:.12g}", str(self.passed).lower(),
-        ])
-
-
-@dataclass
 class SweepResult:
-    records: list[SupremumRecord]
+    records: np.ndarray  # RECORD_DTYPE, in prime order
     skips: list[tuple[int, str]] = field(default_factory=list)
     errors: list[tuple[int, str]] = field(default_factory=list)  # (p, "Type: message")
 
 
-def supremum_records(fn: HeckeEigenfunction, kind: str) -> list[SupremumRecord]:
-    """One record per column of the block, in column order."""
+def supremum_records(fn: HeckeEigenfunction, kind: str) -> np.ndarray:
+    """The record table of a block: one RECORD_DTYPE row per column, in column
+    order, all rows sharing one `kind` and one realization tag object."""
     p = fn.p
     mags = np.abs(fn.vectors)
     mags_sq = mags * mags
@@ -134,18 +125,18 @@ def supremum_records(fn: HeckeEigenfunction, kind: str) -> list[SupremumRecord]:
     if not ok.all():
         raise ValueError(f"eigenfunction norm^2 = {norms_sq[~ok][0]}, expected {p}")
     sups = mags.max(axis=0)
+    records = np.empty(sups.size, dtype=RECORD_DTYPE)
+    records["p"] = p
+    records["kind"] = kind
+    records["realization"] = fn.realization.tag()
+    records["character"] = fn.characters
+    records["multiplicity"] = fn.multiplicities
+    records["sup"] = sups
     # -I is in the torus, so |v(x)| = |v(-x)| ties the maximum: take the least x
-    argmaxes = (mags_sq >= sups * sups - ARGMAX_TIE_TOL).argmax(axis=0)
-    tag = fn.realization.tag()
-    return [
-        SupremumRecord(
-            p=p, kind=kind, realization=tag, character=k, multiplicity=m,
-            sup=sup, argmax=x, a_max=sup * sup, passed=sup <= SUP_BOUND + SUP_TOL,
-            gating=(m == 1 and p >= GATING_MIN_PRIME),
-        )
-        for k, m, sup, x in zip(fn.characters.tolist(), fn.multiplicities.tolist(),
-                                sups.tolist(), argmaxes.tolist())
-    ]
+    records["argmax"] = (mags_sq >= sups * sups - ARGMAX_TIE_TOL).argmax(axis=0)
+    records["passed"] = sups <= SUP_BOUND + SUP_TOL
+    records["gating"] = (records["multiplicity"] == 1) & (p >= GATING_MIN_PRIME)
+    return records
 
 
 def _map_primes(fn, primes: list[int], jobs: int, *args):
@@ -184,10 +175,10 @@ def _defining_spectrum(p: int, A: CatMap):
 
 
 def _sweep_one_prime(p: int, A: CatMap, realizations: str, verify_samples: int,
-                     seed: int) -> tuple[list[SupremumRecord], list[tuple[int, str]]]:
+                     seed: int) -> tuple[np.ndarray, list[tuple[int, str]]]:
     kind = classify_prime(A, p)
     if kind == "ramified":
-        return [], [(p, "ramified prime skipped: p divides trace^2 - 4")]
+        return _NO_RECORDS, [(p, "ramified prime skipped: p divides trace^2 - 4")]
     spectrum, fn, skips = _defining_spectrum(p, A)
     defining = fn.realization
     if realizations == "all":
@@ -195,9 +186,9 @@ def _sweep_one_prime(p: int, A: CatMap, realizations: str, verify_samples: int,
     else:
         targets = [defining]
     moved = (fn if r == defining else transport(fn, r) for r in targets)
-    records = [rec for m in moved for rec in supremum_records(m, kind)]
+    records = np.concatenate([supremum_records(m, kind) for m in moved])
     # stable: rows go per character, then realization, then basis vector
-    records.sort(key=lambda rec: rec.character)
+    records = records[np.argsort(records["character"], kind="stable")]
     simple_indices = fn.characters[fn.multiplicities == 1].tolist()
     if verify_samples and simple_indices:
         _verify_transport(spectrum, targets, simple_indices, verify_samples, seed, p)
@@ -235,17 +226,16 @@ def universal_sweep(cfg: SweepConfig) -> SweepResult:
     results, errors = _map_primes(_sweep_one_prime, cfg.primes(), cfg.jobs,
                                   cfg.matrix, cfg.realizations,
                                   cfg.verify_samples, cfg.seed)
-    result = SweepResult([], [], errors)
-    for _, (records, skips) in results:
-        result.records.extend(records)
-        result.skips.extend(skips)
-        for sp, reason in skips:
-            log.info("p = %d: %s", sp, reason)
-    return result
+    # the empty table keeps the dtype when every prime is ramified or raised
+    records = np.concatenate([_NO_RECORDS, *(table for _, (table, _) in results)])
+    skips = [skip for _, (_, prime_skips) in results for skip in prime_skips]
+    for sp, reason in skips:
+        log.info("p = %d: %s", sp, reason)
+    return SweepResult(records, skips, errors)
 
 
-def gating_failures(records: list[SupremumRecord]) -> list[SupremumRecord]:
-    return [r for r in records if r.gating and not r.passed]
+def gating_failures(records: np.ndarray) -> np.ndarray:
+    return records[records["gating"] & ~records["passed"]]
 
 
 def su2_abs_trace_cdf(s: np.ndarray) -> np.ndarray:
@@ -336,9 +326,20 @@ def value_distribution(cfg: SweepConfig) -> DistributionReport:
     )
 
 
-def write_records_csv(path, records: list[SupremumRecord]) -> None:
+def write_csv_rows(fh, fmt: str, columns) -> None:
+    """Write fmt % row for each row of the equal-length 1-D arrays in columns,
+    CSV_CHUNK rows at a time, so only one chunk's Python objects are alive."""
+    for lo in range(0, len(columns[0]), CSV_CHUNK):
+        rows = zip(*(c[lo:lo + CSV_CHUNK].tolist() for c in columns))
+        fh.write("".join([fmt % row for row in rows]))
+
+
+def write_records_csv(path, records: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# schema: {SWEEP_SCHEMA}\n")
         fh.write("p,kind,realization,character,multiplicity,sup,argmax,a_max,pass\n")
-        for rec in records:
-            fh.write(rec.csv_row() + "\n")
+        for lo in range(0, len(records), CSV_CHUNK):  # a_max and pass, a chunk at a time
+            chunk = records[lo:lo + CSV_CHUNK]
+            write_csv_rows(fh, "%d,%s,%s,%d,%d,%.12g,%d,%.12g,%s\n", [
+                *(chunk[name] for name in RECORD_DTYPE.names[:7]),  # p .. argmax
+                chunk["sup"] * chunk["sup"], np.where(chunk["passed"], "true", "false")])

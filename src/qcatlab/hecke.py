@@ -35,7 +35,6 @@ __all__ = [
     "hecke_spectrum",
     "eigenfunction",
     "transport",
-    "eigenfunction_csv_rows",
 ]
 
 # the points x = 0..3 whose projector columns give the eigenvectors: 0 holds
@@ -239,10 +238,3 @@ def transport(fn: HeckeEigenfunction, target: Realization) -> HeckeEigenfunction
     moved = intertwine(target, fn.realization, fn.vectors)
     return HeckeEigenfunction(target, _normalize_columns(moved, fn.p), fn.characters)
 
-
-def eigenfunction_csv_rows(kind: str, fn: HeckeEigenfunction) -> list[tuple]:
-    """Rows (p, kind, character_index, multiplicity, x, re, im), column by column."""
-    return [(fn.p, kind, k, m, x, float(v[x].real), float(v[x].imag))
-            for k, m, v in zip(fn.characters.tolist(), fn.multiplicities.tolist(),
-                               fn.vectors.T)
-            for x in range(fn.p)]

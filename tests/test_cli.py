@@ -9,6 +9,10 @@ import pytest
 
 import qcatlab
 from qcatlab.cli import main
+from qcatlab.groups import CatMap, build_hecke_torus
+from qcatlab.harness import SweepConfig, universal_sweep
+from qcatlab.hecke import hecke_spectrum
+from qcatlab.models import Realization
 
 
 def run_cli(args):
@@ -219,6 +223,65 @@ def test_spectrum_writes_eigenfunctions(tmp_path, capsys):
     assert len(lines) == 1 + 7 * 7
     out = capsys.readouterr().out
     assert "multiplicity 0" in out  # the empty character is reported
+    # p rows per column, x running over the points; every nonempty character
+    # is simple at p = 7, so the first row is the first simple character's
+    spectrum = hecke_spectrum(build_hecke_torus(CatMap(2, 1, 1, 1), 7), Realization.standard(7))
+    k = int(np.flatnonzero(spectrum.multiplicities() == 1)[0])
+    rows = [line.split(",") for line in lines[1:]]
+    assert rows[0][:5] == ["7", "inert", str(k), "1", "0"]
+    assert [r[4] for r in rows] == [str(x) for x in range(7)] * 7
+    # re and im are written as floats, to 12 significant digits
+    values = spectrum.eigenfunctions.vectors.T.ravel().tolist()
+    assert [r[5:] for r in rows] == [[format(v.real, ".12g"), format(v.imag, ".12g")]
+                                     for v in values]
+
+
+def test_sweep_csv_row_format(tmp_path):
+    # p = 11 is split for this map, so the sweep exits 1; of its torus's 10
+    # characters, 5 is 2-dimensional and writes two rows in each realization
+    assert run_cli(["sweep", "--matrix", "2,1;1,1", "--primes", "11..11",
+                    "--realizations", "all", "--out", str(tmp_path)]) == 1
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert lines[:2] == ["# schema: qcatlab-sweep v1",
+                         "p,kind,realization,character,multiplicity,sup,argmax,a_max,pass"]
+    rows = [line.split(",") for line in lines[2:]]
+    # per character, then realization, then basis vector
+    tags = [f"1:{m}" for m in range(11)] + ["0:1"]
+    assert [r[:5] for r in rows] == [
+        ["11", "split", tag, str(k), "2" if k == 5 else "1"]
+        for k in range(10) for tag in tags for _ in range(2 if k == 5 else 1)]
+
+    def not_floats(r):
+        return r[:5] + r[6:7] + r[8:]
+
+    assert not_floats(rows[0]) == ["11", "split", "1:0", "0", "1", "5", "true"]
+    first5 = 5 * 12
+    assert [not_floats(r) for r in rows[first5:first5 + 2]] == [
+        ["11", "split", "1:0", "5", "2", "1", "true"],
+        ["11", "split", "1:0", "5", "2", "2", "true"]]
+    assert [not_floats(r) for r in rows[first5 + 6:first5 + 8]] == [
+        ["11", "split", "1:3", "5", "2", "0", "true"],
+        ["11", "split", "1:3", "5", "2", "0", "false"]]
+    # the floats are the record table's, to 12 significant digits
+    records = universal_sweep(SweepConfig(matrix=CatMap(2, 1, 1, 1), prime_lo=11,
+                                          prime_hi=11, realizations="all")).records
+    sups = records["sup"].tolist()
+    assert [r[5] for r in rows] == [format(x, ".12g") for x in sups]
+    assert [r[7] for r in rows] == [format(x * x, ".12g") for x in sups]
+    assert [r[6] for r in rows] == [str(x) for x in records["argmax"].tolist()]
+    assert [r[8] for r in rows] == ["true" if b else "false"
+                                    for b in records["passed"].tolist()]
+    assert {r[8] for r in rows} == {"true", "false"}
+
+
+def test_sweep_of_ramified_primes_writes_the_header(tmp_path, capsys):
+    # 5 is ramified for this map: no record, no error, exit 0
+    assert run_cli(["sweep", "--matrix", "2,1;1,1", "--primes", "5..5",
+                    "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "sweep.csv").read_text().splitlines() == [
+        "# schema: qcatlab-sweep v1",
+        "p,kind,realization,character,multiplicity,sup,argmax,a_max,pass"]
+    assert "(0 records, 0 gating failures)" in capsys.readouterr().out
 
 
 def test_spectrum_ramified_prime_fails(tmp_path):

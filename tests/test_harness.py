@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,8 @@ from qcatlab.hecke import (
 )
 from qcatlab.models import Realization
 from qcatlab.harness import (
+    CSV_CHUNK,
+    RECORD_DTYPE,
     SweepConfig,
     gating_failures,
     su2_abs_trace_cdf,
@@ -36,15 +39,19 @@ def config(lo, hi, **kw):
     return SweepConfig(matrix=A, prime_lo=lo, prime_hi=hi, **kw)
 
 
-def test_supremum_check_split_closed_form():
+def test_supremum_check_split_closed_form(tmp_path):
     fn = split_closed_form(build_hecke_torus(A, 11))
     records = supremum_records(fn, "split")
-    assert [rec.character for rec in records] == list(range(10))
-    for rec in records:
-        assert abs(rec.sup - math.sqrt(11 / 10)) < 1e-9  # ~1.0488
-        assert rec.passed and rec.gating
-        assert abs(rec.a_max - rec.sup ** 2) < 1e-12
-        assert rec.multiplicity == 1 and rec.p == 11
+    assert records.dtype == RECORD_DTYPE
+    assert records["character"].tolist() == list(range(10))
+    assert np.all(np.abs(records["sup"] - math.sqrt(11 / 10)) < 1e-9)  # ~1.0488
+    assert records["passed"].all() and records["gating"].all()
+    assert (records["multiplicity"] == 1).all() and (records["p"] == 11).all()
+    # a_max is not stored: the CSV writes it from sup
+    write_records_csv(tmp_path / "sweep.csv", records)
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()[2:]
+    a_max = np.array([float(line.split(",")[7]) for line in lines])
+    assert np.all(np.abs(a_max - records["sup"] ** 2) < 1e-12)
 
 
 def test_argmax_is_least_point_of_a_tied_maximum():
@@ -57,8 +64,8 @@ def test_argmax_is_least_point_of_a_tied_maximum():
     assert np.argmax(np.abs(v)) == 5
     fn = HeckeEigenfunction(Realization.standard(p), v[:, np.newaxis], np.array([0]))
     (rec,) = supremum_records(fn, "inert")
-    assert rec.argmax == 2
-    assert rec.sup == np.abs(v).max()
+    assert rec["argmax"] == 2
+    assert rec["sup"] == np.abs(v).max()
 
 
 def test_supremum_check_enforces_normalization():
@@ -78,30 +85,30 @@ def test_sweep_p7_all_realizations_all_pass():
     result = universal_sweep(config(7, 7, realizations="all"))
     # 8 realizations x 7 multiplicity-one characters
     assert len(result.records) == 56
-    assert all(r.passed for r in result.records)
-    assert all(r.kind == "inert" for r in result.records)
-    assert len({r.realization for r in result.records}) == 8
+    assert result.records["passed"].all()
+    assert (result.records["kind"] == "inert").all()
+    assert len(set(result.records["realization"])) == 8
     assert not result.skips
 
 
 def test_sweep_skips_ramified_with_log():
     result = universal_sweep(config(5, 7))
     assert any(p == 5 and "ramified" in reason for p, reason in result.skips)
-    assert {r.p for r in result.records} == {7}
+    assert set(result.records["p"].tolist()) == {7}
 
 
 def test_sweep_p3_reported_but_not_gating():
     result = universal_sweep(config(3, 3))
-    assert result.records
-    assert all(r.p == 3 and not r.gating for r in result.records)
+    assert len(result.records)
+    assert (result.records["p"] == 3).all() and not result.records["gating"].any()
 
 
 def test_sweep_degenerate_rows_not_gating():
     result = universal_sweep(config(11, 11))
-    deg = [r for r in result.records if r.multiplicity > 1]
+    deg = result.records[result.records["multiplicity"] > 1]
     assert len(deg) == 2  # two basis vectors of the one two-dimensional space
-    assert all(not r.gating for r in deg)
-    assert sum(1 for r in result.records if r.multiplicity == 1) == 9
+    assert not deg["gating"].any()
+    assert np.count_nonzero(result.records["multiplicity"] == 1) == 9
 
 
 def test_sweep_isolation_of_prime_failures(monkeypatch):
@@ -118,7 +125,7 @@ def test_sweep_isolation_of_prime_failures(monkeypatch):
     result = universal_sweep(config(7, 13))
     assert result.errors == [(11, "RuntimeError: injected")]
     assert all(p != 11 for p, _ in result.skips)  # an error is not a skip
-    assert {r.p for r in result.records} == {7, 13}
+    assert set(result.records["p"].tolist()) == {7, 13}
 
 
 def test_flagged_character_excluded_from_sweep_and_distribution(monkeypatch):
@@ -137,7 +144,7 @@ def test_flagged_character_excluded_from_sweep_and_distribution(monkeypatch):
     assert "indeterminate" in skip[1]
     assert skip[1].split()[:2] == ["character", "7"]
     # character 4 is empty at p = 7
-    assert {r.character for r in sweep.records} == {0, 1, 2, 3, 5, 6}
+    assert set(sweep.records["character"].tolist()) == {0, 1, 2, 3, 5, 6}
     report = value_distribution(config(7, 7))
     assert report.sample_count == 6 * 7
     assert report.skipped == [skip]
@@ -164,7 +171,7 @@ def test_sweep_builds_one_intertwiner_per_realization(monkeypatch):
     monkeypatch.setattr(models, "canonical_intertwiner",
                         counting("models", models.canonical_intertwiner))
     result = universal_sweep(config(13, 13, realizations="all", verify_samples=1))
-    assert len({r.realization for r in result.records}) == 14
+    assert len(set(result.records["realization"])) == 14
     # intertwiner applications: one transport to each of the 13 non-defining
     # realizations and the verify sample's, then the residuals of the defining
     # spectrum and of the verify sample's re-extraction; no dense operator
@@ -236,29 +243,33 @@ def test_sweep_rows_match_one_pair_at_a_time():
         fn = eigenfunction(spectrum, k)
         for r in targets:
             moved = fn if r == fn.realization else transport(fn, r)
-            expected.extend(supremum_records(moved, "split"))
-    assert any(rec.multiplicity == 2 for rec in expected)
+            expected.append(supremum_records(moved, "split"))
+    expected = np.concatenate(expected)
+    assert (expected["multiplicity"] == 2).any()
     records = universal_sweep(config(p, p, realizations="all")).records
-    key = lambda r: (r.p, r.kind, r.realization, r.character,  # noqa: E731
-                     r.multiplicity, r.argmax, r.passed, r.gating)
-    assert [key(r) for r in records] == [key(r) for r in expected]
-    assert max(abs(r.sup - e.sup) for r, e in zip(records, expected)) < 1e-12
+    assert len(records) == len(expected)
+    for name in ("p", "kind", "realization", "character", "multiplicity", "argmax",
+                 "passed", "gating"):
+        assert np.array_equal(records[name], expected[name]), name
+    assert np.abs(records["sup"] - expected["sup"]).max() < 1e-12
 
 
 def test_sweep_parallel_matches_serial():
+    # the whole table, object fields included, survives the process pool
     serial = universal_sweep(config(7, 13))
     parallel = universal_sweep(config(7, 13, jobs=2))
-    assert [r.csv_row() for r in serial.records] == [r.csv_row() for r in parallel.records]
+    assert parallel.records.dtype == RECORD_DTYPE
+    assert serial.records.tolist() == parallel.records.tolist()
 
 
 def test_records_norm_equal_across_realizations():
     # transported eigenfunctions keep norm^2 = p: the record builder enforces
     # it, so a full multi-realization sweep doubles as the check
     result = universal_sweep(config(13, 13, realizations="all"))
-    assert len({r.realization for r in result.records}) == 14
+    assert len(set(result.records["realization"])) == 14
     by_char = {}
-    for r in result.records:
-        by_char.setdefault(r.character, set()).add(r.realization)
+    for k, tag in zip(result.records["character"].tolist(), result.records["realization"]):
+        by_char.setdefault(k, set()).add(tag)
     for char, tags in by_char.items():
         assert len(tags) == 14
 
@@ -300,9 +311,9 @@ def test_projector_identity_sums_to_p():
 
 def test_point_masses_bounded_on_passing_records():
     result = universal_sweep(config(7, 7, realizations="all"))
-    for rec in result.records:
-        assert rec.passed
-        assert rec.a_max <= 4.0 + 5e-9
+    assert result.records["passed"].all()
+    # a_max, as the CSV writes it
+    assert (result.records["sup"] * result.records["sup"] <= 4.0 + 5e-9).all()
 
 
 def test_observed_sup_envelopes():
@@ -310,14 +321,16 @@ def test_observed_sup_envelopes():
     # (sup <= 2*sqrt(p/(p+1)) < 2), while split primes stay under the
     # Salie-sum envelope 2*sqrt(p/(p-1)), which exceeds 2 by O(1/p)
     for p in (7, 13, 23):
-        recs = [r for r in universal_sweep(config(p, p)).records if r.gating]
+        records = universal_sweep(config(p, p)).records
+        sups = records["sup"][records["gating"]]
         bound = 2 * math.sqrt(p / (p + 1))
-        assert all(r.sup <= bound + 1e-9 for r in recs)
+        assert (sups <= bound + 1e-9).all()
     for p in (11, 19, 29):
-        recs = [r for r in universal_sweep(config(p, p)).records if r.gating]
+        records = universal_sweep(config(p, p)).records
+        sups = records["sup"][records["gating"]]
         bound = 2 * math.sqrt(p / (p - 1))
-        assert all(r.sup <= bound + 1e-9 for r in recs)
-        assert any(r.sup > 2.0 for r in recs)  # the flat bound genuinely fails
+        assert (sups <= bound + 1e-9).all()
+        assert (sups > 2.0).any()  # the flat bound genuinely fails
 
 
 # ---------------------------------------------------------------------------
@@ -412,13 +425,30 @@ def test_csv_schema_and_determinism(tmp_path):
     assert len(lines) == 2 + len(universal_sweep(cfg).records)
 
 
+def test_records_csv_peak_memory_is_one_chunk(tmp_path):
+    # the writer formats CSV_CHUNK rows at a time, about 370 B of Python
+    # objects a row, so its peak is fixed by the chunk: 1 kB a chunk row bounds
+    # it, while a writer holding every row at once needs about 370 B a table row
+    bound = 1000 * CSV_CHUNK
+    for hi in (31, 61):
+        records = universal_sweep(config(5, hi, realizations="all")).records
+        tracemalloc.start()
+        try:
+            write_records_csv(tmp_path / "sweep.csv", records)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, f"5..{hi}: {len(records)} rows peaked at {peak} B"
+    assert len(records) > 20 * CSV_CHUNK  # 20,930 rows at 5..61
+
+
 def test_gating_failures_filter():
     result = universal_sweep(config(7, 7))
-    assert gating_failures(result.records) == []
+    assert len(gating_failures(result.records)) == 0
     result11 = universal_sweep(config(11, 11))
     failing = gating_failures(result11.records)
     # the split prime 11 genuinely exceeds the flat bound at one character
-    assert failing and all(r.sup > 2.0 for r in failing)
+    assert len(failing) and (failing["sup"] > 2.0).all()
 
 
 def test_config_validation():
