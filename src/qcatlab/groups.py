@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import half_mod, inverse_mod, is_odd_prime, legendre_symbol
+from .arith import half_mod, inverse_mod, is_odd_prime, legendre_symbol, pow_mod
 
 __all__ = [
     "SymplecticVector",
@@ -24,6 +24,7 @@ __all__ = [
     "classify_prime",
     "build_hecke_torus",
     "enumerate_lagrangians",
+    "line_index",
 ]
 
 
@@ -174,6 +175,13 @@ def enumerate_lagrangians(p: int) -> list[EnhancedLagrangian]:
     out = [EnhancedLagrangian.of(1, m, p) for m in range(p)]
     out.append(EnhancedLagrangian.of(0, 1, p))
     return out
+
+
+def line_index(v1, v2, p: int):
+    """The position in enumerate_lagrangians(p) of the line through the
+    nonzero vector (v1, v2), elementwise over integer arrays: the slope
+    v2 / v1, or p on the line v1 = 0."""
+    return np.where(v1 % p == 0, p, v2 * pow_mod(v1, p - 2, p) % p)
 
 
 @dataclass(frozen=True)

@@ -11,16 +11,21 @@ Both sweeps run per prime through `_map_primes`, where a prime that raises is
 an error, never a skip.  Each prime's defining spectrum is one labelled
 eigenbasis (a p x p block whose columns carry their torus character); both
 sweeps keep the columns of unflagged characters by mask, and the value
-distribution samples the simple ones.  Sweeps move that block once per
-realization, score each moved block in one pass into a record table (a numpy
-structured array, one row per (prime, realization, character, basis vector)),
-and write a versioned CSV artifact whose bytes depend only on the config.  One
+distribution samples the simple ones.  In all realizations a sweep moves
+that block once per torus orbit of lines, to the orbit's representative
+(none for the defining line's orbit), and scores it there in one pass; the
+orbit's other lines take those rows with the argmax relabelled by the line's
+dilation, since the torus carries moduli along an orbit
+(hecke.torus_orbits).  Records form one table (a numpy structured array, one
+row per (prime, realization, character, basis vector)), written as a
+versioned CSV artifact whose bytes depend only on the config.  One
 writer, write_csv_rows, formats every CSV artifact a chunk of rows at a time.
 """
 
 from __future__ import annotations
 
 import logging
+import random
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -28,9 +33,17 @@ from functools import partial
 
 import numpy as np
 
-from .arith import primes_in
+from .arith import pow_mod, primes_in
 from .groups import CatMap, classify_prime, build_hecke_torus, enumerate_lagrangians
-from .hecke import HeckeEigenfunction, eigenfunction, hecke_spectrum, transport
+from .hecke import (
+    HeckeEigenfunction,
+    eigenfunction,
+    hecke_spectrum,
+    orbit_move,
+    projector_column,
+    torus_orbits,
+    transport,
+)
 from .models import Realization
 
 __all__ = [
@@ -133,10 +146,15 @@ def supremum_records(fn: HeckeEigenfunction, kind: str) -> np.ndarray:
     records["multiplicity"] = fn.multiplicities
     records["sup"] = sups
     # -I is in the torus, so |v(x)| = |v(-x)| ties the maximum: take the least x
-    records["argmax"] = (mags_sq >= sups * sups - ARGMAX_TIE_TOL).argmax(axis=0)
+    records["argmax"] = _ties(mags_sq, sups).argmax(axis=0)
     records["passed"] = sups <= SUP_BOUND + SUP_TOL
     records["gating"] = (records["multiplicity"] == 1) & (p >= GATING_MIN_PRIME)
     return records
+
+
+def _ties(mags_sq: np.ndarray, sups: np.ndarray) -> np.ndarray:
+    """Where each column's squared modulus ties its maximum sup^2."""
+    return mags_sq >= sups * sups - ARGMAX_TIE_TOL
 
 
 def _map_primes(fn, primes: list[int], jobs: int, *args):
@@ -180,40 +198,100 @@ def _sweep_one_prime(p: int, A: CatMap, realizations: str, verify_samples: int,
     if kind == "ramified":
         return _NO_RECORDS, [(p, "ramified prime skipped: p divides trace^2 - 4")]
     spectrum, fn, skips = _defining_spectrum(p, A)
-    defining = fn.realization
     if realizations == "all":
-        targets = [Realization.canonical(l) for l in enumerate_lagrangians(p)]
+        orbits = torus_orbits(spectrum.torus)
+        table = _orbit_records(fn, orbits, kind)
+        if verify_samples:
+            _verify_orbit_moves(spectrum, fn, table, orbits, verify_samples, seed)
+        records = table.ravel()
     else:
-        targets = [defining]
-    moved = (fn if r == defining else transport(fn, r) for r in targets)
-    records = np.concatenate([supremum_records(m, kind) for m in moved])
+        records = supremum_records(fn, kind)
     # stable: rows go per character, then realization, then basis vector
-    records = records[np.argsort(records["character"], kind="stable")]
-    simple_indices = fn.characters[fn.multiplicities == 1].tolist()
-    if verify_samples and simple_indices:
-        _verify_transport(spectrum, targets, simple_indices, verify_samples, seed, p)
-    return records, skips
+    return records[np.argsort(records["character"], kind="stable")], skips
 
 
-def _verify_transport(spectrum, targets, simple_indices, n_samples, seed, p):
-    """Re-extract a few eigenfunctions directly in a non-defining realization
-    and confirm they match the transported ones up to a global phase."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, p]))
-    others = [r for r in targets if r != spectrum.eigenfunctions.realization]
+def _orbit_records(fn: HeckeEigenfunction, orbits, kind: str) -> np.ndarray:
+    """The (p + 1, n) record table of every line, in enumeration order.
+
+    Each torus orbit's representative scores the block transported there
+    (or fn itself on fn's line); every other line of the orbit takes its
+    rows, with the argmax relabelled by the line's dilation e: the least y
+    with e y in the representative's tie set (hecke.torus_orbits), read off
+    that set's points in O(ties) per line.
+    """
+    p = fn.p
+    rep, _, dilation = orbits
+    lines = enumerate_lagrangians(p)
+    reps, slot = np.unique(rep, return_inverse=True)
+    inverse = pow_mod(dilation, p - 2, p)
+    scored, argmax = [], np.empty((p + 1, fn.characters.size), dtype=np.int64)
+    for r in reps.tolist():
+        source = Realization.canonical(lines[r])
+        block = fn if source == fn.realization else transport(fn, source)
+        scored.append(supremum_records(block, kind))
+        # the tie points x, column by column: every column has one, its maximum
+        col, x = np.nonzero(_ties(np.abs(block.vectors) ** 2, scored[-1]["sup"]).T)
+        first = np.flatnonzero(np.diff(col, prepend=-1))
+        for l in np.flatnonzero(rep == r).tolist():
+            # the least y with e y tied is the least x / e over the tie points
+            argmax[l] = np.minimum.reduceat(x * inverse[l] % p, first)
+    # a gather of the representatives' rows, not np.empty, which would first
+    # fill every object field with None, one row at a time
+    table = np.stack(scored)[slot]
+    tags = [Realization.canonical(lag).tag() for lag in lines]
+    table["realization"] = np.array(tags, dtype=object)[:, np.newaxis]
+    table["argmax"] = argmax
+    return table
+
+
+def _verify_orbit_moves(spectrum, fn, table, orbits, n_samples, seed):
+    """Rebuild a few derived rows the long way and re-extract them directly.
+
+    Each sample draws a line that is not its orbit's representative and a
+    simple character k, and carries k's eigenfunction there in full:
+    transport to the representative, then hecke.orbit_move.  Its record must
+    give the table's sup and argmax for (line, k), and one projector column
+    of the line's model at that argmax must be the same vector up to a
+    global phase.
+    """
+    p = fn.p
+    rep, power, _ = orbits
+    others = np.flatnonzero(rep != np.arange(rep.size))
+    simple = fn.characters[fn.multiplicities == 1]
+    if not others.size or not simple.size:
+        return
+    # the standard library's generator, seeded by a string (hashed with
+    # SHA-512, so stable across runs): numpy.random's import alone costs
+    # about 6 MB of resident memory, more than the draws are worth
+    rng = random.Random(f"verify {seed} {p}")
+    lines = enumerate_lagrangians(p)
     for _ in range(n_samples):
-        r = others[rng.integers(len(others))]
-        k = int(simple_indices[rng.integers(len(simple_indices))])
-        moved = transport(eigenfunction(spectrum, k), r)
-        direct = eigenfunction(hecke_spectrum(spectrum.torus, r), k)
-        overlap = np.vdot(direct.amplitudes, moved.amplitudes)
-        phase = overlap / abs(overlap)
-        dev = np.max(np.abs(moved.amplitudes - phase * direct.amplitudes))
-        # rounding grows about like 7e-17 p^1.5 (4e-15 at p = 13, 6e-13 at
-        # p = 401), under 1e-7 to p ~ 1e6; a wrong image misses by >= sqrt(2)
-        if dev > 1e-7:
+        l = int(others[rng.randrange(others.size)])
+        k = int(simple[rng.randrange(simple.size)])
+        source, target = (Realization.canonical(lines[i]) for i in (rep[l], l))
+        block = eigenfunction(spectrum, k)
+        if source != block.realization:
+            block = transport(block, source)
+        moved = orbit_move(block, spectrum.torus, int(power[l]), target)
+        rows = table[l][table[l]["character"] == k]
+        (rec,) = supremum_records(moved, table[l, 0]["kind"])
+        if rows.size != 1 or rec["argmax"] != rows[0]["argmax"] \
+                or not abs(rec["sup"] - rows[0]["sup"]) <= SUP_TOL:
             raise RuntimeError(
-                f"transported eigenfunction disagrees with re-extraction: "
-                f"p={p} k={k} realization={r.tag()} dev={dev:.3g}"
+                f"derived row disagrees with its orbit move: p={p} k={k} "
+                f"realization={target.tag()} rows={rows[['sup', 'argmax']].tolist()} "
+                f"moved=({rec['sup']:.12g}, {rec['argmax']})")
+        direct = projector_column(spectrum.torus, target, k, int(rec["argmax"]))
+        direct *= np.sqrt(p) / np.linalg.norm(direct)
+        overlap = np.vdot(direct, moved.vectors[:, 0])
+        dev = np.max(np.abs(moved.vectors[:, 0] - overlap / abs(overlap) * direct))
+        # rounding grows about like 1.5e-16 sqrt(p) (at most 1.2e-15 at
+        # p = 13, 5.1e-15 at p = 1009), far under 1e-7; a wrong image misses
+        # by >= sqrt(2)
+        if not dev <= 1e-7:
+            raise RuntimeError(
+                f"orbit-moved eigenfunction disagrees with re-extraction: "
+                f"p={p} k={k} realization={target.tag()} dev={dev:.3g}"
             )
 
 

@@ -7,16 +7,21 @@ function-level shadow of the paper's torus sums of Weil-representation
 kernels.  Every entry of rho(g^j) has a closed form (models.weil_entries), so
 one FFT along j of O(p)-cost diagonals and columns gives every point mass and
 every basis vector, with no eigensolver; a degenerate space gets a basis
-fixed by rule.  The residual that checks the eigenvector equation applies
-rho(g) as the canonical intertwiner from the model of g.r composed with its
-geometric phases, one FFT for the whole basis, so it shares no entry formula
-with the tables.  Eigenfunctions travel as one block per realization:
-a (p, n) matrix whose columns are labelled by character, which `transport`
-carries to another realization with one application of the canonical
-intertwiner (models.intertwine, an FFT between chirps).  The spectrum is
-itself such a block with n = p: every eigenvector, grouped by character and
-normalized once, so a character's multiplicity is the count of its label
-and extracting characters selects columns.
+fixed by rule, and projector_column reads one character's column alone.  The
+residual that checks the eigenvector equation applies rho(g) as the
+canonical intertwiner from the model of g.r composed with its geometric
+phases, one FFT for the whole basis, so it shares no entry formula with the
+tables.  Eigenfunctions travel as one block per realization: a (p, n) matrix
+whose columns are labelled by character, which `transport` carries to
+another realization with one application of the canonical intertwiner
+(models.intertwine, an FFT between chirps).  The intertwiners commute with
+the torus, so a block needs carrying only to one line per torus orbit
+(torus_orbits): on every other line of the orbit its moduli are the
+representative's, relabelled by a dilation y -> e y, and orbit_move carries
+it there the long way for checks.  The spectrum is itself such a block with
+n = p: every eigenvector, grouped by character and normalized once, so a
+character's multiplicity is the count of its label and extracting characters
+selects columns.
 """
 
 from __future__ import annotations
@@ -26,8 +31,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import unit_roots
-from .groups import HeckeTorus
-from .models import Realization, geometric_action, intertwine, weil_entries
+from .groups import HeckeTorus, SympMatrix, enumerate_lagrangians, line_index
+from .models import (
+    Realization,
+    _canonical_tau,
+    _omega,
+    geometric_action,
+    intertwine,
+    weil_entries,
+)
 
 __all__ = [
     "HeckeSpectrum",
@@ -35,6 +47,9 @@ __all__ = [
     "hecke_spectrum",
     "eigenfunction",
     "transport",
+    "torus_orbits",
+    "orbit_move",
+    "projector_column",
 ]
 
 # the points x = 0..3 whose projector columns give the eigenvectors: 0 holds
@@ -144,6 +159,13 @@ def _torus_elements(torus: HeckeTorus) -> tuple[np.ndarray, ...]:
     return tuple(np.array(rows, dtype=np.int64).T[:, :, np.newaxis])
 
 
+def _projector_columns(r: Realization, g: tuple, b: int, n: int) -> np.ndarray:
+    """(N, p): row k is P_k delta_b, one FFT along j of the columns
+    rho(g^j)[:, b] of the N torus elements g, since numpy's FFT weights
+    entry j of character k by exp(-2 pi i k j / N) = conj(chi_k(g^j))."""
+    return np.fft.fft(weil_entries(r, g, np.arange(r.p), b), axis=0) / n
+
+
 def _character_basis(torus: HeckeTorus, r: Realization) -> tuple[np.ndarray, np.ndarray]:
     """(labels, basis): p nondecreasing character labels and p orthonormal
     columns, column j in the space of character labels[j].
@@ -165,7 +187,7 @@ def _character_basis(torus: HeckeTorus, r: Realization) -> tuple[np.ndarray, np.
     diag = np.fft.fft(weil_entries(r, g, x, x), axis=0) / n  # [k, x] = P_k[x, x]
     cols = np.empty((n, base.size, p), dtype=np.complex128)  # [k, i] = P_k delta_base[i]
     for i, b in enumerate(base.tolist()):
-        cols[:, i] = np.fft.fft(weil_entries(r, g, x, b), axis=0) / n
+        cols[:, i] = _projector_columns(r, g, b, n)
     trace = diag.real.sum(axis=1)
     mult = np.rint(trace).astype(np.int64)
     off = np.abs(trace - mult).max()
@@ -233,8 +255,69 @@ def transport(fn: HeckeEigenfunction, target: Realization) -> HeckeEigenfunction
     application moves every column, with no p x p matrix.  It commutes with
     the torus action, so each image is again an eigenfunction for its
     character; it is unitary, so only the leading-phase convention needs
-    re-applying.
+    re-applying.  Commuting with the torus also means that the sweep carries
+    a block only to each torus orbit's representative (torus_orbits): the
+    moduli on the orbit's other lines follow from those by a dilation.
     """
     moved = intertwine(target, fn.realization, fn.vectors)
     return HeckeEigenfunction(target, _normalize_columns(moved, fn.p), fn.characters)
 
+
+def torus_orbits(torus: HeckeTorus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rep, power, dilation): for each line l of enumerate_lagrangians, the
+    index rep[l] of its torus orbit's representative, a power j = power[l]
+    with g^j sigma_rep on l, and the e = dilation[l] with g^j sigma_rep =
+    e sigma_l, that is omega(tau_l, g^j sigma_rep) in l's canonical gauge.
+
+    For t = g^j the canonical intertwiners satisfy
+    F_{t.rep <- s} = geo(t) F_{rep <- s} rho_s(t)^-1, where geo(t) has unit
+    phases and rho_s(t)^-1 is the scalar conj(chi_k(t)) on character k's
+    columns; the shared-line change from t.rep's gauge to l's reads the
+    point e y.  So every column carried to l has the moduli of its image on
+    rep, relabelled: |F_{l <- s} v|(y) = |F_{rep <- s} v|(e y mod p).
+    Each orbit is represented by its last line in enumeration order, so the
+    position model's line (0, 1), enumerated last, represents its own; a
+    representative has power 0 and dilation 1.
+    """
+    p = torus.p
+    a, b, c, d = (entry[:, 0] for entry in _torus_elements(torus))
+    s1, s2 = np.array([lag.sigma.coords() for lag in enumerate_lagrangians(p)]).T
+    t1, t2 = _canonical_tau(s1, s2, p)
+    rep = np.full(p + 1, -1)
+    power = np.zeros(p + 1, dtype=np.int64)
+    dilation = np.ones(p + 1, dtype=np.int64)
+    while (rep < 0).any():
+        r = int(np.flatnonzero(rep < 0)[-1])
+        u1, u2 = (a * s1[r] + b * s2[r]) % p, (c * s1[r] + d * s2[r]) % p
+        # the least power reaching each line of the orbit: 0 for r itself
+        lines, j = np.unique(line_index(u1, u2, p), return_index=True)
+        rep[lines], power[lines] = r, j
+        dilation[lines] = _omega(t1[lines], t2[lines], u1[j], u2[j], p)
+    return rep, power, dilation
+
+
+def orbit_move(fn: HeckeEigenfunction, torus: HeckeTorus, j: int,
+               target: Realization) -> HeckeEigenfunction:
+    """fn carried by the torus element g^j to target, which must lie on the
+    line g^j carries fn's line to: the geometric action of g^j, then the
+    canonical operator between the two gauges of that line.
+
+    It is torus_orbits' relation built in full: each column equals
+    transport's to target up to the phase conj(chi_k(g^j)), which the
+    normalization then fixes.
+    """
+    t = SympMatrix(*(int(entry[j, 0]) for entry in _torus_elements(torus)), torus.p)
+    image, phases = geometric_action(fn.realization, t)
+    if not image.lagrangian.shares_line(target.lagrangian):
+        raise ValueError(f"g^{j} moves {fn.realization.tag()} off the line of {target.tag()}")
+    moved = intertwine(target, image, phases[:, np.newaxis] * fn.vectors)
+    return HeckeEigenfunction(target, _normalize_columns(moved, fn.p), fn.characters)
+
+
+def projector_column(torus: HeckeTorus, r: Realization, k: int, b: int) -> np.ndarray:
+    """P_k delta_b = (1/N) sum_j conj(chi_k(g^j)) rho(g^j)[:, b] in the model
+    of r: the column _character_basis reads at its base points, here at any
+    b and with no spectrum.  For a simple character it is the eigenvector v
+    times conj(v(b)) / p at squared norm p, so a base point b where |v| is
+    largest gives it with the least relative rounding."""
+    return _projector_columns(r, _torus_elements(torus), b, torus.order)[k % torus.order]

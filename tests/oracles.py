@@ -6,8 +6,9 @@ canonical intertwiners from their definitions by summation and by
 decomposition, an intertwiner in another gauge, the SL2 action from the
 Egorov equation, the torus spectrum from a dense eigensolver, the split
 eigenfunctions in closed form, point masses through the averaging projector,
-the family validation on dense matrices), so that a test can hold the
-package's answer against it.
+the family validation on dense matrices, the all-realizations record table
+by one transport to every line), so that a test can hold the package's
+answer against it.
 """
 
 import numpy as np
@@ -20,7 +21,8 @@ from qcatlab.groups import (
     SympMatrix,
     enumerate_lagrangians,
 )
-from qcatlab.hecke import HeckeEigenfunction, HeckeSpectrum, _normalize_columns
+from qcatlab.harness import supremum_records
+from qcatlab.hecke import HeckeEigenfunction, HeckeSpectrum, _normalize_columns, transport
 from qcatlab.models import (
     Intertwiner,
     IntertwinerConstructionError,
@@ -257,3 +259,15 @@ def dense_validate_family(p: int, scale: complex) -> None:
         conjugated = (phase_m[:, np.newaxis] * f_ml) * np.conj(phase_l)[np.newaxis, :]
         if np.linalg.norm(conjugated - dense(gm, gl)) > tol:
             raise IntertwinerConstructionError("invariance fails")
+
+
+def records_by_transport_to_every_line(fn: HeckeEigenfunction, kind: str) -> np.ndarray:
+    """The sweep's record table of one prime in all realizations, the long
+    way: fn transported to every line of enumerate_lagrangians and each moved
+    block scored on its own, with the rows stable-sorted per character, then
+    line, then basis vector."""
+    lines = [Realization.canonical(lag) for lag in enumerate_lagrangians(fn.p)]
+    records = np.concatenate([
+        supremum_records(fn if r == fn.realization else transport(fn, r), kind)
+        for r in lines])
+    return records[np.argsort(records["character"], kind="stable")]

@@ -9,17 +9,23 @@ import numpy as np
 import pytest
 
 from conftest import intertwine_with_a_moved_eigenvalue
-from oracles import projector_identity_check, split_closed_form
+from oracles import (
+    projector_identity_check,
+    records_by_transport_to_every_line,
+    split_closed_form,
+)
 import qcatlab
-from qcatlab.groups import CatMap, build_hecke_torus, enumerate_lagrangians
+from qcatlab.arith import pow_mod
+from qcatlab.groups import CatMap, build_hecke_torus, classify_prime
 from qcatlab.hecke import (
     HeckeEigenfunction,
     eigenfunction,
     hecke_spectrum,
-    transport,
+    torus_orbits,
 )
 from qcatlab.models import Realization
 from qcatlab.harness import (
+    _NO_RECORDS,
     CSV_CHUNK,
     RECORD_DTYPE,
     SweepConfig,
@@ -155,11 +161,12 @@ def test_sweep_transport_verification_runs():
     assert len(result.records) == 56
 
 
-def test_sweep_builds_one_intertwiner_per_realization(monkeypatch):
+def test_sweep_builds_one_intertwiner_per_orbit(monkeypatch):
+    import qcatlab.harness as harness
     import qcatlab.hecke as hecke
     import qcatlab.models as models
 
-    calls = {"hecke": 0, "models": 0}
+    calls = {"hecke": 0, "models": 0, "transport": 0, "spectrum": 0}
 
     def counting(module, original):
         def wrapper(*args):
@@ -168,14 +175,20 @@ def test_sweep_builds_one_intertwiner_per_realization(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(hecke, "intertwine", counting("hecke", hecke.intertwine))
+    monkeypatch.setattr(harness, "transport", counting("transport", harness.transport))
+    monkeypatch.setattr(harness, "hecke_spectrum", counting("spectrum", harness.hecke_spectrum))
     monkeypatch.setattr(models, "canonical_intertwiner",
                         counting("models", models.canonical_intertwiner))
     result = universal_sweep(config(13, 13, realizations="all", verify_samples=1))
     assert len(set(result.records["realization"])) == 14
-    # intertwiner applications: one transport to each of the 13 non-defining
-    # realizations and the verify sample's, then the residuals of the defining
-    # spectrum and of the verify sample's re-extraction; no dense operator
-    assert calls == {"hecke": 13 + 1 + 2, "models": 0}
+    # p = 13 is inert: two torus orbits, one represented by the defining line.
+    # Transports: the block to the other representative, and the verify
+    # sample's column to its representative unless that is the defining line.
+    # Intertwiner applications: those transports, the residual of the
+    # defining spectrum and the verify sample's orbit move; no second
+    # spectrum and no dense operator
+    assert calls["transport"] in (1, 2) and calls["spectrum"] == 1
+    assert calls["hecke"] == calls["transport"] + 2 and calls["models"] == 0
 
 
 def test_validation_and_defining_sweep_load_no_numpy_random():
@@ -200,6 +213,26 @@ print(len(result.records), "numpy.random" in sys.modules)
 
 
 
+def test_verify_draws_load_no_numpy_random():
+    # the verify samples are drawn with the standard library's generator, so
+    # an all-realizations sweep with --verify-samples never imports
+    # numpy.random either; a fresh interpreter sees what it loads
+    code = """
+import sys
+from qcatlab.groups import CatMap
+from qcatlab.harness import SweepConfig, universal_sweep
+result = universal_sweep(SweepConfig(matrix=CatMap(2, 1, 1, 1), prime_lo=7, prime_hi=13,
+                                     realizations="all", verify_samples=3, seed=5))
+print(len(result.errors), "numpy.random" in sys.modules)
+"""
+    src = str(Path(qcatlab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.split() == ["0", "False"]
+
+
 def test_sweep_builds_one_block_per_prime(monkeypatch):
     import qcatlab.harness as harness
 
@@ -214,44 +247,108 @@ def test_sweep_builds_one_block_per_prime(monkeypatch):
         return original(fn, r)
 
     def counting_records(fn, kind, original=harness.supremum_records):
-        scored.append((fn.realization.tag(), set(fn.characters.tolist())))
+        scored.append((fn.realization.tag(), fn.characters.size))
         return original(fn, kind)
 
     monkeypatch.setattr(harness, "eigenfunction", counting_eigenfunction)
     monkeypatch.setattr(harness, "transport", counting_transport)
     monkeypatch.setattr(harness, "supremum_records", counting_records)
-    result = universal_sweep(config(13, 13, realizations="all", verify_samples=1))
-    # one block of all 13 simple characters of p = 13 moves to each of the 13
-    # other realizations; the verify sample then extracts one character in two
-    # realizations and moves it once
-    assert moved == [13] * 13 + [1]
-    assert extracted == [1, 1]
-    # each realization's moved block is scored in one pass, all 13 characters
-    # at once
-    assert [len(ks) for _, ks in scored] == [13] * 14
-    assert len({tag for tag, _ in scored}) == 14
-    assert len(result.records) == 14 * 13
+    for p, n_reps in ((11, 4), (13, 2)):  # split, inert
+        for calls in (extracted, moved, scored):
+            calls.clear()
+        result = universal_sweep(config(p, p, realizations="all", verify_samples=1))
+        rep, _, _ = torus_orbits(build_hecke_torus(A, p))
+        reps = np.unique(rep).tolist()
+        assert len(reps) == n_reps and p in reps  # line p is the defining one
+        n = len(result.records) // (p + 1)
+        # the whole block moves once to each representative but the defining
+        # line; the verify sample then extracts one character and moves it
+        # to its representative at most once
+        assert moved[:n_reps - 1] == [n] * (n_reps - 1) and moved[n_reps - 1:] in ([], [1])
+        assert extracted == [1]
+        # each representative's block is scored in one pass, all characters
+        # at once, and the verify sample's moved column once
+        assert [size for _, size in scored] == [n] * n_reps + [1]
+        assert len({tag for tag, _ in scored[:-1]}) == n_reps
+        assert len(set(result.records["realization"])) == p + 1
 
 
-def test_sweep_rows_match_one_pair_at_a_time():
-    # p = 11 is split, with one two-dimensional character space
-    p = 11
-    spectrum = hecke_spectrum(build_hecke_torus(A, p), Realization.standard(p))
-    targets = [Realization.canonical(l) for l in enumerate_lagrangians(p)]
-    expected = []
-    for k in np.flatnonzero(spectrum.multiplicities()).tolist():
-        fn = eigenfunction(spectrum, k)
-        for r in targets:
-            moved = fn if r == fn.realization else transport(fn, r)
-            expected.append(supremum_records(moved, "split"))
-    expected = np.concatenate(expected)
-    assert (expected["multiplicity"] == 2).any()
+def record_mismatches(records: np.ndarray, expected: np.ndarray) -> list[str]:
+    """The fields in which two record tables differ: every field exactly,
+    sup to 1e-12."""
+    if len(records) != len(expected):
+        return ["length"]
+    bad = [name for name in RECORD_DTYPE.names
+           if name != "sup" and not np.array_equal(records[name], expected[name])]
+    if not np.abs(records["sup"] - expected["sup"]).max(initial=0.0) < 1e-12:
+        bad.append("sup")
+    return bad
+
+
+def oracle_mismatches(matrix: CatMap, records: np.ndarray) -> list[str]:
+    """record_mismatches of an all-realizations sweep's records against the
+    oracle that transports the defining block to every line."""
+    expected = [_NO_RECORDS]
+    for p in sorted(set(records["p"].tolist())):
+        spectrum = hecke_spectrum(build_hecke_torus(matrix, p), Realization.standard(p))
+        block = spectrum.eigenfunctions
+        fn = block.columns(~spectrum.flagged[block.characters])
+        expected.append(records_by_transport_to_every_line(fn, classify_prime(matrix, p)))
+    return record_mismatches(records, np.concatenate(expected))
+
+
+@pytest.mark.parametrize("matrix", [A, CatMap(3, 2, 1, 1)], ids=["2,1;1,1", "3,2;1,1"])
+def test_sweep_rows_match_one_transport_per_line(matrix):
+    # the derived rows of every non-representative line, degenerate ones
+    # included, against the block transported to each line and scored there
+    cfg = SweepConfig(matrix=matrix, prime_lo=3, prime_hi=61, realizations="all")
+    records = universal_sweep(cfg).records
+    primes = {p for p in cfg.primes() if classify_prime(matrix, p) != "ramified"}
+    assert set(records["p"].tolist()) == primes
+    assert (records["multiplicity"] > 1).any()
+    assert oracle_mismatches(matrix, records) == []
+
+
+def _dilation_mutant(wrong):
+    def install(monkeypatch):
+        import qcatlab.harness as harness
+
+        def mutant(torus, original=harness.torus_orbits):
+            rep, power, dilation = original(torus)
+            return rep, power, wrong(dilation, torus.p)
+        monkeypatch.setattr(harness, "torus_orbits", mutant)
+    return install
+
+
+def _character_mutant(monkeypatch):
+    import qcatlab.harness as harness
+
+    def mutant(fn, kind, original=harness.supremum_records):
+        records = original(fn, kind)
+        records["character"] = np.roll(records["character"], 1)
+        return records
+    monkeypatch.setattr(harness, "supremum_records", mutant)
+
+
+MUTANTS = {
+    "dilation-one": _dilation_mutant(lambda e, p: np.ones_like(e)),
+    "dilation-inverse": _dilation_mutant(lambda e, p: pow_mod(e, p - 2, p)),
+    "character-index": _character_mutant,
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+@pytest.mark.parametrize("p", [7, 11, 13, 29])
+def test_derivation_mutants_fail_verify_and_oracle(monkeypatch, mutant, p):
+    # one verify draw checks one (line, character) row: a wrong dilation
+    # escapes it only where the drawn row's argmax survives the wrong
+    # relabelling, as at p = 19 and 23 with seed 0; the oracle sees every row
+    MUTANTS[mutant](monkeypatch)
+    result = universal_sweep(config(p, p, realizations="all", verify_samples=1))
+    assert [q for q, _ in result.errors] == [p], result.errors
+    assert "disagrees" in result.errors[0][1]
     records = universal_sweep(config(p, p, realizations="all")).records
-    assert len(records) == len(expected)
-    for name in ("p", "kind", "realization", "character", "multiplicity", "argmax",
-                 "passed", "gating"):
-        assert np.array_equal(records[name], expected[name]), name
-    assert np.abs(records["sup"] - expected["sup"]).max() < 1e-12
+    assert oracle_mismatches(A, records)
 
 
 def test_sweep_parallel_matches_serial():

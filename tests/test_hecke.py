@@ -9,6 +9,7 @@ from oracles import eig_spectrum, split_closed_form, torus_powers
 from qcatlab.arith import legendre_symbol, primes_in, unit_roots
 from qcatlab.groups import (
     CatMap,
+    EnhancedLagrangian,
     SymplecticVector,
     build_hecke_torus,
     classify_prime,
@@ -17,6 +18,9 @@ from qcatlab.groups import (
 from qcatlab.hecke import (
     eigenfunction,
     hecke_spectrum,
+    orbit_move,
+    projector_column,
+    torus_orbits,
     transport,
 )
 from qcatlab.models import Realization, weil_op
@@ -342,6 +346,111 @@ def test_block_records_are_its_characters_records(case):
         supremum_records(block.columns(block.characters == k), kind)
         for k in np.unique(block.characters).tolist()])
     assert supremum_records(block, kind).tolist() == expected.tolist()
+
+
+# ---------------------------------------------------------------------------
+# torus orbits of the lines
+
+
+def _torus_image(torus, j, lag):
+    """(l, e): the enumerated line l holding g^j sigma, and the e with
+    g^j sigma = e sigma_l, by repeated products and a search of the lines."""
+    u = EnhancedLagrangian(torus_powers(torus)[j].apply(lag.sigma))
+    lines = enumerate_lagrangians(torus.p)
+    l = next(i for i, other in enumerate(lines) if u.shares_line(other))
+    return l, u.scale_from(lines[l])
+
+
+@pytest.mark.parametrize("matrix", [A, CatMap(3, 2, 1, 1)], ids=["2,1;1,1", "3,2;1,1"])
+def test_torus_orbits_against_repeated_products(matrix):
+    for p in primes_in(3, 31):
+        kind = classify_prime(matrix, p)
+        if kind == "ramified":
+            continue
+        torus = build_hecke_torus(matrix, p)
+        rep, power, dilation = torus_orbits(torus)
+        lines = enumerate_lagrangians(p)
+        for l in range(p + 1):
+            assert _torus_image(torus, int(power[l]), lines[rep[l]]) == (l, dilation[l])
+        reps, sizes = np.unique(rep, return_counts=True)
+        # each representative is its orbit's last line, with power 0 and
+        # dilation 1; the defining line (0, 1) is enumerated last
+        assert rep.max() == p and (reps == [np.flatnonzero(rep == r).max() for r in reps]).all()
+        assert (power[reps] == 0).all() and (dilation[reps] == 1).all()
+        expected = {"inert": [(p + 1) // 2] * 2, "split": [1, 1] + [(p - 1) // 2] * 2}[kind]
+        assert sorted(sizes.tolist()) == sorted(expected)
+
+
+@st.composite
+def torus_element_and_line(draw):
+    """A cat map, a non-ramified odd prime p <= 97, a power j of the torus
+    generator and any of the p + 1 lines."""
+    matrix = draw(st.sampled_from([A, CatMap(3, 2, 1, 1)]))
+    p = draw(st.sampled_from([p for p in primes_in(3, 97)
+                              if classify_prime(matrix, p) != "ramified"]))
+    torus = build_hecke_torus(matrix, p)
+    return matrix, torus, draw(st.integers(0, torus.order - 1)), draw(
+        st.sampled_from(enumerate_lagrangians(p)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(torus_element_and_line())
+def test_torus_element_moves_moduli_by_its_dilation(case):
+    # |transport(fn, t.r)[y]| = |transport(fn, r)[e y]|, with t.r the line of
+    # t sigma_r and t sigma_r = e sigma_{t.r}: what the sweep's derived rows
+    # rest on, degenerate columns included
+    matrix, torus, j, lag = case
+    p = torus.p
+    l, e = _torus_image(torus, j, lag)
+    fn = _defining_block(matrix, p)
+    here = np.abs(transport(fn, Realization.canonical(lag)).vectors)
+    there = np.abs(transport(fn, Realization.canonical(enumerate_lagrangians(p)[l])).vectors)
+    assert np.abs(there - here[e * np.arange(p) % p]).max() < 1e-12
+
+
+def _phase_gap(v, w):
+    """max |v - c w| over unit c, with w first rescaled to v's norm."""
+    w = w * (np.linalg.norm(v) / np.linalg.norm(w))
+    overlap = np.vdot(w, v)
+    return np.abs(v - overlap / abs(overlap) * w).max()
+
+
+def test_orbit_move_is_transport_up_to_phase():
+    p = 13
+    torus = build_hecke_torus(A, p)
+    fn = _defining_block(A, p)
+    rep, power, _ = torus_orbits(torus)
+    lines = [Realization.canonical(lag) for lag in enumerate_lagrangians(p)]
+    for l in np.flatnonzero(rep != np.arange(p + 1)).tolist():
+        source = transport(fn, lines[rep[l]])
+        moved = orbit_move(source, torus, int(power[l]), lines[l])
+        direct = transport(fn, lines[l])
+        for i in range(fn.characters.size):
+            assert _phase_gap(direct.vectors[:, i], moved.vectors[:, i]) < 1e-12
+    with pytest.raises(ValueError, match="off the line"):
+        orbit_move(fn, torus, 1, lines[0])
+
+
+@pytest.mark.parametrize("matrix", [A, CatMap(3, 2, 1, 1)], ids=["2,1;1,1", "3,2;1,1"])
+def test_projector_column_is_the_spectrum_vector(matrix):
+    # one column of P_k at the point of largest modulus re-extracts a simple
+    # character without a spectrum: it is the spectrum's vector up to phase,
+    # while the column of another character is orthogonal to it
+    rng = np.random.default_rng(4)
+    for p in primes_in(3, 199):
+        if classify_prime(matrix, p) == "ramified":
+            continue
+        torus = build_hecke_torus(matrix, p)
+        lag = enumerate_lagrangians(p)[rng.integers(p + 1)]
+        spectrum = hecke_spectrum(torus, Realization.canonical(lag))
+        simple = np.flatnonzero(spectrum.multiplicities() == 1)
+        for k in rng.choice(simple, size=2, replace=False).tolist():
+            v = eigenfunction(spectrum, k).vectors[:, 0]
+            b = int(np.abs(v).argmax())
+            column = projector_column(torus, spectrum.eigenfunctions.realization, k, b)
+            assert _phase_gap(v, column) < 1e-9, (p, lag.sigma, k)
+            other = projector_column(torus, spectrum.eigenfunctions.realization, k + 1, b)
+            assert abs(np.vdot(v, other)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
