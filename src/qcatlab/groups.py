@@ -256,13 +256,26 @@ class HeckeTorus:
         return self.matrix.p
 
 
-def _element_order(g: SympMatrix, bound: int) -> int:
-    acc = g
-    for k in range(1, bound + 1):
-        if acc == SympMatrix.identity(g.p):
-            return k
-        acc = acc * g
-    raise RuntimeError("order exceeds group size")  # impossible for a group element
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, by trial division."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
+def _power(g: SympMatrix, e: int) -> SympMatrix:
+    """g^e by repeated squaring."""
+    out = SympMatrix.identity(g.p)
+    while e:
+        if e & 1:
+            out = out * g
+        g, e = g * g, e >> 1
+    return out
 
 
 def build_hecke_torus(A: CatMap, p: int) -> HeckeTorus:
@@ -281,8 +294,11 @@ def build_hecke_torus(A: CatMap, p: int) -> HeckeTorus:
     order = p - 1 if kind == "split" else p + 1
     if len(pairs) != order:
         raise RuntimeError(f"commutant size {len(pairs)} != {order} for {kind} p = {p}")
+    # in a cyclic group of order N, g generates iff g^(N/q) != I for every
+    # prime q dividing N
+    factors = _prime_factors(order)
     for x0, y0 in pairs:
         g = SympMatrix(x0 + y0 * Ap.a, y0 * Ap.b, y0 * Ap.c, x0 + y0 * Ap.d, p)
-        if _element_order(g, order) == order:
+        if all(_power(g, order // q) != SympMatrix.identity(p) for q in factors):
             return HeckeTorus(Ap, kind, order, g)
     raise RuntimeError(f"no generator of order {order} found at p = {p}")

@@ -37,7 +37,6 @@ from .arith import pow_mod, primes_in
 from .groups import CatMap, classify_prime, build_hecke_torus, enumerate_lagrangians
 from .hecke import (
     HeckeEigenfunction,
-    eigenfunction,
     hecke_spectrum,
     orbit_move,
     projector_column,
@@ -245,14 +244,16 @@ def _orbit_records(fn: HeckeEigenfunction, orbits, kind: str) -> np.ndarray:
 
 
 def _verify_orbit_moves(spectrum, fn, table, orbits, n_samples, seed):
-    """Rebuild a few derived rows the long way and re-extract them directly.
+    """Rebuild a few derived lines the long way and re-extract one
+    character there directly.
 
     Each sample draws a line that is not its orbit's representative and a
-    simple character k, and carries k's eigenfunction there in full:
-    transport to the representative, then hecke.orbit_move.  Its record must
-    give the table's sup and argmax for (line, k), and one projector column
-    of the line's model at that argmax must be the same vector up to a
-    global phase.
+    simple character k, and carries the whole block there in full:
+    transport to the representative, then one hecke.orbit_move.  Every row
+    of the table for that line must carry its column's character and give
+    the moved column's sup and argmax, and one projector column of the
+    line's model at k's argmax must be k's moved vector up to a global
+    phase.
     """
     p = fn.p
     rep, power, _ = orbits
@@ -269,22 +270,25 @@ def _verify_orbit_moves(spectrum, fn, table, orbits, n_samples, seed):
         l = int(others[rng.randrange(others.size)])
         k = int(simple[rng.randrange(simple.size)])
         source, target = (Realization.canonical(lines[i]) for i in (rep[l], l))
-        block = eigenfunction(spectrum, k)
-        if source != block.realization:
-            block = transport(block, source)
+        block = fn if source == fn.realization else transport(fn, source)
         moved = orbit_move(block, spectrum.torus, int(power[l]), target)
-        rows = table[l][table[l]["character"] == k]
-        (rec,) = supremum_records(moved, table[l, 0]["kind"])
-        if rows.size != 1 or rec["argmax"] != rows[0]["argmax"] \
-                or not abs(rec["sup"] - rows[0]["sup"]) <= SUP_TOL:
+        rows, recs = table[l], supremum_records(moved, table[l, 0]["kind"])
+        bad = np.flatnonzero((rows["character"] != moved.characters)
+                             | (rows["argmax"] != recs["argmax"])
+                             | ~(np.abs(rows["sup"] - recs["sup"]) <= SUP_TOL))
+        if bad.size:
+            i = int(bad[0])
             raise RuntimeError(
-                f"derived row disagrees with its orbit move: p={p} k={k} "
-                f"realization={target.tag()} rows={rows[['sup', 'argmax']].tolist()} "
-                f"moved=({rec['sup']:.12g}, {rec['argmax']})")
-        direct = projector_column(spectrum.torus, target, k, int(rec["argmax"]))
+                f"derived row disagrees with its orbit move: p={p} "
+                f"k={moved.characters[i]} realization={target.tag()} "
+                f"row=({rows[i]['character']}, {rows[i]['sup']:.12g}, {rows[i]['argmax']}) "
+                f"moved=({recs[i]['sup']:.12g}, {recs[i]['argmax']})")
+        (i,) = np.flatnonzero(moved.characters == k)
+        direct = projector_column(spectrum.torus, target, k, int(recs[i]["argmax"]))
         direct *= np.sqrt(p) / np.linalg.norm(direct)
-        overlap = np.vdot(direct, moved.vectors[:, 0])
-        dev = np.max(np.abs(moved.vectors[:, 0] - overlap / abs(overlap) * direct))
+        vector = moved.vectors[:, i]
+        overlap = np.vdot(direct, vector)
+        dev = np.max(np.abs(vector - overlap / abs(overlap) * direct))
         # rounding grows about like 1.5e-16 sqrt(p) (at most 1.2e-15 at
         # p = 13, 5.1e-15 at p = 1009), far under 1e-7; a wrong image misses
         # by >= sqrt(2)

@@ -4,10 +4,14 @@ extraction.
 The torus is cyclic of order N, with generator g.  Its character spaces are
 the ranges of the projectors P_k = (1/N) sum_j conj(chi_k(g^j)) rho(g^j), the
 function-level shadow of the paper's torus sums of Weil-representation
-kernels.  Every entry of rho(g^j) has a closed form (models.weil_entries), so
-one FFT along j of O(p)-cost diagonals and columns gives every point mass and
-every basis vector, with no eigensolver; a degenerate space gets a basis
-fixed by rule, and projector_column reads one character's column alone.  The
+kernels.  Every entry of rho(g^j) has a closed form, a chirp whose
+coefficients models.weil_chirps reads once per (prime, realization) for the
+whole torus, so one FFT along j of O(p)-cost diagonals and columns gives
+every point mass and every basis vector, with no eigensolver.  The diagonal
+depends on x only through x^2, so half of it is evaluated and mirrored; the
+columns at the base points follow from the first by a chirp recurrence,
+written in place.  A degenerate space gets a basis fixed by rule, and
+projector_column reads one character's column alone.  The
 residual that checks the eigenvector equation applies rho(g) as the
 canonical intertwiner from the model of g.r composed with its geometric
 phases, one FFT for the whole basis, so it shares no entry formula with the
@@ -34,10 +38,13 @@ from .arith import unit_roots
 from .groups import HeckeTorus, SympMatrix, enumerate_lagrangians, line_index
 from .models import (
     Realization,
+    WeilChirps,
     _canonical_tau,
     _omega,
+    _shared_entries,
     geometric_action,
     intertwine,
+    weil_chirps,
     weil_entries,
 )
 
@@ -68,6 +75,13 @@ MASS_IMAG_TOL = 1e-6
 # 1e-9 for p < 1e8; the least c used, for p < 100 in every realization of
 # either map, is 6.2e-3
 BASE_MASS_FLOOR = 1e-6
+# base points whose masses c / p lie within PIVOT_TIE_TOL / p of the largest
+# are tied, and the least of them is the pivot: two roundings of the tables
+# (per entry and by the chirp coefficients) move c by at most 3.0e-15 for
+# p <= 1009, growing slowly with p (7.5e-16 at p = 13), so exact ties stay
+# tied far beyond any p used, and any point within 1e-9 of the largest mass
+# is as good a pivot
+PIVOT_TIE_TOL = 1e-9
 
 
 @dataclass
@@ -148,46 +162,85 @@ def _normalize_columns(basis: np.ndarray, p: int) -> np.ndarray:
 
 
 def _torus_elements(torus: HeckeTorus) -> tuple[np.ndarray, ...]:
-    """Entries (a, b, c, d) of generator^j for j in [0, N), each an (N, 1)
-    integer array, so that they broadcast against a row of points."""
+    """Entries (a, b, c, d) of generator^j for j in [0, N), each an (N,)
+    integer array."""
     p, g = torus.p, torus.generator
     rows = [(1, 0, 0, 1)]
     for _ in range(torus.order - 1):
         a, b, c, d = rows[-1]
         rows.append(((g.a * a + g.b * c) % p, (g.a * b + g.b * d) % p,
                      (g.c * a + g.d * c) % p, (g.c * b + g.d * d) % p))
-    return tuple(np.array(rows, dtype=np.int64).T[:, :, np.newaxis])
+    return tuple(np.array(rows, dtype=np.int64).T)
 
 
-def _projector_columns(r: Realization, g: tuple, b: int, n: int) -> np.ndarray:
-    """(N, p): row k is P_k delta_b, one FFT along j of the columns
-    rho(g^j)[:, b] of the N torus elements g, since numpy's FFT weights
-    entry j of character k by exp(-2 pi i k j / N) = conj(chi_k(g^j))."""
-    return np.fft.fft(weil_entries(r, g, np.arange(r.p), b), axis=0) / n
+def _along_torus(table: np.ndarray) -> np.ndarray:
+    """table with row k replaced by (1/N) sum_j conj(chi_k(g^j)) table[j]:
+    one FFT along j in place, since numpy's FFT weights entry j of character
+    k by exp(-2 pi i k j / N) = conj(chi_k(g^j)), and its forward norm
+    divides by N."""
+    return np.fft.fft(table, axis=0, norm="forward", out=table)
+
+
+def _half_diagonals(ch: WeilChirps) -> np.ndarray:
+    """(N, (p + 1) / 2): rho(g^j)[x, x] for x = 0..(p - 1) / 2.  Every entry
+    of a diagonal, the shared-line elements' included, depends on x only
+    through x^2, so _mirror gives the rest."""
+    x = np.arange((ch.p + 1) // 2)
+    return weil_entries(ch, x, x)
+
+
+def _mirror(half: np.ndarray) -> np.ndarray:
+    """Rows of a function of x^2 on x = 0..(p - 1) / 2 extended to
+    x = 0..p - 1, by its value at p - x."""
+    return np.concatenate([half, half[:, :0:-1]], axis=1)
+
+
+def _base_columns(ch: WeilChirps, count: int) -> np.ndarray:
+    """(N, count, p): [j, b] is the column rho(g^j)[:, b] at b < count.
+
+    Column 0 is evaluated; every other column follows by the chirp
+    recurrence col_b = col_(b-1) psi(beta y + qb) psi(qb)^(2 (b-1)), written
+    in place, which holds for the transverse elements, and the rows of the
+    shared-line elements are then evaluated on their own.
+    """
+    p, y = ch.p, np.arange(ch.p)
+    cols = np.empty((np.size(ch.coef), count, p), dtype=np.complex128)
+    cols[:, 0] = weil_entries(ch, y, 0)
+    roots = unit_roots(p)
+    step = roots[(ch.beta[:, np.newaxis] * y + ch.qb[:, np.newaxis]) % p]
+    turn = roots[2 * ch.qb % p][:, np.newaxis]
+    for b in range(1, count):
+        np.multiply(cols[:, b - 1], step, out=cols[:, b])
+        if b + 1 < count:
+            step *= turn
+    if ch.shared.size:
+        cols[ch.shared] = _shared_entries(ch, y, np.arange(count)[:, np.newaxis])
+    return cols
 
 
 def _character_basis(torus: HeckeTorus, r: Realization) -> tuple[np.ndarray, np.ndarray]:
     """(labels, basis): p nondecreasing character labels and p orthonormal
     columns, column j in the space of character labels[j].
 
-    One FFT along j of the diagonals of the rho(g^j) gives every P_k[x, x],
-    and one of their columns at base point b every P_k delta_b; each table
-    costs O(N p) from weil_entries.  Character k has multiplicity
+    One pass of models.weil_chirps reads the chirp coefficients of every
+    rho(g^j).  One FFT along j of their diagonals gives every P_k[x, x]: it
+    runs over x = 0..(p - 1) / 2 and is mirrored, since a diagonal depends
+    on x only through x^2.  One FFT of their columns at the base points
+    gives every P_k delta_b, the columns built from the first by the chirp
+    recurrence in one preallocated table.  Character k has multiplicity
     round(tr P_k), and its basis is pivoted Gram-Schmidt: P_k delta_b at the
-    base point b of largest remaining diagonal, less the vectors already
-    chosen, normalised, as many times as the multiplicity.  Raises when a
-    trace is not an integer, the multiplicities are not a partition of p, a
-    point mass has an imaginary part or a chosen base point has too little
-    mass.
+    base point b of largest remaining diagonal (the least b among masses
+    tied to PIVOT_TIE_TOL / p), less the vectors already chosen, normalised,
+    as many times as the multiplicity.  Raises when a trace is not an
+    integer, the multiplicities are not a partition of p, a point mass has
+    an imaginary part or a chosen base point has too little mass.
     """
     p, n = r.p, torus.order
-    g = _torus_elements(torus)
+    ch = weil_chirps(r, _torus_elements(torus))
     x = np.arange(p)
     base = x[:BASE_POINTS]
-    diag = np.fft.fft(weil_entries(r, g, x, x), axis=0) / n  # [k, x] = P_k[x, x]
-    cols = np.empty((n, base.size, p), dtype=np.complex128)  # [k, i] = P_k delta_base[i]
-    for i, b in enumerate(base.tolist()):
-        cols[:, i] = _projector_columns(r, g, b, n)
+    diag = _mirror(_along_torus(_half_diagonals(ch)))  # [k, x] = P_k[x, x]
+    cols = _along_torus(_base_columns(ch, base.size))  # [k, i] = P_k delta_base[i]
     trace = diag.real.sum(axis=1)
     mult = np.rint(trace).astype(np.int64)
     off = np.abs(trace - mult).max()
@@ -202,14 +255,18 @@ def _character_basis(torus: HeckeTorus, r: Realization) -> tuple[np.ndarray, np.
     for i in range(units.shape[0]):
         ks = np.flatnonzero(mult > i)
         prev = units[:i][:, ks]  # (i, K, p): the vectors already chosen
-        left = diag.real[ks][:, base] - (np.abs(prev[:, :, base]) ** 2).sum(axis=0)
-        pivot = left.argmax(axis=1)
+        left = diag.real[ks[:, np.newaxis], base] - (np.abs(prev[:, :, base]) ** 2).sum(axis=0)
+        pivot = (left >= left.max(axis=1, keepdims=True) - PIVOT_TIE_TOL / p).argmax(axis=1)
         least = p * left[np.arange(ks.size), pivot].min()
         if least < BASE_MASS_FLOOR:
             raise RuntimeError(f"a base point of mass {least:.3g} / p carries an eigenvector")
-        at_pivot = np.conj(prev[:, np.arange(ks.size), base[pivot]])  # (i, K)
-        col = cols[ks, pivot] - (prev * at_pivot[:, :, np.newaxis]).sum(axis=0)
-        units[i, ks] = col / np.linalg.norm(col, axis=1, keepdims=True)
+        col = cols[ks, pivot]
+        if i:
+            at_pivot = np.conj(prev[:, np.arange(ks.size), base[pivot]])  # (i, K)
+            col -= (prev * at_pivot[:, :, np.newaxis]).sum(axis=0)
+        col /= np.linalg.norm(col, axis=1, keepdims=True)
+        units[i, ks] = col
+    del diag, cols  # the tables go before the (p, p) gather
     labels = np.repeat(np.arange(n), mult)
     rank = x - np.repeat(np.cumsum(mult) - mult, mult)  # position within its character
     return labels, units[rank, labels].T
@@ -280,7 +337,7 @@ def torus_orbits(torus: HeckeTorus) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     representative has power 0 and dilation 1.
     """
     p = torus.p
-    a, b, c, d = (entry[:, 0] for entry in _torus_elements(torus))
+    a, b, c, d = _torus_elements(torus)
     s1, s2 = np.array([lag.sigma.coords() for lag in enumerate_lagrangians(p)]).T
     t1, t2 = _canonical_tau(s1, s2, p)
     rep = np.full(p + 1, -1)
@@ -306,7 +363,7 @@ def orbit_move(fn: HeckeEigenfunction, torus: HeckeTorus, j: int,
     transport's to target up to the phase conj(chi_k(g^j)), which the
     normalization then fixes.
     """
-    t = SympMatrix(*(int(entry[j, 0]) for entry in _torus_elements(torus)), torus.p)
+    t = SympMatrix(*(int(entry[j]) for entry in _torus_elements(torus)), torus.p)
     image, phases = geometric_action(fn.realization, t)
     if not image.lagrangian.shares_line(target.lagrangian):
         raise ValueError(f"g^{j} moves {fn.realization.tag()} off the line of {target.tag()}")
@@ -317,7 +374,9 @@ def orbit_move(fn: HeckeEigenfunction, torus: HeckeTorus, j: int,
 def projector_column(torus: HeckeTorus, r: Realization, k: int, b: int) -> np.ndarray:
     """P_k delta_b = (1/N) sum_j conj(chi_k(g^j)) rho(g^j)[:, b] in the model
     of r: the column _character_basis reads at its base points, here at any
-    b and with no spectrum.  For a simple character it is the eigenvector v
-    times conj(v(b)) / p at squared norm p, so a base point b where |v| is
-    largest gives it with the least relative rounding."""
-    return _projector_columns(r, _torus_elements(torus), b, torus.order)[k % torus.order]
+    b and with no spectrum, evaluated from the same chirp coefficients.  For
+    a simple character it is the eigenvector v times conj(v(b)) / p at
+    squared norm p, so a base point b where |v| is largest gives it with the
+    least relative rounding."""
+    ch = weil_chirps(r, _torus_elements(torus))
+    return _along_torus(weil_entries(ch, np.arange(r.p), b))[k % torus.order]

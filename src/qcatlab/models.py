@@ -24,8 +24,9 @@ chirp, psi(q_a y^2) psi(beta x y) psi(q_b x^2).  For realizations on a
 shared line the canonical operator is chi_q of the enhancement ratio times
 the coordinate change of the identity map, a permutation times phases.
 Each kind has one formula, _averaging_chirps and _shared_line_map:
-`intertwine` applies it to a block of columns in O(n p log p), weil_entries
-reads it entry by entry, and the dense operators (canonical_intertwiner,
+`intertwine` applies it to a block of columns in O(n p log p), weil_chirps
+reads its coefficients once for a batch of elements and weil_entries
+evaluates entries from them, and the dense operators (canonical_intertwiner,
 raw_averaging, weil_op) are `intertwine` applied to the identity.  The
 construction fails loudly if the family does not satisfy normalization,
 invariance, convolution and the sign rule, checked once per prime on three
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,6 +62,8 @@ __all__ = [
     "averaging_scale",
     "geometric_action",
     "weil_op",
+    "WeilChirps",
+    "weil_chirps",
     "weil_entries",
     "commutant_dimension",
 ]
@@ -232,9 +236,9 @@ def raw_averaging(target: Realization, source: Realization) -> np.ndarray:
     return _apply_averaging(target, source, np.eye(p))
 
 
-def _shared_line_map(target, source, y, p: int) -> tuple:
-    """(rows, phase) of the identity between two gauges of one line: row y
-    of the target model is phase[y] times source entry rows[y].
+def _shared_line_map(target, source, p: int) -> tuple:
+    """(lift, twist) of the identity between two gauges of one line: row y
+    of the target model is psi(twist y^2) times source entry lift y.
 
     Frames as in _averaging_chirps.  The point (y tau, 0) lands at source
     coordinate x = e1 y with l = e2 y, where e1 = omega(tau, sigma') and
@@ -243,8 +247,7 @@ def _shared_line_map(target, source, y, p: int) -> tuple:
     _, _, t1, t2 = target
     u1, u2, r1, r2 = source
     e1 = _omega(t1, t2, u1, u2, p)
-    e2 = _omega(r1, r2, t1, t2, p)
-    return e1 * y % p, unit_roots(p)[half_mod(e1 * e2 % p * (y * y % p) % p, p)]
+    return e1, half_mod(e1 * _omega(r1, r2, t1, t2, p) % p, p)
 
 
 def _apply_coordinate_change(target: Realization, source: Realization,
@@ -252,8 +255,9 @@ def _apply_coordinate_change(target: Realization, source: Realization,
     """The identity between two gauges of one line applied to block: its
     rows permuted, times phases."""
     p = target.p
-    rows, phase = _shared_line_map(_frame(target), _frame(source), np.arange(p), p)
-    return phase[:, np.newaxis] * block[rows]
+    lift, twist = _shared_line_map(_frame(target), _frame(source), p)
+    y = np.arange(p)
+    return unit_roots(p)[twist * (y * y % p) % p][:, np.newaxis] * block[lift * y % p]
 
 
 def _apply_intertwiner(target: Realization, source: Realization, block: np.ndarray,
@@ -415,43 +419,89 @@ def weil_op(r: Realization, g: SympMatrix) -> WeilOperator:
     return WeilOperator(g, r, f.matrix * phases[np.newaxis, :])
 
 
-def weil_entries(r: Realization, g, y, x) -> np.ndarray:
-    """Entries [y, x] of weil_op(r, g) for a batch of elements, with no p x p
-    matrix.
+class WeilChirps(NamedTuple):
+    """The entries of rho(g) on the model of a realization, for a batch of
+    elements g, as the coefficients of their chirps.
+
+    An element whose image g sigma is transverse to sigma has
+    rho(g)[y, x] = coef psi(qa y^2 + beta x y + qb x^2).  The elements at
+    the indices `shared` of the flattened batch keep sigma's line (+-I, and
+    every element when the line is one the torus fixes); element shared[i]
+    has rho(g)[y, x] = coef psi(twist[i] y^2 + qb x^2) at x = lift[i] y and
+    0 elsewhere.  qb includes the geometric phase mu / 2 of the column.
+    coef, qa, beta and qb have the batch's shape; lift and twist are the
+    _shared_line_map of the shared elements.
+    """
+
+    p: int
+    coef: np.ndarray
+    qa: np.ndarray
+    beta: np.ndarray
+    qb: np.ndarray
+    shared: np.ndarray
+    lift: np.ndarray
+    twist: np.ndarray
+
+
+def weil_chirps(r: Realization, g) -> WeilChirps:
+    """The chirp coefficients of weil_op(r, g) for a batch of elements.
 
     g = (a, b, c, d) holds the entries of SL2(F_p) elements as ints or
-    integer arrays.  They broadcast with the rows y and columns x, so an
-    (N, 1) batch against y = x = arange(p) gives N diagonals, and against
-    x = b gives N columns at b.  It is weil_op's formula entry by entry: the
-    canonical intertwiner from the model of g.r, whose gauge is
-    Realization.canonical's, read off the same chirps and shared-line map that
-    intertwine applies, times the geometric phase of the column.
+    integer arrays of one shape.  It is weil_op's formula coefficient by
+    coefficient: the canonical intertwiner from the model of g.r, whose
+    gauge is Realization.canonical's, read off the same chirps and
+    shared-line map that intertwine applies, times the geometric phase of
+    the column.
     """
     p = r.p
-    a, b, c, d = g
+    a, b, c, d = (np.asarray(e, dtype=np.int64) for e in g)
     s1, s2 = r.sigma
     u1, u2 = (a * s1 + b * s2) % p, (c * s1 + d * s2) % p  # g sigma
     r1, r2 = _canonical_tau(u1, u2, p)
     target, source = _frame(r), (u1, u2, r1, r2)
     w = _omega(s1, s2, u1, u2, p)
-    transverse = w != 0
-    scale = averaging_scale(p) if np.any(transverse) else 0.0
+    shared = np.flatnonzero(w == 0)
+    scale = averaging_scale(p) if shared.size < w.size else 0.0
     # on a shared line sigma = e sigma' with 1 / e = omega(tau, sigma'), and
     # chi_q(e) = chi_q(1 / e)
-    coef = np.where(transverse, scale * legendre_symbol(w, p),
+    coef = np.where(w != 0, scale * legendre_symbol(w, p),
                     legendre_symbol(_omega(*r.tau, u1, u2, p), p))
     qa, beta, qb = _averaging_chirps(target, source, p)
-    entries = unit_roots(p)[(qa * (y * y % p) + beta * (x * y % p) + qb * (x * x % p)) % p]
-    shared = np.logical_not(transverse)
-    if np.any(shared):
-        # only the elements that keep sigma's line (+-I in a generic
-        # realization) take the shared-line map, on their entries alone
-        at = np.broadcast_to(shared, entries.shape)
-        pick = [np.broadcast_to(v, entries.shape)[at] for v in (*source, y, x)]
-        rows, phase = _shared_line_map(target, pick[:4], pick[4], p)
-        entries[at] = np.where(pick[5] == rows, phase, 0)
-    mu = _omega(*r.tau, *_pull_back(g, (r1, r2), p), p)
-    return coef * entries * unit_roots(p)[half_mod(mu * (x * x % p) % p, p)]
+    mu = _omega(*r.tau, *_pull_back((a, b, c, d), (r1, r2), p), p)
+    lift, twist = _shared_line_map(target, [np.ravel(v)[shared] for v in source], p)
+    return WeilChirps(p, coef, qa, beta, (qb + half_mod(mu, p)) % p, shared, lift, twist)
+
+
+def _trailing(v, n: int) -> np.ndarray:
+    """v with n unit axes appended, to broadcast against points of n axes."""
+    return np.reshape(v, np.shape(v) + (1,) * n)
+
+
+def _shared_entries(ch: WeilChirps, y, x) -> np.ndarray:
+    """The entries of the shared-line elements alone, of shape
+    (len(shared),) + broadcast(y, x)."""
+    p, n = ch.p, np.broadcast(y, x).ndim
+    coef, qb = (_trailing(np.ravel(v)[ch.shared], n) for v in (ch.coef, ch.qb))
+    lift, twist = (_trailing(v, n) for v in (ch.lift, ch.twist))
+    phase = unit_roots(p)[(twist * (y * y % p) + qb * (x * x % p)) % p]
+    return np.where(x == lift * y % p, coef * phase, 0)
+
+
+def weil_entries(ch: WeilChirps, y, x) -> np.ndarray:
+    """Entries [y, x] of weil_op(r, g) for each element of a weil_chirps
+    batch, with no p x p matrix: an array of shape batch + broadcast(y, x),
+    so a batch of N against y = x = arange(p) gives N diagonals, and
+    against x = b gives N columns at b.  The chirp formula covers the batch
+    and the shared-line map then rewrites the rows of the elements that keep
+    sigma's line (+-I in a generic realization), on those rows alone."""
+    p, n = ch.p, np.broadcast(y, x).ndim
+    coef, qa, beta, qb = (_trailing(v, n) for v in ch[1:5])
+    exponent = qa * (y * y % p) + beta * (x * y % p) + qb * (x * x % p)
+    out = unit_roots(p).take(np.remainder(exponent, p, out=exponent))
+    out *= coef
+    if ch.shared.size:
+        out.reshape((-1,) + out.shape[np.ndim(ch.coef):])[ch.shared] = _shared_entries(ch, y, x)
+    return out
 
 
 def _heis_generators(p: int) -> list[HeisenbergElement]:

@@ -1,7 +1,8 @@
 """Independent routes that the tests compare the program against.
 
 None of this runs in the program: each helper rebuilds a quantity the
-package computes by another path (the whole torus from its generator, the
+package computes by another path (the torus generator by walking each
+candidate's powers, the whole torus from its generator, the
 canonical intertwiners from their definitions by summation and by
 decomposition, an intertwiner in another gauge, the SL2 action from the
 Egorov equation, the torus spectrum from a dense eigensolver, the split
@@ -15,10 +16,12 @@ import numpy as np
 
 from qcatlab.arith import half_mod, inverse_mod, legendre_symbol, unit_roots
 from qcatlab.groups import (
+    CatMap,
     EnhancedLagrangian,
     HeckeTorus,
     HeisenbergElement,
     SympMatrix,
+    classify_prime,
     enumerate_lagrangians,
 )
 from qcatlab.harness import supremum_records
@@ -36,6 +39,25 @@ from qcatlab.models import (
     heisenberg_op,
     weil_op,
 )
+
+
+def generator_by_element_orders(A: CatMap, p: int) -> SympMatrix:
+    """The first element of full order in the x-major walk of the commutant
+    {x I + y A : det = 1} of A mod p, each candidate's order found by
+    multiplying it into itself until it returns to the identity."""
+    Ap = A.reduce(p)
+    order = p - 1 if classify_prime(A, p) == "split" else p + 1
+    for x in range(p):
+        for y in range(p):
+            if (x * x + Ap.trace() * x * y + y * y) % p != 1:
+                continue
+            g = SympMatrix(x + y * Ap.a, y * Ap.b, y * Ap.c, x + y * Ap.d, p)
+            acc, k = g, 1
+            while acc != SympMatrix.identity(p):
+                acc, k = acc * g, k + 1
+            if k == order:
+                return g
+    raise RuntimeError(f"no element of order {order} at p = {p}")
 
 
 def torus_powers(torus: HeckeTorus) -> list[SympMatrix]:

@@ -168,8 +168,10 @@ def test_sweep_spectrum_failure_is_an_error_not_a_skip(tmp_path, monkeypatch, ca
     # projector traces off the integers make the engine raise: exit 3
     import qcatlab.hecke as hecke
 
-    original = hecke.weil_entries
-    monkeypatch.setattr(hecke, "weil_entries", lambda *args: 0.9 * original(*args))
+    def scaled(*args, original=hecke.weil_chirps):
+        chirps = original(*args)
+        return chirps._replace(coef=0.9 * chirps.coef)
+    monkeypatch.setattr(hecke, "weil_chirps", scaled)
     assert run_cli(["sweep", "--matrix", "2,1;1,1", "--primes", "7..11",
                     "--out", str(tmp_path)]) == 3
     out = capsys.readouterr().out

@@ -3,7 +3,8 @@ import itertools
 
 import pytest
 
-from oracles import torus_powers
+from oracles import generator_by_element_orders, torus_powers
+from qcatlab.arith import primes_in
 from qcatlab.groups import (
     CatMap,
     EnhancedLagrangian,
@@ -253,6 +254,17 @@ def test_generator_is_pinned(matrix):
     for p, entries in PINNED_GENERATORS[matrix].items():
         g = build_hecke_torus(A, p).generator
         assert (g.a, g.b, g.c, g.d) == entries, p
+
+
+@pytest.mark.parametrize("matrix", sorted(PINNED_GENERATORS))
+def test_generator_matches_the_walk_of_element_orders(matrix):
+    # the prime-factor test of full order picks the same candidate of the
+    # x-major walk as multiplying each candidate until it returns to I
+    A = CatMap.parse(matrix)
+    primes = [p for p in primes_in(3, 199) if classify_prime(A, p) != "ramified"]
+    for p in primes:
+        assert build_hecke_torus(A, p).generator == generator_by_element_orders(A, p), p
+    assert len(primes) == 44
 
 
 def test_torus_is_frozen_to_its_generator():

@@ -236,11 +236,7 @@ print(len(result.errors), "numpy.random" in sys.modules)
 def test_sweep_builds_one_block_per_prime(monkeypatch):
     import qcatlab.harness as harness
 
-    extracted, moved, scored = [], [], []
-
-    def counting_eigenfunction(spectrum, *ks, original=harness.eigenfunction):
-        extracted.append(len(ks))
-        return original(spectrum, *ks)
+    moved, scored = [], []
 
     def counting_transport(fn, r, original=harness.transport):
         moved.append(fn.characters.size)
@@ -250,11 +246,10 @@ def test_sweep_builds_one_block_per_prime(monkeypatch):
         scored.append((fn.realization.tag(), fn.characters.size))
         return original(fn, kind)
 
-    monkeypatch.setattr(harness, "eigenfunction", counting_eigenfunction)
     monkeypatch.setattr(harness, "transport", counting_transport)
     monkeypatch.setattr(harness, "supremum_records", counting_records)
     for p, n_reps in ((11, 4), (13, 2)):  # split, inert
-        for calls in (extracted, moved, scored):
+        for calls in (moved, scored):
             calls.clear()
         result = universal_sweep(config(p, p, realizations="all", verify_samples=1))
         rep, _, _ = torus_orbits(build_hecke_torus(A, p))
@@ -262,13 +257,12 @@ def test_sweep_builds_one_block_per_prime(monkeypatch):
         assert len(reps) == n_reps and p in reps  # line p is the defining one
         n = len(result.records) // (p + 1)
         # the whole block moves once to each representative but the defining
-        # line; the verify sample then extracts one character and moves it
-        # to its representative at most once
-        assert moved[:n_reps - 1] == [n] * (n_reps - 1) and moved[n_reps - 1:] in ([], [1])
-        assert extracted == [1]
+        # line; the verify sample then moves the whole block to its
+        # representative at most once more
+        assert moved[:n_reps - 1] == [n] * (n_reps - 1) and moved[n_reps - 1:] in ([], [n])
         # each representative's block is scored in one pass, all characters
-        # at once, and the verify sample's moved column once
-        assert [size for _, size in scored] == [n] * n_reps + [1]
+        # at once, and the verify sample's line once, all characters again
+        assert [size for _, size in scored] == [n] * n_reps + [n]
         assert len({tag for tag, _ in scored[:-1]}) == n_reps
         assert len(set(result.records["realization"])) == p + 1
 
@@ -338,11 +332,12 @@ MUTANTS = {
 
 
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
-@pytest.mark.parametrize("p", [7, 11, 13, 29])
+@pytest.mark.parametrize("p", [7, 11, 13, 19, 23, 29])
 def test_derivation_mutants_fail_verify_and_oracle(monkeypatch, mutant, p):
-    # one verify draw checks one (line, character) row: a wrong dilation
-    # escapes it only where the drawn row's argmax survives the wrong
-    # relabelling, as at p = 19 and 23 with seed 0; the oracle sees every row
+    # one verify draw checks every row of its drawn line, so a wrong
+    # dilation shows in some row's argmax, as at p = 19 and 23 with seed 0,
+    # where checking the drawn character's row alone missed it; the oracle
+    # sees every row of every line
     MUTANTS[mutant](monkeypatch)
     result = universal_sweep(config(p, p, realizations="all", verify_samples=1))
     assert [q for q, _ in result.errors] == [p], result.errors

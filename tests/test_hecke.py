@@ -16,6 +16,12 @@ from qcatlab.groups import (
     enumerate_lagrangians,
 )
 from qcatlab.hecke import (
+    BASE_POINTS,
+    _base_columns,
+    _character_basis,
+    _half_diagonals,
+    _mirror,
+    _torus_elements,
     eigenfunction,
     hecke_spectrum,
     orbit_move,
@@ -23,7 +29,7 @@ from qcatlab.hecke import (
     torus_orbits,
     transport,
 )
-from qcatlab.models import Realization, weil_op
+from qcatlab.models import Realization, weil_chirps, weil_entries, weil_op
 from qcatlab.harness import supremum_records
 
 A = CatMap(2, 1, 1, 1)
@@ -231,10 +237,13 @@ def _compare_with_eig_oracle(cat):
     (1 + 1e-3j, "imaginary part"),  # real traces, complex point masses
 ])
 def test_a_wrong_operator_table_raises(monkeypatch, torus7, scale, message):
+    # every table entry scaled, through the one pass of chirp coefficients
     import qcatlab.hecke as hecke
 
-    original = hecke.weil_entries
-    monkeypatch.setattr(hecke, "weil_entries", lambda *args: scale * original(*args))
+    def scaled(*args, original=hecke.weil_chirps):
+        chirps = original(*args)
+        return chirps._replace(coef=scale * chirps.coef)
+    monkeypatch.setattr(hecke, "weil_chirps", scaled)
     with pytest.raises(RuntimeError, match=message):
         hecke_spectrum(torus7, Realization.standard(7))
 
@@ -262,6 +271,40 @@ def test_degenerate_basis_follows_the_largest_diagonal():
         b = int(masses.argmax())
         # P_k delta_b = (u conj(u[b]) + v conj(v[b])) / p lies along u
         assert abs(v[b]) < 1e-12 and abs(np.vdot(u, v)) < 1e-12 * p
+
+
+@pytest.mark.parametrize("matrix, p, sigma, k", [("3,2;1,1", 13, (0, 1), 6),
+                                                   ("2,1;1,1", 11, (1, 0), 5)])
+def test_tied_base_points_pivot_at_the_least(monkeypatch, matrix, p, sigma, k):
+    # character k is two-dimensional, and its second unit vector v has equal
+    # mass at the base points 2 and 3, so the tie rule picks its pivot: v is
+    # P_k delta_2 less its part along the first vector u, normalised, whose
+    # phase differs from the pivot 3's, and a 1e-15 nudge of either point
+    # mass in the table, either way, leaves the basis bit for bit
+    import qcatlab.hecke as hecke
+
+    torus = build_hecke_torus(CatMap.parse(matrix), p)
+    r = Realization.of(*sigma, p)
+    labels, basis = _character_basis(torus, r)
+    u, v = basis[:, labels == k].T
+    assert abs(abs(v[2]) - abs(v[3])) < 1e-12
+
+    def remainder(b):
+        w = projector_column(torus, r, k, b)
+        w = w - u * np.vdot(u, w)
+        return w / np.linalg.norm(w)
+
+    assert np.abs(v - remainder(2)).max() < 1e-12
+    assert np.abs(v - remainder(3)).max() > 0.1
+    expected = basis.tobytes()
+    for x in (2, 3):
+        for nudge in (1e-15, -1e-15):
+            def nudged(half, x=x, nudge=nudge, original=hecke._mirror):
+                diag = original(half)
+                diag[:, x] += nudge
+                return diag
+            monkeypatch.setattr(hecke, "_mirror", nudged)
+            assert _character_basis(torus, r)[1].tobytes() == expected
 
 
 def test_degenerate_character_returns_flagged_basis(torus11):
@@ -451,6 +494,41 @@ def test_projector_column_is_the_spectrum_vector(matrix):
             assert _phase_gap(v, column) < 1e-9, (p, lag.sigma, k)
             other = projector_column(torus, spectrum.eigenfunctions.realization, k + 1, b)
             assert abs(np.vdot(v, other)) < 1e-9
+
+
+@st.composite
+def torus_and_lines(draw):
+    """A cat map, its torus at a non-ramified odd prime p <= 97, and lines:
+    all p + 1 for p <= 31; above that one drawn line and the lines the cat
+    map fixes, where every torus element keeps the line."""
+    matrix = draw(st.sampled_from([A, CatMap(3, 2, 1, 1)]))
+    p = draw(st.sampled_from([p for p in primes_in(3, 97)
+                              if classify_prime(matrix, p) != "ramified"]))
+    torus = build_hecke_torus(matrix, p)
+    lines = enumerate_lagrangians(p)
+    if p > 31:
+        fixed = [lag for lag in lines if torus.matrix.apply(lag.sigma).omega(lag.sigma) == 0]
+        lines = [draw(st.sampled_from(lines))] + fixed
+    return torus, lines
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(torus_and_lines())
+def test_tables_are_the_weil_entries(case):
+    # the tables _character_basis transforms, against weil_entries evaluated
+    # at every point: the half diagonal mirrored is the full diagonal bit for
+    # bit (its exponent is the same integer at x and p - x), and the columns
+    # the chirp recurrence builds are the columns evaluated directly
+    torus, lines = case
+    y = np.arange(torus.p)
+    base = y[:BASE_POINTS]
+    for lag in lines:
+        chirps = weil_chirps(Realization.canonical(lag), _torus_elements(torus))
+        assert np.array_equal(_mirror(_half_diagonals(chirps)), weil_entries(chirps, y, y))
+        direct = weil_entries(chirps, y, base[:, np.newaxis])  # [j, b, y]
+        # products of unit phases after column 0: rounding at most 2.0e-15
+        # over these cases, against order 1 for a wrong phase
+        assert np.abs(_base_columns(chirps, base.size) - direct).max() < 1e-14
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from qcatlab.models import (
     heisenberg_op,
     intertwine,
     raw_averaging,
+    weil_chirps,
     weil_entries,
     weil_op,
 )
@@ -409,7 +410,7 @@ def test_weil_operator_is_an_intertwiner_after_the_geometric_phases(case):
     # FFT; FFT rounding grows slowly with p: at most 5.6e-15 per entry for
     # p <= 97 on standard normal blocks, against order 1 for a wrong phase
     y = np.arange(r.p)
-    entries = weil_entries(r, (g.a, g.b, g.c, g.d), y[:, np.newaxis], y[np.newaxis, :])
+    entries = weil_entries(weil_chirps(r, (g.a, g.b, g.c, g.d)), y[:, np.newaxis], y)
     assert np.abs(fast - entries @ block).max() < 1e-12
 
 
@@ -521,17 +522,18 @@ def test_weil_entries_are_the_dense_operator_entry_by_entry(p, rng):
     y = np.arange(p)
     gs = [SympMatrix.identity(p), SympMatrix(-1, 0, 0, -1, p)]
     gs += [random_sl2(rng, p) for _ in range(6)]
-    batch = tuple(np.array([[getattr(g, e)] for g in gs]) for e in "abcd")
+    batch = tuple(np.array([getattr(g, e) for g in gs]) for e in "abcd")
     half = pow(2, -1, p)
     gauge = Realization(EnhancedLagrangian.of(2, 4, p), (half, half))
     for r in all_realizations(p) + [gauge]:
         dense = [weil_op(r, g).matrix for g in gs]
         for g, m in zip(gs, dense):
-            entries = weil_entries(r, (g.a, g.b, g.c, g.d), y[:, np.newaxis], y[np.newaxis, :])
+            entries = weil_entries(weil_chirps(r, (g.a, g.b, g.c, g.d)), y[:, np.newaxis], y)
             assert np.abs(entries - m).max() < 1e-14
-        diagonals = weil_entries(r, batch, y, y)
+        chirps = weil_chirps(r, batch)
+        diagonals = weil_entries(chirps, y, y)
         assert np.abs(diagonals - [np.diag(m) for m in dense]).max() < 1e-14
-        columns = weil_entries(r, batch, y, 2)
+        columns = weil_entries(chirps, y, 2)
         assert np.abs(columns - [m[:, 2] for m in dense]).max() < 1e-14
 
 
