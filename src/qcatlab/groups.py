@@ -24,6 +24,7 @@ __all__ = [
     "classify_prime",
     "build_hecke_torus",
     "enumerate_lagrangians",
+    "line_sigmas",
     "line_index",
 ]
 
@@ -170,11 +171,20 @@ class EnhancedLagrangian:
         return (s2 * inverse_mod(o2, self.p)) % self.p
 
 
+def line_sigmas(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sigma of each line as two integer arrays, with no object per
+    line: (1, m) for each slope m, then (0, 1)."""
+    s1 = np.ones(p + 1, dtype=np.int64)
+    s1[p] = 0
+    s2 = np.arange(p + 1)
+    s2[p] = 1
+    return s1, s2
+
+
 def enumerate_lagrangians(p: int) -> list[EnhancedLagrangian]:
-    """One enhanced Lagrangian per line: sigma = (1, m) for each slope m, then (0, 1)."""
-    out = [EnhancedLagrangian.of(1, m, p) for m in range(p)]
-    out.append(EnhancedLagrangian.of(0, 1, p))
-    return out
+    """One enhanced Lagrangian per line, in the order of line_sigmas."""
+    s1, s2 = line_sigmas(p)
+    return [EnhancedLagrangian.of(a, b, p) for a, b in zip(s1.tolist(), s2.tolist())]
 
 
 def line_index(v1, v2, p: int):
@@ -278,6 +288,24 @@ def _power(g: SympMatrix, e: int) -> SympMatrix:
     return out
 
 
+def _norm_one_pairs(t: int, p: int) -> np.ndarray:
+    """The (x, y) in F_p^2 with x^2 + t x y + y^2 = 1, x-major with y
+    ascending, as a (count, 2) array.
+
+    For each x the y solve y^2 + t x y + x^2 - 1 = 0, so
+    y = (-t x +- r) / 2 with r^2 = (t^2 - 4) x^2 + 4, r read from a table of
+    square roots: two roots where that is a nonzero square, one where it is 0.
+    """
+    x = np.arange(p)
+    root = np.full(p, -1)
+    root[x * x % p] = x  # root[s] is a square root of s, or -1 for a non-square
+    r = root[((t * t - 4) % p * (x * x % p) + 4) % p]
+    ys = np.sort((-t * x[:, np.newaxis] + r[:, np.newaxis] * np.array([1, -1]))
+                 * ((p + 1) // 2) % p, axis=1)
+    keep = np.stack([r >= 0, r > 0], axis=1)
+    return np.stack([np.broadcast_to(x[:, np.newaxis], ys.shape)[keep], ys[keep]], axis=1)
+
+
 def build_hecke_torus(A: CatMap, p: int) -> HeckeTorus:
     """The commutant torus of A mod p with its first element of full order.
 
@@ -289,8 +317,7 @@ def build_hecke_torus(A: CatMap, p: int) -> HeckeTorus:
         raise ValueError(f"p = {p} is ramified for this cat map; no Hecke torus")
     Ap = A.reduce(p)
     # x*I + y*A has determinant x^2 + t*x*y + y^2; walk its solutions x-major
-    x, y = np.meshgrid(np.arange(p), np.arange(p), indexing="ij")
-    pairs = np.argwhere((x * x + Ap.trace() * x * y + y * y) % p == 1).tolist()
+    pairs = _norm_one_pairs(Ap.trace(), p).tolist()
     order = p - 1 if kind == "split" else p + 1
     if len(pairs) != order:
         raise RuntimeError(f"commutant size {len(pairs)} != {order} for {kind} p = {p}")

@@ -16,10 +16,13 @@ that block once per torus orbit of lines, to the orbit's representative
 (none for the defining line's orbit), and scores it there in one pass; the
 orbit's other lines take those rows with the argmax relabelled by the line's
 dilation, since the torus carries moduli along an orbit
-(hecke.torus_orbits).  Records form one table (a numpy structured array, one
-row per (prime, realization, character, basis vector)), written as a
-versioned CSV artifact whose bytes depend only on the config.  One
-writer, write_csv_rows, formats every CSV artifact a chunk of rows at a time.
+(hecke.torus_orbits), all of an orbit's lines at once and with no object per
+line.  Verify draws reuse the representatives' moved blocks.  Records form
+one table (a numpy structured array, one row per (prime, realization,
+character, basis vector)), written as a versioned CSV artifact whose bytes
+depend only on the config.  One writer, write_csv_rows, writes every CSV
+artifact a chunk of rows at a time; sweep.csv formats the text of each
+distinct record once and joins it with each row's realization and argmax.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from functools import partial
 import numpy as np
 
 from .arith import pow_mod, primes_in
-from .groups import CatMap, classify_prime, build_hecke_torus, enumerate_lagrangians
+from .groups import CatMap, classify_prime, build_hecke_torus, line_sigmas
 from .hecke import (
     HeckeEigenfunction,
     hecke_spectrum,
@@ -76,7 +79,7 @@ NORM_TOL = 1e-6
 ARGMAX_TIE_TOL = 1e-9
 GATING_MIN_PRIME = 5  # p = 3 is reported but never gates
 HISTOGRAM_BINS = 40  # equal-width bins of the value distribution's histogram
-CSV_CHUNK = 1024  # rows a CSV writer formats at once: about 0.4 MB of sweep.csv objects
+CSV_CHUNK = 1024  # rows a CSV writer formats at once: about 0.3 MB of sweep.csv objects
 # fields in sweep.csv column order (a_max is written as sup * sup); kind and
 # realization are objects, one shared str per block: a fixed-width str field
 # would widen every row and truncate long realization tags
@@ -85,6 +88,8 @@ RECORD_DTYPE = np.dtype([("p", np.int64), ("kind", object), ("realization", obje
                          ("sup", np.float64), ("argmax", np.int64),
                          ("passed", np.bool_), ("gating", np.bool_)])
 _NO_RECORDS = np.empty(0, dtype=RECORD_DTYPE)
+# the fields whose text sweep.csv formats once per run of equal records
+_RUN_FIELDS = ("sup", "character", "p", "multiplicity", "passed", "kind")
 
 
 @dataclass(frozen=True)
@@ -199,94 +204,130 @@ def _sweep_one_prime(p: int, A: CatMap, realizations: str, verify_samples: int,
     spectrum, fn, skips = _defining_spectrum(p, A)
     if realizations == "all":
         orbits = torus_orbits(spectrum.torus)
-        table = _orbit_records(fn, orbits, kind)
-        if verify_samples:
-            _verify_orbit_moves(spectrum, fn, table, orbits, verify_samples, seed)
-        records = table.ravel()
-    else:
-        records = supremum_records(fn, kind)
-    # stable: rows go per character, then realization, then basis vector
+        draws = _verify_draws(fn, orbits, verify_samples, seed)
+        records, at, moved = _orbit_records(fn, orbits, kind,
+                                            {int(orbits[0][l]) for l, _ in draws})
+        _verify_orbit_moves(spectrum, records, at, orbits, draws, moved)
+        return records, skips
+    records = supremum_records(fn, kind)
+    # stable: rows go per character, then basis vector
     return records[np.argsort(records["character"], kind="stable")], skips
 
 
-def _orbit_records(fn: HeckeEigenfunction, orbits, kind: str) -> np.ndarray:
-    """The (p + 1, n) record table of every line, in enumeration order.
+def _orbit_records(fn: HeckeEigenfunction, orbits, kind: str, keep):
+    """(records, at, moved): the record table of every line, per character,
+    then line in enumeration order, then basis vector; at[l] the positions
+    of line l's rows in it, in column order; and the block moved to each
+    representative in keep.
 
     Each torus orbit's representative scores the block transported there
     (or fn itself on fn's line); every other line of the orbit takes its
     rows, with the argmax relabelled by the line's dilation e: the least y
-    with e y in the representative's tie set (hecke.torus_orbits), read off
-    that set's points in O(ties) per line.
+    with e y in the representative's tie set (hecke.torus_orbits), for all
+    of the orbit's lines at once.  Tags come from the lines' sigmas, with
+    no Realization but the representatives'.
     """
-    p = fn.p
+    p, n = fn.p, fn.characters.size
     rep, _, dilation = orbits
-    lines = enumerate_lagrangians(p)
+    s1, s2 = line_sigmas(p)
     reps, slot = np.unique(rep, return_inverse=True)
     inverse = pow_mod(dilation, p - 2, p)
-    scored, argmax = [], np.empty((p + 1, fn.characters.size), dtype=np.int64)
+    scored, moved = [], {}
+    argmax = np.empty((p + 1, n), dtype=np.int64)
     for r in reps.tolist():
-        source = Realization.canonical(lines[r])
+        source = Realization.of(int(s1[r]), int(s2[r]), p)
         block = fn if source == fn.realization else transport(fn, source)
+        if r in keep:
+            moved[r] = block
         scored.append(supremum_records(block, kind))
         # the tie points x, column by column: every column has one, its maximum
         col, x = np.nonzero(_ties(np.abs(block.vectors) ** 2, scored[-1]["sup"]).T)
         first = np.flatnonzero(np.diff(col, prepend=-1))
-        for l in np.flatnonzero(rep == r).tolist():
-            # the least y with e y tied is the least x / e over the tie points
-            argmax[l] = np.minimum.reduceat(x * inverse[l] % p, first)
-    # a gather of the representatives' rows, not np.empty, which would first
-    # fill every object field with None, one row at a time
-    table = np.stack(scored)[slot]
-    tags = [Realization.canonical(lag).tag() for lag in lines]
-    table["realization"] = np.array(tags, dtype=object)[:, np.newaxis]
-    table["argmax"] = argmax
-    return table
+        # the least y with e y tied is the least x / e over the tie points
+        lines = np.flatnonzero(rep == r)
+        argmax[lines] = np.minimum.reduceat(x * inverse[lines, np.newaxis] % p, first, axis=1)
+    scored = np.stack(scored)
+    # stable: rows go per character, then line, then basis vector; one gather
+    # of the representatives' rows, not np.empty, which would first fill every
+    # object field with None, one row at a time
+    order = np.argsort(scored["character"][slot].ravel(), kind="stable")
+    lines, cols = np.divmod(order, n)
+    records = scored[slot[lines], cols]
+    tags = np.array(["%d:%d" % sigma for sigma in zip(s1.tolist(), s2.tolist())], dtype=object)
+    records["realization"] = tags[lines]
+    records["argmax"] = argmax[lines, cols]
+    at = np.empty_like(order)
+    at[order] = np.arange(order.size)
+    return records, at.reshape(p + 1, n), moved
 
 
-def _verify_orbit_moves(spectrum, fn, table, orbits, n_samples, seed):
-    """Rebuild a few derived lines the long way and re-extract one
-    character there directly.
+def _verify_draws(fn: HeckeEigenfunction, orbits, n_samples: int,
+                  seed: int) -> list[tuple[int, int]]:
+    """The (line, character) pairs that _verify_orbit_moves checks: per
+    sample a line that is not its orbit's representative and a simple
+    character, drawn from a generator seeded by (seed, p).
 
-    Each sample draws a line that is not its orbit's representative and a
-    simple character k, and carries the whole block there in full:
-    transport to the representative, then one hecke.orbit_move.  Every row
-    of the table for that line must carry its column's character and give
-    the moved column's sup and argmax, and one projector column of the
-    line's model at k's argmax must be k's moved vector up to a global
-    phase.
+    A line whose dilation has e^2 = +-1 cannot tell e from its inverse:
+    there e^-1 = +-e, and every modulus is even in x since -I is in the
+    torus.  A draw that lands on one also checks the first line whose
+    dilation can, with the same character.
     """
     p = fn.p
-    rep, power, _ = orbits
+    rep, _, dilation = orbits
     others = np.flatnonzero(rep != np.arange(rep.size))
     simple = fn.characters[fn.multiplicities == 1]
-    if not others.size or not simple.size:
-        return
+    if not n_samples or not others.size or not simple.size:
+        return []
     # the standard library's generator, seeded by a string (hashed with
     # SHA-512, so stable across runs): numpy.random's import alone costs
     # about 6 MB of resident memory, more than the draws are worth
     rng = random.Random(f"verify {seed} {p}")
-    lines = enumerate_lagrangians(p)
+    square = dilation * dilation % p
+    blind = (square == 1) | (square == p - 1)
+    sighted = others[~blind[others]]
+    draws = []
     for _ in range(n_samples):
         l = int(others[rng.randrange(others.size)])
         k = int(simple[rng.randrange(simple.size)])
-        source, target = (Realization.canonical(lines[i]) for i in (rep[l], l))
-        block = fn if source == fn.realization else transport(fn, source)
-        moved = orbit_move(block, spectrum.torus, int(power[l]), target)
-        rows, recs = table[l], supremum_records(moved, table[l, 0]["kind"])
-        bad = np.flatnonzero((rows["character"] != moved.characters)
+        draws.append((l, k))
+        if blind[l] and sighted.size:
+            draws.append((int(sighted[0]), k))
+    return draws
+
+
+def _verify_orbit_moves(spectrum, records, at, orbits, draws, moved) -> None:
+    """Rebuild the drawn lines the long way and re-extract one character
+    there directly.
+
+    For each (line, character k) of draws, the block moved to the line's
+    representative (moved, from _orbit_records) goes on to the line with
+    one hecke.orbit_move.  Every row of the records for that line must carry
+    its column's character and give the moved column's sup and argmax, and
+    one projector column of the line's model at k's argmax must be k's
+    moved vector up to a global phase.
+    """
+    p = spectrum.p
+    rep, power, _ = orbits
+    s1, s2 = line_sigmas(p)
+    for l, k in draws:
+        target = Realization.of(int(s1[l]), int(s2[l]), p)
+        moved_here = orbit_move(moved[int(rep[l])], spectrum.torus, int(power[l]), target)
+        rows = records[at[l]]
+        recs = supremum_records(moved_here, rows[0]["kind"])
+        bad = np.flatnonzero((rows["character"] != moved_here.characters)
                              | (rows["argmax"] != recs["argmax"])
                              | ~(np.abs(rows["sup"] - recs["sup"]) <= SUP_TOL))
         if bad.size:
             i = int(bad[0])
             raise RuntimeError(
                 f"derived row disagrees with its orbit move: p={p} "
-                f"k={moved.characters[i]} realization={target.tag()} "
+                f"k={moved_here.characters[i]} realization={target.tag()} "
                 f"row=({rows[i]['character']}, {rows[i]['sup']:.12g}, {rows[i]['argmax']}) "
                 f"moved=({recs[i]['sup']:.12g}, {recs[i]['argmax']})")
-        (i,) = np.flatnonzero(moved.characters == k)
+        (i,) = np.flatnonzero(moved_here.characters == k)
         direct = projector_column(spectrum.torus, target, k, int(recs[i]["argmax"]))
         direct *= np.sqrt(p) / np.linalg.norm(direct)
-        vector = moved.vectors[:, i]
+        vector = moved_here.vectors[:, i]
         overlap = np.vdot(direct, vector)
         dev = np.max(np.abs(vector - overlap / abs(overlap) * direct))
         # rounding grows about like 1.5e-16 sqrt(p) (at most 1.2e-15 at
@@ -408,20 +449,57 @@ def value_distribution(cfg: SweepConfig) -> DistributionReport:
     )
 
 
-def write_csv_rows(fh, fmt: str, columns) -> None:
+def write_csv_rows(fh, fmt: str | None, columns) -> None:
     """Write fmt % row for each row of the equal-length 1-D arrays in columns,
-    CSV_CHUNK rows at a time, so only one chunk's Python objects are alive."""
+    or with fmt None the row's fields, all str, joined as they are, CSV_CHUNK
+    rows at a time, so only one chunk's Python objects are alive."""
+    row = "".join if fmt is None else fmt.__mod__
     for lo in range(0, len(columns[0]), CSV_CHUNK):
-        rows = zip(*(c[lo:lo + CSV_CHUNK].tolist() for c in columns))
-        fh.write("".join([fmt % row for row in rows]))
+        fh.write("".join(map(row, zip(*(c[lo:lo + CSV_CHUNK].tolist() for c in columns)))))
+
+
+def _runs(order: np.ndarray, *fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse): rows grouped into runs equal in every field when
+    taken in the given order, first[i] a row of the i-th run and inverse[r]
+    the run of row r.  Every run is uniform in every field; equal rows
+    that the order keeps apart form several runs."""
+    new = np.zeros(order.size, dtype=bool)
+    new[:1] = True
+    for field in fields:
+        ordered = field[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
 
 
 def write_records_csv(path, records: np.ndarray) -> None:
+    """sweep.csv: the header, then one row per record.
+
+    The lines of a torus orbit share a record but for its realization and
+    argmax, so each chunk of rows formats the text of each distinct
+    (p, kind, character, multiplicity, sup, pass) once (sup and
+    a_max = sup * sup by %.12g), and a row is that text joined with its
+    realization tag and argmax.
+    """
+    points = np.array([str(x) for x in range(int(records["argmax"].max(initial=0)) + 1)],
+                      dtype=object)  # argmax is a point x >= 0: its text, by value
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# schema: {SWEEP_SCHEMA}\n")
         fh.write("p,kind,realization,character,multiplicity,sup,argmax,a_max,pass\n")
-        for lo in range(0, len(records), CSV_CHUNK):  # a_max and pass, a chunk at a time
+        for lo in range(0, len(records), CSV_CHUNK):
             chunk = records[lo:lo + CSV_CHUNK]
-            write_csv_rows(fh, "%d,%s,%s,%d,%d,%.12g,%d,%.12g,%s\n", [
-                *(chunk[name] for name in RECORD_DTYPE.names[:7]),  # p .. argmax
-                chunk["sup"] * chunk["sup"], np.where(chunk["passed"], "true", "false")])
+            # by sup, stably: a chunk goes character by character, so the
+            # rows of one record fall into one run
+            first, inverse = _runs(np.argsort(chunk["sup"], kind="stable"),
+                                   *(chunk[name] for name in _RUN_FIELDS))
+            d = chunk[first]
+            sups = d["sup"].tolist()
+            lead = np.array(["%d,%s," % key for key in zip(d["p"].tolist(), d["kind"].tolist())],
+                            dtype=object)
+            record = np.array([",%d,%d,%.12g," % key for key in zip(
+                d["character"].tolist(), d["multiplicity"].tolist(), sups)], dtype=object)
+            verdict = np.array([",%.12g,%s\n" % (sup * sup, "true" if ok else "false")
+                                for sup, ok in zip(sups, d["passed"].tolist())], dtype=object)
+            write_csv_rows(fh, None, [lead[inverse], chunk["realization"], record[inverse],
+                                      points[chunk["argmax"]], verdict[inverse]])

@@ -6,12 +6,13 @@ the ranges of the projectors P_k = (1/N) sum_j conj(chi_k(g^j)) rho(g^j), the
 function-level shadow of the paper's torus sums of Weil-representation
 kernels.  Every entry of rho(g^j) has a closed form, a chirp whose
 coefficients models.weil_chirps reads once per (prime, realization) for the
-whole torus, so one FFT along j of O(p)-cost diagonals and columns gives
-every point mass and every basis vector, with no eigensolver.  The diagonal
-depends on x only through x^2, so half of it is evaluated and mirrored; the
-columns at the base points follow from the first by a chirp recurrence,
-written in place.  A degenerate space gets a basis fixed by rule, and
-projector_column reads one character's column alone.  The
+whole torus, so one FFT along j of the O(p)-cost diagonals gives every point
+mass, and one of the columns at x = 1 gives every simple character's
+vector, P_k delta_1 / sqrt(P_k[1, 1]), with no eigensolver.  The diagonal
+depends on x only through x^2, so half of it is evaluated and mirrored.  A
+degenerate space, or a simple one with too little mass at 1, gets a basis
+fixed by rule from the columns at the base points 0..3, each one
+torus-weighted sum, which projector_column also reads.  The
 residual that checks the eigenvector equation applies rho(g) as the
 canonical intertwiner from the model of g.r composed with its geometric
 phases, one FFT for the whole basis, so it shares no entry formula with the
@@ -31,17 +32,17 @@ selects columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .arith import unit_roots
-from .groups import HeckeTorus, SympMatrix, enumerate_lagrangians, line_index
+from .groups import HeckeTorus, SympMatrix, line_index, line_sigmas
 from .models import (
     Realization,
     WeilChirps,
     _canonical_tau,
     _omega,
-    _shared_entries,
     geometric_action,
     intertwine,
     weil_chirps,
@@ -59,9 +60,9 @@ __all__ = [
     "projector_column",
 ]
 
-# the points x = 0..3 whose projector columns give the eigenvectors: 0 holds
-# delta_0's space on a fixed line, and odd eigenfunctions, which vanish at 0,
-# still have three points
+# the points x = 0..3 whose projector columns give the eigenvectors that the
+# column at x = 1 does not: 0 holds delta_0's space on a fixed line, and odd
+# eigenfunctions, which vanish at 0, still have three points
 BASE_POINTS = 4
 # tr P_k misses its integer by rounding, at most 2.7e-15 for p <= 1013 and
 # growing like sqrt(p) at most; one wrong operator in the table moves it by
@@ -70,10 +71,12 @@ TRACE_TOL = 1e-6
 # P_k is Hermitian: rounding leaves p |Im P_k[x, x]| below 7.1e-15 for
 # p <= 1013, with no growth seen in p, against order 1 for a non-unitary table
 MASS_IMAG_TOL = 1e-6
-# a column at a base point of mass c / p gives an eigenvector with rounding
-# about 1e-16 sqrt(p / c) per entry at norm sqrt(p), so c >= 1e-6 holds sups to
-# 1e-9 for p < 1e8; the least c used, for p < 100 in every realization of
-# either map, is 6.2e-3
+# a projector column at a point of mass c / p gives an eigenvector with
+# rounding about 1e-16 sqrt(p / c) per entry at norm sqrt(p), so c >= 1e-6
+# holds sups to 1e-9 for p < 1e8.  The column at x = 1 is used down to this
+# floor: the least c used there, for p < 100 in every realization of either
+# map, is 1.1e-6 (1.0e-6 in the defining realization for p < 1100), and the
+# least at a base-point pivot is 0.22 (0.071)
 BASE_MASS_FLOOR = 1e-6
 # base points whose masses c / p lie within PIVOT_TIE_TOL / p of the largest
 # are tied, and the least of them is the pivot: two roundings of the tables
@@ -161,16 +164,20 @@ def _normalize_columns(basis: np.ndarray, p: int) -> np.ndarray:
     return v * (np.abs(lead) / lead)
 
 
+@lru_cache(maxsize=2)
 def _torus_elements(torus: HeckeTorus) -> tuple[np.ndarray, ...]:
     """Entries (a, b, c, d) of generator^j for j in [0, N), each an (N,)
-    integer array."""
+    read-only integer array, walked once per torus: the basis, the orbits
+    and each verify draw of a prime read the same walk."""
     p, g = torus.p, torus.generator
     rows = [(1, 0, 0, 1)]
     for _ in range(torus.order - 1):
         a, b, c, d = rows[-1]
         rows.append(((g.a * a + g.b * c) % p, (g.a * b + g.b * d) % p,
                      (g.c * a + g.d * c) % p, (g.c * b + g.d * d) % p))
-    return tuple(np.array(rows, dtype=np.int64).T)
+    entries = np.array(rows, dtype=np.int64).T
+    entries.setflags(write=False)
+    return tuple(entries)
 
 
 def _along_torus(table: np.ndarray) -> np.ndarray:
@@ -195,27 +202,46 @@ def _mirror(half: np.ndarray) -> np.ndarray:
     return np.concatenate([half, half[:, :0:-1]], axis=1)
 
 
-def _base_columns(ch: WeilChirps, count: int) -> np.ndarray:
-    """(N, count, p): [j, b] is the column rho(g^j)[:, b] at b < count.
+def _projector_columns(ch: WeilChirps, ks: np.ndarray, b: int) -> np.ndarray:
+    """(len(ks), p): P_k delta_b = (1/N) sum_j conj(chi_k(g^j)) rho(g^j)[:, b]
+    for each character k of ks, one torus-weighted sum of the columns of
+    rho(g^j) at b.  einsum sums the products itself, with no BLAS call, so
+    the columns do not depend on the BLAS thread count."""
+    n = np.size(ch.coef)
+    weights = unit_roots(n)[np.outer(-ks, np.arange(n)) % n] / n
+    return np.einsum("kj,jy->ky", weights, weil_entries(ch, np.arange(ch.p), b))
 
-    Column 0 is evaluated; every other column follows by the chirp
-    recurrence col_b = col_(b-1) psi(beta y + qb) psi(qb)^(2 (b-1)), written
-    in place, which holds for the transverse elements, and the rows of the
-    shared-line elements are then evaluated on their own.
+
+def _pivoted_basis(ch: WeilChirps, ks: np.ndarray, mass: np.ndarray,
+                   mult: np.ndarray) -> np.ndarray:
+    """(max(mult), K, p): unit vectors for the K characters ks, of
+    multiplicities mult (K,) and point masses mass[:, b] = P_k[b, b] at the
+    base points b < BASE_POINTS.
+
+    Pivoted Gram-Schmidt: the i-th vector of character k is P_k delta_b at
+    the base point b of largest remaining mass (the least b among masses tied
+    to PIVOT_TIE_TOL / p), less its part along the vectors already chosen,
+    normalised.  Raises when a chosen base point has too little mass.
     """
-    p, y = ch.p, np.arange(ch.p)
-    cols = np.empty((np.size(ch.coef), count, p), dtype=np.complex128)
-    cols[:, 0] = weil_entries(ch, y, 0)
-    roots = unit_roots(p)
-    step = roots[(ch.beta[:, np.newaxis] * y + ch.qb[:, np.newaxis]) % p]
-    turn = roots[2 * ch.qb % p][:, np.newaxis]
-    for b in range(1, count):
-        np.multiply(cols[:, b - 1], step, out=cols[:, b])
-        if b + 1 < count:
-            step *= turn
-    if ch.shared.size:
-        cols[ch.shared] = _shared_entries(ch, y, np.arange(count)[:, np.newaxis])
-    return cols
+    p, count = ch.p, mass.shape[1]
+    units = np.zeros((int(mult.max()), mult.size, p), dtype=np.complex128)
+    for i in range(units.shape[0]):
+        live = np.flatnonzero(mult > i)
+        prev = units[:i][:, live]  # (i, K, p): the vectors already chosen
+        left = mass[live] - (np.abs(prev[:, :, :count]) ** 2).sum(axis=0)
+        pivot = (left >= left.max(axis=1, keepdims=True) - PIVOT_TIE_TOL / p).argmax(axis=1)
+        least = p * left[np.arange(live.size), pivot].min()
+        if least < BASE_MASS_FLOOR:
+            raise RuntimeError(f"a base point of mass {least:.3g} / p carries an eigenvector")
+        col = np.empty((live.size, p), dtype=np.complex128)
+        for b in sorted(set(pivot.tolist())):
+            col[pivot == b] = _projector_columns(ch, ks[live[pivot == b]], b)
+        if i:
+            at_pivot = np.conj(prev[:, np.arange(live.size), pivot])  # (i, K)
+            col -= (prev * at_pivot[:, :, np.newaxis]).sum(axis=0)
+        col /= np.linalg.norm(col, axis=1, keepdims=True)
+        units[i, live] = col
+    return units
 
 
 def _character_basis(torus: HeckeTorus, r: Realization) -> tuple[np.ndarray, np.ndarray]:
@@ -225,22 +251,20 @@ def _character_basis(torus: HeckeTorus, r: Realization) -> tuple[np.ndarray, np.
     One pass of models.weil_chirps reads the chirp coefficients of every
     rho(g^j).  One FFT along j of their diagonals gives every P_k[x, x]: it
     runs over x = 0..(p - 1) / 2 and is mirrored, since a diagonal depends
-    on x only through x^2.  One FFT of their columns at the base points
-    gives every P_k delta_b, the columns built from the first by the chirp
-    recurrence in one preallocated table.  Character k has multiplicity
-    round(tr P_k), and its basis is pivoted Gram-Schmidt: P_k delta_b at the
-    base point b of largest remaining diagonal (the least b among masses
-    tied to PIVOT_TIE_TOL / p), less the vectors already chosen, normalised,
-    as many times as the multiplicity.  Raises when a trace is not an
-    integer, the multiplicities are not a partition of p, a point mass has
-    an imaginary part or a chosen base point has too little mass.
+    on x only through x^2.  Character k has multiplicity round(tr P_k).  A
+    simple character's vector is its projector column at x = 1, P_k delta_1,
+    scaled by 1 / sqrt(P_k[1, 1]), the column's norm: one FFT along j of the
+    columns rho(g^j)[:, 1] gives all of them.  Degenerate characters, and
+    simple ones with p P_k[1, 1] < BASE_MASS_FLOOR, take the pivoted
+    Gram-Schmidt of _pivoted_basis over the base points, each column it
+    needs one torus-weighted sum.  Raises when a trace is not an integer,
+    the multiplicities are not a partition of p, a point mass has an
+    imaginary part or a chosen base point has too little mass.
     """
     p, n = r.p, torus.order
     ch = weil_chirps(r, _torus_elements(torus))
     x = np.arange(p)
-    base = x[:BASE_POINTS]
     diag = _mirror(_along_torus(_half_diagonals(ch)))  # [k, x] = P_k[x, x]
-    cols = _along_torus(_base_columns(ch, base.size))  # [k, i] = P_k delta_base[i]
     trace = diag.real.sum(axis=1)
     mult = np.rint(trace).astype(np.int64)
     off = np.abs(trace - mult).max()
@@ -251,25 +275,26 @@ def _character_basis(torus: HeckeTorus, r: Realization) -> tuple[np.ndarray, np.
     imag = p * np.abs(diag.imag).max()
     if imag > MASS_IMAG_TOL:
         raise RuntimeError(f"point masses p P_k[x, x] have imaginary part {imag:.3g}")
-    units = np.zeros((int(mult.max()), n, p), dtype=np.complex128)
-    for i in range(units.shape[0]):
-        ks = np.flatnonzero(mult > i)
-        prev = units[:i][:, ks]  # (i, K, p): the vectors already chosen
-        left = diag.real[ks[:, np.newaxis], base] - (np.abs(prev[:, :, base]) ** 2).sum(axis=0)
-        pivot = (left >= left.max(axis=1, keepdims=True) - PIVOT_TIE_TOL / p).argmax(axis=1)
-        least = p * left[np.arange(ks.size), pivot].min()
-        if least < BASE_MASS_FLOOR:
-            raise RuntimeError(f"a base point of mass {least:.3g} / p carries an eigenvector")
-        col = cols[ks, pivot]
-        if i:
-            at_pivot = np.conj(prev[:, np.arange(ks.size), base[pivot]])  # (i, K)
-            col -= (prev * at_pivot[:, :, np.newaxis]).sum(axis=0)
-        col /= np.linalg.norm(col, axis=1, keepdims=True)
-        units[i, ks] = col
-    del diag, cols  # the tables go before the (p, p) gather
+    mass = diag.real[:, :BASE_POINTS].copy()  # [k, b] = P_k[b, b]
+    at_one = diag.real[:, 1].copy()  # P_k[1, 1]
+    del diag  # the table goes before the column table at x = 1
+    direct = (mult == 1) & (p * at_one >= BASE_MASS_FLOOR)
+    ones = _along_torus(weil_entries(ch, x, 1))  # [k] = P_k delta_1
+    # P_k delta_1 is P_k[1, 1] at 1, real: its computed imaginary part is
+    # rounding, and would set the vector's phase when that mass is small
+    ones[:, 1] = at_one
+    ones /= np.sqrt(np.where(direct, at_one, 1.0))[:, np.newaxis]
     labels = np.repeat(np.arange(n), mult)
-    rank = x - np.repeat(np.cumsum(mult) - mult, mult)  # position within its character
-    return labels, units[rank, labels].T
+    units = ones[labels]  # row i: the i-th basis vector, when direct
+    del ones
+    pivoted = np.flatnonzero((mult > 0) & ~direct)
+    if pivoted.size:
+        first = np.cumsum(mult) - mult  # each character's first row
+        rest = _pivoted_basis(ch, pivoted, mass[pivoted], mult[pivoted])
+        for i, vectors in enumerate(rest):
+            live = mult[pivoted] > i
+            units[first[pivoted[live]] + i] = vectors[live]
+    return labels, units.T
 
 
 def hecke_spectrum(torus: HeckeTorus, r: Realization) -> HeckeSpectrum:
@@ -338,7 +363,7 @@ def torus_orbits(torus: HeckeTorus) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """
     p = torus.p
     a, b, c, d = _torus_elements(torus)
-    s1, s2 = np.array([lag.sigma.coords() for lag in enumerate_lagrangians(p)]).T
+    s1, s2 = line_sigmas(p)
     t1, t2 = _canonical_tau(s1, s2, p)
     rep = np.full(p + 1, -1)
     power = np.zeros(p + 1, dtype=np.int64)
@@ -373,10 +398,9 @@ def orbit_move(fn: HeckeEigenfunction, torus: HeckeTorus, j: int,
 
 def projector_column(torus: HeckeTorus, r: Realization, k: int, b: int) -> np.ndarray:
     """P_k delta_b = (1/N) sum_j conj(chi_k(g^j)) rho(g^j)[:, b] in the model
-    of r: the column _character_basis reads at its base points, here at any
-    b and with no spectrum, evaluated from the same chirp coefficients.  For
-    a simple character it is the eigenvector v times conj(v(b)) / p at
-    squared norm p, so a base point b where |v| is largest gives it with the
-    least relative rounding."""
+    of r: the torus-weighted sum _character_basis reads at its base points,
+    here at any b and with no spectrum.  For a simple character it is the
+    eigenvector v times conj(v(b)) / p at squared norm p, so a base point b
+    where |v| is largest gives it with the least relative rounding."""
     ch = weil_chirps(r, _torus_elements(torus))
-    return _along_torus(weil_entries(ch, np.arange(r.p), b))[k % torus.order]
+    return _projector_columns(ch, np.array([k % torus.order]), b)[0]

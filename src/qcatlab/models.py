@@ -30,7 +30,7 @@ evaluates entries from them, and the dense operators (canonical_intertwiner,
 raw_averaging, weil_op) are `intertwine` applied to the identity.  The
 construction fails loudly if the family does not satisfy normalization,
 invariance, convolution and the sign rule, checked once per prime on three
-probe vectors.
+probe vectors by three batched applications of the averaging formula.
 """
 
 from __future__ import annotations
@@ -208,18 +208,24 @@ def _averaging_chirps(target, source, p: int) -> tuple:
     return c * h % p, (gamma * w - 1 - c * alpha) % p * h % p, alpha * h % p
 
 
-def _apply_averaging(target: Realization, source: Realization, block: np.ndarray) -> np.ndarray:
-    """The raw averaging sum applied to block, as chirp * FFT * chirp.
+def _apply_averaging(target, source, block: np.ndarray) -> np.ndarray:
+    """The raw averaging sum applied to block, as chirp * FFT * chirp, for a
+    batch of B operators: (B, p, n), from frames as in _averaging_chirps of
+    (B,) integer arrays, or of ints for a batch of one, and a (p, n) block
+    shared by the batch or a (B, p, n) block, one per operator.
 
     numpy's FFT computes sum_x exp(-2 pi i k x / p) f[x], so the sum
     sum_x psi(beta x y) f[x] is its entry k = -beta y mod p.
     """
-    p = target.p
-    qa, beta, qb = _averaging_chirps(_frame(target), _frame(source), p)
+    p = block.shape[-2]
+    qa, beta, qb = (np.reshape(c, (-1, 1)) for c in _averaging_chirps(target, source, p))
     roots, y = unit_roots(p), np.arange(p)
     square = y * y % p
-    spectrum = np.fft.fft(roots[qb * square % p][:, np.newaxis] * block, axis=0)
-    return roots[qa * square % p][:, np.newaxis] * spectrum[-beta * y % p]
+    spectrum = roots[qb * square % p][:, :, np.newaxis] * block
+    np.fft.fft(spectrum, axis=1, out=spectrum)
+    out = spectrum[np.arange(qa.shape[0])[:, np.newaxis], -beta * y % p]
+    out *= roots[qa * square % p][:, :, np.newaxis]
+    return out
 
 
 def raw_averaging(target: Realization, source: Realization) -> np.ndarray:
@@ -233,7 +239,7 @@ def raw_averaging(target: Realization, source: Realization) -> np.ndarray:
         raise ValueError(f"mismatched moduli: {p} vs {source.p}")
     if not target.lagrangian.sigma.omega(source.lagrangian.sigma):
         raise ValueError("raw averaging needs transverse lines")
-    return _apply_averaging(target, source, np.eye(p))
+    return _apply_averaging(_frame(target), _frame(source), np.eye(p))[0]
 
 
 def _shared_line_map(target, source, p: int) -> tuple:
@@ -271,7 +277,9 @@ def _apply_intertwiner(target: Realization, source: Realization, block: np.ndarr
             return np.array(block, dtype=np.complex128)
         a = target.lagrangian.scale_from(source.lagrangian)
         return legendre_symbol(a, p) * _apply_coordinate_change(target, source, block)
-    return scale * legendre_symbol(w, p) * _apply_averaging(target, source, block)
+    out = _apply_averaging(_frame(target), _frame(source), block)[0]
+    out *= scale * legendre_symbol(w, p)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -303,10 +311,14 @@ def _validate_family(p: int, scale: complex) -> None:
     """Assert the four characterizing properties on a fixed instance set.
 
     Each property is an operator identity A B = C, checked as A(Bv) = Cv on
-    the probe block v, with no p x p matrix.  Convolution on a transverse
-    triple pins the phase of scale: the product of two intertwiners is
-    quadratic in it and the third intertwiner linear, so -scale fails there
-    and passes every other check.
+    the probe block v, with no p x p matrix.  The 16 averaging operators run
+    as three batches of _apply_averaging: the operators on v itself, those
+    on their images, then those on v's phased and re-gauged copies.  The
+    checks run in one fixed order (normalization, returning pair,
+    convolution, sign rule, invariance), so the first property to fail is
+    the one reported.  Convolution on a transverse triple pins the phase of
+    scale: the product of two intertwiners is quadratic in it and the third
+    intertwiner linear, so -scale fails there and passes every other check.
     """
     v = _probes(p)
     # ||v|| = sqrt(3 p); rounding leaves residuals below 1.3e-14 ||v|| at
@@ -319,41 +331,61 @@ def _validate_family(p: int, scale: complex) -> None:
         if np.linalg.norm(lhs - rhs) > tol:
             raise IntertwinerConstructionError(failure)
 
-    def apply(target, source, block):
-        return _apply_intertwiner(target, source, block, scale)
+    def apply(pairs, block):
+        """The intertwiners between transverse (target, source) pairs,
+        applied to one shared block or to one block per pair."""
+        target, source = (tuple(np.array([_frame(r) for r in rs]).T) for rs in zip(*pairs))
+        w = _omega(*target[:2], *source[:2], p)
+        out = _apply_averaging(target, source, block)
+        out *= (scale * legendre_symbol(w, p))[:, np.newaxis, np.newaxis]
+        return out
 
     rl = Realization.of(1, 0, p)
     rm = Realization.of(0, 1, p)
-    check(apply(rl, rl, v), v, "normalization fails")
-    # returning pair composes to the identity (convolution + normalization)
-    f_ml = apply(rm, rl, v)
-    check(apply(rl, rm, f_ml), v, "returning pair is not the identity")
-    for triple in (((1, 0), (0, 1), (1, 1)), ((0, 1), (1, 2), (1, 0))):
-        first, middle, last = (Realization.of(s1, s2, p) for s1, s2 in triple)
-        check(apply(first, middle, apply(middle, last, v)), apply(first, last, v),
-              "convolution fails on an anchor triple")
-    # sign rule in source and target slots; operators compared in one gauge
-    # through the coordinate change, without its Legendre sign
-    for a in (2 % p, p - 1):
-        if a == 1:
-            continue
-        chi = legendre_symbol(a, p)
-        # transversals off the canonical ones' lines, so that the
-        # coordinate change carries its phases
-        inv = pow(a, -1, p)
-        target_scaled = Realization(EnhancedLagrangian.of(0, a, p), (inv, 1))
-        check(_apply_coordinate_change(rm, target_scaled, apply(target_scaled, rl, v)),
-              chi * f_ml, "sign rule fails in target slot")
-        source_scaled = Realization(EnhancedLagrangian.of(a, 0, p), (0, -inv))
-        check(apply(rm, source_scaled, _apply_coordinate_change(source_scaled, rl, v)),
-              chi * f_ml, "sign rule fails in source slot")
+    triples = [[Realization.of(s1, s2, p) for s1, s2 in triple]
+               for triple in (((1, 0), (0, 1), (1, 1)), ((0, 1), (1, 2), (1, 0)))]
+    # sign rule in target and source slots, each a = 2, p - 1 with its
+    # Legendre sign; the gauges' transversals lie off the canonical ones'
+    # lines, so that the coordinate change carries its phases
+    signs = [(legendre_symbol(a, p),
+              Realization(EnhancedLagrangian.of(0, a, p), (pow(a, -1, p), 1)),
+              Realization(EnhancedLagrangian.of(a, 0, p), (0, -pow(a, -1, p))))
+             for a in (2, p - 1)]
     # invariance under one shear and one rotation-like element:
     # geo(g) F_{m,l} geo(g)^-1 = F_{g.m, g.l}
-    for g in (SympMatrix(1, 1, 0, 1, p), SympMatrix(0, 1, -1, 0, p)):
-        gm, phase_m = geometric_action(rm, g)
-        gl, phase_l = geometric_action(rl, g)
-        conjugated = phase_m[:, np.newaxis] * apply(rm, rl, np.conj(phase_l)[:, np.newaxis] * v)
-        check(conjugated, apply(gm, gl, v), "invariance fails")
+    moves = [(geometric_action(rm, g), geometric_action(rl, g))
+             for g in (SympMatrix(1, 1, 0, 1, p), SympMatrix(0, 1, -1, 0, p))]
+    on_v = apply([(rm, rl), *((middle, last) for _, middle, last in triples),
+                  *((first, last) for first, _, last in triples),
+                  *((target_scaled, rl) for _, target_scaled, _ in signs)], v)
+    # the returning pair composes to the identity (convolution + normalization)
+    on_images = apply([(rl, rm), *((first, middle) for first, middle, _ in triples)],
+                      on_v[:3])
+    check(_apply_intertwiner(rl, rl, v, scale), v, "normalization fails")
+    check(on_images[0], v, "returning pair is not the identity")
+    for i in (1, 2):
+        check(on_images[i], on_v[i + 2], "convolution fails on an anchor triple")
+    # only F_{m,l} v and the sign rule's target slots are read below: the
+    # rest goes before the last batch, to bound the peak
+    f_ml, *in_targets = on_v[[0, 5, 6]]
+    del on_v, on_images
+    pairs = [(rm, source_scaled) for _, _, source_scaled in signs]
+    pairs += [pair for (gm, _), (gl, _) in moves for pair in ((rm, rl), (gm, gl))]
+    blocks = np.empty((len(pairs),) + v.shape, dtype=v.dtype)
+    for i, (_, _, source_scaled) in enumerate(signs):
+        blocks[i] = _apply_coordinate_change(source_scaled, rl, v)
+    for i, (_, (_, phase_l)) in enumerate(moves):
+        blocks[2 + 2 * i] = np.conj(phase_l)[:, np.newaxis] * v
+        blocks[3 + 2 * i] = v
+    moved = apply(pairs, blocks)
+    # operators compared in one gauge through the coordinate change, without
+    # its Legendre sign
+    for (chi, target_scaled, _), in_target, in_source in zip(signs, in_targets, moved):
+        check(_apply_coordinate_change(rm, target_scaled, in_target), chi * f_ml,
+              "sign rule fails in target slot")
+        check(in_source, chi * f_ml, "sign rule fails in source slot")
+    for ((_, phase_m), _), conjugated, direct in zip(moves, moved[2::2], moved[3::2]):
+        check(phase_m[:, np.newaxis] * conjugated, direct, "invariance fails")
 
 
 def _pull_back(g, v, p: int):

@@ -2,14 +2,16 @@
 
 None of this runs in the program: each helper rebuilds a quantity the
 package computes by another path (the torus generator by walking each
-candidate's powers, the whole torus from its generator, the
+candidate's powers, the commutant's norm-one pairs by scanning the plane,
+the whole torus from its generator, the
 canonical intertwiners from their definitions by summation and by
 decomposition, an intertwiner in another gauge, the SL2 action from the
 Egorov equation, the torus spectrum from a dense eigensolver, the split
 eigenfunctions in closed form, point masses through the averaging projector,
 the family validation on dense matrices, the all-realizations record table
-by one transport to every line), so that a test can hold the package's
-answer against it.
+by one transport to every line, the character basis by pivoted Gram-Schmidt
+over four base columns for every character, sweep.csv formatted one row at
+a time), so that a test can hold the package's answer against it.
 """
 
 import numpy as np
@@ -24,8 +26,19 @@ from qcatlab.groups import (
     classify_prime,
     enumerate_lagrangians,
 )
-from qcatlab.harness import supremum_records
-from qcatlab.hecke import HeckeEigenfunction, HeckeSpectrum, _normalize_columns, transport
+from qcatlab.harness import RECORD_DTYPE, SWEEP_SCHEMA, supremum_records
+from qcatlab.hecke import (
+    BASE_MASS_FLOOR,
+    PIVOT_TIE_TOL,
+    HeckeEigenfunction,
+    HeckeSpectrum,
+    _along_torus,
+    _half_diagonals,
+    _mirror,
+    _normalize_columns,
+    _torus_elements,
+    transport,
+)
 from qcatlab.models import (
     Intertwiner,
     IntertwinerConstructionError,
@@ -37,6 +50,8 @@ from qcatlab.models import (
     canonical_intertwiner,
     geometric_action,
     heisenberg_op,
+    weil_chirps,
+    weil_entries,
     weil_op,
 )
 
@@ -58,6 +73,14 @@ def generator_by_element_orders(A: CatMap, p: int) -> SympMatrix:
             if k == order:
                 return g
     raise RuntimeError(f"no element of order {order} at p = {p}")
+
+
+def norm_one_pairs_by_scan(A: CatMap, p: int) -> np.ndarray:
+    """The (x, y) with det(x I + y A) = x^2 + t x y + y^2 = 1 mod p, found
+    by testing every point of the plane, x-major with y ascending."""
+    t = A.reduce(p).trace()
+    x, y = np.meshgrid(np.arange(p), np.arange(p), indexing="ij")
+    return np.argwhere((x * x + t * x * y + y * y) % p == 1)
 
 
 def torus_powers(torus: HeckeTorus) -> list[SympMatrix]:
@@ -293,3 +316,46 @@ def records_by_transport_to_every_line(fn: HeckeEigenfunction, kind: str) -> np.
         supremum_records(fn if r == fn.realization else transport(fn, r), kind)
         for r in lines])
     return records[np.argsort(records["character"], kind="stable")]
+
+
+def four_column_basis(torus: HeckeTorus, r: Realization) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, basis) as hecke._character_basis gives them, every character
+    by pivoted Gram-Schmidt: the i-th vector of character k is P_k delta_b at
+    the base point b = 0..3 of largest remaining point mass (the least b
+    among masses tied to PIVOT_TIE_TOL / p), less its part along the vectors
+    already chosen, normalised.  The four columns rho(g^j)[:, b] are
+    evaluated entry by entry and taken along the torus by one FFT."""
+    p, n = r.p, torus.order
+    ch = weil_chirps(r, _torus_elements(torus))
+    y = np.arange(p)
+    base = y[:4]
+    mass = _mirror(_along_torus(_half_diagonals(ch))).real  # [k, x] = P_k[x, x]
+    mult = np.rint(mass.sum(axis=1)).astype(np.int64)
+    cols = _along_torus(weil_entries(ch, y, base[:, np.newaxis]))  # [k, b] = P_k delta_b
+    units = np.zeros((int(mult.max()), n, p), dtype=np.complex128)
+    for i in range(units.shape[0]):
+        ks = np.flatnonzero(mult > i)
+        prev = units[:i][:, ks]
+        left = mass[ks[:, np.newaxis], base] - (np.abs(prev[:, :, base]) ** 2).sum(axis=0)
+        pivot = (left >= left.max(axis=1, keepdims=True) - PIVOT_TIE_TOL / p).argmax(axis=1)
+        if p * left[np.arange(ks.size), pivot].min() < BASE_MASS_FLOOR:
+            raise RuntimeError("a base point without mass carries an eigenvector")
+        col = cols[ks, pivot]
+        if i:
+            at_pivot = np.conj(prev[:, np.arange(ks.size), pivot])  # (i, K)
+            col -= (prev * at_pivot[:, :, np.newaxis]).sum(axis=0)
+        units[i, ks] = col / np.linalg.norm(col, axis=1, keepdims=True)
+    labels = np.repeat(np.arange(n), mult)
+    rank = y - np.repeat(np.cumsum(mult) - mult, mult)
+    return labels, units[rank, labels].T
+
+
+def records_csv_by_rows(records: np.ndarray) -> str:
+    """The text of sweep.csv with every row formatted on its own."""
+    head = f"# schema: {SWEEP_SCHEMA}\n" + ",".join(
+        ["p", "kind", "realization", "character", "multiplicity", "sup", "argmax",
+         "a_max", "pass"]) + "\n"
+    rows = zip(*(records[name].tolist() for name in RECORD_DTYPE.names[:7]),
+               (records["sup"] * records["sup"]).tolist(),
+               np.where(records["passed"], "true", "false").tolist())
+    return head + "".join("%d,%s,%s,%d,%d,%.12g,%d,%.12g,%s\n" % row for row in rows)

@@ -3,7 +3,9 @@ import itertools
 
 import pytest
 
-from oracles import generator_by_element_orders, torus_powers
+import numpy as np
+
+from oracles import generator_by_element_orders, norm_one_pairs_by_scan, torus_powers
 from qcatlab.arith import primes_in
 from qcatlab.groups import (
     CatMap,
@@ -11,9 +13,12 @@ from qcatlab.groups import (
     HeisenbergElement,
     SympMatrix,
     SymplecticVector,
+    _norm_one_pairs,
     build_hecke_torus,
     classify_prime,
     enumerate_lagrangians,
+    line_index,
+    line_sigmas,
 )
 
 A_DEFAULT = CatMap(2, 1, 1, 1)
@@ -265,6 +270,25 @@ def test_generator_matches_the_walk_of_element_orders(matrix):
     for p in primes:
         assert build_hecke_torus(A, p).generator == generator_by_element_orders(A, p), p
     assert len(primes) == 44
+
+
+@pytest.mark.parametrize("matrix", sorted(PINNED_GENERATORS))
+def test_norm_one_pairs_are_the_scan_of_the_plane(matrix):
+    # the pairs read from square roots, one or two per x, are the points of
+    # the plane the scan finds, in its x-major order with y ascending
+    A = CatMap.parse(matrix)
+    for p in primes_in(3, 199):
+        if classify_prime(A, p) != "ramified":
+            expected = norm_one_pairs_by_scan(A, p)
+            assert np.array_equal(_norm_one_pairs(A.reduce(p).trace(), p), expected), p
+
+
+def test_line_sigmas_are_one_per_line_in_slope_order():
+    # (1, m) for each slope m, then (0, 1): line_index inverts the order
+    for p in (3, 7, 13):
+        s1, s2 = line_sigmas(p)
+        assert list(zip(s1.tolist(), s2.tolist())) == [(1, m) for m in range(p)] + [(0, 1)]
+        assert np.array_equal(line_index(s1, s2, p), np.arange(p + 1))
 
 
 def test_torus_is_frozen_to_its_generator():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import intertwine_with_a_moved_eigenvalue
-from oracles import eig_spectrum, split_closed_form, torus_powers
+from oracles import eig_spectrum, four_column_basis, split_closed_form, torus_powers
 from qcatlab.arith import legendre_symbol, primes_in, unit_roots
 from qcatlab.groups import (
     CatMap,
@@ -16,11 +16,13 @@ from qcatlab.groups import (
     enumerate_lagrangians,
 )
 from qcatlab.hecke import (
-    BASE_POINTS,
-    _base_columns,
+    BASE_MASS_FLOOR,
+    _along_torus,
     _character_basis,
     _half_diagonals,
     _mirror,
+    _normalize_columns,
+    _projector_columns,
     _torus_elements,
     eigenfunction,
     hecke_spectrum,
@@ -249,10 +251,12 @@ def test_a_wrong_operator_table_raises(monkeypatch, torus7, scale, message):
 
 
 def test_a_base_point_without_mass_raises(monkeypatch, torus7):
-    # odd eigenfunctions vanish at 0, so x = 0 alone cannot carry them
+    # odd eigenfunctions vanish at 0, so x = 0 alone cannot carry them; a
+    # floor above every point mass sends every character to the pivoted path
     import qcatlab.hecke as hecke
 
     monkeypatch.setattr(hecke, "BASE_POINTS", 1)
+    monkeypatch.setattr(hecke, "BASE_MASS_FLOOR", 7.0)
     with pytest.raises(RuntimeError, match="base point of mass 0"):
         hecke_spectrum(torus7, Realization.standard(7))
 
@@ -305,6 +309,59 @@ def test_tied_base_points_pivot_at_the_least(monkeypatch, matrix, p, sigma, k):
                 return diag
             monkeypatch.setattr(hecke, "_mirror", nudged)
             assert _character_basis(torus, r)[1].tobytes() == expected
+
+
+@pytest.mark.parametrize("matrix", [A, CatMap(3, 2, 1, 1)], ids=["2,1;1,1", "3,2;1,1"])
+def test_basis_is_the_four_column_basis(matrix):
+    # the column at x = 1 for simple characters against pivoted Gram-Schmidt
+    # over four base columns for every character, degenerate columns
+    # included: each column agrees to 1e-12 up to a unit phase.  With the
+    # phase _normalize_columns fixes they agree to 1e-9: the phase is read
+    # off the first entry above 1e-6, which can be a rounding-sized one (at
+    # p = 71, |v(0)| = 1.06e-6 sets it with relative error about 1e-9 on
+    # either route)
+    for p in primes_in(3, 199):
+        if classify_prime(matrix, p) == "ramified":
+            continue
+        torus = build_hecke_torus(matrix, p)
+        lines = enumerate_lagrangians(p) if p <= 31 else enumerate_lagrangians(p)[-1:]
+        for lag in lines:
+            r = Realization.canonical(lag)
+            labels, basis = _character_basis(torus, r)
+            expected_labels, expected = four_column_basis(torus, r)
+            assert np.array_equal(labels, expected_labels), (p, lag.sigma)
+            u, v = _normalize_columns(basis, p), _normalize_columns(expected, p)
+            assert np.abs(u - v).max() < 1e-9, (p, lag.sigma)
+            overlap = (v.conj() * u).sum(axis=0)
+            assert np.abs(u - v * (overlap / np.abs(overlap))).max() < 1e-12, (p, lag.sigma)
+
+
+@pytest.mark.parametrize("matrix, p, k", [("2,1;1,1", 151, 142), ("3,2;1,1", 79, 39)])
+def test_small_mass_at_one_takes_the_pivoted_path(monkeypatch, matrix, p, k):
+    # a simple character with p P_k[1, 1] under the floor (6e-7 and 2e-7
+    # here) takes its vector from the base point of largest mass instead,
+    # as the four-column basis does, and so do the degenerate characters only
+    import qcatlab.hecke as hecke
+
+    torus = build_hecke_torus(CatMap.parse(matrix), p)
+    r = Realization.standard(p)
+    pivoted = []
+
+    def recording(ch, ks, *args, original=hecke._pivoted_basis):
+        pivoted.extend(ks.tolist())
+        return original(ch, ks, *args)
+
+    monkeypatch.setattr(hecke, "_pivoted_basis", recording)
+    labels, basis = _character_basis(torus, r)
+    (j,) = np.flatnonzero(labels == k)
+    degenerate = np.flatnonzero(np.bincount(labels) > 1).tolist()
+    assert sorted(pivoted) == sorted([k, *degenerate])
+    assert p * abs(basis[1, j]) ** 2 < BASE_MASS_FLOOR
+    v = basis[:, j] * np.sqrt(p)
+    b = int(np.abs(v[:4]).argmax())
+    assert b != 1 and _phase_gap(v, projector_column(torus, r, k, b)) < 1e-12
+    _, expected = four_column_basis(torus, r)
+    assert _phase_gap(v, expected[:, j]) < 1e-12
 
 
 def test_degenerate_character_returns_flagged_basis(torus11):
@@ -517,18 +574,20 @@ def torus_and_lines(draw):
 def test_tables_are_the_weil_entries(case):
     # the tables _character_basis transforms, against weil_entries evaluated
     # at every point: the half diagonal mirrored is the full diagonal bit for
-    # bit (its exponent is the same integer at x and p - x), and the columns
-    # the chirp recurrence builds are the columns evaluated directly
+    # bit (its exponent is the same integer at x and p - x), and the
+    # torus-weighted sums of the columns at b = 0..3 are the rows of their
+    # FFT along the torus
     torus, lines = case
     y = np.arange(torus.p)
-    base = y[:BASE_POINTS]
+    ks = np.arange(torus.order)
     for lag in lines:
         chirps = weil_chirps(Realization.canonical(lag), _torus_elements(torus))
         assert np.array_equal(_mirror(_half_diagonals(chirps)), weil_entries(chirps, y, y))
-        direct = weil_entries(chirps, y, base[:, np.newaxis])  # [j, b, y]
-        # products of unit phases after column 0: rounding at most 2.0e-15
-        # over these cases, against order 1 for a wrong phase
-        assert np.abs(_base_columns(chirps, base.size) - direct).max() < 1e-14
+        for b in y[:4].tolist():
+            # sums of N unit-modulus terms over N: rounding at most about
+            # 1e-16, against about 1 / N for a wrong weight
+            fft = _along_torus(weil_entries(chirps, y, b))
+            assert np.abs(_projector_columns(chirps, ks, b) - fft).max() < 1e-14
 
 
 # ---------------------------------------------------------------------------

@@ -306,7 +306,8 @@ def test_validation_rejects_a_coordinate_change_without_phases(p, monkeypatch):
 
 def test_validation_allocates_no_p_by_p_array():
     # one p x p complex array is 16 p^2 bytes (16.3 MB at p = 1009); the
-    # probe validation's traced peak stays near 0.5 MB there
+    # probe validation's traced peak, three batches of applications on the
+    # (p, 3) probe block, stays near 1.4 MB there
     p = 1009
     scale = averaging_scale(p)
     tracemalloc.start()
