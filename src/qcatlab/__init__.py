@@ -18,7 +18,6 @@ from .groups import (
     enumerate_lagrangians,
 )
 from .models import (
-    Intertwiner,
     Realization,
     WeilOperator,
     canonical_intertwiner,

@@ -17,12 +17,14 @@ that block once per torus orbit of lines, to the orbit's representative
 orbit's other lines take those rows with the argmax relabelled by the line's
 dilation, since the torus carries moduli along an orbit
 (hecke.torus_orbits), all of an orbit's lines at once and with no object per
-line.  Verify draws reuse the representatives' moved blocks.  Records form
-one table (a numpy structured array, one row per (prime, realization,
-character, basis vector)), written as a versioned CSV artifact whose bytes
-depend only on the config.  One writer, write_csv_rows, writes every CSV
-artifact a chunk of rows at a time; sweep.csv formats the text of each
-distinct record once and joins it with each row's realization and argmax.
+line.  A verify draw transports the defining block straight to its line and
+holds that line's rows against it.  Records form one table (a numpy
+structured array, one row per (prime, realization, character, basis
+vector), the realization named by its line's index in groups.line_sigmas
+order), written as a versioned CSV artifact whose bytes depend only on the
+config.  One writer, write_csv_rows, writes every CSV artifact a chunk of
+rows at a time; sweep.csv formats the text of each distinct record once and
+joins it with each row's realization tag and argmax.
 """
 
 from __future__ import annotations
@@ -37,11 +39,10 @@ from functools import partial
 import numpy as np
 
 from .arith import pow_mod, primes_in
-from .groups import CatMap, classify_prime, build_hecke_torus, line_sigmas
+from .groups import CatMap, classify_prime, build_hecke_torus, line_index, line_sigmas
 from .hecke import (
     HeckeEigenfunction,
     hecke_spectrum,
-    orbit_move,
     projector_column,
     torus_orbits,
     transport,
@@ -80,16 +81,18 @@ ARGMAX_TIE_TOL = 1e-9
 GATING_MIN_PRIME = 5  # p = 3 is reported but never gates
 HISTOGRAM_BINS = 40  # equal-width bins of the value distribution's histogram
 CSV_CHUNK = 1024  # rows a CSV writer formats at once: about 0.3 MB of sweep.csv objects
-# fields in sweep.csv column order (a_max is written as sup * sup); kind and
-# realization are objects, one shared str per block: a fixed-width str field
-# would widen every row and truncate long realization tags
-RECORD_DTYPE = np.dtype([("p", np.int64), ("kind", object), ("realization", object),
+# fields in sweep.csv column order (a_max is written as sup * sup); realization
+# is the line's index in groups.line_sigmas order, written as its sigma's tag;
+# kind is an object, one shared str per block: a fixed-width str field would
+# widen every row
+RECORD_DTYPE = np.dtype([("p", np.int64), ("kind", object), ("realization", np.int64),
                          ("character", np.int64), ("multiplicity", np.int64),
                          ("sup", np.float64), ("argmax", np.int64),
                          ("passed", np.bool_), ("gating", np.bool_)])
 _NO_RECORDS = np.empty(0, dtype=RECORD_DTYPE)
-# the fields whose text sweep.csv formats once per run of equal records
-_RUN_FIELDS = ("sup", "character", "p", "multiplicity", "passed", "kind")
+# the fields whose text sweep.csv formats once per run of equal records; p
+# fixes kind within a table, so kind, the dearest to compare, is left out
+_RUN_FIELDS = ("sup", "character", "p", "multiplicity", "passed")
 
 
 @dataclass(frozen=True)
@@ -133,8 +136,15 @@ class SweepResult:
 
 def supremum_records(fn: HeckeEigenfunction, kind: str) -> np.ndarray:
     """The record table of a block: one RECORD_DTYPE row per column, in column
-    order, all rows sharing one `kind` and one realization tag object."""
+    order, all rows sharing one `kind` and the index of the block's line.
+    Raises ValueError for a block whose sigma is not its line's enumerated
+    sigma, whose tag sweep.csv could not rebuild from that index."""
     p = fn.p
+    sigma = fn.realization.sigma
+    line = int(line_index(*sigma, p))
+    if sigma != tuple(int(s[line]) for s in line_sigmas(p)):
+        raise ValueError(f"realization {fn.realization.tag()} is not its line's "
+                         f"enumerated sigma")
     mags = np.abs(fn.vectors)
     mags_sq = mags * mags
     norms_sq = mags_sq.sum(axis=0)
@@ -145,7 +155,7 @@ def supremum_records(fn: HeckeEigenfunction, kind: str) -> np.ndarray:
     records = np.empty(sups.size, dtype=RECORD_DTYPE)
     records["p"] = p
     records["kind"] = kind
-    records["realization"] = fn.realization.tag()
+    records["realization"] = line
     records["character"] = fn.characters
     records["multiplicity"] = fn.multiplicities
     records["sup"] = sups
@@ -204,41 +214,36 @@ def _sweep_one_prime(p: int, A: CatMap, realizations: str, verify_samples: int,
     spectrum, fn, skips = _defining_spectrum(p, A)
     if realizations == "all":
         orbits = torus_orbits(spectrum.torus)
-        draws = _verify_draws(fn, orbits, verify_samples, seed)
-        records, at, moved = _orbit_records(fn, orbits, kind,
-                                            {int(orbits[0][l]) for l, _ in draws})
-        _verify_orbit_moves(spectrum, records, at, orbits, draws, moved)
+        records = _orbit_records(fn, orbits, kind)
+        _verify_lines(fn, spectrum.torus, records,
+                      _verify_draws(fn, orbits, verify_samples, seed))
         return records, skips
     records = supremum_records(fn, kind)
     # stable: rows go per character, then basis vector
     return records[np.argsort(records["character"], kind="stable")], skips
 
 
-def _orbit_records(fn: HeckeEigenfunction, orbits, kind: str, keep):
-    """(records, at, moved): the record table of every line, per character,
-    then line in enumeration order, then basis vector; at[l] the positions
-    of line l's rows in it, in column order; and the block moved to each
-    representative in keep.
+def _orbit_records(fn: HeckeEigenfunction, orbits, kind: str) -> np.ndarray:
+    """The record table of every line, per character, then line in
+    enumeration order, then basis vector.
 
     Each torus orbit's representative scores the block transported there
     (or fn itself on fn's line); every other line of the orbit takes its
-    rows, with the argmax relabelled by the line's dilation e: the least y
-    with e y in the representative's tie set (hecke.torus_orbits), for all
-    of the orbit's lines at once.  Tags come from the lines' sigmas, with
-    no Realization but the representatives'.
+    rows, with its own index and the argmax relabelled by the line's
+    dilation e: the least y with e y in the representative's tie set
+    (hecke.torus_orbits), for all of the orbit's lines at once, with no
+    Realization but the representatives'.
     """
     p, n = fn.p, fn.characters.size
-    rep, _, dilation = orbits
+    rep, dilation = orbits
     s1, s2 = line_sigmas(p)
     reps, slot = np.unique(rep, return_inverse=True)
     inverse = pow_mod(dilation, p - 2, p)
-    scored, moved = [], {}
+    scored = []
     argmax = np.empty((p + 1, n), dtype=np.int64)
     for r in reps.tolist():
         source = Realization.of(int(s1[r]), int(s2[r]), p)
         block = fn if source == fn.realization else transport(fn, source)
-        if r in keep:
-            moved[r] = block
         scored.append(supremum_records(block, kind))
         # the tie points x, column by column: every column has one, its maximum
         col, x = np.nonzero(_ties(np.abs(block.vectors) ** 2, scored[-1]["sup"]).T)
@@ -253,19 +258,16 @@ def _orbit_records(fn: HeckeEigenfunction, orbits, kind: str, keep):
     order = np.argsort(scored["character"][slot].ravel(), kind="stable")
     lines, cols = np.divmod(order, n)
     records = scored[slot[lines], cols]
-    tags = np.array(["%d:%d" % sigma for sigma in zip(s1.tolist(), s2.tolist())], dtype=object)
-    records["realization"] = tags[lines]
+    records["realization"] = lines
     records["argmax"] = argmax[lines, cols]
-    at = np.empty_like(order)
-    at[order] = np.arange(order.size)
-    return records, at.reshape(p + 1, n), moved
+    return records
 
 
 def _verify_draws(fn: HeckeEigenfunction, orbits, n_samples: int,
                   seed: int) -> list[tuple[int, int]]:
-    """The (line, character) pairs that _verify_orbit_moves checks: per
-    sample a line that is not its orbit's representative and a simple
-    character, drawn from a generator seeded by (seed, p).
+    """The (line, character) pairs that _verify_lines checks: per sample a
+    line that is not its orbit's representative and a simple character,
+    drawn from a generator seeded by (seed, p).
 
     A line whose dilation has e^2 = +-1 cannot tell e from its inverse:
     there e^-1 = +-e, and every modulus is even in x since -I is in the
@@ -273,7 +275,7 @@ def _verify_draws(fn: HeckeEigenfunction, orbits, n_samples: int,
     dilation can, with the same character.
     """
     p = fn.p
-    rep, _, dilation = orbits
+    rep, dilation = orbits
     others = np.flatnonzero(rep != np.arange(rep.size))
     simple = fn.characters[fn.multiplicities == 1]
     if not n_samples or not others.size or not simple.size:
@@ -295,47 +297,46 @@ def _verify_draws(fn: HeckeEigenfunction, orbits, n_samples: int,
     return draws
 
 
-def _verify_orbit_moves(spectrum, records, at, orbits, draws, moved) -> None:
-    """Rebuild the drawn lines the long way and re-extract one character
-    there directly.
+def _verify_lines(fn: HeckeEigenfunction, torus, records, draws) -> None:
+    """Rebuild the drawn lines apart from their orbits and re-extract one
+    character there directly.
 
-    For each (line, character k) of draws, the block moved to the line's
-    representative (moved, from _orbit_records) goes on to the line with
-    one hecke.orbit_move.  Every row of the records for that line must carry
-    its column's character and give the moved column's sup and argmax, and
-    one projector column of the line's model at k's argmax must be k's
-    moved vector up to a global phase.
+    For each (line l, character k) of draws, the defining block fn goes to
+    l with one hecke.transport, sharing nothing with the representative's
+    block but fn.  Every row of the records for l, in column order, must
+    carry its column's character and give the moved column's sup and
+    argmax, and one projector column of l's model at k's argmax must be
+    k's moved vector up to a global phase.
     """
-    p = spectrum.p
-    rep, power, _ = orbits
+    p = fn.p
     s1, s2 = line_sigmas(p)
     for l, k in draws:
         target = Realization.of(int(s1[l]), int(s2[l]), p)
-        moved_here = orbit_move(moved[int(rep[l])], spectrum.torus, int(power[l]), target)
-        rows = records[at[l]]
-        recs = supremum_records(moved_here, rows[0]["kind"])
-        bad = np.flatnonzero((rows["character"] != moved_here.characters)
+        moved = transport(fn, target)
+        rows = records[records["realization"] == l]
+        recs = supremum_records(moved, rows[0]["kind"])
+        bad = np.flatnonzero((rows["character"] != moved.characters)
                              | (rows["argmax"] != recs["argmax"])
                              | ~(np.abs(rows["sup"] - recs["sup"]) <= SUP_TOL))
         if bad.size:
             i = int(bad[0])
             raise RuntimeError(
-                f"derived row disagrees with its orbit move: p={p} "
-                f"k={moved_here.characters[i]} realization={target.tag()} "
+                f"derived row disagrees with its transport: p={p} "
+                f"k={moved.characters[i]} realization={target.tag()} "
                 f"row=({rows[i]['character']}, {rows[i]['sup']:.12g}, {rows[i]['argmax']}) "
                 f"moved=({recs[i]['sup']:.12g}, {recs[i]['argmax']})")
-        (i,) = np.flatnonzero(moved_here.characters == k)
-        direct = projector_column(spectrum.torus, target, k, int(recs[i]["argmax"]))
+        (i,) = np.flatnonzero(moved.characters == k)
+        direct = projector_column(torus, target, k, int(recs[i]["argmax"]))
         direct *= np.sqrt(p) / np.linalg.norm(direct)
-        vector = moved_here.vectors[:, i]
+        vector = moved.vectors[:, i]
         overlap = np.vdot(direct, vector)
         dev = np.max(np.abs(vector - overlap / abs(overlap) * direct))
-        # rounding grows about like 1.5e-16 sqrt(p) (at most 1.2e-15 at
-        # p = 13, 5.1e-15 at p = 1009), far under 1e-7; a wrong image misses
-        # by >= sqrt(2)
+        # rounding stays below 7e-14 (four draws a prime for p <= 199 with
+        # either map, 7.1e-15 at p = 1009 with eight), far under 1e-7; a
+        # wrong image misses by >= sqrt(2)
         if not dev <= 1e-7:
             raise RuntimeError(
-                f"orbit-moved eigenfunction disagrees with re-extraction: "
+                f"transported eigenfunction disagrees with re-extraction: "
                 f"p={p} k={k} realization={target.tag()} dev={dev:.3g}"
             )
 
@@ -480,10 +481,12 @@ def write_records_csv(path, records: np.ndarray) -> None:
     argmax, so each chunk of rows formats the text of each distinct
     (p, kind, character, multiplicity, sup, pass) once (sup and
     a_max = sup * sup by %.12g), and a row is that text joined with its
-    realization tag and argmax.
+    realization tag and argmax.  A line's tag is the text s1:s2 of its
+    sigma in groups.line_sigmas, formatted once per prime.
     """
     points = np.array([str(x) for x in range(int(records["argmax"].max(initial=0)) + 1)],
                       dtype=object)  # argmax is a point x >= 0: its text, by value
+    tags = {}  # per prime, each line's tag text
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# schema: {SWEEP_SCHEMA}\n")
         fh.write("p,kind,realization,character,multiplicity,sup,argmax,a_max,pass\n")
@@ -501,5 +504,12 @@ def write_records_csv(path, records: np.ndarray) -> None:
                 d["character"].tolist(), d["multiplicity"].tolist(), sups)], dtype=object)
             verdict = np.array([",%.12g,%s\n" % (sup * sup, "true" if ok else "false")
                                 for sup, ok in zip(sups, d["passed"].tolist())], dtype=object)
-            write_csv_rows(fh, None, [lead[inverse], chunk["realization"], record[inverse],
+            realization = np.empty(len(chunk), dtype=object)
+            for p in np.unique(chunk["p"]).tolist():
+                if p not in tags:
+                    tags[p] = np.array(["%d:%d" % sigma for sigma in zip(
+                        *(s.tolist() for s in line_sigmas(p)))], dtype=object)
+                rows = chunk["p"] == p
+                realization[rows] = tags[p][chunk["realization"][rows]]
+            write_csv_rows(fh, None, [lead[inverse], realization, record[inverse],
                                       points[chunk["argmax"]], verdict[inverse]])

@@ -22,11 +22,12 @@ another realization with one application of the canonical intertwiner
 (models.intertwine, an FFT between chirps).  The intertwiners commute with
 the torus, so a block needs carrying only to one line per torus orbit
 (torus_orbits): on every other line of the orbit its moduli are the
-representative's, relabelled by a dilation y -> e y, and orbit_move carries
-it there the long way for checks.  The spectrum is itself such a block with
-n = p: every eigenvector, grouped by character and normalized once, so a
-character's multiplicity is the count of its label and extracting characters
-selects columns.
+representative's, relabelled by a dilation y -> e y, which the sweep's
+verify step checks on a drawn line by transporting the block there
+directly.  The spectrum is itself such a block with n = p: every
+eigenvector, grouped by character and normalized once, so a character's
+multiplicity is the count of its label and extracting characters selects
+columns.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import unit_roots
-from .groups import HeckeTorus, SympMatrix, line_index, line_sigmas
+from .groups import HeckeTorus, line_index, line_sigmas
 from .models import (
     Realization,
     WeilChirps,
@@ -56,7 +57,6 @@ __all__ = [
     "eigenfunction",
     "transport",
     "torus_orbits",
-    "orbit_move",
     "projector_column",
 ]
 
@@ -109,14 +109,6 @@ class HeckeEigenfunction:
         """Each column's character multiplicity: how many columns share it."""
         return np.bincount(self.characters)[self.characters]
 
-    @property
-    def amplitudes(self) -> np.ndarray:
-        """The vector of a one-column block, such as one simple character."""
-        if self.vectors.shape[1] != 1:
-            raise ValueError(f"block has {self.vectors.shape[1]} columns; "
-                             f"pick a column of .vectors")
-        return self.vectors[:, 0]
-
     def columns(self, index) -> HeckeEigenfunction:
         """The block of the columns a boolean mask or an index array picks."""
         return HeckeEigenfunction(self.realization, self.vectors[:, index],
@@ -168,7 +160,7 @@ def _normalize_columns(basis: np.ndarray, p: int) -> np.ndarray:
 def _torus_elements(torus: HeckeTorus) -> tuple[np.ndarray, ...]:
     """Entries (a, b, c, d) of generator^j for j in [0, N), each an (N,)
     read-only integer array, walked once per torus: the basis, the orbits
-    and each verify draw of a prime read the same walk."""
+    and each verify draw's projector column read the same walk."""
     p, g = torus.p, torus.generator
     rows = [(1, 0, 0, 1)]
     for _ in range(torus.order - 1):
@@ -345,11 +337,11 @@ def transport(fn: HeckeEigenfunction, target: Realization) -> HeckeEigenfunction
     return HeckeEigenfunction(target, _normalize_columns(moved, fn.p), fn.characters)
 
 
-def torus_orbits(torus: HeckeTorus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rep, power, dilation): for each line l of enumerate_lagrangians, the
-    index rep[l] of its torus orbit's representative, a power j = power[l]
-    with g^j sigma_rep on l, and the e = dilation[l] with g^j sigma_rep =
-    e sigma_l, that is omega(tau_l, g^j sigma_rep) in l's canonical gauge.
+def torus_orbits(torus: HeckeTorus) -> tuple[np.ndarray, np.ndarray]:
+    """(rep, dilation): for each line l of enumerate_lagrangians, the index
+    rep[l] of its torus orbit's representative and the e = dilation[l] with
+    g^j sigma_rep = e sigma_l for the least power j with g^j sigma_rep on l,
+    that is omega(tau_l, g^j sigma_rep) in l's canonical gauge.
 
     For t = g^j the canonical intertwiners satisfy
     F_{t.rep <- s} = geo(t) F_{rep <- s} rho_s(t)^-1, where geo(t) has unit
@@ -359,41 +351,22 @@ def torus_orbits(torus: HeckeTorus) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     rep, relabelled: |F_{l <- s} v|(y) = |F_{rep <- s} v|(e y mod p).
     Each orbit is represented by its last line in enumeration order, so the
     position model's line (0, 1), enumerated last, represents its own; a
-    representative has power 0 and dilation 1.
+    representative has dilation 1.
     """
     p = torus.p
     a, b, c, d = _torus_elements(torus)
     s1, s2 = line_sigmas(p)
     t1, t2 = _canonical_tau(s1, s2, p)
     rep = np.full(p + 1, -1)
-    power = np.zeros(p + 1, dtype=np.int64)
     dilation = np.ones(p + 1, dtype=np.int64)
     while (rep < 0).any():
         r = int(np.flatnonzero(rep < 0)[-1])
         u1, u2 = (a * s1[r] + b * s2[r]) % p, (c * s1[r] + d * s2[r]) % p
         # the least power reaching each line of the orbit: 0 for r itself
         lines, j = np.unique(line_index(u1, u2, p), return_index=True)
-        rep[lines], power[lines] = r, j
+        rep[lines] = r
         dilation[lines] = _omega(t1[lines], t2[lines], u1[j], u2[j], p)
-    return rep, power, dilation
-
-
-def orbit_move(fn: HeckeEigenfunction, torus: HeckeTorus, j: int,
-               target: Realization) -> HeckeEigenfunction:
-    """fn carried by the torus element g^j to target, which must lie on the
-    line g^j carries fn's line to: the geometric action of g^j, then the
-    canonical operator between the two gauges of that line.
-
-    It is torus_orbits' relation built in full: each column equals
-    transport's to target up to the phase conj(chi_k(g^j)), which the
-    normalization then fixes.
-    """
-    t = SympMatrix(*(int(entry[j]) for entry in _torus_elements(torus)), torus.p)
-    image, phases = geometric_action(fn.realization, t)
-    if not image.lagrangian.shares_line(target.lagrangian):
-        raise ValueError(f"g^{j} moves {fn.realization.tag()} off the line of {target.tag()}")
-    moved = intertwine(target, image, phases[:, np.newaxis] * fn.vectors)
-    return HeckeEigenfunction(target, _normalize_columns(moved, fn.p), fn.characters)
+    return rep, dilation
 
 
 def projector_column(torus: HeckeTorus, r: Realization, k: int, b: int) -> np.ndarray:

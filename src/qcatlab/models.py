@@ -51,8 +51,6 @@ from .groups import (
 
 __all__ = [
     "Realization",
-    "HeisOperator",
-    "Intertwiner",
     "WeilOperator",
     "IntertwinerConstructionError",
     "heisenberg_op",
@@ -119,20 +117,6 @@ class Realization:
 
 
 @dataclass
-class HeisOperator:
-    realization: Realization
-    element: HeisenbergElement
-    matrix: np.ndarray
-
-
-@dataclass
-class Intertwiner:
-    source: Realization
-    target: Realization
-    matrix: np.ndarray
-
-
-@dataclass
 class WeilOperator:
     g: SympMatrix
     realization: Realization
@@ -150,7 +134,7 @@ def _decompose(r: Realization, v1, v2, z):
     return x, z0
 
 
-def heisenberg_op(r: Realization, h: HeisenbergElement) -> HeisOperator:
+def heisenberg_op(r: Realization, h: HeisenbergElement) -> np.ndarray:
     """Matrix of the right-translation action of h on the model of r."""
     p = r.p
     if h.p != p:
@@ -164,7 +148,7 @@ def heisenberg_op(r: Realization, h: HeisenbergElement) -> HeisOperator:
     xp, z0 = _decompose(r, v1, v2, z)
     m = np.zeros((p, p), dtype=np.complex128)
     m[x, xp] = unit_roots(p)[z0]
-    return HeisOperator(r, h, m)
+    return m
 
 
 def _omega(u1, u2, v1, v2, p: int):
@@ -414,10 +398,10 @@ def geometric_action(r: Realization, g: SympMatrix) -> tuple[Realization, np.nda
     return target, _geometric_phase(r, g, target)
 
 
-def canonical_intertwiner(target: Realization, source: Realization) -> Intertwiner:
+def canonical_intertwiner(target: Realization, source: Realization) -> np.ndarray:
     """The canonical operator model(source) -> model(target) as a p x p
     matrix: intertwine applied to the identity."""
-    return Intertwiner(source, target, intertwine(target, source, np.eye(target.p)))
+    return intertwine(target, source, np.eye(target.p))
 
 
 def intertwine(target: Realization, source: Realization, block: np.ndarray) -> np.ndarray:
@@ -447,8 +431,7 @@ def weil_op(r: Realization, g: SympMatrix) -> WeilOperator:
     if g.p != r.p:
         raise ValueError(f"mismatched moduli: {r.p} vs {g.p}")
     target, phases = geometric_action(r, g)
-    f = canonical_intertwiner(r, target)
-    return WeilOperator(g, r, f.matrix * phases[np.newaxis, :])
+    return WeilOperator(g, r, canonical_intertwiner(r, target) * phases[np.newaxis, :])
 
 
 class WeilChirps(NamedTuple):
@@ -550,8 +533,8 @@ def commutant_dimension(r: Realization) -> int:
     its Laplacian.
     """
     h1, h2 = _heis_generators(r.p)
-    u1 = heisenberg_op(r, h1).matrix
-    u2 = heisenberg_op(r, h2).matrix
+    u1 = heisenberg_op(r, h1)
+    u2 = heisenberg_op(r, h2)
     _, z = np.linalg.eig(u1)
     # u2 permutes u1's eigenlines: each entry is a phase or rounding (2e-13 at p = 199)
     ties = np.abs(np.linalg.solve(z, u2 @ z)) > 1e-8

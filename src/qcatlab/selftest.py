@@ -39,13 +39,13 @@ def run(prime: int = 7, seed: int = 0) -> bool:
     r = Realization.standard(p)
     h1 = HeisenbergElement.of(1, 0, 0, p)
     h2 = HeisenbergElement.of(0, 1, 0, p)
-    m1, m2 = heisenberg_op(r, h1).matrix, heisenberg_op(r, h2).matrix
-    m12 = heisenberg_op(r, h1 * h2).matrix
+    m1, m2 = heisenberg_op(r, h1), heisenberg_op(r, h2)
+    m12 = heisenberg_op(r, h1 * h2)
     # each entry of m1 m2 is one nonzero product of table roots, so rounding
     # does not grow with p (measured 0 for p <= 1009); a wrong phase misses by order 1
     check("heisenberg homomorphism", np.allclose(m1 @ m2, m12, atol=1e-12))
 
-    central = heisenberg_op(r, HeisenbergElement.of(0, 0, 1, p)).matrix
+    central = heisenberg_op(r, HeisenbergElement.of(0, 0, 1, p))
     # the table root and np.exp agree to an ulp (<= 3.5e-18 for p <= 1009);
     # allclose's defaults allow 1e-8 + 1e-5 and a wrong character misses by
     # 2 sin(pi / p), more than that for p < 6e5
@@ -57,7 +57,7 @@ def run(prime: int = 7, seed: int = 0) -> bool:
     # rounding in f f^H grows about like sqrt(p): 3.3e-16 at p = 7, 5.9e-15 at
     # p = 1009, against order 1 for a wrong scale
     check("intertwiner unitary",
-          np.allclose(f.matrix @ f.matrix.conj().T, np.eye(p), atol=1e-9))
+          np.allclose(f @ f.conj().T, np.eye(p), atol=1e-9))
 
     g1, g2 = random_sl2(rng, p), random_sl2(rng, p)
     w1, w2 = weil_op(r, g1).matrix, weil_op(r, g2).matrix
@@ -70,8 +70,8 @@ def run(prime: int = 7, seed: int = 0) -> bool:
     # against order 1 for a wrong image of a generator
     egorov_ok = True
     for h in (h1, h2):
-        lhs = w1 @ heisenberg_op(r, h).matrix @ w1.conj().T
-        rhs = heisenberg_op(r, HeisenbergElement(g1.apply(h.v), h.z)).matrix
+        lhs = w1 @ heisenberg_op(r, h) @ w1.conj().T
+        rhs = heisenberg_op(r, HeisenbergElement(g1.apply(h.v), h.z))
         egorov_ok &= bool(np.allclose(lhs, rhs, atol=1e-9))
     check("egorov identity", egorov_ok)
 

@@ -18,7 +18,7 @@ def intertwine_with_a_moved_eigenvalue(torus, r, k):
     2 sin(pi / 2N); stand_in replaces hecke's intertwine in the residual's
     one call, intertwine(r, gen.r, phases * B), and returns fake @ B."""
     n = torus.order
-    v = eigenfunction(hecke_spectrum(torus, r), k).amplitudes / np.sqrt(r.p)
+    v = eigenfunction(hecke_spectrum(torus, r), k).vectors[:, 0] / np.sqrt(r.p)
     shift = np.exp(2j * np.pi * (k + 0.5) / n) - np.exp(2j * np.pi * k / n)
     fake = weil_op(r, torus.generator).matrix + shift * np.outer(v, v.conj())
     image, phases = geometric_action(r, torus.generator)

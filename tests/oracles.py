@@ -9,9 +9,11 @@ decomposition, an intertwiner in another gauge, the SL2 action from the
 Egorov equation, the torus spectrum from a dense eigensolver, the split
 eigenfunctions in closed form, point masses through the averaging projector,
 the family validation on dense matrices, the all-realizations record table
-by one transport to every line, the character basis by pivoted Gram-Schmidt
-over four base columns for every character, sweep.csv formatted one row at
-a time), so that a test can hold the package's answer against it.
+by one transport to every line, a block moved along a torus orbit by the
+geometric action, the character basis by pivoted Gram-Schmidt over four
+base columns for every character, sweep.csv formatted one row at a time,
+with each line's tag from its enhanced Lagrangian), so that a test can hold
+the package's answer against it.
 """
 
 import numpy as np
@@ -40,7 +42,6 @@ from qcatlab.hecke import (
     transport,
 )
 from qcatlab.models import (
-    Intertwiner,
     IntertwinerConstructionError,
     Realization,
     _apply_coordinate_change,
@@ -50,6 +51,7 @@ from qcatlab.models import (
     canonical_intertwiner,
     geometric_action,
     heisenberg_op,
+    intertwine,
     weil_chirps,
     weil_entries,
     weil_op,
@@ -150,22 +152,23 @@ def coordinate_change_by_decomposition(target: Realization,
     return legendre_symbol(ratio, p) * out
 
 
-def regauge(op: Intertwiner, target: Realization, source: Realization) -> Intertwiner:
-    """The same operator written between other gauges of the same two lines.
+def regauge(op: np.ndarray, op_target: Realization, op_source: Realization,
+            target: Realization, source: Realization) -> np.ndarray:
+    """The operator op, model(op_source) -> model(op_target), written between
+    other gauges of the same two lines.
 
     Lets operator identities that mix enhancements (the sign rule, most
     prominently) be checked as literal matrix equalities.
     """
-    if not target.lagrangian.shares_line(op.target.lagrangian):
+    if not target.lagrangian.shares_line(op_target.lagrangian):
         raise ValueError("target realization lies on a different line")
-    if not source.lagrangian.shares_line(op.source.lagrangian):
+    if not source.lagrangian.shares_line(op_source.lagrangian):
         raise ValueError("source realization lies on a different line")
-    m = op.matrix
-    if target != op.target:
-        m = _apply_coordinate_change(target, op.target, m)
-    if source != op.source:
-        m = m @ _apply_coordinate_change(op.source, source, np.eye(op.source.p))
-    return Intertwiner(source, target, m)
+    if target != op_target:
+        op = _apply_coordinate_change(target, op_target, op)
+    if source != op_source:
+        op = op @ _apply_coordinate_change(op_source, source, np.eye(op_source.p))
+    return op
 
 
 def projective_egorov_solver(r: Realization, g: SympMatrix) -> np.ndarray:
@@ -179,8 +182,8 @@ def projective_egorov_solver(r: Realization, g: SympMatrix) -> np.ndarray:
     eye = np.eye(p)
     blocks = []
     for h in (HeisenbergElement.of(1, 0, 0, p), HeisenbergElement.of(0, 1, 0, p)):
-        ph = heisenberg_op(r, h).matrix
-        pgh = heisenberg_op(r, HeisenbergElement(g.apply(h.v), h.z)).matrix
+        ph = heisenberg_op(r, h)
+        pgh = heisenberg_op(r, HeisenbergElement(g.apply(h.v), h.z))
         blocks.append(np.kron(eye, ph.T) - np.kron(pgh, eye))
     system = np.vstack(blocks)
     _, s, vh = np.linalg.svd(system)
@@ -234,20 +237,20 @@ def projector_identity_check(fn: HeckeEigenfunction, x: int,
     of the quantity.
     """
     p = fn.p
-    amps = fn.amplitudes
+    amps = fn.vectors[:, 0]
     direct = float(abs(amps[x % p]) ** 2)
     source = fn.realization
     if via is None or via == source:
         via = source
         v = amps
     else:
-        v = canonical_intertwiner(via, source).matrix @ amps
+        v = canonical_intertwiner(via, source) @ amps
     s1, s2 = source.sigma
     roots = unit_roots(p)
     total = 0.0j
     for l in range(p):
         h = HeisenbergElement.of(l * s1, l * s2, 0, p)
-        op = heisenberg_op(via, h).matrix
+        op = heisenberg_op(via, h)
         total += np.conj(roots[(l * x) % p]) * np.vdot(v, op @ v)
     projector = total / p
     # the form is real for any v: rounding leaves about 1.5e-17 p (2.9e-15 at
@@ -318,6 +321,24 @@ def records_by_transport_to_every_line(fn: HeckeEigenfunction, kind: str) -> np.
     return records[np.argsort(records["character"], kind="stable")]
 
 
+def orbit_move(fn: HeckeEigenfunction, torus: HeckeTorus, j: int,
+               target: Realization) -> HeckeEigenfunction:
+    """fn carried by the torus element g^j to target, which must lie on the
+    line g^j carries fn's line to: the geometric action of g^j, then the
+    canonical operator between the two gauges of that line.
+
+    It is hecke.torus_orbits' relation built in full: each column equals
+    transport's to target up to the phase conj(chi_k(g^j)), which the
+    normalization then fixes.
+    """
+    t = torus_powers(torus)[j]
+    image, phases = geometric_action(fn.realization, t)
+    if not image.lagrangian.shares_line(target.lagrangian):
+        raise ValueError(f"g^{j} moves {fn.realization.tag()} off the line of {target.tag()}")
+    moved = intertwine(target, image, phases[:, np.newaxis] * fn.vectors)
+    return HeckeEigenfunction(target, _normalize_columns(moved, fn.p), fn.characters)
+
+
 def four_column_basis(torus: HeckeTorus, r: Realization) -> tuple[np.ndarray, np.ndarray]:
     """(labels, basis) as hecke._character_basis gives them, every character
     by pivoted Gram-Schmidt: the i-th vector of character k is P_k delta_b at
@@ -351,11 +372,16 @@ def four_column_basis(torus: HeckeTorus, r: Realization) -> tuple[np.ndarray, np
 
 
 def records_csv_by_rows(records: np.ndarray) -> str:
-    """The text of sweep.csv with every row formatted on its own."""
+    """The text of sweep.csv with every row formatted on its own, the
+    realization as the sigma of line l of enumerate_lagrangians(p)."""
     head = f"# schema: {SWEEP_SCHEMA}\n" + ",".join(
         ["p", "kind", "realization", "character", "multiplicity", "sup", "argmax",
          "a_max", "pass"]) + "\n"
-    rows = zip(*(records[name].tolist() for name in RECORD_DTYPE.names[:7]),
+    lines = {p: enumerate_lagrangians(p) for p in set(records["p"].tolist())}
+    tags = ["%d:%d" % lines[p][l].sigma.coords()
+            for p, l in zip(records["p"].tolist(), records["realization"].tolist())]
+    rows = zip(*(records[name].tolist() for name in RECORD_DTYPE.names[:2]), tags,
+               *(records[name].tolist() for name in RECORD_DTYPE.names[3:7]),
                (records["sup"] * records["sup"]).tolist(),
                np.where(records["passed"], "true", "false").tolist())
     return head + "".join("%d,%s,%s,%d,%d,%.12g,%d,%.12g,%s\n" % row for row in rows)

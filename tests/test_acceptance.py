@@ -155,9 +155,9 @@ def test_criterion_3_split_closed_form():
             if mults[k] != 1:
                 continue
             num = eigenfunction(spectrum, k)
-            overlap = np.vdot(num.amplitudes, closed)
+            overlap = np.vdot(num.vectors[:, 0], closed)
             phase = overlap / abs(overlap)
-            worst = max(worst, float(np.abs(closed - phase * num.amplitudes).max()))
+            worst = max(worst, float(np.abs(closed - phase * num.vectors[:, 0]).max()))
             checked += 1
     passed = worst < TOL and checked > 0
     announce(3, passed,
@@ -184,8 +184,8 @@ def test_criterion_4_linearization_and_egorov(rng):
             g = random_sl2(rng, p)
             w = weil_op(r, g).matrix
             for h in generators:
-                lhs = w @ heisenberg_op(r, h).matrix @ w.conj().T
-                rhs = heisenberg_op(r, HeisenbergElement(g.apply(h.v), h.z)).matrix
+                lhs = w @ heisenberg_op(r, h) @ w.conj().T
+                rhs = heisenberg_op(r, HeisenbergElement(g.apply(h.v), h.z))
                 worst_egorov = max(worst_egorov, float(np.linalg.norm(lhs - rhs, 2)))
     passed = worst_mult < TOL and worst_egorov < TOL
     announce(4, passed,
@@ -201,21 +201,21 @@ def test_criterion_5_intertwiner_axioms(rng):
         lines = [Realization.canonical(l) for l in enumerate_lagrangians(p)]
         # normalization is exact by construction
         for r in lines:
-            assert np.array_equal(canonical_intertwiner(r, r).matrix, np.eye(p))
+            assert np.array_equal(canonical_intertwiner(r, r), np.eye(p))
         # sign rule, exhaustive over scale factors and ordered line pairs
         for rt in lines:
             for rs in lines:
                 if rt.lagrangian.shares_line(rs.lagrangian):
                     continue
-                base = canonical_intertwiner(rt, rs).matrix
+                base = canonical_intertwiner(rt, rs)
                 for a in range(2, p):
                     chi = legendre_symbol(a, p)
                     st = Realization.canonical(EnhancedLagrangian(rt.lagrangian.sigma.scale(a)))
-                    dev = np.abs(regauge(canonical_intertwiner(st, rs), rt, rs).matrix
+                    dev = np.abs(regauge(canonical_intertwiner(st, rs), st, rs, rt, rs)
                                  - chi * base).max()
                     worst["sign"] = max(worst["sign"], float(dev))
                     ss = Realization.canonical(EnhancedLagrangian(rs.lagrangian.sigma.scale(a)))
-                    dev = np.abs(regauge(canonical_intertwiner(rt, ss), rt, rs).matrix
+                    dev = np.abs(regauge(canonical_intertwiner(rt, ss), rt, ss, rt, rs)
                                  - chi * base).max()
                     worst["sign"] = max(worst["sign"], float(dev))
         # convolution and invariance on random samples
@@ -227,18 +227,18 @@ def test_criterion_5_intertwiner_axioms(rng):
 
         for _ in range(50):
             rn, rm, rl = (random_realization() for _ in range(3))
-            dev = np.abs(canonical_intertwiner(rn, rm).matrix
-                         @ canonical_intertwiner(rm, rl).matrix
-                         - canonical_intertwiner(rn, rl).matrix).max()
+            dev = np.abs(canonical_intertwiner(rn, rm)
+                         @ canonical_intertwiner(rm, rl)
+                         - canonical_intertwiner(rn, rl)).max()
             worst["conv"] = max(worst["conv"], float(dev))
         for _ in range(50):
             g = random_sl2(rng, p)
             rm, rl = random_realization(), random_realization()
             gm, phase_m = geometric_action(rm, g)
             gl, phase_l = geometric_action(rl, g)
-            conj = (phase_m[:, None] * canonical_intertwiner(rm, rl).matrix) \
+            conj = (phase_m[:, None] * canonical_intertwiner(rm, rl)) \
                 * np.conj(phase_l)[None, :]
-            dev = np.abs(conj - canonical_intertwiner(gm, gl).matrix).max()
+            dev = np.abs(conj - canonical_intertwiner(gm, gl)).max()
             worst["inv"] = max(worst["inv"], float(dev))
     passed = all(v < TOL for v in worst.values())
     announce(5, passed,
@@ -256,7 +256,7 @@ def test_criterion_6_stone_von_neumann():
             r = Realization.canonical(lag)
             assert commutant_dimension(r) == 1
             for z in range(p):
-                m = heisenberg_op(r, HeisenbergElement.of(0, 0, z, p)).matrix
+                m = heisenberg_op(r, HeisenbergElement.of(0, 0, z, p))
                 assert np.abs(m - psi[z] * np.eye(p)).max() < 1e-12
             checked += 1
     # independent route: the intertwining-equation solver sees a 1-dim space

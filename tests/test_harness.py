@@ -17,16 +17,18 @@ from oracles import (
 )
 import qcatlab
 from qcatlab.arith import pow_mod
-from qcatlab.groups import CatMap, build_hecke_torus, classify_prime
+from qcatlab.groups import CatMap, build_hecke_torus, classify_prime, line_index
 from qcatlab.hecke import (
     HeckeEigenfunction,
     eigenfunction,
     hecke_spectrum,
     torus_orbits,
+    transport,
 )
 from qcatlab.models import Realization
 from qcatlab.harness import (
     _NO_RECORDS,
+    _defining_spectrum,
     CSV_CHUNK,
     RECORD_DTYPE,
     SweepConfig,
@@ -168,6 +170,7 @@ def test_sweep_builds_one_intertwiner_per_orbit(monkeypatch):
     import qcatlab.models as models
 
     calls = {"hecke": 0, "models": 0, "transport": 0, "spectrum": 0}
+    draws = []
 
     def counting(module, original):
         def wrapper(*args):
@@ -175,6 +178,12 @@ def test_sweep_builds_one_intertwiner_per_orbit(monkeypatch):
             return original(*args)
         return wrapper
 
+    def recording(*args, original=harness._verify_draws):
+        drawn = original(*args)
+        draws.extend(drawn)
+        return drawn
+
+    monkeypatch.setattr(harness, "_verify_draws", recording)
     monkeypatch.setattr(hecke, "intertwine", counting("hecke", hecke.intertwine))
     monkeypatch.setattr(harness, "transport", counting("transport", harness.transport))
     monkeypatch.setattr(harness, "hecke_spectrum", counting("spectrum", harness.hecke_spectrum))
@@ -183,12 +192,12 @@ def test_sweep_builds_one_intertwiner_per_orbit(monkeypatch):
     result = universal_sweep(config(13, 13, realizations="all", verify_samples=1))
     assert len(set(result.records["realization"])) == 14
     # p = 13 is inert: two torus orbits, one represented by the defining line.
-    # Transports: the block to the other representative, once; the verify
-    # sample reuses the block moved there.  Intertwiner applications: that
-    # transport, the residual of the defining spectrum and the verify
-    # sample's orbit move; no second spectrum and no dense operator
-    assert calls["transport"] == 1 and calls["spectrum"] == 1
-    assert calls["hecke"] == calls["transport"] + 2 and calls["models"] == 0
+    # Transports: the block to the other representative, once, and the
+    # defining block to each drawn line, once.  Intertwiner applications:
+    # those transports and the residual of the defining spectrum; no second
+    # spectrum and no dense operator
+    assert draws and calls["transport"] == 1 + len(draws) and calls["spectrum"] == 1
+    assert calls["hecke"] == calls["transport"] + 1 and calls["models"] == 0
 
 
 def test_validation_and_defining_sweep_load_no_numpy_random():
@@ -236,7 +245,7 @@ print(len(result.errors), "numpy.random" in sys.modules)
 def test_sweep_builds_one_block_per_prime(monkeypatch):
     import qcatlab.harness as harness
 
-    moved, scored = [], []
+    moved, scored, draws = [], [], []
 
     def counting_transport(fn, r, original=harness.transport):
         moved.append(fn.characters.size)
@@ -246,24 +255,29 @@ def test_sweep_builds_one_block_per_prime(monkeypatch):
         scored.append((fn.realization.tag(), fn.characters.size))
         return original(fn, kind)
 
+    def recording_draws(*args, original=harness._verify_draws):
+        drawn = original(*args)
+        draws.extend(drawn)
+        return drawn
+
     monkeypatch.setattr(harness, "transport", counting_transport)
     monkeypatch.setattr(harness, "supremum_records", counting_records)
+    monkeypatch.setattr(harness, "_verify_draws", recording_draws)
     for p, n_reps in ((11, 4), (13, 2)):  # split, inert
-        for calls in (moved, scored):
+        for calls in (moved, scored, draws):
             calls.clear()
         result = universal_sweep(config(p, p, realizations="all", verify_samples=1))
-        rep, _, _ = torus_orbits(build_hecke_torus(A, p))
+        rep, _ = torus_orbits(build_hecke_torus(A, p))
         reps = np.unique(rep).tolist()
         assert len(reps) == n_reps and p in reps  # line p is the defining one
         n = len(result.records) // (p + 1)
         # the whole block moves once to each representative but the defining
-        # line, and the verify sample reuses the block moved to its
-        # representative
-        assert moved == [n] * (n_reps - 1)
+        # line, and once to each drawn line
+        assert draws and moved == [n] * (n_reps - 1 + len(draws))
         # each representative's block is scored in one pass, all characters
-        # at once, and the verify sample's line once, all characters again
-        assert [size for _, size in scored] == [n] * n_reps + [n]
-        assert len({tag for tag, _ in scored[:-1]}) == n_reps
+        # at once, and each drawn line once, all characters again
+        assert [size for _, size in scored] == [n] * (n_reps + len(draws))
+        assert len({tag for tag, _ in scored[:n_reps]}) == n_reps
         assert len(set(result.records["realization"])) == p + 1
 
 
@@ -308,8 +322,8 @@ def _dilation_mutant(wrong):
         import qcatlab.harness as harness
 
         def mutant(torus, original=harness.torus_orbits):
-            rep, power, dilation = original(torus)
-            return rep, power, wrong(dilation, torus.p)
+            rep, dilation = original(torus)
+            return rep, wrong(dilation, torus.p)
         monkeypatch.setattr(harness, "torus_orbits", mutant)
     return install
 
@@ -346,6 +360,41 @@ def test_derivation_mutants_fail_verify_and_oracle(monkeypatch, mutant, p):
     assert "disagrees" in result.errors[0][1]
     records = universal_sweep(config(p, p, realizations="all")).records
     assert oracle_mismatches(A, records)
+
+
+@pytest.mark.parametrize("p", [17, 23, 29, 31, 41])
+def test_representative_block_mutant_fails_verify_and_oracle(monkeypatch, p):
+    # a wrong transport to a non-defining representative, two simple
+    # columns' vectors swapped under their labels, gives every line of its
+    # orbit wrong rows.  With seed 0 the one draw at these primes lands in
+    # that orbit, off k's swapped columns, so only a verify that rebuilds
+    # the line apart from the representative's block sees it
+    import qcatlab.harness as harness
+
+    reps = set(torus_orbits(build_hecke_torus(A, p))[0].tolist()) - {p}
+
+    def mutant(fn, target, original=harness.transport):
+        moved = original(fn, target)
+        if int(line_index(*target.sigma, p)) in reps:
+            i, j = np.flatnonzero(moved.multiplicities == 1)[:2]
+            moved.vectors[:, [i, j]] = moved.vectors[:, [j, i]]
+        return moved
+
+    monkeypatch.setattr(harness, "transport", mutant)
+    result = universal_sweep(config(p, p, realizations="all", verify_samples=1))
+    assert [q for q, _ in result.errors] == [p], result.errors
+    assert "disagrees" in result.errors[0][1]
+    records = universal_sweep(config(p, p, realizations="all")).records
+    assert oracle_mismatches(A, records)
+
+
+def test_records_reject_a_sigma_off_the_enumeration():
+    # sweep.csv rebuilds a row's tag from its line's enumerated sigma, which
+    # for the line of (2, 0) is (1, 0)
+    p = 7
+    fn = transport(_defining_spectrum(p, A)[1], Realization.of(2, 0, p))
+    with pytest.raises(ValueError, match="enumerated sigma"):
+        supremum_records(fn, "inert")
 
 
 def test_sweep_parallel_matches_serial():

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import intertwine_with_a_moved_eigenvalue
-from oracles import eig_spectrum, four_column_basis, split_closed_form, torus_powers
+from oracles import (
+    eig_spectrum,
+    four_column_basis,
+    orbit_move,
+    split_closed_form,
+    torus_powers,
+)
 from qcatlab.arith import legendre_symbol, primes_in, unit_roots
 from qcatlab.groups import (
     CatMap,
@@ -26,7 +32,6 @@ from qcatlab.hecke import (
     _torus_elements,
     eigenfunction,
     hecke_spectrum,
-    orbit_move,
     projector_column,
     torus_orbits,
     transport,
@@ -151,7 +156,7 @@ def test_eigenvector_property_every_torus_element(torus7, spectrum7):
     r = Realization.standard(7)
     n = torus7.order
     for k in np.flatnonzero(spectrum7.multiplicities() == 1).tolist():
-        v = eigenfunction(spectrum7, k).amplitudes
+        v = eigenfunction(spectrum7, k).vectors[:, 0]
         for j, g in enumerate(torus_powers(torus7)):
             lam = unit_roots(n)[(k * j) % n]
             assert np.linalg.norm(weil_op(r, g).matrix @ v - lam * v) < 1e-8
@@ -159,7 +164,7 @@ def test_eigenvector_property_every_torus_element(torus7, spectrum7):
 
 def test_eigenfunction_normalization_and_phase(spectrum7):
     for k in np.flatnonzero(spectrum7.multiplicities() == 1).tolist():
-        v = eigenfunction(spectrum7, k).amplitudes
+        v = eigenfunction(spectrum7, k).vectors[:, 0]
         assert abs(np.vdot(v, v).real - 7) < 1e-9
         lead = v[np.flatnonzero(np.abs(v) > 1e-6)[0]]
         assert abs(lead.imag) < 1e-9 and lead.real > 0
@@ -372,8 +377,6 @@ def test_degenerate_character_returns_flagged_basis(torus11):
     # extraction is a column selection: the block's k-columns bit for bit
     block = spectrum.eigenfunctions
     assert fn.vectors.tobytes() == block.vectors[:, block.characters == k].tobytes()
-    with pytest.raises(ValueError):
-        _ = fn.amplitudes
     gram = fn.vectors.conj().T @ fn.vectors
     assert np.allclose(gram, 11 * np.eye(2), atol=1e-8)
 
@@ -381,10 +384,10 @@ def test_degenerate_character_returns_flagged_basis(torus11):
 def test_transport_preserves_eigenvector_property(torus7, spectrum7):
     target = Realization.of(1, 3, 7)
     k = int(np.flatnonzero(spectrum7.multiplicities() == 1)[0])
-    fn = transport(eigenfunction(spectrum7, k), target)
-    assert abs(np.vdot(fn.amplitudes, fn.amplitudes).real - 7) < 1e-9
+    v = transport(eigenfunction(spectrum7, k), target).vectors[:, 0]
+    assert abs(np.vdot(v, v).real - 7) < 1e-9
     lam = unit_roots(torus7.order)[k]
-    resid = weil_op(target, torus7.generator).matrix @ fn.amplitudes - lam * fn.amplitudes
+    resid = weil_op(target, torus7.generator).matrix @ v - lam * v
     assert np.linalg.norm(resid) < 1e-8
 
 
@@ -394,10 +397,10 @@ def test_transport_matches_direct_extraction(torus7, spectrum7):
     for k in np.flatnonzero(spectrum7.multiplicities() == 1).tolist():
         moved = transport(eigenfunction(spectrum7, k), target)
         direct = eigenfunction(direct_spectrum, k)
-        ov = np.vdot(direct.amplitudes, moved.amplitudes)
+        ov = np.vdot(direct.vectors[:, 0], moved.vectors[:, 0])
         assert abs(abs(ov) - 7) < 1e-8  # same line up to phase
         phase = ov / abs(ov)
-        assert np.abs(moved.amplitudes - phase * direct.amplitudes).max() < 1e-8
+        assert np.abs(moved.vectors[:, 0] - phase * direct.vectors[:, 0]).max() < 1e-8
 
 
 def test_transport_moves_a_batch_like_one_at_a_time(torus11):
@@ -468,15 +471,19 @@ def test_torus_orbits_against_repeated_products(matrix):
         if kind == "ramified":
             continue
         torus = build_hecke_torus(matrix, p)
-        rep, power, dilation = torus_orbits(torus)
+        rep, dilation = torus_orbits(torus)
         lines = enumerate_lagrangians(p)
+        # each representative's walk: the least power reaching a line gives
+        # its dilation
+        walks = {r: [_torus_image(torus, j, lines[r]) for j in range(torus.order)]
+                 for r in set(rep.tolist())}
         for l in range(p + 1):
-            assert _torus_image(torus, int(power[l]), lines[rep[l]]) == (l, dilation[l])
+            assert next(image for image in walks[rep[l]] if image[0] == l) == (l, dilation[l])
         reps, sizes = np.unique(rep, return_counts=True)
-        # each representative is its orbit's last line, with power 0 and
-        # dilation 1; the defining line (0, 1) is enumerated last
+        # each representative is its orbit's last line, with dilation 1; the
+        # defining line (0, 1) is enumerated last
         assert rep.max() == p and (reps == [np.flatnonzero(rep == r).max() for r in reps]).all()
-        assert (power[reps] == 0).all() and (dilation[reps] == 1).all()
+        assert (dilation[reps] == 1).all()
         expected = {"inert": [(p + 1) // 2] * 2, "split": [1, 1] + [(p - 1) // 2] * 2}[kind]
         assert sorted(sizes.tolist()) == sorted(expected)
 
@@ -519,11 +526,13 @@ def test_orbit_move_is_transport_up_to_phase():
     p = 13
     torus = build_hecke_torus(A, p)
     fn = _defining_block(A, p)
-    rep, power, _ = torus_orbits(torus)
+    rep, _ = torus_orbits(torus)
     lines = [Realization.canonical(lag) for lag in enumerate_lagrangians(p)]
     for l in np.flatnonzero(rep != np.arange(p + 1)).tolist():
         source = transport(fn, lines[rep[l]])
-        moved = orbit_move(source, torus, int(power[l]), lines[l])
+        j = next(j for j in range(torus.order)
+                 if _torus_image(torus, j, lines[rep[l]].lagrangian)[0] == l)
+        moved = orbit_move(source, torus, j, lines[l])
         direct = transport(fn, lines[l])
         for i in range(fn.characters.size):
             assert _phase_gap(direct.vectors[:, i], moved.vectors[:, i]) < 1e-12

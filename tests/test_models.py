@@ -85,7 +85,7 @@ def test_heisenberg_op_matches_induction_model(p, rng):
                    HeisenbergElement.of(0, 0, 1, p),
                    random_heis(rng, p), random_heis(rng, p)]:
             expected = induction_model_matrix(r, h0)
-            got = heisenberg_op(r, h0).matrix
+            got = heisenberg_op(r, h0)
             assert np.allclose(got, expected, atol=1e-12)
 
 
@@ -96,7 +96,7 @@ def test_heisenberg_op_matches_induction_model_all_elements_p5():
         for v2 in range(p):
             for z in range(p):
                 h0 = HeisenbergElement.of(v1, v2, z, p)
-                assert np.allclose(heisenberg_op(r, h0).matrix,
+                assert np.allclose(heisenberg_op(r, h0),
                                    induction_model_matrix(r, h0), atol=1e-12)
 
 
@@ -106,7 +106,7 @@ def test_standard_model_textbook_formula():
     r = Realization.standard(p)
     inv2 = (p + 1) // 2
     for a, b, z in [(1, 0, 0), (0, 1, 0), (3, 2, 5), (6, 6, 6)]:
-        m = heisenberg_op(r, HeisenbergElement.of(a, b, z, p)).matrix
+        m = heisenberg_op(r, HeisenbergElement.of(a, b, z, p))
         expected = np.zeros((p, p), dtype=complex)
         for x in range(p):
             expected[x, (x + a) % p] = unit_roots(p)[(z + b * x + inv2 * a * b) % p]
@@ -119,7 +119,7 @@ def test_shift_convention_delta():
     r = Realization.standard(p)
     delta0 = np.zeros(p, dtype=complex)
     delta0[0] = 1.0
-    moved = heisenberg_op(r, HeisenbergElement.of(1, 0, 0, p)).matrix @ delta0
+    moved = heisenberg_op(r, HeisenbergElement.of(1, 0, 0, p)) @ delta0
     expected = np.zeros(p, dtype=complex)
     expected[p - 1] = 1.0
     assert np.allclose(moved, expected)
@@ -129,7 +129,7 @@ def test_central_character():
     for p in (5, 7):
         for r in all_realizations(p):
             for z in range(p):
-                m = heisenberg_op(r, HeisenbergElement.of(0, 0, z, p)).matrix
+                m = heisenberg_op(r, HeisenbergElement.of(0, 0, z, p))
                 assert np.allclose(m, unit_roots(p)[z] * np.eye(p), atol=1e-12)
 
 
@@ -138,8 +138,8 @@ def test_heisenberg_homomorphism_sampled(rng):
     r = Realization.standard(p)
     for _ in range(1000):
         h1, h2 = random_heis(rng, p), random_heis(rng, p)
-        lhs = heisenberg_op(r, h1).matrix @ heisenberg_op(r, h2).matrix
-        rhs = heisenberg_op(r, h1 * h2).matrix
+        lhs = heisenberg_op(r, h1) @ heisenberg_op(r, h2)
+        rhs = heisenberg_op(r, h1 * h2)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -148,12 +148,12 @@ def test_operators_unitary(rng):
         tol = 1e-9 * p
         eye = np.eye(p)
         for r in all_realizations(p)[:3]:
-            m = heisenberg_op(r, random_heis(rng, p)).matrix
+            m = heisenberg_op(r, random_heis(rng, p))
             assert np.linalg.norm(m @ m.conj().T - eye) < tol
             g = random_sl2(rng, p)
             w = weil_op(r, g).matrix
             assert np.linalg.norm(w @ w.conj().T - eye) < tol
-        f = canonical_intertwiner(all_realizations(p)[2], all_realizations(p)[0]).matrix
+        f = canonical_intertwiner(all_realizations(p)[2], all_realizations(p)[0])
         assert np.linalg.norm(f @ f.conj().T - eye) < tol
 
 
@@ -172,7 +172,7 @@ def test_canonical_gauge_is_first_transverse_enumerated_line(p):
 def test_model_dimension_is_p():
     for p in (5, 7, 11):
         r = Realization.standard(p)
-        assert heisenberg_op(r, HeisenbergElement.of(0, 0, 0, p)).matrix.shape == (p, p)
+        assert heisenberg_op(r, HeisenbergElement.of(0, 0, 0, p)).shape == (p, p)
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +187,8 @@ def test_raw_averaging_intertwines_all_generators():
     for v1 in range(p):
         for v2 in range(p):
             h = HeisenbergElement.of(v1, v2, 0, p)
-            lhs = a @ heisenberg_op(src, h).matrix
-            rhs = heisenberg_op(tgt, h).matrix @ a
+            lhs = a @ heisenberg_op(src, h)
+            rhs = heisenberg_op(tgt, h) @ a
             assert np.allclose(lhs, rhs, atol=1e-10)
 
 
@@ -216,7 +216,7 @@ def test_raw_averaging_schur_scalar():
 def test_normalization_exact_identity():
     for p in (5, 7, 11, 13):
         r = Realization.of(1, 2 % p, p)
-        f = canonical_intertwiner(r, r).matrix
+        f = canonical_intertwiner(r, r)
         assert np.array_equal(f, np.eye(p))
 
 
@@ -419,15 +419,15 @@ def test_sign_rule_exhaustive_p7():
     p = 7
     base_t = Realization.of(0, 1, p)
     base_s = Realization.of(1, 0, p)
-    f = canonical_intertwiner(base_t, base_s).matrix
+    f = canonical_intertwiner(base_t, base_s)
     for a in range(2, p):
         chi = legendre_symbol(a, p)
         scaled_t = Realization.of(0, a, p)
         g = canonical_intertwiner(scaled_t, base_s)
-        assert np.allclose(regauge(g, base_t, base_s).matrix, chi * f, atol=1e-10)
+        assert np.allclose(regauge(g, scaled_t, base_s, base_t, base_s), chi * f, atol=1e-10)
         scaled_s = Realization.of(a, 0, p)
         g = canonical_intertwiner(base_t, scaled_s)
-        assert np.allclose(regauge(g, base_t, base_s).matrix, chi * f, atol=1e-10)
+        assert np.allclose(regauge(g, base_t, scaled_s, base_t, base_s), chi * f, atol=1e-10)
 
 
 def random_enhanced(rng, p):
@@ -442,8 +442,8 @@ def test_convolution_random_triples(rng):
     p = 11
     for _ in range(50):
         rn, rm, rl = (random_enhanced(rng, p) for _ in range(3))
-        lhs = canonical_intertwiner(rn, rm).matrix @ canonical_intertwiner(rm, rl).matrix
-        rhs = canonical_intertwiner(rn, rl).matrix
+        lhs = canonical_intertwiner(rn, rm) @ canonical_intertwiner(rm, rl)
+        rhs = canonical_intertwiner(rn, rl)
         assert np.allclose(lhs, rhs, atol=1e-9)
 
 
@@ -454,9 +454,9 @@ def test_invariance_random_samples(rng):
         rm, rl = random_enhanced(rng, p), random_enhanced(rng, p)
         gm, phase_m = geometric_action(rm, g)
         gl, phase_l = geometric_action(rl, g)
-        f = canonical_intertwiner(rm, rl).matrix
+        f = canonical_intertwiner(rm, rl)
         conj = (phase_m[:, None] * f) * np.conj(phase_l)[None, :]
-        assert np.allclose(conj, canonical_intertwiner(gm, gl).matrix, atol=1e-9)
+        assert np.allclose(conj, canonical_intertwiner(gm, gl), atol=1e-9)
 
 
 def test_shared_line_route_through_auxiliary_is_independent():
@@ -465,10 +465,10 @@ def test_shared_line_route_through_auxiliary_is_independent():
     p = 11
     src = Realization.of(0, 1, p)
     tgt = Realization.of(0, 4, p)
-    direct = canonical_intertwiner(tgt, src).matrix
+    direct = canonical_intertwiner(tgt, src)
     for aux_sigma in [(1, 0), (1, 3), (1, 7)]:
         aux = Realization.of(*aux_sigma, p)
-        via = canonical_intertwiner(tgt, aux).matrix @ canonical_intertwiner(aux, src).matrix
+        via = canonical_intertwiner(tgt, aux) @ canonical_intertwiner(aux, src)
         assert np.allclose(direct, via, atol=1e-9)
 
 
@@ -476,9 +476,9 @@ def test_change_realization_round_trip(rng):
     p = 7
     src = Realization.standard(p)
     tgt = Realization.of(1, 3, p)
-    assert np.array_equal(canonical_intertwiner(src, src).matrix, np.eye(p))
-    there = canonical_intertwiner(tgt, src).matrix
-    back = canonical_intertwiner(src, tgt).matrix
+    assert np.array_equal(canonical_intertwiner(src, src), np.eye(p))
+    there = canonical_intertwiner(tgt, src)
+    back = canonical_intertwiner(src, tgt)
     assert np.allclose(back @ there, np.eye(p), atol=1e-9)
     amps = rng.normal(size=(p, 100)) + 1j * rng.normal(size=(p, 100))
     norms = np.linalg.norm(amps, axis=0)
@@ -547,8 +547,8 @@ def test_egorov_identity(p, rng):
         g = random_sl2(rng, p)
         w = weil_op(r, g).matrix
         for h in gens:
-            lhs = w @ heisenberg_op(r, h).matrix @ w.conj().T
-            rhs = heisenberg_op(r, HeisenbergElement(g.apply(h.v), h.z)).matrix
+            lhs = w @ heisenberg_op(r, h) @ w.conj().T
+            rhs = heisenberg_op(r, HeisenbergElement(g.apply(h.v), h.z))
             assert np.linalg.norm(lhs - rhs) < 1e-9
 
 
@@ -599,6 +599,6 @@ def test_geometric_action_lands_in_translated_model(rng):
         g = random_sl2(rng, p)
         tgt, phases = geometric_action(r, g)
         h = random_heis(rng, p)
-        lhs = (phases[:, None] * heisenberg_op(r, h).matrix) * np.conj(phases)[None, :]
-        rhs = heisenberg_op(tgt, HeisenbergElement(g.apply(h.v), h.z)).matrix
+        lhs = (phases[:, None] * heisenberg_op(r, h)) * np.conj(phases)[None, :]
+        rhs = heisenberg_op(tgt, HeisenbergElement(g.apply(h.v), h.z))
         assert np.allclose(lhs, rhs, atol=1e-10)
