@@ -39,7 +39,7 @@ from functools import partial
 import numpy as np
 
 from .arith import pow_mod, primes_in
-from .groups import CatMap, classify_prime, build_hecke_torus, line_index, line_sigmas
+from .groups import CatMap, classify_prime, build_hecke_torus, line_sigmas
 from .hecke import (
     HeckeEigenfunction,
     hecke_spectrum,
@@ -140,9 +140,10 @@ def supremum_records(fn: HeckeEigenfunction, kind: str) -> np.ndarray:
     Raises ValueError for a block whose sigma is not its line's enumerated
     sigma, whose tag sweep.csv could not rebuild from that index."""
     p = fn.p
+    s1, s2 = line_sigmas(p)
     sigma = fn.realization.sigma
-    line = int(line_index(*sigma, p))
-    if sigma != tuple(int(s[line]) for s in line_sigmas(p)):
+    line = np.flatnonzero((s1 == sigma[0]) & (s2 == sigma[1]))
+    if not line.size:
         raise ValueError(f"realization {fn.realization.tag()} is not its line's "
                          f"enumerated sigma")
     mags = np.abs(fn.vectors)
@@ -155,7 +156,7 @@ def supremum_records(fn: HeckeEigenfunction, kind: str) -> np.ndarray:
     records = np.empty(sups.size, dtype=RECORD_DTYPE)
     records["p"] = p
     records["kind"] = kind
-    records["realization"] = line
+    records["realization"] = line[0]
     records["character"] = fn.characters
     records["multiplicity"] = fn.multiplicities
     records["sup"] = sups
@@ -505,7 +506,9 @@ def write_records_csv(path, records: np.ndarray) -> None:
             verdict = np.array([",%.12g,%s\n" % (sup * sup, "true" if ok else "false")
                                 for sup, ok in zip(sups, d["passed"].tolist())], dtype=object)
             realization = np.empty(len(chunk), dtype=object)
-            for p in np.unique(chunk["p"]).tolist():
+            # a set: np.unique without an index to return imports numpy.ma,
+            # about 30 ms on a sweep's first call
+            for p in set(chunk["p"].tolist()):
                 if p not in tags:
                     tags[p] = np.array(["%d:%d" % sigma for sigma in zip(
                         *(s.tolist() for s in line_sigmas(p)))], dtype=object)

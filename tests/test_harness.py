@@ -200,6 +200,15 @@ def test_sweep_builds_one_intertwiner_per_orbit(monkeypatch):
     assert calls["hecke"] == calls["transport"] + 1 and calls["models"] == 0
 
 
+def _fresh_stdout(code: str) -> list[str]:
+    """The words code prints when run in a fresh interpreter on this package."""
+    src = str(Path(qcatlab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env).stdout.split()
+
+
 def test_validation_and_defining_sweep_load_no_numpy_random():
     # the family is validated on deterministic probes, so the validation and
     # a defining sweep never import numpy.random, whose import alone costs
@@ -213,13 +222,7 @@ averaging_scale(101)
 result = universal_sweep(SweepConfig(matrix=CatMap(2, 1, 1, 1), prime_lo=101, prime_hi=101))
 print(len(result.records), "numpy.random" in sys.modules)
 """
-    src = str(Path(qcatlab.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env).stdout
-    assert out.split() == ["101", "False"]
-
+    assert _fresh_stdout(code) == ["101", "False"]
 
 
 def test_verify_draws_load_no_numpy_random():
@@ -234,12 +237,23 @@ result = universal_sweep(SweepConfig(matrix=CatMap(2, 1, 1, 1), prime_lo=7, prim
                                      realizations="all", verify_samples=3, seed=5))
 print(len(result.errors), "numpy.random" in sys.modules)
 """
-    src = str(Path(qcatlab.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env).stdout
-    assert out.split() == ["0", "False"]
+    assert _fresh_stdout(code) == ["0", "False"]
+
+
+def test_sweep_and_its_csv_load_no_numpy_ma(tmp_path):
+    # numpy.ma costs about 30 ms to import, and np.unique imports it when
+    # asked for no index; neither sweep nor sweep.csv needs it
+    code = f"""
+import sys
+from qcatlab.groups import CatMap
+from qcatlab.harness import SweepConfig, universal_sweep, write_records_csv
+for realizations in ("defining", "all"):
+    result = universal_sweep(SweepConfig(matrix=CatMap(2, 1, 1, 1), prime_lo=5, prime_hi=13,
+                                         realizations=realizations))
+    write_records_csv({str(tmp_path / "sweep.csv")!r}, result.records)
+print(len(result.records), "numpy.ma" in sys.modules)
+"""
+    assert _fresh_stdout(code) == ["370", "False"]
 
 
 def test_sweep_builds_one_block_per_prime(monkeypatch):
