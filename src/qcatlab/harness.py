@@ -475,6 +475,21 @@ def _runs(order: np.ndarray, *fields: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return order[new], inverse
 
 
+def _line_tags(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(tags, offset): the text s1:s2 of each line's sigma in
+    groups.line_sigmas, for each prime of p, line l of prime q at
+    tags[offset[q] + l]."""
+    # every prime starts a run of equal entries of p; a set, since np.unique
+    # without an index to return imports numpy.ma, about 30 ms a sweep
+    primes = sorted(set(p[np.flatnonzero(np.diff(p, prepend=-1))].tolist()))
+    offset = np.zeros(max(primes, default=0) + 1, dtype=np.int64)
+    text = []
+    for q in primes:
+        offset[q] = len(text)
+        text += ["%d:%d" % sigma for sigma in zip(*(s.tolist() for s in line_sigmas(q)))]
+    return np.array(text, dtype=object), offset
+
+
 def write_records_csv(path, records: np.ndarray) -> None:
     """sweep.csv: the header, then one row per record.
 
@@ -482,12 +497,12 @@ def write_records_csv(path, records: np.ndarray) -> None:
     argmax, so each chunk of rows formats the text of each distinct
     (p, kind, character, multiplicity, sup, pass) once (sup and
     a_max = sup * sup by %.12g), and a row is that text joined with its
-    realization tag and argmax.  A line's tag is the text s1:s2 of its
-    sigma in groups.line_sigmas, formatted once per prime.
+    realization tag, formatted once per line of each prime (_line_tags),
+    and argmax.
     """
     points = np.array([str(x) for x in range(int(records["argmax"].max(initial=0)) + 1)],
                       dtype=object)  # argmax is a point x >= 0: its text, by value
-    tags = {}  # per prime, each line's tag text
+    tags, offset = _line_tags(records["p"])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# schema: {SWEEP_SCHEMA}\n")
         fh.write("p,kind,realization,character,multiplicity,sup,argmax,a_max,pass\n")
@@ -505,14 +520,7 @@ def write_records_csv(path, records: np.ndarray) -> None:
                 d["character"].tolist(), d["multiplicity"].tolist(), sups)], dtype=object)
             verdict = np.array([",%.12g,%s\n" % (sup * sup, "true" if ok else "false")
                                 for sup, ok in zip(sups, d["passed"].tolist())], dtype=object)
-            realization = np.empty(len(chunk), dtype=object)
-            # a set: np.unique without an index to return imports numpy.ma,
-            # about 30 ms on a sweep's first call
-            for p in set(chunk["p"].tolist()):
-                if p not in tags:
-                    tags[p] = np.array(["%d:%d" % sigma for sigma in zip(
-                        *(s.tolist() for s in line_sigmas(p)))], dtype=object)
-                rows = chunk["p"] == p
-                realization[rows] = tags[p][chunk["realization"][rows]]
-            write_csv_rows(fh, None, [lead[inverse], realization, record[inverse],
-                                      points[chunk["argmax"]], verdict[inverse]])
+            write_csv_rows(fh, None, [lead[inverse],
+                                      tags[offset[chunk["p"]] + chunk["realization"]],
+                                      record[inverse], points[chunk["argmax"]],
+                                      verdict[inverse]])
