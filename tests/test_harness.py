@@ -380,9 +380,10 @@ def test_derivation_mutants_fail_verify_and_oracle(monkeypatch, mutant, p):
 def test_representative_block_mutant_fails_verify_and_oracle(monkeypatch, p):
     # a wrong transport to a non-defining representative, two simple
     # columns' vectors swapped under their labels, gives every line of its
-    # orbit wrong rows.  With seed 0 the one draw at these primes lands in
-    # that orbit, off k's swapped columns, so only a verify that rebuilds
-    # the line apart from the representative's block sees it
+    # orbit wrong rows.  With seed 0 a draw at each of these primes lands in
+    # such an orbit, on a character whose column was not swapped, so only a
+    # verify that rebuilds the line apart from the representative's block
+    # sees it
     import qcatlab.harness as harness
 
     reps = set(torus_orbits(build_hecke_torus(A, p))[0].tolist()) - {p}
