@@ -111,20 +111,19 @@ def cmd_sweep(args) -> int:
         return 2
     result = universal_sweep(cfg)
     path = _out_dir(args) / "sweep.csv"
-    write_records_csv(path, result.records)
+    write_records_csv(path, result.per_prime)
     for p, reason in result.skips:
         print(f"skip p={p}: {reason}")
     for p, message in result.errors:
         print(f"error p={p}: {message}")
-    records = result.records  # in prime order
-    primes, starts, counts = np.unique(records["p"], return_index=True, return_counts=True)
-    for p, start, n in zip(primes.tolist(), starts.tolist(), counts.tolist()):
-        print(f"p={p} kind={records['kind'][start]} records={n} "
-              f"max_sup={records['sup'][start:start + n].max():.6f} p^(3/8)={p ** 0.375:.6f}")
-    failures = gating_failures(records)
-    print(f"wrote {path} ({len(records)} records, "
-          f"{len(failures)} gating failures)")
-    return 3 if result.errors else 1 if len(failures) else 0  # a crash outranks a failed bound
+    for form in result.per_prime:  # every slot is written, so its rows hold the max
+        p = int(form.rows["p"][0, 0])
+        print(f"p={p} kind={form.rows['kind'][0, 0]} records={form.argmax.size} "
+              f"max_sup={form.rows['sup'].max():.6f} p^(3/8)={p ** 0.375:.6f}")
+    failures = gating_failures(result.per_prime)
+    print(f"wrote {path} ({sum(form.argmax.size for form in result.per_prime)} records, "
+          f"{failures} gating failures)")
+    return 3 if result.errors else 1 if failures else 0  # a crash outranks a failed bound
 
 
 def cmd_spectrum(args) -> int:
@@ -142,10 +141,11 @@ def cmd_spectrum(args) -> int:
     spectrum = hecke_spectrum(torus, Realization.of(s1, s2, p))
     path = _out_dir(args) / f"spectrum_p{p}.csv"
     fn = spectrum.eigenfunctions
-    values = fn.vectors.T.ravel()  # column by column
+    # column by column, 12 decimals: noise like -6e-33 rounds to 0, + 0.0 drops its sign
+    values = np.round(fn.vectors.T.ravel(), 12) + 0.0
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("p,kind,character_index,multiplicity,x,re,im\n")
-        write_csv_rows(fh, f"{p},{kind},%d,%d,%d,%.12g,%.12g\n",
+        write_csv_rows(fh, f"{p},{kind},%d,%d,%d,%.12f,%.12f\n",
                        [np.repeat(fn.characters, p), np.repeat(fn.multiplicities, p),
                         np.tile(np.arange(p), p), values.real, values.imag])
     for k, (m, flagged) in enumerate(zip(spectrum.multiplicities().tolist(),

@@ -10,21 +10,17 @@ eigenfunctions produce), so split records above 2 fail `pass` by design.
 Both sweeps run per prime through `_map_primes`, where a prime that raises is
 an error, never a skip.  Each prime's defining spectrum is one labelled
 eigenbasis (a p x p block whose columns carry their torus character); both
-sweeps keep the columns of unflagged characters by mask, and the value
-distribution samples the simple ones.  In all realizations a sweep moves
-that block once per torus orbit of lines, to the orbit's representative
-(none for the defining line's orbit), and scores it there in one pass; the
-orbit's other lines take those rows with the argmax relabelled by the line's
-dilation, since the torus carries moduli along an orbit
-(hecke.torus_orbits), all of an orbit's lines at once and with no object per
-line.  A verify draw transports the defining block straight to its line and
-holds that line's rows against it.  Records form one table (a numpy
-structured array, one row per (prime, realization, character, basis
-vector), the realization named by its line's index in groups.line_sigmas
-order), written as a versioned CSV artifact whose bytes depend only on the
-config.  One writer, write_csv_rows, writes every CSV artifact a chunk of
-rows at a time; sweep.csv formats the text of each distinct record once and
-joins it with each row's realization tag and argmax.
+sweeps keep the columns of unflagged characters, and the value distribution
+samples the simple ones.  In all realizations a sweep moves that block once
+per torus orbit of lines, to the orbit's representative (none for the
+defining line's orbit), and scores it there in one pass; the orbit's other
+lines take those rows with the argmax relabelled by the line's dilation
+(hecke.torus_orbits).  A verify draw transports the defining block straight
+to its line and holds that line's rows against it.  A prime's records keep
+one form (PrimeRecords) until sweep.csv, whose bytes depend only on the
+config, is written from it a character at a time, each line's head and each
+representative row's text formatted once; the table of every row is built
+only on request.
 """
 
 from __future__ import annotations
@@ -34,7 +30,8 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
+from itertools import repeat
 
 import numpy as np
 
@@ -52,6 +49,7 @@ from .models import Realization
 __all__ = [
     "SweepConfig",
     "RECORD_DTYPE",
+    "PrimeRecords",
     "SweepResult",
     "DistributionReport",
     "supremum_records",
@@ -80,7 +78,7 @@ NORM_TOL = 1e-6
 ARGMAX_TIE_TOL = 1e-9
 GATING_MIN_PRIME = 5  # p = 3 is reported but never gates
 HISTOGRAM_BINS = 40  # equal-width bins of the value distribution's histogram
-CSV_CHUNK = 1024  # rows a CSV writer formats at once: about 0.3 MB of sweep.csv objects
+CSV_CHUNK = 1024  # rows a CSV writer formats at once: about 0.3 MB of CSV text objects
 # fields in sweep.csv column order (a_max is written as sup * sup); realization
 # is the line's index in groups.line_sigmas order, written as its sigma's tag;
 # kind is an object, one shared str per block: a fixed-width str field would
@@ -90,9 +88,6 @@ RECORD_DTYPE = np.dtype([("p", np.int64), ("kind", object), ("realization", np.i
                          ("sup", np.float64), ("argmax", np.int64),
                          ("passed", np.bool_), ("gating", np.bool_)])
 _NO_RECORDS = np.empty(0, dtype=RECORD_DTYPE)
-# the fields whose text sweep.csv formats once per run of equal records; p
-# fixes kind within a table, so kind, the dearest to compare, is left out
-_RUN_FIELDS = ("sup", "character", "p", "multiplicity", "passed")
 
 
 @dataclass(frozen=True)
@@ -127,11 +122,47 @@ class SweepConfig:
         return primes_in(self.prime_lo, self.prime_hi)
 
 
+@dataclass(frozen=True)
+class PrimeRecords:
+    """One prime's records until they are written: rows[s] is the
+    supremum_records table of the block scored at representative slot s, and
+    line lines[i] is written with the rows of slot slot[i] (every slot is some
+    line's), its own index as realization and argmax[i] as argmax.  Columns
+    go by nondecreasing character (hecke.HeckeSpectrum), so the rows are
+    written per character, then line, then basis vector."""
+
+    rows: np.ndarray  # (slots, n) RECORD_DTYPE
+    lines: np.ndarray  # (L,) line indices in groups.line_sigmas order, increasing
+    slot: np.ndarray  # (L,)
+    argmax: np.ndarray  # (L, n): one entry per written row
+
+    @classmethod
+    def one_line(cls, rows: np.ndarray) -> PrimeRecords:
+        """The form of one block's supremum_records rows, on its line alone."""
+        return cls(rows[np.newaxis], rows["realization"][:1], np.zeros(1, dtype=np.int64),
+                   rows["argmax"][np.newaxis])
+
+    def table(self) -> np.ndarray:
+        """The written rows as one RECORD_DTYPE table, in sweep.csv order."""
+        order = np.argsort(np.tile(self.rows["character"][0], self.lines.size), kind="stable")
+        line, col = np.divmod(order, self.argmax.shape[1])
+        records = self.rows[self.slot[line], col]
+        records["realization"] = self.lines[line]
+        records["argmax"] = self.argmax[line, col]
+        return records
+
+
 @dataclass
 class SweepResult:
-    records: np.ndarray  # RECORD_DTYPE, in prime order
+    per_prime: list[PrimeRecords]  # in prime order, one per prime with rows
     skips: list[tuple[int, str]] = field(default_factory=list)
     errors: list[tuple[int, str]] = field(default_factory=list)  # (p, "Type: message")
+
+    @cached_property
+    def records(self) -> np.ndarray:
+        """Every written row as one RECORD_DTYPE table, in sweep.csv order."""
+        # the empty table keeps the dtype when every prime is ramified or raised
+        return np.concatenate([_NO_RECORDS, *(form.table() for form in self.per_prime)])
 
 
 def supremum_records(fn: HeckeEigenfunction, kind: str) -> np.ndarray:
@@ -204,37 +235,32 @@ def _defining_spectrum(p: int, A: CatMap):
                  f"(basis fails the eigenvector equation); excluded")
              for k in np.flatnonzero(flagged).tolist()]
     block = spectrum.eigenfunctions
-    return spectrum, block.columns(~flagged[block.characters]), skips
+    # no reader writes into a block, so an unflagged spectrum is kept as it is
+    return spectrum, block.columns(~flagged[block.characters]) if skips else block, skips
 
 
 def _sweep_one_prime(p: int, A: CatMap, realizations: str, verify_samples: int,
-                     seed: int) -> tuple[np.ndarray, list[tuple[int, str]]]:
+                     seed: int) -> tuple[PrimeRecords | None, list[tuple[int, str]]]:
     kind = classify_prime(A, p)
     if kind == "ramified":
-        return _NO_RECORDS, [(p, "ramified prime skipped: p divides trace^2 - 4")]
+        return None, [(p, "ramified prime skipped: p divides trace^2 - 4")]
     spectrum, fn, skips = _defining_spectrum(p, A)
     if realizations == "all":
         orbits = torus_orbits(spectrum.torus)
-        records = _orbit_records(fn, orbits, kind)
-        _verify_lines(fn, spectrum.torus, records,
+        form = _orbit_records(fn, orbits, kind)
+        _verify_lines(fn, spectrum.torus, form,
                       _verify_draws(fn, orbits, verify_samples, seed))
-        return records, skips
-    records = supremum_records(fn, kind)
-    # stable: rows go per character, then basis vector
-    return records[np.argsort(records["character"], kind="stable")], skips
+        return form, skips
+    return PrimeRecords.one_line(supremum_records(fn, kind)), skips
 
 
-def _orbit_records(fn: HeckeEigenfunction, orbits, kind: str) -> np.ndarray:
-    """The record table of every line, per character, then line in
-    enumeration order, then basis vector.
-
-    Each torus orbit's representative scores the block transported there
-    (or fn itself on fn's line); every other line of the orbit takes its
-    rows, with its own index and the argmax relabelled by the line's
-    dilation e: the least y with e y in the representative's tie set
-    (hecke.torus_orbits), for all of the orbit's lines at once, with no
-    Realization but the representatives'.
-    """
+def _orbit_records(fn: HeckeEigenfunction, orbits, kind: str) -> PrimeRecords:
+    """The records of every line, one slot per torus orbit: each orbit's
+    representative scores the block transported there (or fn itself on fn's
+    line), and every other line of the orbit takes its rows, with the argmax
+    relabelled by the line's dilation e: the least y with e y in the
+    representative's tie set (hecke.torus_orbits), for all of the orbit's
+    lines at once, with no Realization but the representatives'."""
     p, n = fn.p, fn.characters.size
     rep, dilation = orbits
     s1, s2 = line_sigmas(p)
@@ -252,16 +278,7 @@ def _orbit_records(fn: HeckeEigenfunction, orbits, kind: str) -> np.ndarray:
         # the least y with e y tied is the least x / e over the tie points
         lines = np.flatnonzero(rep == r)
         argmax[lines] = np.minimum.reduceat(x * inverse[lines, np.newaxis] % p, first, axis=1)
-    scored = np.stack(scored)
-    # stable: rows go per character, then line, then basis vector; one gather
-    # of the representatives' rows, not np.empty, which would first fill every
-    # object field with None, one row at a time
-    order = np.argsort(scored["character"][slot].ravel(), kind="stable")
-    lines, cols = np.divmod(order, n)
-    records = scored[slot[lines], cols]
-    records["realization"] = lines
-    records["argmax"] = argmax[lines, cols]
-    return records
+    return PrimeRecords(np.stack(scored), np.arange(p + 1), slot, argmax)
 
 
 def _verify_draws(fn: HeckeEigenfunction, orbits, n_samples: int,
@@ -298,13 +315,13 @@ def _verify_draws(fn: HeckeEigenfunction, orbits, n_samples: int,
     return draws
 
 
-def _verify_lines(fn: HeckeEigenfunction, torus, records, draws) -> None:
+def _verify_lines(fn: HeckeEigenfunction, torus, form: PrimeRecords, draws) -> None:
     """Rebuild the drawn lines apart from their orbits and re-extract one
     character there directly.
 
     For each (line l, character k) of draws, the defining block fn goes to
     l with one hecke.transport, sharing nothing with the representative's
-    block but fn.  Every row of the records for l, in column order, must
+    block but fn.  Every row the form writes for l, in column order, must
     carry its column's character and give the moved column's sup and
     argmax, and one projector column of l's model at k's argmax must be
     k's moved vector up to a global phase.
@@ -314,17 +331,18 @@ def _verify_lines(fn: HeckeEigenfunction, torus, records, draws) -> None:
     for l, k in draws:
         target = Realization.of(int(s1[l]), int(s2[l]), p)
         moved = transport(fn, target)
-        rows = records[records["realization"] == l]
+        # the form writes every line, line l at position l
+        rows, argmax = form.rows[form.slot[l]], form.argmax[l]
         recs = supremum_records(moved, rows[0]["kind"])
         bad = np.flatnonzero((rows["character"] != moved.characters)
-                             | (rows["argmax"] != recs["argmax"])
+                             | (argmax != recs["argmax"])
                              | ~(np.abs(rows["sup"] - recs["sup"]) <= SUP_TOL))
         if bad.size:
             i = int(bad[0])
             raise RuntimeError(
                 f"derived row disagrees with its transport: p={p} "
                 f"k={moved.characters[i]} realization={target.tag()} "
-                f"row=({rows[i]['character']}, {rows[i]['sup']:.12g}, {rows[i]['argmax']}) "
+                f"row=({rows[i]['character']}, {rows[i]['sup']:.12g}, {argmax[i]}) "
                 f"moved=({recs[i]['sup']:.12g}, {recs[i]['argmax']})")
         (i,) = np.flatnonzero(moved.characters == k)
         direct = projector_column(torus, target, k, int(recs[i]["argmax"]))
@@ -351,16 +369,18 @@ def universal_sweep(cfg: SweepConfig) -> SweepResult:
     results, errors = _map_primes(_sweep_one_prime, cfg.primes(), cfg.jobs,
                                   cfg.matrix, cfg.realizations,
                                   cfg.verify_samples, cfg.seed)
-    # the empty table keeps the dtype when every prime is ramified or raised
-    records = np.concatenate([_NO_RECORDS, *(table for _, (table, _) in results)])
+    per_prime = [form for _, (form, _) in results if form is not None and form.argmax.size]
     skips = [skip for _, (_, prime_skips) in results for skip in prime_skips]
     for sp, reason in skips:
         log.info("p = %d: %s", sp, reason)
-    return SweepResult(records, skips, errors)
+    return SweepResult(per_prime, skips, errors)
 
 
-def gating_failures(records: np.ndarray) -> np.ndarray:
-    return records[records["gating"] & ~records["passed"]]
+def gating_failures(per_prime: list[PrimeRecords]) -> int:
+    """How many written rows gate and fail the flat bound: a representative
+    row counts once per written line of its slot."""
+    return sum(int(np.bincount(form.slot) @ (form.rows["gating"] & ~form.rows["passed"]).sum(1))
+               for form in per_prime)
 
 
 def su2_abs_trace_cdf(s: np.ndarray) -> np.ndarray:
@@ -451,76 +471,52 @@ def value_distribution(cfg: SweepConfig) -> DistributionReport:
     )
 
 
-def write_csv_rows(fh, fmt: str | None, columns) -> None:
+def write_csv_rows(fh, fmt: str, columns) -> None:
     """Write fmt % row for each row of the equal-length 1-D arrays in columns,
-    or with fmt None the row's fields, all str, joined as they are, CSV_CHUNK
-    rows at a time, so only one chunk's Python objects are alive."""
-    row = "".join if fmt is None else fmt.__mod__
+    CSV_CHUNK rows at a time, so only one chunk's Python objects are alive."""
     for lo in range(0, len(columns[0]), CSV_CHUNK):
-        fh.write("".join(map(row, zip(*(c[lo:lo + CSV_CHUNK].tolist() for c in columns)))))
+        fh.write("".join(map(fmt.__mod__, zip(*(c[lo:lo + CSV_CHUNK].tolist() for c in columns)))))
 
 
-def _runs(order: np.ndarray, *fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, inverse): rows grouped into runs equal in every field when
-    taken in the given order, first[i] a row of the i-th run and inverse[r]
-    the run of row r.  Every run is uniform in every field; equal rows
-    that the order keeps apart form several runs."""
-    new = np.zeros(order.size, dtype=bool)
-    new[:1] = True
-    for field in fields:
-        ordered = field[order]
-        new[1:] |= ordered[1:] != ordered[:-1]
-    inverse = np.empty(order.size, dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return order[new], inverse
-
-
-def _line_tags(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(tags, offset): the text s1:s2 of each line's sigma in
-    groups.line_sigmas, for each prime of p, line l of prime q at
-    tags[offset[q] + l]."""
-    # every prime starts a run of equal entries of p; a set, since np.unique
-    # without an index to return imports numpy.ma, about 30 ms a sweep
-    primes = sorted(set(p[np.flatnonzero(np.diff(p, prepend=-1))].tolist()))
-    offset = np.zeros(max(primes, default=0) + 1, dtype=np.int64)
-    text = []
-    for q in primes:
-        offset[q] = len(text)
-        text += ["%d:%d" % sigma for sigma in zip(*(s.tolist() for s in line_sigmas(q)))]
-    return np.array(text, dtype=object), offset
-
-
-def write_records_csv(path, records: np.ndarray) -> None:
-    """sweep.csv: the header, then one row per record.
-
-    The lines of a torus orbit share a record but for its realization and
-    argmax, so each chunk of rows formats the text of each distinct
-    (p, kind, character, multiplicity, sup, pass) once (sup and
-    a_max = sup * sup by %.12g), and a row is that text joined with its
-    realization tag, formatted once per line of each prime (_line_tags),
-    and argmax.
-    """
-    points = np.array([str(x) for x in range(int(records["argmax"].max(initial=0)) + 1)],
-                      dtype=object)  # argmax is a point x >= 0: its text, by value
-    tags, offset = _line_tags(records["p"])
+def write_records_csv(path, per_prime: list[PrimeRecords]) -> None:
+    """sweep.csv: the header, then the rows of each prime's form, a
+    character at a time.  A row joins its line's head p,kind,s1:s2, (formatted
+    once per line), its slot's text character,multiplicity,sup, and
+    ,a_max,pass (once per representative row, sup and a_max = sup * sup by
+    %.12g) and its argmax; one character's rows of text are alive at once,
+    or, when the form has one line, that line's."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# schema: {SWEEP_SCHEMA}\n")
         fh.write("p,kind,realization,character,multiplicity,sup,argmax,a_max,pass\n")
-        for lo in range(0, len(records), CSV_CHUNK):
-            chunk = records[lo:lo + CSV_CHUNK]
-            # by sup, stably: a chunk goes character by character, so the
-            # rows of one record fall into one run
-            first, inverse = _runs(np.argsort(chunk["sup"], kind="stable"),
-                                   *(chunk[name] for name in _RUN_FIELDS))
-            d = chunk[first]
-            sups = d["sup"].tolist()
-            lead = np.array(["%d,%s," % key for key in zip(d["p"].tolist(), d["kind"].tolist())],
-                            dtype=object)
-            record = np.array([",%d,%d,%.12g," % key for key in zip(
-                d["character"].tolist(), d["multiplicity"].tolist(), sups)], dtype=object)
-            verdict = np.array([",%.12g,%s\n" % (sup * sup, "true" if ok else "false")
-                                for sup, ok in zip(sups, d["passed"].tolist())], dtype=object)
-            write_csv_rows(fh, None, [lead[inverse],
-                                      tags[offset[chunk["p"]] + chunk["realization"]],
-                                      record[inverse], points[chunk["argmax"]],
-                                      verdict[inverse]])
+        for form in per_prime:
+            rows = form.rows
+            p, kind = int(rows["p"][0, 0]), rows["kind"][0, 0]
+            s1, s2 = line_sigmas(p)
+            heads = ["%d,%s,%d:%d," % (p, kind, a, b)
+                     for a, b in zip(s1[form.lines].tolist(), s2[form.lines].tolist())]
+            sups = rows["sup"].tolist()
+            record = [["%d,%d,%.12g," % key for key in zip(*fields)] for fields in zip(
+                rows["character"].tolist(), rows["multiplicity"].tolist(), sups)]
+            verdict = [[",%.12g,%s\n" % (sup * sup, "true" if ok else "false")
+                        for sup, ok in zip(*fields)]
+                       for fields in zip(sups, rows["passed"].tolist())]
+            points = [str(x) for x in range(p)]  # argmax is a point x of [0, p)
+            slots = form.slot.tolist()
+            if len(slots) == 1:  # one line: its rows are its columns, in order
+                fh.write("".join(map("".join, zip(
+                    repeat(heads[0]), record[0],
+                    map(points.__getitem__, form.argmax[0].tolist()), verdict[0]))))
+                continue
+            # each character's columns [a, b): the columns go by character
+            bounds = np.flatnonzero(np.diff(rows["character"][0], prepend=-1)).tolist()
+            for a, b in zip(bounds, bounds[1:] + [len(sups[0])]):
+                # line by line, then column by column: column c's rows go to
+                # every (b - a)-th place, from place c - a
+                text = [""] * (len(slots) * (b - a))
+                for c in range(a, b):
+                    rec, ver = [r[c] for r in record], [v[c] for v in verdict]
+                    text[c - a::b - a] = map("".join, zip(
+                        heads, map(rec.__getitem__, slots),
+                        map(points.__getitem__, form.argmax[:, c].tolist()),
+                        map(ver.__getitem__, slots)))
+                fh.write("".join(text))

@@ -93,7 +93,8 @@ class HeckeEigenfunction:
 
     Column j of vectors lies in the space of character characters[j]; the
     columns of one character form a basis of its space, each rescaled to
-    squared norm p with its first nonzero amplitude real positive.
+    squared norm p with its first amplitude of modulus at least 1e-3 times
+    its largest made real positive.
     """
 
     realization: Realization
@@ -148,12 +149,14 @@ class HeckeSpectrum:
 
 
 def _normalize_columns(basis: np.ndarray, p: int) -> np.ndarray:
-    """Each column rescaled to squared norm p with its first entry above 1e-6
-    in modulus made real positive; a column of squared norm p has an entry of
-    modulus at least 1, so that entry always exists."""
+    """Each column rescaled to squared norm p with its first entry of modulus
+    at least 1e-3 times the column's largest made real positive: far above
+    rounding, so every route to a vector picks the same entry."""
     v = basis * (np.sqrt(p) / np.linalg.norm(basis, axis=0))
-    lead = v[np.argmax(np.abs(v) > 1e-6, axis=0), np.arange(v.shape[1])]
-    return v * (np.abs(lead) / lead)
+    mags = np.abs(v)
+    lead = v[np.argmax(mags >= 1e-3 * mags.max(axis=0), axis=0), np.arange(v.shape[1])]
+    v *= np.abs(lead) / lead
+    return v
 
 
 @lru_cache(maxsize=2)

@@ -326,7 +326,7 @@ def test_criterion_9_exclusions_and_determinism(tmp_path):
     for name in ("first.csv", "second.csv"):
         res = universal_sweep(cfg)
         path = tmp_path / name
-        write_records_csv(path, res.records)
+        write_records_csv(path, res.per_prime)
         blobs.append(path.read_bytes())
     det_ok = blobs[0] == blobs[1]
     passed = ram_ok and p3_ok and det_ok

@@ -137,6 +137,32 @@ def test_sweep_deterministic_bytes(tmp_path):
     assert all((out / "sweep.csv").read_bytes() == first for out in outs[1:])
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("args", [
+    ["--primes", "5..31"],
+    ["--primes", "5..13", "--realizations", "all", "--verify-samples", "1"],
+], ids=["defining", "all-verify"])
+def test_sweep_writes_from_the_per_prime_forms(tmp_path, monkeypatch, capsys, args, jobs):
+    # sweep.csv, the summary and the gating count come from each prime's
+    # record form: with the expansion into one table made to raise, the CLI
+    # writes the same bytes and exits the same way
+    import qcatlab.harness as harness
+
+    def refuse(form):
+        raise AssertionError("the sweep expanded its records into one table")
+
+    runs = []
+    for name in ("expandable", "refused"):
+        out = tmp_path / name
+        code = run_cli(["sweep", "--matrix", "2,1;1,1", *args, "--jobs", jobs,
+                        "--out", str(out)])
+        stdout = capsys.readouterr().out.replace(str(out), "OUT")
+        runs.append((code, stdout, (out / "sweep.csv").read_bytes()))
+        monkeypatch.setattr(harness.PrimeRecords, "table", refuse)
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 1 and "records, " in runs[0][1]
+
+
 def test_sweep_crashed_primes_exit_3(tmp_path, monkeypatch, capsys):
     import qcatlab.harness as harness
 
@@ -232,10 +258,26 @@ def test_spectrum_writes_eigenfunctions(tmp_path, capsys):
     rows = [line.split(",") for line in lines[1:]]
     assert rows[0][:5] == ["7", "inert", str(k), "1", "0"]
     assert [r[4] for r in rows] == [str(x) for x in range(7)] * 7
-    # re and im are written as floats, to 12 significant digits
-    values = spectrum.eigenfunctions.vectors.T.ravel().tolist()
-    assert [r[5:] for r in rows] == [[format(v.real, ".12g"), format(v.imag, ".12g")]
-                                     for v in values]
+    # re and im are written to 12 decimals, each rounded from the
+    # spectrum's amplitude (within 5e-13, and float rounding)
+    values = spectrum.eigenfunctions.vectors.T.ravel()
+    written = np.array([[float(x) for x in r[5:]] for r in rows])
+    assert all(len(x.partition(".")[2]) == 12 for r in rows for x in r[5:])
+    assert np.abs(written[:, 0] - values.real).max() < 6e-13
+    assert np.abs(written[:, 1] - values.imag).max() < 6e-13
+
+
+@pytest.mark.parametrize("matrix", ["2,1;1,1", "3,2;1,1"])
+def test_spectrum_values_have_no_exponent_and_no_negative_zero(tmp_path, matrix):
+    # rounding noise in an amplitude, such as an imaginary part of -6e-33,
+    # is written as a plain 0 at fixed decimals, never as 1e-16 or -0
+    assert run_cli(["spectrum", "--matrix", matrix, "--prime", "13",
+                    "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "spectrum_p13.csv").read_text().splitlines()[1:]
+    fields = [x for line in lines for x in line.split(",")[5:]]
+    assert len(fields) == 2 * 13 * 13
+    assert not [x for x in fields if "e" in x.lower() or float(x) == 0 and x.startswith("-")]
+    assert "0.000000000000" in fields
 
 
 def test_sweep_csv_row_format(tmp_path):

@@ -31,7 +31,9 @@ from qcatlab.harness import (
     _defining_spectrum,
     CSV_CHUNK,
     RECORD_DTYPE,
+    PrimeRecords,
     SweepConfig,
+    SweepResult,
     gating_failures,
     su2_abs_trace_cdf,
     su2_abs_trace_moment,
@@ -57,7 +59,7 @@ def test_supremum_check_split_closed_form(tmp_path):
     assert records["passed"].all() and records["gating"].all()
     assert (records["multiplicity"] == 1).all() and (records["p"] == 11).all()
     # a_max is not stored: the CSV writes it from sup
-    write_records_csv(tmp_path / "sweep.csv", records)
+    write_records_csv(tmp_path / "sweep.csv", [PrimeRecords.one_line(records)])
     lines = (tmp_path / "sweep.csv").read_text().splitlines()[2:]
     a_max = np.array([float(line.split(",")[7]) for line in lines])
     assert np.all(np.abs(a_max - records["sup"] ** 2) < 1e-12)
@@ -250,7 +252,7 @@ from qcatlab.harness import SweepConfig, universal_sweep, write_records_csv
 for realizations in ("defining", "all"):
     result = universal_sweep(SweepConfig(matrix=CatMap(2, 1, 1, 1), prime_lo=5, prime_hi=13,
                                          realizations=realizations))
-    write_records_csv({str(tmp_path / "sweep.csv")!r}, result.records)
+    write_records_csv({str(tmp_path / "sweep.csv")!r}, result.per_prime)
 print(len(result.records), "numpy.ma" in sys.modules)
 """
     assert _fresh_stdout(code) == ["370", "False"]
@@ -572,7 +574,7 @@ def test_csv_schema_and_determinism(tmp_path):
     for name in ("a.csv", "b.csv"):
         result = universal_sweep(cfg)
         path = tmp_path / name
-        write_records_csv(path, result.records)
+        write_records_csv(path, result.per_prime)
         paths.append(path)
     a, b = (p.read_bytes() for p in paths)
     assert a == b
@@ -584,15 +586,16 @@ def test_csv_schema_and_determinism(tmp_path):
 
 
 def test_records_csv_peak_memory_is_one_chunk(tmp_path):
-    # the writer formats CSV_CHUNK rows at a time, about 300 B of Python
-    # objects a row, so its peak is fixed by the chunk: 1 kB a chunk row bounds
-    # it, while a writer holding every row at once needs about 300 B a table row
+    # the writer holds one prime's record text and one character's rows at a
+    # time (a 0.1 MB peak at 5..61), so 1 kB a chunk row bounds it, while a
+    # writer holding every row at once needs about 300 B a table row
     bound = 1000 * CSV_CHUNK
     for hi in (31, 61):
-        records = universal_sweep(config(5, hi, realizations="all")).records
+        result = universal_sweep(config(5, hi, realizations="all"))
+        records = result.records
         tracemalloc.start()
         try:
-            write_records_csv(tmp_path / "sweep.csv", records)
+            write_records_csv(tmp_path / "sweep.csv", result.per_prime)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -602,30 +605,41 @@ def test_records_csv_peak_memory_is_one_chunk(tmp_path):
 
 @pytest.mark.parametrize("matrix", [A, CatMap(3, 2, 1, 1)], ids=["2,1;1,1", "3,2;1,1"])
 def test_records_csv_is_the_row_by_row_text(tmp_path, matrix):
-    # each distinct record formatted once and joined with its rows' fields
-    # gives the bytes of formatting every row on its own: in the defining
+    # each written line's head and each representative row's text formatted
+    # once and joined with each row's argmax give the bytes of formatting
+    # every row of the expanded table on its own: in the defining
     # realization, in all realizations with verify draws (degenerate rows,
     # and equal sups across characters on the fixed lines), and for no rows
-    tables = [
-        universal_sweep(SweepConfig(matrix=matrix, prime_lo=3, prime_hi=61)).records,
+    results = [
+        universal_sweep(SweepConfig(matrix=matrix, prime_lo=3, prime_hi=61)),
         universal_sweep(SweepConfig(matrix=matrix, prime_lo=5, prime_hi=31,
-                                    realizations="all", verify_samples=1)).records,
-        _NO_RECORDS,
+                                    realizations="all", verify_samples=1)),
+        SweepResult([]),
     ]
-    assert (tables[1]["multiplicity"] > 1).any()
-    for records in tables:
+    assert (results[1].records["multiplicity"] > 1).any()
+    for result in results:
         path = tmp_path / "sweep.csv"
-        write_records_csv(path, records)
-        assert path.read_text(encoding="utf-8") == records_csv_by_rows(records)
+        write_records_csv(path, result.per_prime)
+        assert path.read_text(encoding="utf-8") == records_csv_by_rows(result.records)
 
 
 def test_gating_failures_filter():
     result = universal_sweep(config(7, 7))
-    assert len(gating_failures(result.records)) == 0
+    assert gating_failures(result.per_prime) == 0
     result11 = universal_sweep(config(11, 11))
-    failing = gating_failures(result11.records)
+    records = result11.records
+    failing = records[records["gating"] & ~records["passed"]]
     # the split prime 11 genuinely exceeds the flat bound at one character
     assert len(failing) and (failing["sup"] > 2.0).all()
+    assert gating_failures(result11.per_prime) == len(failing)
+    # in all realizations a representative's failing row counts once for
+    # each line of its orbit
+    result11 = universal_sweep(config(11, 11, realizations="all"))
+    records = result11.records
+    failing = np.count_nonzero(records["gating"] & ~records["passed"])
+    rows = result11.per_prime[0].rows
+    assert failing > np.count_nonzero(rows["gating"] & ~rows["passed"]) > 0
+    assert gating_failures(result11.per_prime) == failing
 
 
 def test_config_validation():

@@ -166,7 +166,7 @@ def test_eigenfunction_normalization_and_phase(spectrum7):
     for k in np.flatnonzero(spectrum7.multiplicities() == 1).tolist():
         v = eigenfunction(spectrum7, k).vectors[:, 0]
         assert abs(np.vdot(v, v).real - 7) < 1e-9
-        lead = v[np.flatnonzero(np.abs(v) > 1e-6)[0]]
+        lead = v[np.flatnonzero(np.abs(v) >= 1e-3 * np.abs(v).max())[0]]
         assert abs(lead.imag) < 1e-9 and lead.real > 0
 
 
@@ -321,10 +321,9 @@ def test_basis_is_the_four_column_basis(matrix):
     # the column at x = 1 for simple characters against pivoted Gram-Schmidt
     # over four base columns for every character, degenerate columns
     # included: each column agrees to 1e-12 up to a unit phase.  With the
-    # phase _normalize_columns fixes they agree to 1e-9: the phase is read
-    # off the first entry above 1e-6, which can be a rounding-sized one (at
-    # p = 71, |v(0)| = 1.06e-6 sets it with relative error about 1e-9 on
-    # either route)
+    # phase _normalize_columns fixes they agree to 1e-11 (4.7e-12 at worst):
+    # the phase is read off the first entry of at least 1e-3 times the
+    # column's largest, whose relative rounding stays near the largest's
     for p in primes_in(3, 199):
         if classify_prime(matrix, p) == "ramified":
             continue
@@ -336,7 +335,7 @@ def test_basis_is_the_four_column_basis(matrix):
             expected_labels, expected = four_column_basis(torus, r)
             assert np.array_equal(labels, expected_labels), (p, lag.sigma)
             u, v = _normalize_columns(basis, p), _normalize_columns(expected, p)
-            assert np.abs(u - v).max() < 1e-9, (p, lag.sigma)
+            assert np.abs(u - v).max() < 1e-11, (p, lag.sigma)
             overlap = (v.conj() * u).sum(axis=0)
             assert np.abs(u - v * (overlap / np.abs(overlap))).max() < 1e-12, (p, lag.sigma)
 
