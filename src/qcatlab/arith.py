@@ -3,9 +3,9 @@
 Everything downstream consumes three ingredients from this module: residue
 arithmetic in F_p, the additive character psi(a) = exp(2*pi*i*a/p) (read from
 the table unit_roots(p)), and the Legendre symbol.  Complex values are double
-precision; the root-of-unity tables are computed once per modulus and cached,
-so repeated character sums are bit-stable across calls and the characters of
-any cyclic group of order n read the same table unit_roots(n).
+precision; the root-of-unity tables are cached for the last few moduli and
+recomputed bit for bit, so repeated character sums are bit-stable and the
+characters of any cyclic group of order n read the same table unit_roots(n).
 """
 
 from __future__ import annotations
@@ -54,9 +54,9 @@ def half_mod(a: int, p: int) -> int:
     return (a * ((p + 1) // 2)) % p
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def unit_roots(n: int) -> np.ndarray:
-    """exp(2*pi*i*k/n) for k in [0, n), computed once per n and reused.
+    """exp(2*pi*i*k/n) for k in [0, n), cached for the last few n.
 
     The returned array is shared; callers must treat it as read-only.
     """

@@ -3,12 +3,14 @@ the commutant torus of a hyperbolic integer matrix.
 
 Conventions: omega(u, v) = u1*v2 - u2*v1 on F_p^2, the Heisenberg product is
 (v, z)(v', z') = (v + v', z + z' + omega(v, v')/2), and SL2(F_p) acts on the
-Heisenberg group by (v, z) -> (g v, z).
+Heisenberg group by (v, z) -> (g v, z).  The torus's generator and all its
+powers come from one cached integer walk (torus_elements).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,6 +25,7 @@ __all__ = [
     "HeckeTorus",
     "classify_prime",
     "build_hecke_torus",
+    "torus_elements",
     "enumerate_lagrangians",
     "line_sigmas",
     "line_index",
@@ -266,26 +269,28 @@ class HeckeTorus:
         return self.matrix.p
 
 
-def _prime_factors(n: int) -> list[int]:
-    """The distinct primes dividing n >= 1, by trial division."""
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    return out + [n] if n > 1 else out
+@lru_cache(maxsize=2)
+def _walk(g: SympMatrix, n: int) -> tuple[np.ndarray, ...] | None:
+    """Entries (a, b, c, d) of g^j for j in [0, n), each an (n,) read-only
+    integer array, or None once g^j = I for some 0 < j < n: in the cyclic
+    torus of order n, a walk that completes is a generator's."""
+    p, rows = g.p, [(1, 0, 0, 1)]
+    for _ in range(n - 1):
+        a, b, c, d = rows[-1]
+        row = ((g.a * a + g.b * c) % p, (g.a * b + g.b * d) % p,
+               (g.c * a + g.d * c) % p, (g.c * b + g.d * d) % p)
+        if row == (1, 0, 0, 1):
+            return None
+        rows.append(row)
+    entries = np.array(rows, dtype=np.int64).T
+    entries.setflags(write=False)
+    return tuple(entries)
 
 
-def _power(g: SympMatrix, e: int) -> SympMatrix:
-    """g^e by repeated squaring."""
-    out = SympMatrix.identity(g.p)
-    while e:
-        if e & 1:
-            out = out * g
-        g, e = g * g, e >> 1
-    return out
+def torus_elements(torus: HeckeTorus) -> tuple[np.ndarray, ...]:
+    """Entries (a, b, c, d) of generator^j for j in [0, N): the cached walk
+    that found the generator, so every reader of the torus shares it."""
+    return _walk(torus.generator, torus.order)
 
 
 def _norm_one_pairs(t: int, p: int) -> np.ndarray:
@@ -321,11 +326,8 @@ def build_hecke_torus(A: CatMap, p: int) -> HeckeTorus:
     order = p - 1 if kind == "split" else p + 1
     if len(pairs) != order:
         raise RuntimeError(f"commutant size {len(pairs)} != {order} for {kind} p = {p}")
-    # in a cyclic group of order N, g generates iff g^(N/q) != I for every
-    # prime q dividing N
-    factors = _prime_factors(order)
     for x0, y0 in pairs:
         g = SympMatrix(x0 + y0 * Ap.a, y0 * Ap.b, y0 * Ap.c, x0 + y0 * Ap.d, p)
-        if all(_power(g, order // q) != SympMatrix.identity(p) for q in factors):
+        if _walk(g, order) is not None:
             return HeckeTorus(Ap, kind, order, g)
     raise RuntimeError(f"no generator of order {order} found at p = {p}")

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import logging
 import random
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -201,6 +200,12 @@ def supremum_records(fn: HeckeEigenfunction, kind: str) -> np.ndarray:
 def _ties(mags_sq: np.ndarray, sups: np.ndarray) -> np.ndarray:
     """Where each column's squared modulus ties its maximum sup^2."""
     return mags_sq >= sups * sups - ARGMAX_TIE_TOL
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """The process pool, imported (with multiprocessing) only when started."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+    return pool(max_workers=max_workers)
 
 
 def _map_primes(fn, primes: list[int], jobs: int, *args):

@@ -1,7 +1,8 @@
 """Character decomposition of the torus action on a model and eigenfunction
 extraction.
 
-The torus is cyclic of order N, with generator g.  Its character spaces are
+The torus is cyclic of order N, with generator g, and the entries of every
+g^j come from one cached walk, groups.torus_elements.  Its character spaces are
 the ranges of the projectors P_k = (1/N) sum_j conj(chi_k(g^j)) rho(g^j), the
 function-level shadow of the paper's torus sums of Weil-representation
 kernels.  Every entry of rho(g^j) has a closed form, a chirp whose
@@ -33,12 +34,11 @@ columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .arith import unit_roots
-from .groups import HeckeTorus, line_index, line_sigmas
+from .groups import HeckeTorus, line_index, line_sigmas, torus_elements
 from .models import (
     Realization,
     WeilChirps,
@@ -135,13 +135,13 @@ class HeckeSpectrum:
 
     @property
     def flagged(self) -> np.ndarray:
-        """Per character: its columns miss the eigenvector equation.  An empty
-        character has residual 0, so it is never flagged."""
+        """Per character: its columns miss the eigenvector equation, or their
+        residual is NaN.  An empty character has residual 0: never flagged."""
         # the FFT residual's rounding grows slowly with p (at most 6.2e-15 for
         # p <= 199 with either map, 5.6e-15 at p = 1009), and an eigenvalue halfway
         # between roots leaves about pi / N >= pi / (p + 1): 1e-7 p parts them
         # for p < 5000
-        return self.residuals > 1e-7 * self.p
+        return ~(self.residuals <= 1e-7 * self.p)
 
     def multiplicities(self) -> np.ndarray:
         """Per character: how many columns of the block carry it."""
@@ -157,22 +157,6 @@ def _normalize_columns(basis: np.ndarray, p: int) -> np.ndarray:
     lead = v[np.argmax(mags >= 1e-3 * mags.max(axis=0), axis=0), np.arange(v.shape[1])]
     v *= np.abs(lead) / lead
     return v
-
-
-@lru_cache(maxsize=2)
-def _torus_elements(torus: HeckeTorus) -> tuple[np.ndarray, ...]:
-    """Entries (a, b, c, d) of generator^j for j in [0, N), each an (N,)
-    read-only integer array, walked once per torus: the basis, the orbits
-    and each verify draw's projector column read the same walk."""
-    p, g = torus.p, torus.generator
-    rows = [(1, 0, 0, 1)]
-    for _ in range(torus.order - 1):
-        a, b, c, d = rows[-1]
-        rows.append(((g.a * a + g.b * c) % p, (g.a * b + g.b * d) % p,
-                     (g.c * a + g.d * c) % p, (g.c * b + g.d * d) % p))
-    entries = np.array(rows, dtype=np.int64).T
-    entries.setflags(write=False)
-    return tuple(entries)
 
 
 def _along_torus(table: np.ndarray) -> np.ndarray:
@@ -226,7 +210,7 @@ def _pivoted_basis(ch: WeilChirps, ks: np.ndarray, mass: np.ndarray,
         left = mass[live] - (np.abs(prev[:, :, :count]) ** 2).sum(axis=0)
         pivot = (left >= left.max(axis=1, keepdims=True) - PIVOT_TIE_TOL / p).argmax(axis=1)
         least = p * left[np.arange(live.size), pivot].min()
-        if least < BASE_MASS_FLOOR:
+        if not least >= BASE_MASS_FLOOR:
             raise RuntimeError(f"a base point of mass {least:.3g} / p carries an eigenvector")
         col = np.empty((live.size, p), dtype=np.complex128)
         for b in sorted(set(pivot.tolist())):
@@ -257,18 +241,18 @@ def _character_basis(torus: HeckeTorus, r: Realization) -> tuple[np.ndarray, np.
     imaginary part or a chosen base point has too little mass.
     """
     p, n = r.p, torus.order
-    ch = weil_chirps(r, _torus_elements(torus))
+    ch = weil_chirps(r, torus_elements(torus))
     x = np.arange(p)
     diag = _mirror(_along_torus(_half_diagonals(ch)))  # [k, x] = P_k[x, x]
     trace = diag.real.sum(axis=1)
     mult = np.rint(trace).astype(np.int64)
     off = np.abs(trace - mult).max()
-    if off > TRACE_TOL or mult.min() < 0 or mult.sum() != p:
+    if not off <= TRACE_TOL or mult.min() < 0 or mult.sum() != p:
         raise RuntimeError(f"torus projector traces miss the integers by {off:.3g}, "
                            f"or round to multiplicities {mult.tolist()} that are not "
                            f"a partition of p = {p}")
     imag = p * np.abs(diag.imag).max()
-    if imag > MASS_IMAG_TOL:
+    if not imag <= MASS_IMAG_TOL:
         raise RuntimeError(f"point masses p P_k[x, x] have imaginary part {imag:.3g}")
     mass = diag.real[:, :BASE_POINTS].copy()  # [k, b] = P_k[b, b]
     at_one = diag.real[:, 1].copy()  # P_k[1, 1]
@@ -357,7 +341,7 @@ def torus_orbits(torus: HeckeTorus) -> tuple[np.ndarray, np.ndarray]:
     representative has dilation 1.
     """
     p = torus.p
-    a, b, c, d = _torus_elements(torus)
+    a, b, c, d = torus_elements(torus)
     s1, s2 = line_sigmas(p)
     t1, t2 = _canonical_tau(s1, s2, p)
     rep = np.full(p + 1, -1)
@@ -378,5 +362,5 @@ def projector_column(torus: HeckeTorus, r: Realization, k: int, b: int) -> np.nd
     here at any b and with no spectrum.  For a simple character it is the
     eigenvector v times conj(v(b)) / p at squared norm p, so a base point b
     where |v| is largest gives it with the least relative rounding."""
-    ch = weil_chirps(r, _torus_elements(torus))
+    ch = weil_chirps(r, torus_elements(torus))
     return _projector_columns(ch, np.array([k % torus.order]), b)[0]

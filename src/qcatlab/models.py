@@ -312,7 +312,7 @@ def _validate_family(p: int, scale: complex) -> None:
     tol = 1e-9 * np.linalg.norm(v)
 
     def check(lhs, rhs, failure):
-        if np.linalg.norm(lhs - rhs) > tol:
+        if not np.linalg.norm(lhs - rhs) <= tol:
             raise IntertwinerConstructionError(failure)
 
     def apply(pairs, block):

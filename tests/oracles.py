@@ -2,8 +2,8 @@
 
 None of this runs in the program: each helper rebuilds a quantity the
 package computes by another path (the torus generator by walking each
-candidate's powers, the commutant's norm-one pairs by scanning the plane,
-the whole torus from its generator, the
+candidate's powers and by the prime factors of its order, the commutant's
+norm-one pairs by scanning the plane, the whole torus from its generator, the
 canonical intertwiners from their definitions by summation and by
 decomposition, an intertwiner in another gauge, the SL2 action from the
 Egorov equation, the torus spectrum from a dense eigensolver, the split
@@ -27,6 +27,7 @@ from qcatlab.groups import (
     SympMatrix,
     classify_prime,
     enumerate_lagrangians,
+    torus_elements,
 )
 from qcatlab.harness import RECORD_DTYPE, SWEEP_SCHEMA, supremum_records
 from qcatlab.hecke import (
@@ -38,7 +39,6 @@ from qcatlab.hecke import (
     _half_diagonals,
     _mirror,
     _normalize_columns,
-    _torus_elements,
     transport,
 )
 from qcatlab.models import (
@@ -73,6 +73,32 @@ def generator_by_element_orders(A: CatMap, p: int) -> SympMatrix:
             while acc != SympMatrix.identity(p):
                 acc, k = acc * g, k + 1
             if k == order:
+                return g
+    raise RuntimeError(f"no element of order {order} at p = {p}")
+
+
+def generator_by_prime_factors(A: CatMap, p: int) -> SympMatrix:
+    """The first element of the x-major walk of the commutant of A mod p
+    with g^(N / q) != I for every prime q dividing its order N, each power
+    taken by repeated squaring."""
+    Ap = A.reduce(p)
+    order = p - 1 if classify_prime(A, p) == "split" else p + 1
+    factors = [q for q in range(2, order + 1)
+               if order % q == 0 and all(q % d for d in range(2, q))]
+
+    def power(g, e):
+        out = SympMatrix.identity(p)
+        while e:
+            if e & 1:
+                out = out * g
+            g, e = g * g, e >> 1
+        return out
+
+    ys = np.arange(p)
+    for x in range(p):
+        for y in np.flatnonzero((x * x + Ap.trace() * x * ys + ys * ys) % p == 1).tolist():
+            g = SympMatrix(x + y * Ap.a, y * Ap.b, y * Ap.c, x + y * Ap.d, p)
+            if all(power(g, order // q) != SympMatrix.identity(p) for q in factors):
                 return g
     raise RuntimeError(f"no element of order {order} at p = {p}")
 
@@ -347,7 +373,7 @@ def four_column_basis(torus: HeckeTorus, r: Realization) -> tuple[np.ndarray, np
     already chosen, normalised.  The four columns rho(g^j)[:, b] are
     evaluated entry by entry and taken along the torus by one FFT."""
     p, n = r.p, torus.order
-    ch = weil_chirps(r, _torus_elements(torus))
+    ch = weil_chirps(r, torus_elements(torus))
     y = np.arange(p)
     base = y[:4]
     mass = _mirror(_along_torus(_half_diagonals(ch))).real  # [k, x] = P_k[x, x]

@@ -5,7 +5,12 @@ import pytest
 
 import numpy as np
 
-from oracles import generator_by_element_orders, norm_one_pairs_by_scan, torus_powers
+from oracles import (
+    generator_by_element_orders,
+    generator_by_prime_factors,
+    norm_one_pairs_by_scan,
+    torus_powers,
+)
 from qcatlab.arith import primes_in
 from qcatlab.groups import (
     CatMap,
@@ -14,11 +19,13 @@ from qcatlab.groups import (
     SympMatrix,
     SymplecticVector,
     _norm_one_pairs,
+    _walk,
     build_hecke_torus,
     classify_prime,
     enumerate_lagrangians,
     line_index,
     line_sigmas,
+    torus_elements,
 )
 
 A_DEFAULT = CatMap(2, 1, 1, 1)
@@ -263,13 +270,53 @@ def test_generator_is_pinned(matrix):
 
 @pytest.mark.parametrize("matrix", sorted(PINNED_GENERATORS))
 def test_generator_matches_the_walk_of_element_orders(matrix):
-    # the prime-factor test of full order picks the same candidate of the
-    # x-major walk as multiplying each candidate until it returns to I
+    # the first candidate of the x-major walk whose powers complete N steps
+    # is the one multiplying each candidate until it returns to I finds
     A = CatMap.parse(matrix)
     primes = [p for p in primes_in(3, 199) if classify_prime(A, p) != "ramified"]
     for p in primes:
         assert build_hecke_torus(A, p).generator == generator_by_element_orders(A, p), p
     assert len(primes) == 44
+
+
+@pytest.mark.parametrize("matrix", sorted(PINNED_GENERATORS))
+def test_generator_is_the_prime_factor_search(matrix):
+    # the first candidate whose walk of powers completes is the first with
+    # g^(N/q) != I at every prime q dividing N, the search the walk replaced
+    A = CatMap.parse(matrix)
+    primes = [p for p in primes_in(3, 199) if classify_prime(A, p) != "ramified"]
+    for p in primes + [1009, 2003]:
+        assert build_hecke_torus(A, p).generator == generator_by_prime_factors(A, p), p
+
+
+@pytest.mark.parametrize("matrix", sorted(PINNED_GENERATORS))
+def test_torus_elements_are_the_powers(matrix):
+    # the cached walk, entry for entry, against g^j by repeated products
+    A = CatMap.parse(matrix)
+    for p in primes_in(3, 61):
+        if classify_prime(A, p) == "ramified":
+            continue
+        torus = build_hecke_torus(A, p)
+        powers = torus_powers(torus)
+        expected = [[getattr(g, name) for g in powers] for name in "abcd"]
+        assert [e.tolist() for e in torus_elements(torus)] == expected, p
+
+
+def test_walk_stops_at_the_identity_and_is_read_only():
+    # N is even, so the generator's square has order N / 2: its walk meets I
+    # before N steps and returns None
+    for p in (7, 11, 13, 101):
+        torus = build_hecke_torus(A_DEFAULT, p)
+        g = torus.generator
+        assert torus.order % 2 == 0
+        assert _walk(g * g, torus.order) is None, p
+        entries = torus_elements(torus)
+        assert entries is torus_elements(torus)
+        for e in entries:
+            assert e.dtype == np.int64 and e.shape == (torus.order,)
+            assert not e.flags.writeable
+            with pytest.raises(ValueError):
+                e[0] = 0
 
 
 @pytest.mark.parametrize("matrix", sorted(PINNED_GENERATORS))

@@ -16,7 +16,7 @@ from oracles import (
     split_closed_form,
 )
 import qcatlab
-from qcatlab.arith import pow_mod
+from qcatlab.arith import pow_mod, unit_roots
 from qcatlab.groups import CatMap, build_hecke_torus, classify_prime, line_index
 from qcatlab.hecke import (
     HeckeEigenfunction,
@@ -159,6 +159,45 @@ def test_flagged_character_excluded_from_sweep_and_distribution(monkeypatch):
     report = value_distribution(config(7, 7))
     assert report.sample_count == 6 * 7
     assert report.skipped == [skip]
+
+
+def test_nan_residuals_skip_every_character_of_the_prime(monkeypatch):
+    import qcatlab.hecke as hecke
+
+    # p = 13 is inert with 13 simple characters: an intertwiner that returns
+    # NaN leaves no eigenvector equation checked, so none may be written
+    monkeypatch.setattr(hecke, "intertwine",
+                        lambda target, source, block: np.full_like(block, np.nan))
+    sweep = universal_sweep(config(13, 13))
+    assert len(sweep.records) == 0
+    assert len(sweep.skips) == 13
+    assert all("indeterminate" in reason for _, reason in sweep.skips)
+    assert not sweep.errors
+
+
+def test_unit_roots_cache_is_bounded():
+    # each prime reads the tables of p and of the torus order N; a sweep
+    # must not keep the tables of every prime it has passed
+    unit_roots.cache_clear()
+    universal_sweep(config(5, 61))
+    info = unit_roots.cache_info()
+    assert info.misses > 16  # the sweep read more tables than the bound keeps
+    assert info.maxsize is not None and info.currsize <= info.maxsize <= 16
+
+
+def test_import_and_serial_sweep_load_no_multiprocessing(tmp_path):
+    # only a run that starts a process pool imports it: the import of
+    # multiprocessing (with socket, selectors and queue) costs start-up time
+    code = f"""
+import sys
+import qcatlab.cli
+print("multiprocessing" in sys.modules)
+qcatlab.cli.main(["sweep", "--matrix", "2,1;1,1", "--primes", "5..13", "--jobs", "1",
+                  "--out", {str(tmp_path)!r}])
+print("multiprocessing" in sys.modules)
+"""
+    out = _fresh_stdout(code)
+    assert (out[0], out[-1]) == ("False", "False")
 
 
 def test_sweep_transport_verification_runs():

@@ -20,6 +20,7 @@ from qcatlab.groups import (
     build_hecke_torus,
     classify_prime,
     enumerate_lagrangians,
+    torus_elements,
 )
 from qcatlab.hecke import (
     BASE_MASS_FLOOR,
@@ -29,7 +30,6 @@ from qcatlab.hecke import (
     _mirror,
     _normalize_columns,
     _projector_columns,
-    _torus_elements,
     eigenfunction,
     hecke_spectrum,
     projector_column,
@@ -197,6 +197,18 @@ def test_eigenvalue_between_roots_is_flagged(monkeypatch, torus7, spectrum7):
         assert abs(spectrum.residuals[k] - misfit) < 1e-12
     assert (spectrum.multiplicities() == spectrum7.multiplicities()).all()
     assert block.vectors.tobytes() == spectrum7.eigenfunctions.vectors.tobytes()
+
+
+def test_nan_residuals_flag_every_nonempty_character(monkeypatch, torus7):
+    # rho(gen) returning NaN checks no eigenvector equation: every character
+    # with columns is flagged, and the empty one keeps its residual 0
+    import qcatlab.hecke as hecke
+
+    monkeypatch.setattr(hecke, "intertwine",
+                        lambda target, source, block: np.full_like(block, np.nan))
+    spectrum = hecke_spectrum(torus7, Realization.standard(7))
+    assert np.isnan(spectrum.residuals).sum() == 7
+    assert spectrum.flagged.tolist() == (spectrum.multiplicities() > 0).tolist()
 
 
 @pytest.mark.parametrize("matrix", ["2,1;1,1", "3,2;1,1"])
@@ -589,7 +601,7 @@ def test_tables_are_the_weil_entries(case):
     y = np.arange(torus.p)
     ks = np.arange(torus.order)
     for lag in lines:
-        chirps = weil_chirps(Realization.canonical(lag), _torus_elements(torus))
+        chirps = weil_chirps(Realization.canonical(lag), torus_elements(torus))
         assert np.array_equal(_mirror(_half_diagonals(chirps)), weil_entries(chirps, y, y))
         for b in y[:4].tolist():
             # sums of N unit-modulus terms over N: rounding at most about

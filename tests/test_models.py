@@ -273,6 +273,16 @@ def test_validation_rejects_a_conjugate_constant(p):
         _validate_family(p, np.conj(averaging_scale(p)))
 
 
+@pytest.mark.parametrize("scale", [np.nan, np.inf, complex(np.nan, np.nan)])
+@pytest.mark.parametrize("p", [11, 13])
+def test_validation_rejects_a_non_finite_constant(p, scale):
+    # a NaN residual compares false with every bound, so a check that raises
+    # only when the residual exceeds its bound would pass it; p = 11 and 13
+    # are 3 and 1 mod 4
+    with np.errstate(invalid="ignore"), pytest.raises(IntertwinerConstructionError):
+        _validate_family(p, scale)
+
+
 @pytest.mark.parametrize("p", [7, 11])
 def test_validation_rejects_a_beta_off_by_one(p, monkeypatch):
     # a wrong bilinear frequency breaks the operators themselves: the
