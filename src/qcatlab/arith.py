@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def is_odd_prime(p: int) -> bool:
     if p < 3 or p % 2 == 0:
         return False
@@ -86,4 +86,4 @@ def legendre_symbol(a, p: int):
 
 def primes_in(lo: int, hi: int) -> list[int]:
     """Odd primes p with lo <= p <= hi."""
-    return [p for p in range(max(lo, 3), hi + 1) if is_odd_prime(p)]
+    return [p for p in range(max(lo, 3) | 1, hi + 1, 2) if is_odd_prime(p)]

@@ -118,10 +118,10 @@ def cmd_sweep(args) -> int:
         print(f"error p={p}: {message}")
     for form in result.per_prime:  # every slot is written, so its rows hold the max
         p = int(form.rows["p"][0, 0])
-        print(f"p={p} kind={form.rows['kind'][0, 0]} records={form.argmax.size} "
+        print(f"p={p} kind={form.rows['kind'][0, 0]} records={form.size} "
               f"max_sup={form.rows['sup'].max():.6f} p^(3/8)={p ** 0.375:.6f}")
     failures = gating_failures(result.per_prime)
-    print(f"wrote {path} ({sum(form.argmax.size for form in result.per_prime)} records, "
+    print(f"wrote {path} ({sum(form.size for form in result.per_prime)} records, "
           f"{failures} gating failures)")
     return 3 if result.errors else 1 if failures else 0  # a crash outranks a failed bound
 

@@ -13,14 +13,15 @@ eigenbasis (a p x p block whose columns carry their torus character); both
 sweeps keep the columns of unflagged characters, and the value distribution
 samples the simple ones.  In all realizations a sweep moves that block once
 per torus orbit of lines, to the orbit's representative (none for the
-defining line's orbit), and scores it there in one pass; the orbit's other
-lines take those rows with the argmax relabelled by the line's dilation
+defining line's orbit), and scores it there in one pass, which also finds
+the points where each column ties its maximum; every line of the orbit
+takes those rows, its argmax the least tie point over its dilation
 (hecke.torus_orbits).  A verify draw transports the defining block straight
 to its line and holds that line's rows against it.  A prime's records keep
-one form (PrimeRecords) until sweep.csv, whose bytes depend only on the
-config, is written from it a character at a time, each line's head and each
-representative row's text formatted once; the table of every row is built
-only on request.
+one form (PrimeRecords) of O(p) entries until sweep.csv, whose bytes
+depend only on the config, is written from it a character at a time,
+every line's argmax derived once, each line's head and each representative
+row's text formatted once; the table of every row is built only on request.
 """
 
 from __future__ import annotations
@@ -126,28 +127,48 @@ class PrimeRecords:
     """One prime's records until they are written: rows[s] is the
     supremum_records table of the block scored at representative slot s, and
     line lines[i] is written with the rows of slot slot[i] (every slot is some
-    line's), its own index as realization and argmax[i] as argmax.  Columns
-    go by nondecreasing character (hecke.HeckeSpectrum), so the rows are
-    written per character, then line, then basis vector."""
+    line's), its own index as realization and argmax([i]) as argmax: the
+    least x / e over the slot's tie points x, for the line's dilation e
+    (hecke.torus_orbits), ties[s] = (x, first) holding column c's from
+    x[first[c]] on (a one-line orbit keeps only its least).  Columns go by
+    nondecreasing character (hecke.HeckeSpectrum), so the rows are written
+    per character, then line, then basis vector."""
 
     rows: np.ndarray  # (slots, n) RECORD_DTYPE
     lines: np.ndarray  # (L,) line indices in groups.line_sigmas order, increasing
     slot: np.ndarray  # (L,)
-    argmax: np.ndarray  # (L, n): one entry per written row
+    inverse: np.ndarray  # (L,) each line's 1 / e mod p: 1 on a representative
+    ties: tuple  # (slots,) of (x, first)
 
     @classmethod
     def one_line(cls, rows: np.ndarray) -> PrimeRecords:
         """The form of one block's supremum_records rows, on its line alone."""
         return cls(rows[np.newaxis], rows["realization"][:1], np.zeros(1, dtype=np.int64),
-                   rows["argmax"][np.newaxis])
+                   np.ones(1, dtype=np.int64), ((rows["argmax"].copy(), np.arange(rows.size)),))
+
+    @property
+    def size(self) -> int:  # the rows written: one per line and column
+        return self.slot.size * self.rows.shape[1]
+
+    def argmax(self, at) -> np.ndarray:
+        """The argmax of the lines at positions at (an index array or a
+        slice), one row of n per line: the one reader of the tie points."""
+        at = np.arange(self.slot.size)[at]
+        p, slot = int(self.rows["p"][0, 0]), self.slot[at]
+        argmax = np.empty((at.size, self.rows.shape[1]), dtype=np.int64)
+        for s, (x, first) in enumerate(self.ties):
+            mine = np.flatnonzero(slot == s)
+            argmax[mine] = np.minimum.reduceat(
+                x * self.inverse[at[mine], np.newaxis] % p, first, axis=1)
+        return argmax
 
     def table(self) -> np.ndarray:
         """The written rows as one RECORD_DTYPE table, in sweep.csv order."""
         order = np.argsort(np.tile(self.rows["character"][0], self.lines.size), kind="stable")
-        line, col = np.divmod(order, self.argmax.shape[1])
+        line, col = np.divmod(order, self.rows.shape[1])
         records = self.rows[self.slot[line], col]
         records["realization"] = self.lines[line]
-        records["argmax"] = self.argmax[line, col]
+        records["argmax"] = self.argmax(slice(None))[line, col]
         return records
 
 
@@ -164,9 +185,10 @@ class SweepResult:
         return np.concatenate([_NO_RECORDS, *(form.table() for form in self.per_prime)])
 
 
-def supremum_records(fn: HeckeEigenfunction, kind: str) -> np.ndarray:
-    """The record table of a block: one RECORD_DTYPE row per column, in column
-    order, all rows sharing one `kind` and the index of the block's line.
+def supremum_records(fn: HeckeEigenfunction, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """The record table of a block, one RECORD_DTYPE row per column in column
+    order, all rows sharing one `kind` and the index of the block's line, and
+    its ties: ties[x, c] where column c's squared modulus ties its maximum.
     Raises ValueError for a block whose sigma is not its line's enumerated
     sigma, whose tag sweep.csv could not rebuild from that index."""
     p = fn.p
@@ -183,6 +205,7 @@ def supremum_records(fn: HeckeEigenfunction, kind: str) -> np.ndarray:
     if not ok.all():
         raise ValueError(f"eigenfunction norm^2 = {norms_sq[~ok][0]}, expected {p}")
     sups = mags.max(axis=0)
+    ties = mags_sq >= sups * sups - ARGMAX_TIE_TOL
     records = np.empty(sups.size, dtype=RECORD_DTYPE)
     records["p"] = p
     records["kind"] = kind
@@ -191,15 +214,10 @@ def supremum_records(fn: HeckeEigenfunction, kind: str) -> np.ndarray:
     records["multiplicity"] = fn.multiplicities
     records["sup"] = sups
     # -I is in the torus, so |v(x)| = |v(-x)| ties the maximum: take the least x
-    records["argmax"] = _ties(mags_sq, sups).argmax(axis=0)
+    records["argmax"] = ties.argmax(axis=0)
     records["passed"] = sups <= SUP_BOUND + SUP_TOL
     records["gating"] = (records["multiplicity"] == 1) & (p >= GATING_MIN_PRIME)
-    return records
-
-
-def _ties(mags_sq: np.ndarray, sups: np.ndarray) -> np.ndarray:
-    """Where each column's squared modulus ties its maximum sup^2."""
-    return mags_sq >= sups * sups - ARGMAX_TIE_TOL
+    return records, ties
 
 
 def ProcessPoolExecutor(max_workers: int):
@@ -256,34 +274,30 @@ def _sweep_one_prime(p: int, A: CatMap, realizations: str, verify_samples: int,
         _verify_lines(fn, spectrum.torus, form,
                       _verify_draws(fn, orbits, verify_samples, seed))
         return form, skips
-    return PrimeRecords.one_line(supremum_records(fn, kind)), skips
+    return PrimeRecords.one_line(supremum_records(fn, kind)[0]), skips
 
 
 def _orbit_records(fn: HeckeEigenfunction, orbits, kind: str) -> PrimeRecords:
     """The records of every line, one slot per torus orbit: each orbit's
     representative scores the block transported there (or fn itself on fn's
-    line), and every other line of the orbit takes its rows, with the argmax
-    relabelled by the line's dilation e: the least y with e y in the
-    representative's tie set (hecke.torus_orbits), for all of the orbit's
-    lines at once, with no Realization but the representatives'."""
-    p, n = fn.p, fn.characters.size
+    line) once, keeping its tie points, and every line of the orbit takes its
+    rows, with no Realization but the representatives'."""
+    p, cols = fn.p, np.arange(fn.characters.size)
     rep, dilation = orbits
     s1, s2 = line_sigmas(p)
     reps, slot = np.unique(rep, return_inverse=True)
-    inverse = pow_mod(dilation, p - 2, p)
-    scored = []
-    argmax = np.empty((p + 1, n), dtype=np.int64)
-    for r in reps.tolist():
+    scored, ties = [], []
+    for r, size in zip(reps.tolist(), np.bincount(slot).tolist()):
         source = Realization.of(int(s1[r]), int(s2[r]), p)
-        block = fn if source == fn.realization else transport(fn, source)
-        scored.append(supremum_records(block, kind))
-        # the tie points x, column by column: every column has one, its maximum
-        col, x = np.nonzero(_ties(np.abs(block.vectors) ** 2, scored[-1]["sup"]).T)
-        first = np.flatnonzero(np.diff(col, prepend=-1))
-        # the least y with e y tied is the least x / e over the tie points
-        lines = np.flatnonzero(rep == r)
-        argmax[lines] = np.minimum.reduceat(x * inverse[lines, np.newaxis] % p, first, axis=1)
-    return PrimeRecords(np.stack(scored), np.arange(p + 1), slot, argmax)
+        records, tied = supremum_records(fn if source == fn.realization
+                                         else transport(fn, source), kind)
+        scored.append(records)
+        # the tie points, column by column; a fixed line of a split prime,
+        # alone in its orbit, ties at about p points a column and keeps one
+        col, x = np.nonzero(tied.T) if size > 1 else (cols, records["argmax"].copy())
+        ties.append((x, np.flatnonzero(np.diff(col, prepend=-1))))
+    return PrimeRecords(np.stack(scored), np.arange(p + 1), slot,
+                        pow_mod(dilation, p - 2, p), tuple(ties))
 
 
 def _verify_draws(fn: HeckeEigenfunction, orbits, n_samples: int,
@@ -337,8 +351,8 @@ def _verify_lines(fn: HeckeEigenfunction, torus, form: PrimeRecords, draws) -> N
         target = Realization.of(int(s1[l]), int(s2[l]), p)
         moved = transport(fn, target)
         # the form writes every line, line l at position l
-        rows, argmax = form.rows[form.slot[l]], form.argmax[l]
-        recs = supremum_records(moved, rows[0]["kind"])
+        rows, (argmax,) = form.rows[form.slot[l]], form.argmax([l])
+        recs = supremum_records(moved, rows[0]["kind"])[0]
         bad = np.flatnonzero((rows["character"] != moved.characters)
                              | (argmax != recs["argmax"])
                              | ~(np.abs(rows["sup"] - recs["sup"]) <= SUP_TOL))
@@ -374,7 +388,7 @@ def universal_sweep(cfg: SweepConfig) -> SweepResult:
     results, errors = _map_primes(_sweep_one_prime, cfg.primes(), cfg.jobs,
                                   cfg.matrix, cfg.realizations,
                                   cfg.verify_samples, cfg.seed)
-    per_prime = [form for _, (form, _) in results if form is not None and form.argmax.size]
+    per_prime = [form for _, (form, _) in results if form is not None and form.size]
     skips = [skip for _, (_, prime_skips) in results for skip in prime_skips]
     for sp, reason in skips:
         log.info("p = %d: %s", sp, reason)
@@ -506,11 +520,12 @@ def write_records_csv(path, per_prime: list[PrimeRecords]) -> None:
                         for sup, ok in zip(*fields)]
                        for fields in zip(sups, rows["passed"].tolist())]
             points = [str(x) for x in range(p)]  # argmax is a point x of [0, p)
+            argmax = form.argmax(slice(None))
             slots = form.slot.tolist()
             if len(slots) == 1:  # one line: its rows are its columns, in order
                 fh.write("".join(map("".join, zip(
                     repeat(heads[0]), record[0],
-                    map(points.__getitem__, form.argmax[0].tolist()), verdict[0]))))
+                    map(points.__getitem__, argmax[0].tolist()), verdict[0]))))
                 continue
             # each character's columns [a, b): the columns go by character
             bounds = np.flatnonzero(np.diff(rows["character"][0], prepend=-1)).tolist()
@@ -522,6 +537,6 @@ def write_records_csv(path, per_prime: list[PrimeRecords]) -> None:
                     rec, ver = [r[c] for r in record], [v[c] for v in verdict]
                     text[c - a::b - a] = map("".join, zip(
                         heads, map(rec.__getitem__, slots),
-                        map(points.__getitem__, form.argmax[:, c].tolist()),
+                        map(points.__getitem__, argmax[:, c].tolist()),
                         map(ver.__getitem__, slots)))
                 fh.write("".join(text))

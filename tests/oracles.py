@@ -342,7 +342,7 @@ def records_by_transport_to_every_line(fn: HeckeEigenfunction, kind: str) -> np.
     line, then basis vector."""
     lines = [Realization.canonical(lag) for lag in enumerate_lagrangians(fn.p)]
     records = np.concatenate([
-        supremum_records(fn if r == fn.realization else transport(fn, r), kind)
+        supremum_records(fn if r == fn.realization else transport(fn, r), kind)[0]
         for r in lines])
     return records[np.argsort(records["character"], kind="stable")]
 

@@ -4,6 +4,7 @@ import pytest
 from qcatlab.arith import (
     half_mod,
     inverse_mod,
+    is_odd_prime,
     legendre_symbol,
     primes_in,
     unit_roots,
@@ -120,3 +121,13 @@ def test_unit_roots_cached_and_read_only():
     assert t1 is unit_roots(7)
     with pytest.raises(ValueError):
         t1[0] = 0.0
+
+
+def test_is_odd_prime_cache_is_bounded():
+    # primes_in tests each odd integer of its range once; the cache must not
+    # keep an entry for every integer it has tested
+    is_odd_prime.cache_clear()
+    assert len(primes_in(3, 2000)) == 302
+    info = is_odd_prime.cache_info()
+    assert info.misses > 16  # the range tested more integers than the bound keeps
+    assert info.maxsize is not None and info.currsize <= info.maxsize <= 16

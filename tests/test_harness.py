@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -29,6 +30,7 @@ from qcatlab.models import Realization
 from qcatlab.harness import (
     _NO_RECORDS,
     _defining_spectrum,
+    _sweep_one_prime,
     CSV_CHUNK,
     RECORD_DTYPE,
     PrimeRecords,
@@ -52,7 +54,7 @@ def config(lo, hi, **kw):
 
 def test_supremum_check_split_closed_form(tmp_path):
     fn = split_closed_form(build_hecke_torus(A, 11))
-    records = supremum_records(fn, "split")
+    records, _ = supremum_records(fn, "split")
     assert records.dtype == RECORD_DTYPE
     assert records["character"].tolist() == list(range(10))
     assert np.all(np.abs(records["sup"] - math.sqrt(11 / 10)) < 1e-9)  # ~1.0488
@@ -74,7 +76,7 @@ def test_argmax_is_least_point_of_a_tied_maximum():
     v[5] *= 1 + 2e-16
     assert np.argmax(np.abs(v)) == 5
     fn = HeckeEigenfunction(Realization.standard(p), v[:, np.newaxis], np.array([0]))
-    (rec,) = supremum_records(fn, "inert")
+    (rec,), _ = supremum_records(fn, "inert")
     assert rec["argmax"] == 2
     assert rec["sup"] == np.abs(v).max()
 
@@ -387,9 +389,9 @@ def _character_mutant(monkeypatch):
     import qcatlab.harness as harness
 
     def mutant(fn, kind, original=harness.supremum_records):
-        records = original(fn, kind)
+        records, ties = original(fn, kind)
         records["character"] = np.roll(records["character"], 1)
-        return records
+        return records, ties
     monkeypatch.setattr(harness, "supremum_records", mutant)
 
 
@@ -451,6 +453,21 @@ def test_records_reject_a_sigma_off_the_enumeration():
     fn = transport(_defining_spectrum(p, A)[1], Realization.of(2, 0, p))
     with pytest.raises(ValueError, match="enumerated sigma"):
         supremum_records(fn, "inert")
+
+
+def test_a_prime_form_holds_no_entry_per_line_and_column():
+    # a form keeps its representatives' rows, three integers per line and
+    # the tie points of its orbits, held until sweep.csv is written: at
+    # p = 1009 an int64 per line and column alone would be 8.2 MB
+    form, _ = _sweep_one_prime(1009, A, "all", 0, 0)
+
+    def nbytes(value):
+        if isinstance(value, tuple):
+            return sum(map(nbytes, value))
+        return value.nbytes
+
+    assert form.size == 1010 * 1009
+    assert sum(nbytes(getattr(form, f.name)) for f in dataclasses.fields(form)) < 2 ** 20
 
 
 def test_sweep_parallel_matches_serial():

@@ -236,8 +236,8 @@ def _compare_with_eig_oracle(cat):
             assert (spectrum.multiplicities() == oracle.multiplicities()).all()
             ours, theirs = spectrum.eigenfunctions, oracle.eigenfunctions
             simple = ours.multiplicities == 1
-            a = supremum_records(ours.columns(simple), "any")
-            b = supremum_records(theirs.columns(simple), "any")
+            a, _ = supremum_records(ours.columns(simple), "any")
+            b, _ = supremum_records(theirs.columns(simple), "any")
             assert np.array_equal(a["argmax"], b["argmax"])
             assert np.abs(a["sup"] - b["sup"]).max() <= 1e-9
             for k in np.flatnonzero(spectrum.multiplicities()).tolist():
@@ -453,13 +453,14 @@ def moved_defining_block(draw):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(moved_defining_block())
 def test_block_records_are_its_characters_records(case):
-    # the sweep scores a realization's whole block in one pass: its rows are
-    # those of each character's columns scored alone, field for field
+    # the sweep scores a realization's whole block in one pass: its rows and
+    # ties are those of each character's columns scored alone, field for field
     kind, block = case
-    expected = np.concatenate([
-        supremum_records(block.columns(block.characters == k), kind)
-        for k in np.unique(block.characters).tolist()])
-    assert supremum_records(block, kind).tolist() == expected.tolist()
+    records, ties = supremum_records(block, kind)
+    alone = [supremum_records(block.columns(block.characters == k), kind)
+             for k in np.unique(block.characters).tolist()]
+    assert records.tolist() == np.concatenate([rows for rows, _ in alone]).tolist()
+    assert np.array_equal(ties, np.hstack([tied for _, tied in alone]))
 
 
 # ---------------------------------------------------------------------------
