@@ -14,14 +14,15 @@ sweeps keep the columns of unflagged characters, and the value distribution
 samples the simple ones.  In all realizations a sweep moves that block once
 per torus orbit of lines, to the orbit's representative (none for the
 defining line's orbit), and scores it there in one pass, which also finds
-the points where each column ties its maximum; every line of the orbit
-takes those rows, its argmax the least tie point over its dilation
-(hecke.torus_orbits).  A verify draw transports the defining block straight
-to its line and holds that line's rows against it.  A prime's records keep
-one form (PrimeRecords) of O(p) entries until sweep.csv, whose bytes
-depend only on the config, is written from it a character at a time,
-every line's argmax derived once, each line's head and each representative
-row's text formatted once; the table of every row is built only on request.
+the points where each column ties its maximum; every line of the orbit takes
+those rows, its argmax the least tie point over its dilation
+(hecke.torus_orbits); the defining sweep is its line's one-line orbit.  A
+verify draw transports the defining block straight to its line and holds
+that line's rows against it.  A prime's records keep one form (PrimeRecords)
+of O(p) entries until sweep.csv, whose bytes depend only on the config, is
+written from it a character at a time, every line's argmax derived once,
+each line's head and each representative row's text formatted once; the
+table of every row is built only on request.
 """
 
 from __future__ import annotations
@@ -139,12 +140,6 @@ class PrimeRecords:
     slot: np.ndarray  # (L,)
     inverse: np.ndarray  # (L,) each line's 1 / e mod p: 1 on a representative
     ties: tuple  # (slots,) of (x, first)
-
-    @classmethod
-    def one_line(cls, rows: np.ndarray) -> PrimeRecords:
-        """The form of one block's supremum_records rows, on its line alone."""
-        return cls(rows[np.newaxis], rows["realization"][:1], np.zeros(1, dtype=np.int64),
-                   np.ones(1, dtype=np.int64), ((rows["argmax"].copy(), np.arange(rows.size)),))
 
     @property
     def size(self) -> int:  # the rows written: one per line and column
@@ -268,20 +263,21 @@ def _sweep_one_prime(p: int, A: CatMap, realizations: str, verify_samples: int,
     if kind == "ramified":
         return None, [(p, "ramified prime skipped: p divides trace^2 - 4")]
     spectrum, fn, skips = _defining_spectrum(p, A)
-    if realizations == "all":
-        orbits = torus_orbits(spectrum.torus)
-        form = _orbit_records(fn, orbits, kind)
-        _verify_lines(fn, spectrum.torus, form,
-                      _verify_draws(fn, orbits, verify_samples, seed))
-        return form, skips
-    return PrimeRecords.one_line(supremum_records(fn, kind)[0]), skips
+    if realizations == "defining":  # the defining line (0, 1): a one-line orbit
+        line = np.array([p])
+        return _orbit_records(fn, line, (line, np.ones(1, dtype=np.int64)), kind), skips
+    orbits = torus_orbits(spectrum.torus)
+    form = _orbit_records(fn, np.arange(p + 1), orbits, kind)
+    _verify_lines(fn, spectrum.torus, form, _verify_draws(fn, orbits, verify_samples, seed))
+    return form, skips
 
 
-def _orbit_records(fn: HeckeEigenfunction, orbits, kind: str) -> PrimeRecords:
-    """The records of every line, one slot per torus orbit: each orbit's
-    representative scores the block transported there (or fn itself on fn's
-    line) once, keeping its tie points, and every line of the orbit takes its
-    rows, with no Realization but the representatives'."""
+def _orbit_records(fn: HeckeEigenfunction, lines: np.ndarray, orbits,
+                   kind: str) -> PrimeRecords:
+    """The records of `lines`, each with its representative and dilation in
+    orbits = (rep, dilation) (hecke.torus_orbits), one slot per orbit: each
+    representative scores the block moved there (fn itself on fn's line)
+    once, keeping its tie points, and every line of its orbit takes them."""
     p, cols = fn.p, np.arange(fn.characters.size)
     rep, dilation = orbits
     s1, s2 = line_sigmas(p)
@@ -296,8 +292,7 @@ def _orbit_records(fn: HeckeEigenfunction, orbits, kind: str) -> PrimeRecords:
         # alone in its orbit, ties at about p points a column and keeps one
         col, x = np.nonzero(tied.T) if size > 1 else (cols, records["argmax"].copy())
         ties.append((x, np.flatnonzero(np.diff(col, prepend=-1))))
-    return PrimeRecords(np.stack(scored), np.arange(p + 1), slot,
-                        pow_mod(dilation, p - 2, p), tuple(ties))
+    return PrimeRecords(np.stack(scored), lines, slot, pow_mod(dilation, p - 2, p), tuple(ties))
 
 
 def _verify_draws(fn: HeckeEigenfunction, orbits, n_samples: int,
@@ -508,35 +503,40 @@ def write_records_csv(path, per_prime: list[PrimeRecords]) -> None:
         fh.write(f"# schema: {SWEEP_SCHEMA}\n")
         fh.write("p,kind,realization,character,multiplicity,sup,argmax,a_max,pass\n")
         for form in per_prime:
-            rows = form.rows
-            p, kind = int(rows["p"][0, 0]), rows["kind"][0, 0]
-            s1, s2 = line_sigmas(p)
-            heads = ["%d,%s,%d:%d," % (p, kind, a, b)
-                     for a, b in zip(s1[form.lines].tolist(), s2[form.lines].tolist())]
-            sups = rows["sup"].tolist()
-            record = [["%d,%d,%.12g," % key for key in zip(*fields)] for fields in zip(
-                rows["character"].tolist(), rows["multiplicity"].tolist(), sups)]
-            verdict = [[",%.12g,%s\n" % (sup * sup, "true" if ok else "false")
-                        for sup, ok in zip(*fields)]
-                       for fields in zip(sups, rows["passed"].tolist())]
-            points = [str(x) for x in range(p)]  # argmax is a point x of [0, p)
-            argmax = form.argmax(slice(None))
-            slots = form.slot.tolist()
-            if len(slots) == 1:  # one line: its rows are its columns, in order
-                fh.write("".join(map("".join, zip(
-                    repeat(heads[0]), record[0],
-                    map(points.__getitem__, argmax[0].tolist()), verdict[0]))))
-                continue
-            # each character's columns [a, b): the columns go by character
-            bounds = np.flatnonzero(np.diff(rows["character"][0], prepend=-1)).tolist()
-            for a, b in zip(bounds, bounds[1:] + [len(sups[0])]):
-                # line by line, then column by column: column c's rows go to
-                # every (b - a)-th place, from place c - a
-                text = [""] * (len(slots) * (b - a))
-                for c in range(a, b):
-                    rec, ver = [r[c] for r in record], [v[c] for v in verdict]
-                    text[c - a::b - a] = map("".join, zip(
-                        heads, map(rec.__getitem__, slots),
-                        map(points.__getitem__, argmax[:, c].tolist()),
-                        map(ver.__getitem__, slots)))
-                fh.write("".join(text))
+            _write_form(fh, form)
+
+
+def _write_form(fh, form: PrimeRecords) -> None:
+    """One prime's rows of sweep.csv, its text freed before the next's."""
+    rows = form.rows
+    p, kind = int(rows["p"][0, 0]), rows["kind"][0, 0]
+    s1, s2 = line_sigmas(p)
+    heads = ["%d,%s,%d:%d," % (p, kind, a, b)
+             for a, b in zip(s1[form.lines].tolist(), s2[form.lines].tolist())]
+    sups = rows["sup"].tolist()
+    record = [["%d,%d,%.12g," % key for key in zip(*fields)] for fields in zip(
+        rows["character"].tolist(), rows["multiplicity"].tolist(), sups)]
+    verdict = [[",%.12g,%s\n" % (sup * sup, "true" if ok else "false")
+                for sup, ok in zip(*fields)]
+               for fields in zip(sups, rows["passed"].tolist())]
+    points = [str(x) for x in range(p)]  # argmax is a point x of [0, p)
+    argmax = form.argmax(slice(None))
+    slots = form.slot.tolist()
+    if len(slots) == 1:  # one line: its rows are its columns, in order
+        fh.write("".join(map("".join, zip(
+            repeat(heads[0]), record[0],
+            map(points.__getitem__, argmax[0].tolist()), verdict[0]))))
+        return
+    # each character's columns [a, b): the columns go by character
+    bounds = np.flatnonzero(np.diff(rows["character"][0], prepend=-1)).tolist()
+    for a, b in zip(bounds, bounds[1:] + [len(sups[0])]):
+        # line by line, then column by column: column c's rows go to every
+        # (b - a)-th place, from place c - a
+        text = [""] * (len(slots) * (b - a))
+        for c in range(a, b):
+            rec, ver = [r[c] for r in record], [v[c] for v in verdict]
+            text[c - a::b - a] = map("".join, zip(
+                heads, map(rec.__getitem__, slots),
+                map(points.__getitem__, argmax[:, c].tolist()),
+                map(ver.__getitem__, slots)))
+        fh.write("".join(text))

@@ -13,22 +13,24 @@ vector, P_k delta_1 / sqrt(P_k[1, 1]), with no eigensolver.  The diagonal
 depends on x only through x^2, so half of it is evaluated and mirrored.  A
 degenerate space, or a simple one with too little mass at 1, gets a basis
 fixed by rule from the columns at the base points 0..3, each one
-torus-weighted sum, which projector_column also reads.  The
-residual that checks the eigenvector equation applies rho(g) as the
-canonical intertwiner from the model of g.r composed with its geometric
-phases, one FFT for the whole basis, so it shares no entry formula with the
-tables.  Eigenfunctions travel as one block per realization: a (p, n) matrix
-whose columns are labelled by character, which `transport` carries to
-another realization with one application of the canonical intertwiner
-(models.intertwine, an FFT between chirps).  The intertwiners commute with
-the torus, so a block needs carrying only to one line per torus orbit
-(torus_orbits): on every other line of the orbit its moduli are the
-representative's, relabelled by a dilation y -> e y, which the sweep's
-verify step checks on a drawn line by transporting the block there
-directly.  The spectrum is itself such a block with n = p: every
-eigenvector, grouped by character and normalized once, so a character's
-multiplicity is the count of its label and extracting characters selects
-columns.
+torus-weighted sum, which projector_column also reads.  The residual
+applies rho(g) as the canonical intertwiner from the model of g.r after its
+geometric phases, one FFT for the whole basis, from the tables' own
+formulas (models._coefficient, _image and the chirps): it checks an FFT
+application against their entry evaluation, and the eigenvector equation,
+but not a chirp coefficient wrong in both routes, which
+models._validate_family and the tests' dense oracles catch.  Eigenfunctions
+travel as one block per realization: a (p, n) matrix whose columns are
+labelled by character, which `transport` carries to another realization
+with one application of the canonical intertwiner (models.intertwine, an
+FFT between chirps).  The intertwiners commute with the torus, so a block
+needs carrying only to one line per torus orbit (torus_orbits): on every
+other line of the orbit its moduli are the representative's, relabelled by
+a dilation y -> e y, which the sweep's verify step checks on a drawn line
+by transporting the block there directly.  The spectrum is itself such a
+block with n = p: every eigenvector, grouped by character and normalized
+once, so a character's multiplicity is the count of its label and
+extracting characters selects columns.
 """
 
 from __future__ import annotations

@@ -22,15 +22,17 @@ Gauss sum (1/p) sum_t psi(-t^2/2), of modulus p^-1/2.  Each entry of the raw
 sum is psi of a quadratic form in (y, x), so the operator is chirp * DFT *
 chirp, psi(q_a y^2) psi(beta x y) psi(q_b x^2).  For realizations on a
 shared line the canonical operator is chi_q of the enhancement ratio times
-the coordinate change of the identity map, a permutation times phases.
-Each kind has one formula, _averaging_chirps and _shared_line_map:
-`intertwine` applies it to a block of columns in O(n p log p), weil_chirps
-reads its coefficients once for a batch of elements and weil_entries
-evaluates entries from them, and the dense operators (canonical_intertwiner,
-raw_averaging, weil_op) are `intertwine` applied to the identity.  The
-construction fails loudly if the family does not satisfy normalization,
-invariance, convolution and the sign rule, checked once per prime on three
-probe vectors by three batched applications of the averaging formula.
+the coordinate change of the identity map, a permutation times phases (the
+identity for identical realizations).  Each quantity has one formula: the
+shape _averaging_chirps or _shared_line_map, the constant _coefficient and
+the model of g.r with its geometric phase _image.  `intertwine` applies
+them to a block of columns in O(n p log p), weil_chirps reads them once for
+a batch of elements and weil_entries evaluates entries from them, and the
+dense operators (canonical_intertwiner, raw_averaging, weil_op) are
+`intertwine` applied to the identity.  The construction fails loudly if the
+family does not satisfy normalization, invariance, convolution and the sign
+rule, checked once per prime on three probe vectors by three batched
+applications of the same formulas and constants.
 """
 
 from __future__ import annotations
@@ -42,12 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import half_mod, legendre_symbol, pow_mod, unit_roots
-from .groups import (
-    EnhancedLagrangian,
-    HeisenbergElement,
-    SympMatrix,
-    SymplecticVector,
-)
+from .groups import EnhancedLagrangian, HeisenbergElement, SympMatrix
 
 __all__ = [
     "Realization",
@@ -86,9 +83,8 @@ class Realization:
 
     def __post_init__(self):
         p = self.p
-        t = SymplecticVector(self.tau[0], self.tau[1], p)
-        object.__setattr__(self, "tau", t.coords())
-        if t.omega(self.lagrangian.sigma) != 1:
+        object.__setattr__(self, "tau", (self.tau[0] % p, self.tau[1] % p))
+        if _omega(*self.tau, *self.sigma, p) != 1:
             raise ValueError("transversal must satisfy omega(tau, sigma) = 1")
 
     @property
@@ -221,7 +217,7 @@ def raw_averaging(target: Realization, source: Realization) -> np.ndarray:
     p = target.p
     if source.p != p:
         raise ValueError(f"mismatched moduli: {p} vs {source.p}")
-    if not target.lagrangian.sigma.omega(source.lagrangian.sigma):
+    if not _omega(*target.sigma, *source.sigma, p):
         raise ValueError("raw averaging needs transverse lines")
     return _apply_averaging(_frame(target), _frame(source), np.eye(p))[0]
 
@@ -240,6 +236,16 @@ def _shared_line_map(target, source, p: int) -> tuple:
     return e1, half_mod(e1 * _omega(r1, r2, t1, t2, p) % p, p)
 
 
+def _coefficient(target, source, p: int, scale) -> np.ndarray:
+    """The canonical operator's constant, frames as in _averaging_chirps:
+    scale chi_q(omega(sigma, sigma')) on transverse lines, and on a shared
+    line, sigma = e sigma', chi_q(e) = chi_q(1 / e) = chi_q(omega(tau, sigma'))."""
+    w = _omega(*target[:2], *source[:2], p)
+    shared = w == 0
+    chi = legendre_symbol(np.where(shared, _omega(*target[2:], *source[:2], p), w), p)
+    return np.where(shared, chi, scale * chi)
+
+
 def _apply_coordinate_change(target: Realization, source: Realization,
                              block: np.ndarray) -> np.ndarray:
     """The identity between two gauges of one line applied to block: its
@@ -254,15 +260,12 @@ def _apply_intertwiner(target: Realization, source: Realization, block: np.ndarr
                        scale: complex) -> np.ndarray:
     """intertwine with the averaging scale passed in, so that
     _validate_family can run it before the scale is trusted."""
-    p = target.p
-    w = target.lagrangian.sigma.omega(source.lagrangian.sigma)
-    if w == 0:
-        if target == source:
-            return np.array(block, dtype=np.complex128)
-        a = target.lagrangian.scale_from(source.lagrangian)
-        return legendre_symbol(a, p) * _apply_coordinate_change(target, source, block)
-    out = _apply_averaging(_frame(target), _frame(source), block)[0]
-    out *= scale * legendre_symbol(w, p)
+    p, frames = target.p, (_frame(target), _frame(source))
+    coef = _coefficient(*frames, p, scale)
+    if not _omega(*target.sigma, *source.sigma, p):
+        return coef * _apply_coordinate_change(target, source, block)
+    out = _apply_averaging(*frames, block)[0]
+    out *= coef
     return out
 
 
@@ -319,9 +322,8 @@ def _validate_family(p: int, scale: complex) -> None:
         """The intertwiners between transverse (target, source) pairs,
         applied to one shared block or to one block per pair."""
         target, source = (tuple(np.array([_frame(r) for r in rs]).T) for rs in zip(*pairs))
-        w = _omega(*target[:2], *source[:2], p)
         out = _apply_averaging(target, source, block)
-        out *= (scale * legendre_symbol(w, p))[:, np.newaxis, np.newaxis]
+        out *= _coefficient(target, source, p, scale)[:, np.newaxis, np.newaxis]
         return out
 
     rl = Realization.of(1, 0, p)
@@ -378,14 +380,18 @@ def _pull_back(g, v, p: int):
     return (d * v[0] - b * v[1]) % p, (a * v[1] - c * v[0]) % p
 
 
-def _geometric_phase(r: Realization, g: SympMatrix, target: Realization) -> np.ndarray:
-    """Diagonal of the map f -> f(g^{-1} .) from the model of r to that of g.r."""
-    p = r.p
-    u = _pull_back((g.a, g.b, g.c, g.d), target.tau, p)
-    if _omega(*u, *r.sigma, p) != 1:
+def _image(r: Realization, g) -> tuple:
+    """(frame of Realization.canonical(g sigma), mu) for g = (a, b, c, d), ints
+    or integer arrays: f -> f(g^-1 .) maps the model of r to that of g.r with
+    phase psi(mu y^2 / 2) at y, since g^-1 tau' = u with omega(u, sigma) = 1
+    and f((y u, 0)) = psi(y^2 omega(tau, u) / 2) f(y)."""
+    p, (s1, s2) = r.p, r.sigma
+    u1, u2 = (g[0] * s1 + g[1] * s2) % p, (g[2] * s1 + g[3] * s2) % p
+    r1, r2 = _canonical_tau(u1, u2, p)
+    u = _pull_back(g, (r1, r2), p)
+    if np.count_nonzero(_omega(*u, s1, s2, p) != 1):
         raise RuntimeError("pulled-back transversal is not normalized")
-    y = np.arange(p)
-    return unit_roots(p)[half_mod(_omega(*r.tau, *u, p) * y * y, p)]
+    return (u1, u2, r1, r2), _omega(*r.tau, *u, p)
 
 
 def geometric_action(r: Realization, g: SympMatrix) -> tuple[Realization, np.ndarray]:
@@ -394,8 +400,10 @@ def geometric_action(r: Realization, g: SympMatrix) -> tuple[Realization, np.nda
     In normalized gauges it is diagonal; the returned array holds the p unit
     phases, so the full matrix is np.diag(phases).
     """
-    target = Realization.canonical(EnhancedLagrangian(g.apply(r.lagrangian.sigma)))
-    return target, _geometric_phase(r, g, target)
+    (u1, u2, r1, r2), mu = _image(r, (g.a, g.b, g.c, g.d))
+    y = np.arange(r.p)
+    return (Realization(EnhancedLagrangian.of(u1, u2, r.p), (r1, r2)),
+            unit_roots(r.p)[half_mod(mu * y * y, r.p)])
 
 
 def canonical_intertwiner(target: Realization, source: Realization) -> np.ndarray:
@@ -408,17 +416,15 @@ def intertwine(target: Realization, source: Realization, block: np.ndarray) -> n
     """The canonical operator model(source) -> model(target) applied to a
     (p, n) block of columns, in O(n p log p).
 
-    Identical realizations give the block itself; a shared line gives the
-    Legendre sign of the enhancement ratio times the coordinate change, a
-    permutation times phases; transverse lines give the normalized
-    averaging, one FFT between chirps.  numpy's FFT calls no BLAS, so the
-    result does not depend on the thread count.
+    A shared line gives the Legendre sign of the enhancement ratio times the
+    coordinate change, a permutation times phases, which for identical
+    realizations is the identity (lift 1, twist 0, sign 1); transverse lines
+    give the normalized averaging, one FFT between chirps.  numpy's FFT
+    calls no BLAS, so the result does not depend on the thread count.
     """
     if target.p != source.p:
         raise ValueError(f"mismatched moduli: {target.p} vs {source.p}")
-    w = target.lagrangian.sigma.omega(source.lagrangian.sigma)
-    scale = averaging_scale(target.p) if w != 0 else 0.0
-    return _apply_intertwiner(target, source, block, scale)
+    return _apply_intertwiner(target, source, block, averaging_scale(target.p))
 
 
 def weil_op(r: Realization, g: SympMatrix) -> WeilOperator:
@@ -463,26 +469,16 @@ def weil_chirps(r: Realization, g) -> WeilChirps:
 
     g = (a, b, c, d) holds the entries of SL2(F_p) elements as ints or
     integer arrays of one shape.  It is weil_op's formula coefficient by
-    coefficient: the canonical intertwiner from the model of g.r, whose
-    gauge is Realization.canonical's, read off the same chirps and
-    shared-line map that intertwine applies, times the geometric phase of
-    the column.
+    coefficient: the canonical intertwiner from the model of g.r (_image),
+    read off the same constant, chirps and shared-line map that intertwine
+    applies, times the geometric phase of the column.
     """
     p = r.p
-    a, b, c, d = (np.asarray(e, dtype=np.int64) for e in g)
-    s1, s2 = r.sigma
-    u1, u2 = (a * s1 + b * s2) % p, (c * s1 + d * s2) % p  # g sigma
-    r1, r2 = _canonical_tau(u1, u2, p)
-    target, source = _frame(r), (u1, u2, r1, r2)
-    w = _omega(s1, s2, u1, u2, p)
-    shared = np.flatnonzero(w == 0)
-    scale = averaging_scale(p) if shared.size < w.size else 0.0
-    # on a shared line sigma = e sigma' with 1 / e = omega(tau, sigma'), and
-    # chi_q(e) = chi_q(1 / e)
-    coef = np.where(w != 0, scale * legendre_symbol(w, p),
-                    legendre_symbol(_omega(*r.tau, u1, u2, p), p))
+    source, mu = _image(r, [np.asarray(e, dtype=np.int64) for e in g])
+    target = _frame(r)
+    coef = _coefficient(target, source, p, averaging_scale(p))
     qa, beta, qb = _averaging_chirps(target, source, p)
-    mu = _omega(*r.tau, *_pull_back((a, b, c, d), (r1, r2), p), p)
+    shared = np.flatnonzero(_omega(*r.sigma, *source[:2], p) == 0)
     lift, twist = _shared_line_map(target, [np.ravel(v)[shared] for v in source], p)
     return WeilChirps(p, coef, qa, beta, (qb + half_mod(mu, p)) % p, shared, lift, twist)
 

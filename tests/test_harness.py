@@ -60,8 +60,12 @@ def test_supremum_check_split_closed_form(tmp_path):
     assert np.all(np.abs(records["sup"] - math.sqrt(11 / 10)) < 1e-9)  # ~1.0488
     assert records["passed"].all() and records["gating"].all()
     assert (records["multiplicity"] == 1).all() and (records["p"] == 11).all()
-    # a_max is not stored: the CSV writes it from sup
-    write_records_csv(tmp_path / "sweep.csv", [PrimeRecords.one_line(records)])
+    # a_max is not stored: the CSV writes it from sup; the form is the
+    # block's line alone, each column keeping its least tie point
+    form = PrimeRecords(records[np.newaxis], records["realization"][:1],
+                        np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64),
+                        ((records["argmax"], np.arange(records.size)),))
+    write_records_csv(tmp_path / "sweep.csv", [form])
     lines = (tmp_path / "sweep.csv").read_text().splitlines()[2:]
     a_max = np.array([float(line.split(",")[7]) for line in lines])
     assert np.all(np.abs(a_max - records["sup"] ** 2) < 1e-12)
@@ -657,6 +661,28 @@ def test_records_csv_peak_memory_is_one_chunk(tmp_path):
             tracemalloc.stop()
         assert peak < bound, f"5..{hi}: {len(records)} rows peaked at {peak} B"
     assert len(records) > 20 * CSV_CHUNK  # 20,930 rows at 5..61
+
+
+def test_records_csv_frees_each_prime_before_the_next(tmp_path):
+    # one prime's text and argmax go before the next prime's are built, so
+    # writing p = 89 and then 97 peaks no higher than writing 97 alone.  A
+    # writer holding 89's text while it builds 97's peaks 86 kB higher; the
+    # slack covers the interpreter's free lists (floats, tuples), about 7 kB
+    # still counted as allocated after a form is freed
+    forms = universal_sweep(config(89, 97, realizations="all")).per_prime
+    assert [form.rows["p"][0, 0] for form in forms] == [89, 97]
+
+    def peak(per_prime):
+        tracemalloc.start()
+        try:
+            write_records_csv(tmp_path / "sweep.csv", per_prime)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    alone = peak(forms[1:])
+    both = peak(forms)
+    assert both <= alone + 16 * 1024, f"89 and 97: {both} B, 97 alone: {alone} B"
 
 
 @pytest.mark.parametrize("matrix", [A, CatMap(3, 2, 1, 1)], ids=["2,1;1,1", "3,2;1,1"])

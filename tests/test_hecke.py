@@ -97,6 +97,32 @@ def test_multiplicities_p11_split(torus11):
     assert np.abs(b.conj().T @ b / 11 - np.eye(11)).max() <= 1e-12
 
 
+@st.composite
+def torus_and_line(draw):
+    """Either cat map's torus at a non-ramified odd p <= 97 and the
+    canonical realization of a drawn line."""
+    matrix = draw(st.sampled_from([A, CatMap(3, 2, 1, 1)]))
+    p = draw(st.sampled_from([p for p in primes_in(3, 97)
+                              if classify_prime(matrix, p) != "ramified"]))
+    line = draw(st.sampled_from(enumerate_lagrangians(p)))
+    return build_hecke_torus(matrix, p), Realization.canonical(line)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(torus_and_line())
+def test_multiplicities_follow_the_torus_law(case):
+    # the N characters of the torus share p dimensions: at a split prime
+    # (N = p - 1) one character appears twice, at an inert prime
+    # (N = p + 1) one is absent, and every other appears once, in every
+    # realization
+    torus, r = case
+    mult = hecke_spectrum(torus, r).multiplicities()
+    n = torus.order
+    assert mult.size == n and mult.sum() == r.p
+    law = [1] * (n - 1) + [2] if torus.kind == "split" else [0] + [1] * (n - 1)
+    assert sorted(mult.tolist()) == law
+
+
 @pytest.mark.parametrize("p", [11, 13, 101, 103, 197, 199])
 def test_spectrum_matches_schur_oracle(p):
     # an independent route: scipy's complex Schur form of rho(gen) is diagonal

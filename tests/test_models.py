@@ -318,6 +318,41 @@ def test_validation_rejects_a_coordinate_change_without_phases(p, monkeypatch):
         _validate_family(p, scale)
 
 
+def _flip_shared(c, w, scale):
+    return np.where(w == 0, -c, c)
+
+
+def _flip_transverse(c, w, scale):
+    return np.where(w != 0, -c, c)
+
+
+def _drop_chi_on_transverse(c, w, scale):
+    return np.where(w != 0, scale, c)
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_flip_shared, "normalization fails"),
+    (_flip_transverse, "convolution fails on an anchor triple"),
+    # chi_q(-1) = -1 at p = 11 spoils the returning pair; at p = 13 it is 1
+    # and the anchor triples' other transverse pairs catch it
+    (_drop_chi_on_transverse, "returning pair is not the identity|convolution fails"),
+], ids=["shared-sign", "transverse-sign", "transverse-without-chi"])
+@pytest.mark.parametrize("p", [11, 13])
+def test_validation_rejects_a_wrong_coefficient(p, mutate, message, monkeypatch):
+    # the constant the production operators read, _coefficient, is the one
+    # the family check applies, so a wrong one fails it
+    scale = averaging_scale(p)
+    coefficient = models._coefficient
+
+    def mutant(target, source, modulus, scale):
+        w = models._omega(*target[:2], *source[:2], modulus)
+        return mutate(coefficient(target, source, modulus, scale), w, scale)
+
+    monkeypatch.setattr(models, "_coefficient", mutant)
+    with pytest.raises(IntertwinerConstructionError, match=message):
+        _validate_family(p, scale)
+
+
 def test_validation_allocates_no_p_by_p_array():
     # one p x p complex array is 16 p^2 bytes (16.3 MB at p = 1009); the
     # probe validation's traced peak, three batches of applications on the
@@ -462,6 +497,61 @@ def test_weil_operator_is_a_homomorphism_on_the_torus(case):
     # two FFT applications: at most 2.6e-15 per entry for p <= 97 on these
     # cases, against order 1 for a wrong phase or a wrong power
     assert np.abs(rho(i, rho(j, np.eye(r.p))) - entries).max() < 1e-12
+
+
+@st.composite
+def egorov_case(draw):
+    """(r, g, h): r at an odd p <= 97, with sigma a drawn multiple of the
+    sigma of a drawn line, or of a line a cat map's torus fixes (a split
+    prime's eigenline), and tau the canonical one moved along sigma by a
+    drawn t, or r in the gauge sigma = (2, 4) with tau on the line of
+    (1, 1); g is a random element from a drawn seed, a drawn power of that
+    torus's generator (every power keeps a fixed line), I or -I; h is a
+    drawn Heisenberg element."""
+    matrix = draw(st.sampled_from([CatMap(2, 1, 1, 1), CatMap(3, 2, 1, 1)]))
+    line = draw(st.sampled_from(["any", "gauge", "fixed"]))
+    kinds = ("split",) if line == "fixed" else ("split", "inert")
+    p = draw(st.sampled_from([p for p in primes_in(3, 97) if classify_prime(matrix, p) in kinds]))
+    torus = build_hecke_torus(matrix, p)
+    if line == "gauge":
+        half = pow(2, -1, p)
+        r = Realization(EnhancedLagrangian.of(2, 4, p), (half, half))
+    else:
+        lines = enumerate_lagrangians(p)
+        if line == "fixed":
+            lines = [lag for lag in lines
+                     if torus.matrix.apply(lag.sigma).omega(lag.sigma) == 0]
+        e, t = draw(st.integers(1, p - 1)), draw(st.integers(0, p - 1))
+        s1, s2 = (e * s % p for s in draw(st.sampled_from(lines)).sigma.coords())
+        t1, t2 = Realization.of(s1, s2, p).tau
+        r = Realization(EnhancedLagrangian.of(s1, s2, p), (t1 + t * s1, t2 + t * s2))
+    element = draw(st.sampled_from(["random", "torus", "I", "-I"]))
+    if element == "torus":
+        powers = torus_elements(torus)
+        j = draw(st.integers(0, torus.order - 1))
+        g = SympMatrix(*(int(entry[j]) for entry in powers), p)
+    elif element == "random":
+        g = random_sl2(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))), p)
+    else:
+        g = SympMatrix.identity(p) if element == "I" else SympMatrix(-1, 0, 0, -1, p)
+    h = HeisenbergElement.of(*(draw(st.integers(0, p - 1)) for _ in range(3)), p)
+    return r, g, h
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(egorov_case())
+def test_weil_operator_satisfies_the_egorov_identity(case):
+    # rho(g) pi(h) rho(g)^-1 = pi(g v, z) for h = (v, z): the image g.r and
+    # its phases (_image) and the shared-line constant and map, when g keeps
+    # r's line, against the Heisenberg operators built from the group law
+    r, g, h = case
+    w = weil_op(r, g).matrix
+    lhs = w @ heisenberg_op(r, h) @ np.linalg.inv(w)
+    rhs = heisenberg_op(r, HeisenbergElement(g.apply(h.v), h.z))
+    # entries of modulus at most 1: rounding, growing slowly with p through
+    # the prime-length FFT, is at most 2.2e-15 for p <= 97 on these cases,
+    # against order 1 for a wrong phase, lift or image
+    assert np.abs(lhs - rhs).max() < 1e-11
 
 
 def test_sign_rule_exhaustive_p7():
