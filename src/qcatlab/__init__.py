@@ -8,14 +8,10 @@ torus, and checks the sup-norm bound and value statistics across primes.
 from .arith import primes_in
 from .groups import (
     CatMap,
-    EnhancedLagrangian,
     HeckeTorus,
-    HeisenbergElement,
     SympMatrix,
-    SymplecticVector,
     build_hecke_torus,
     classify_prime,
-    enumerate_lagrangians,
 )
 from .models import (
     Realization,

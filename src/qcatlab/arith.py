@@ -18,7 +18,6 @@ __all__ = [
     "legendre_symbol",
     "pow_mod",
     "unit_roots",
-    "inverse_mod",
     "half_mod",
     "is_odd_prime",
     "primes_in",
@@ -41,12 +40,6 @@ def _require_odd_prime(p: int) -> int:
     if not is_odd_prime(p):
         raise ValueError(f"modulus must be an odd prime, got {p}")
     return p
-
-
-def inverse_mod(a: int, p: int) -> int:
-    if a % p == 0:
-        raise ZeroDivisionError(f"0 has no inverse mod {p}")
-    return pow(a, -1, p)
 
 
 def half_mod(a: int, p: int) -> int:

@@ -1,10 +1,12 @@
-"""The symplectic plane over F_p, its Heisenberg extension, SL2(F_p), and
-the commutant torus of a hyperbolic integer matrix.
+"""SL2(F_p), the lines of the symplectic plane over F_p, and the commutant
+torus of a hyperbolic integer matrix.
 
 Conventions: omega(u, v) = u1*v2 - u2*v1 on F_p^2, the Heisenberg product is
 (v, z)(v', z') = (v + v', z + z' + omega(v, v')/2), and SL2(F_p) acts on the
-Heisenberg group by (v, z) -> (g v, z).  The torus's generator and all its
-powers come from one cached integer walk (torus_elements).
+Heisenberg group by (v, z) -> (g v, z).  Vectors and Heisenberg elements are
+plain integers, and a line is its sigma in line_sigmas order.  The torus's
+generator and all its powers come from one cached integer walk
+(torus_elements).
 """
 
 from __future__ import annotations
@@ -14,82 +16,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import half_mod, inverse_mod, is_odd_prime, legendre_symbol, pow_mod
+from .arith import is_odd_prime, legendre_symbol, pow_mod
 
 __all__ = [
-    "SymplecticVector",
-    "HeisenbergElement",
     "SympMatrix",
-    "EnhancedLagrangian",
     "CatMap",
     "HeckeTorus",
     "classify_prime",
     "build_hecke_torus",
     "torus_elements",
-    "enumerate_lagrangians",
     "line_sigmas",
     "line_index",
 ]
-
-
-@dataclass(frozen=True)
-class SymplecticVector:
-    """Point of F_p^2 carrying the symplectic pairing."""
-
-    v1: int
-    v2: int
-    p: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "v1", self.v1 % self.p)
-        object.__setattr__(self, "v2", self.v2 % self.p)
-
-    def _check(self, other: "SymplecticVector"):
-        if other.p != self.p:
-            raise ValueError(f"mismatched moduli: {self.p} vs {other.p}")
-
-    def __add__(self, other):
-        self._check(other)
-        return SymplecticVector(self.v1 + other.v1, self.v2 + other.v2, self.p)
-
-    def scale(self, a: int) -> "SymplecticVector":
-        return SymplecticVector(a * self.v1, a * self.v2, self.p)
-
-    def omega(self, other: "SymplecticVector") -> int:
-        self._check(other)
-        return (self.v1 * other.v2 - self.v2 * other.v1) % self.p
-
-    def is_zero(self) -> bool:
-        return self.v1 == 0 and self.v2 == 0
-
-    def coords(self) -> tuple[int, int]:
-        return (self.v1, self.v2)
-
-
-@dataclass(frozen=True)
-class HeisenbergElement:
-    """Group element (v, z) with the half-omega twisted product."""
-
-    v: SymplecticVector
-    z: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "z", self.z % self.p)
-
-    @property
-    def p(self) -> int:
-        return self.v.p
-
-    @classmethod
-    def of(cls, v1: int, v2: int, z: int, p: int) -> "HeisenbergElement":
-        return cls(SymplecticVector(v1, v2, p), z)
-
-    def __mul__(self, other: "HeisenbergElement") -> "HeisenbergElement":
-        p = self.p
-        if other.p != p:
-            raise ValueError(f"mismatched moduli: {p} vs {other.p}")
-        tw = half_mod(self.v.omega(other.v), p)
-        return HeisenbergElement(self.v + other.v, self.z + other.z + tw)
 
 
 @dataclass(frozen=True)
@@ -127,56 +65,18 @@ class SympMatrix:
     def inverse(self) -> "SympMatrix":
         return SympMatrix(self.d, -self.b, -self.c, self.a, self.p)
 
-    def apply(self, v: SymplecticVector) -> SymplecticVector:
-        if v.p != self.p:
-            raise ValueError(f"mismatched moduli: {self.p} vs {v.p}")
-        return SymplecticVector(self.a * v.v1 + self.b * v.v2,
-                                self.c * v.v1 + self.d * v.v2, self.p)
+    def apply(self, v: tuple[int, int]) -> tuple[int, int]:
+        """g v for an integer pair v, reduced mod p."""
+        v1, v2 = v
+        return (self.a * v1 + self.b * v2) % self.p, (self.c * v1 + self.d * v2) % self.p
 
     def trace(self) -> int:
         return (self.a + self.d) % self.p
 
 
-@dataclass(frozen=True)
-class EnhancedLagrangian:
-    """A line through the origin together with a chosen nonzero vector on it.
-
-    In two dimensions every line is Lagrangian, so the data is just the
-    vector; two enhanced Lagrangians are equal iff their vectors are equal and
-    share a line iff the vectors are proportional.
-    """
-
-    sigma: SymplecticVector
-
-    def __post_init__(self):
-        if self.sigma.is_zero():
-            raise ValueError("enhancement vector must be nonzero")
-
-    @property
-    def p(self) -> int:
-        return self.sigma.p
-
-    @classmethod
-    def of(cls, v1: int, v2: int, p: int) -> "EnhancedLagrangian":
-        return cls(SymplecticVector(v1, v2, p))
-
-    def shares_line(self, other: "EnhancedLagrangian") -> bool:
-        return self.sigma.omega(other.sigma) == 0
-
-    def scale_from(self, other: "EnhancedLagrangian") -> int:
-        """The a with self.sigma = a * other.sigma; requires a shared line."""
-        if not self.shares_line(other):
-            raise ValueError("enhanced Lagrangians on different lines")
-        s1, s2 = self.sigma.coords()
-        o1, o2 = other.sigma.coords()
-        if o1 != 0:
-            return (s1 * inverse_mod(o1, self.p)) % self.p
-        return (s2 * inverse_mod(o2, self.p)) % self.p
-
-
 def line_sigmas(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The sigma of each line as two integer arrays, with no object per
-    line: (1, m) for each slope m, then (0, 1)."""
+    """The sigma of each line as two integer arrays: (1, m) for each slope
+    m, then (0, 1).  Lines are numbered in this order throughout."""
     s1 = np.ones(p + 1, dtype=np.int64)
     s1[p] = 0
     s2 = np.arange(p + 1)
@@ -184,16 +84,10 @@ def line_sigmas(p: int) -> tuple[np.ndarray, np.ndarray]:
     return s1, s2
 
 
-def enumerate_lagrangians(p: int) -> list[EnhancedLagrangian]:
-    """One enhanced Lagrangian per line, in the order of line_sigmas."""
-    s1, s2 = line_sigmas(p)
-    return [EnhancedLagrangian.of(a, b, p) for a, b in zip(s1.tolist(), s2.tolist())]
-
-
 def line_index(v1, v2, p: int):
-    """The position in enumerate_lagrangians(p) of the line through the
-    nonzero vector (v1, v2), elementwise over integer arrays: the slope
-    v2 / v1, or p on the line v1 = 0."""
+    """The position in line_sigmas(p) of the line through the nonzero
+    vector (v1, v2), elementwise over integer arrays: the slope v2 / v1, or
+    p on the line v1 = 0."""
     return np.where(v1 % p == 0, p, v2 * pow_mod(v1, p - 2, p) % p)
 
 

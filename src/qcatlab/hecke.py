@@ -327,7 +327,7 @@ def transport(fn: HeckeEigenfunction, target: Realization) -> HeckeEigenfunction
 
 
 def torus_orbits(torus: HeckeTorus) -> tuple[np.ndarray, np.ndarray]:
-    """(rep, dilation): for each line l of enumerate_lagrangians, the index
+    """(rep, dilation): for each line l of line_sigmas, the index
     rep[l] of its torus orbit's representative and the e = dilation[l] with
     g^j sigma_rep = e sigma_l for the least power j with g^j sigma_rep on l,
     that is omega(tau_l, g^j sigma_rep) in l's canonical gauge.

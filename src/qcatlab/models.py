@@ -4,10 +4,11 @@ SL2(F_p) satisfying the Egorov compatibility with the Heisenberg action.
 
 Coordinates.  A realization is an enhanced Lagrangian (line L with a marked
 vector sigma) together with a transversal vector tau normalized so that
-omega(tau, sigma) = 1; the model is then literally an array of p amplitudes,
-f(x) = value of the equivariant function at the group point (x*tau, 0).
-Every function on the group that transforms by the central character under
-left translation by L x Z is determined by these p values:
+omega(tau, sigma) = 1, both held as integer pairs; the model is then
+literally an array of p amplitudes, f(x) = value of the equivariant function
+at the group point (x*tau, 0).  Every function on the group that transforms
+by the central character under left translation by L x Z is determined by
+these p values:
 
     f((v, z)) = psi(z + x*l/2) * f(x)   where   v = x*tau + l*sigma.
 
@@ -44,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import half_mod, legendre_symbol, pow_mod, unit_roots
-from .groups import EnhancedLagrangian, HeisenbergElement, SympMatrix
+from .groups import SympMatrix
 
 __all__ = [
     "Realization",
@@ -70,38 +71,32 @@ class IntertwinerConstructionError(RuntimeError):
 
 @dataclass(frozen=True)
 class Realization:
-    """An enhanced Lagrangian plus the transversal gauge fixing coordinates.
+    """An enhanced Lagrangian, the marked vector sigma of a line (in two
+    dimensions every line is Lagrangian), plus the transversal gauge tau
+    fixing coordinates, both as integer pairs mod p.
 
-    tau is a vector off the line with omega(tau, sigma) = 1.  canonical() uses
-    the representative of the first enumerated line transverse to sigma, which
-    makes the gauge a deterministic function of sigma alone; custom gauges
-    (e.g. a torus-adapted transversal) may be passed explicitly.
+    tau is a vector off the line with omega(tau, sigma) = 1, which also rules
+    out sigma = 0.  of() uses the representative of the first line of
+    line_sigmas transverse to sigma, which makes the gauge a deterministic
+    function of sigma alone; custom gauges (e.g. a torus-adapted
+    transversal) may be passed explicitly.
     """
 
-    lagrangian: EnhancedLagrangian
+    p: int
+    sigma: tuple[int, int]
     tau: tuple[int, int]
 
     def __post_init__(self):
         p = self.p
-        object.__setattr__(self, "tau", (self.tau[0] % p, self.tau[1] % p))
+        for name in ("sigma", "tau"):
+            v1, v2 = getattr(self, name)
+            object.__setattr__(self, name, (v1 % p, v2 % p))
         if _omega(*self.tau, *self.sigma, p) != 1:
             raise ValueError("transversal must satisfy omega(tau, sigma) = 1")
 
-    @property
-    def p(self) -> int:
-        return self.lagrangian.p
-
-    @property
-    def sigma(self) -> tuple[int, int]:
-        return self.lagrangian.sigma.coords()
-
-    @classmethod
-    def canonical(cls, lag: EnhancedLagrangian) -> "Realization":
-        return cls(lag, _canonical_tau(lag.sigma.v1, lag.sigma.v2, lag.p))
-
     @classmethod
     def of(cls, s1: int, s2: int, p: int) -> "Realization":
-        return cls.canonical(EnhancedLagrangian.of(s1, s2, p))
+        return cls(p, (s1, s2), _canonical_tau(s1, s2, p))
 
     @classmethod
     def standard(cls, p: int) -> "Realization":
@@ -130,17 +125,15 @@ def _decompose(r: Realization, v1, v2, z):
     return x, z0
 
 
-def heisenberg_op(r: Realization, h: HeisenbergElement) -> np.ndarray:
-    """Matrix of the right-translation action of h on the model of r."""
+def heisenberg_op(r: Realization, a: int, b: int, z: int) -> np.ndarray:
+    """Matrix of the right-translation action of the Heisenberg element
+    ((a, b), z) on the model of r."""
     p = r.p
-    if h.p != p:
-        raise ValueError(f"mismatched moduli: {p} vs {h.p}")
-    a, b = h.v.coords()
     t1, t2 = r.tau
     x = np.arange(p)
     v1 = (x * t1 + a) % p
     v2 = (x * t2 + b) % p
-    z = (h.z + half_mod(x * (t1 * b - t2 * a), p)) % p
+    z = (z + half_mod(x * (t1 * b - t2 * a), p)) % p
     xp, z0 = _decompose(r, v1, v2, z)
     m = np.zeros((p, p), dtype=np.complex128)
     m[x, xp] = unit_roots(p)[z0]
@@ -152,10 +145,10 @@ def _omega(u1, u2, v1, v2, p: int):
 
 
 def _canonical_tau(s1, s2, p: int):
-    """The transversal Realization.canonical pairs with sigma = (s1, s2),
-    elementwise over integer arrays.  enumerate_lagrangians starts (1, 0),
-    (1, 1): the first is transverse unless sigma lies on it, and then the
-    second is; it is scaled to omega(tau, sigma) = 1."""
+    """The transversal Realization.of pairs with sigma = (s1, s2),
+    elementwise over integer arrays.  line_sigmas starts (1, 0), (1, 1):
+    the first is transverse unless sigma lies on it, and then the second
+    is; it is scaled to omega(tau, sigma) = 1."""
     c = (s2 % p == 0) * 1
     inv = pow_mod(s2 - c * s1, p - 2, p)
     return inv, c * inv % p
@@ -334,8 +327,8 @@ def _validate_family(p: int, scale: complex) -> None:
     # Legendre sign; the gauges' transversals lie off the canonical ones'
     # lines, so that the coordinate change carries its phases
     signs = [(legendre_symbol(a, p),
-              Realization(EnhancedLagrangian.of(0, a, p), (pow(a, -1, p), 1)),
-              Realization(EnhancedLagrangian.of(a, 0, p), (0, -pow(a, -1, p))))
+              Realization(p, (0, a), (pow(a, -1, p), 1)),
+              Realization(p, (a, 0), (0, -pow(a, -1, p))))
              for a in (2, p - 1)]
     # invariance under one shear and one rotation-like element:
     # geo(g) F_{m,l} geo(g)^-1 = F_{g.m, g.l}
@@ -381,7 +374,7 @@ def _pull_back(g, v, p: int):
 
 
 def _image(r: Realization, g) -> tuple:
-    """(frame of Realization.canonical(g sigma), mu) for g = (a, b, c, d), ints
+    """(frame of Realization.of(*g sigma), mu) for g = (a, b, c, d), ints
     or integer arrays: f -> f(g^-1 .) maps the model of r to that of g.r with
     phase psi(mu y^2 / 2) at y, since g^-1 tau' = u with omega(u, sigma) = 1
     and f((y u, 0)) = psi(y^2 omega(tau, u) / 2) f(y)."""
@@ -402,7 +395,7 @@ def geometric_action(r: Realization, g: SympMatrix) -> tuple[Realization, np.nda
     """
     (u1, u2, r1, r2), mu = _image(r, (g.a, g.b, g.c, g.d))
     y = np.arange(r.p)
-    return (Realization(EnhancedLagrangian.of(u1, u2, r.p), (r1, r2)),
+    return (Realization(r.p, (u1, u2), (r1, r2)),
             unit_roots(r.p)[half_mod(mu * y * y, r.p)])
 
 
@@ -515,8 +508,8 @@ def weil_entries(ch: WeilChirps, y, x) -> np.ndarray:
     return out
 
 
-def _heis_generators(p: int) -> list[HeisenbergElement]:
-    return [HeisenbergElement.of(1, 0, 0, p), HeisenbergElement.of(0, 1, 0, p)]
+def _heis_generators() -> list[tuple[int, int, int]]:
+    return [(1, 0, 0), (0, 1, 0)]
 
 
 def commutant_dimension(r: Realization) -> int:
@@ -528,9 +521,9 @@ def commutant_dimension(r: Realization) -> int:
     the number of connected components of the resulting graph, the nullity of
     its Laplacian.
     """
-    h1, h2 = _heis_generators(r.p)
-    u1 = heisenberg_op(r, h1)
-    u2 = heisenberg_op(r, h2)
+    h1, h2 = _heis_generators()
+    u1 = heisenberg_op(r, *h1)
+    u2 = heisenberg_op(r, *h2)
     _, z = np.linalg.eig(u1)
     # u2 permutes u1's eigenlines: each entry is a phase or rounding (2e-13 at p = 199)
     ties = np.abs(np.linalg.solve(z, u2 @ z)) > 1e-8

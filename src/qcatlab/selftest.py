@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .groups import CatMap, HeisenbergElement, SympMatrix, build_hecke_torus, classify_prime
+from .arith import half_mod
+from .groups import CatMap, SympMatrix, build_hecke_torus, classify_prime
 from .harness import SUP_BOUND, SUP_TOL
 from .hecke import hecke_spectrum
 from .models import (
@@ -37,15 +38,14 @@ def run(prime: int = 7, seed: int = 0) -> bool:
         print(f"{'PASS' if passed else 'FAIL'}  {name}{'  ' + detail if detail else ''}")
 
     r = Realization.standard(p)
-    h1 = HeisenbergElement.of(1, 0, 0, p)
-    h2 = HeisenbergElement.of(0, 1, 0, p)
-    m1, m2 = heisenberg_op(r, h1), heisenberg_op(r, h2)
-    m12 = heisenberg_op(r, h1 * h2)
+    m1, m2 = heisenberg_op(r, 1, 0, 0), heisenberg_op(r, 0, 1, 0)
+    # ((1, 0), 0) ((0, 1), 0) = ((1, 1), omega((1, 0), (0, 1)) / 2)
+    m12 = heisenberg_op(r, 1, 1, half_mod(1, p))
     # each entry of m1 m2 is one nonzero product of table roots, so rounding
     # does not grow with p (measured 0 for p <= 1009); a wrong phase misses by order 1
     check("heisenberg homomorphism", np.allclose(m1 @ m2, m12, atol=1e-12))
 
-    central = heisenberg_op(r, HeisenbergElement.of(0, 0, 1, p))
+    central = heisenberg_op(r, 0, 0, 1)
     # the table root and np.exp agree to an ulp (<= 3.5e-18 for p <= 1009);
     # allclose's defaults allow 1e-8 + 1e-5 and a wrong character misses by
     # 2 sin(pi / p), more than that for p < 6e5
@@ -69,9 +69,9 @@ def run(prime: int = 7, seed: int = 0) -> bool:
     # rounding grows slowly with p: 5e-16 at p = 7, 4.6e-15 at p = 1009,
     # against order 1 for a wrong image of a generator
     egorov_ok = True
-    for h in (h1, h2):
-        lhs = w1 @ heisenberg_op(r, h) @ w1.conj().T
-        rhs = heisenberg_op(r, HeisenbergElement(g1.apply(h.v), h.z))
+    for v in ((1, 0), (0, 1)):
+        lhs = w1 @ heisenberg_op(r, *v, 0) @ w1.conj().T
+        rhs = heisenberg_op(r, *g1.apply(v), 0)
         egorov_ok &= bool(np.allclose(lhs, rhs, atol=1e-9))
     check("egorov identity", egorov_ok)
 

@@ -12,21 +12,20 @@ the family validation on dense matrices, the all-realizations record table
 by one transport to every line, a block moved along a torus orbit by the
 geometric action, the character basis by pivoted Gram-Schmidt over four
 base columns for every character, sweep.csv formatted one row at a time,
-with each line's tag from its enhanced Lagrangian), so that a test can hold
-the package's answer against it.
+with each line's tag from its realization, the enhancement ratio of two
+vectors on a line, the Heisenberg group law on integer triples), so that a
+test can hold the package's answer against it.
 """
 
 import numpy as np
 
-from qcatlab.arith import half_mod, inverse_mod, legendre_symbol, unit_roots
+from qcatlab.arith import half_mod, legendre_symbol, unit_roots
 from qcatlab.groups import (
     CatMap,
-    EnhancedLagrangian,
     HeckeTorus,
-    HeisenbergElement,
     SympMatrix,
     classify_prime,
-    enumerate_lagrangians,
+    line_sigmas,
     torus_elements,
 )
 from qcatlab.harness import RECORD_DTYPE, SWEEP_SCHEMA, supremum_records
@@ -47,6 +46,7 @@ from qcatlab.models import (
     _apply_coordinate_change,
     _apply_intertwiner,
     _decompose,
+    _omega,
     averaging_scale,
     canonical_intertwiner,
     geometric_action,
@@ -56,6 +56,36 @@ from qcatlab.models import (
     weil_entries,
     weil_op,
 )
+
+
+def every_line(p: int) -> list[Realization]:
+    """The canonical realization of each line, in line_sigmas order."""
+    s1, s2 = line_sigmas(p)
+    return [Realization.of(a, b, p) for a, b in zip(s1.tolist(), s2.tolist())]
+
+
+def fixed_lines(torus: HeckeTorus) -> list[Realization]:
+    """The canonical realizations of the lines A mod p maps to themselves,
+    in line_sigmas order: two at a split prime, none at an inert one."""
+    return [r for r in every_line(torus.p)
+            if _omega(*torus.matrix.apply(r.sigma), *r.sigma, torus.p) == 0]
+
+
+def enhancement_ratio(sigma, other, p: int) -> int:
+    """The e with sigma = e * other for nonzero integer pairs on one line,
+    read off the first coordinate where other is nonzero; ValueError for
+    pairs on different lines."""
+    if _omega(*sigma, *other, p):
+        raise ValueError("vectors on different lines")
+    i = 0 if other[0] % p else 1
+    return sigma[i] * pow(other[i], -1, p) % p
+
+
+def heisenberg_product(h, k, p: int) -> tuple[int, int, int]:
+    """The group law (v, z)(v', z') = (v + v', z + z' + omega(v, v') / 2) on
+    integer triples (v1, v2, z), reduced mod p."""
+    (a, b, z), (c, d, w) = h, k
+    return (a + c) % p, (b + d) % p, (z + w + half_mod(_omega(a, b, c, d, p), p)) % p
 
 
 def generator_by_element_orders(A: CatMap, p: int) -> SympMatrix:
@@ -149,10 +179,10 @@ def averaging_by_summation(target: Realization, source: Realization) -> np.ndarr
     phase at the column it lands on.  The sum is times scale(p) chi_q(w),
     w = omega(sigma, sigma').
     """
-    w = target.lagrangian.sigma.omega(source.lagrangian.sigma)
+    p = target.p
+    w = _omega(*target.sigma, *source.sigma, p)
     if w == 0:
         raise ValueError("summation over the target line needs transverse lines")
-    p = target.p
     (s1, s2), (t1, t2) = target.sigma, target.tau
     y, m = np.arange(p)[:, np.newaxis], np.arange(p)[np.newaxis, :]
     z = half_mod(m * y % p * ((s1 * t2 - s2 * t1) % p), p)
@@ -169,7 +199,7 @@ def coordinate_change_by_decomposition(target: Realization,
     decomposed once into source coordinates, times chi_q of the enhancement
     ratio.  Identical realizations give the identity."""
     p = target.p
-    ratio = target.lagrangian.scale_from(source.lagrangian)
+    ratio = enhancement_ratio(target.sigma, source.sigma, p)
     t1, t2 = target.tau
     y = np.arange(p)
     x, z0 = _decompose(source, y * t1 % p, y * t2 % p, 0)
@@ -186,14 +216,15 @@ def regauge(op: np.ndarray, op_target: Realization, op_source: Realization,
     Lets operator identities that mix enhancements (the sign rule, most
     prominently) be checked as literal matrix equalities.
     """
-    if not target.lagrangian.shares_line(op_target.lagrangian):
+    p = target.p
+    if _omega(*target.sigma, *op_target.sigma, p):
         raise ValueError("target realization lies on a different line")
-    if not source.lagrangian.shares_line(op_source.lagrangian):
+    if _omega(*source.sigma, *op_source.sigma, p):
         raise ValueError("source realization lies on a different line")
     if target != op_target:
         op = _apply_coordinate_change(target, op_target, op)
     if source != op_source:
-        op = op @ _apply_coordinate_change(op_source, source, np.eye(op_source.p))
+        op = op @ _apply_coordinate_change(op_source, source, np.eye(p))
     return op
 
 
@@ -207,9 +238,9 @@ def projective_egorov_solver(r: Realization, g: SympMatrix) -> np.ndarray:
     p = r.p
     eye = np.eye(p)
     blocks = []
-    for h in (HeisenbergElement.of(1, 0, 0, p), HeisenbergElement.of(0, 1, 0, p)):
-        ph = heisenberg_op(r, h)
-        pgh = heisenberg_op(r, HeisenbergElement(g.apply(h.v), h.z))
+    for v in ((1, 0), (0, 1)):
+        ph = heisenberg_op(r, *v, 0)
+        pgh = heisenberg_op(r, *g.apply(v), 0)
         blocks.append(np.kron(eye, ph.T) - np.kron(pgh, eye))
     system = np.vstack(blocks)
     _, s, vh = np.linalg.svd(system)
@@ -226,7 +257,7 @@ def split_closed_form(torus: HeckeTorus) -> HeckeEigenfunction:
     """Every closed-form eigenfunction of a split torus, as one block.
 
     The realization's line and transversal are the two lines A mod p fixes,
-    the first and second found in enumerate_lagrangians(p); the torus acts on
+    the first and second of fixed_lines(torus); the torus acts on
     its model by scalings.  The generator scales the line by a, which
     generates F_p*, so x = a^j has Legendre symbol (-1)^j and column k is
     x -> (-1)^j exp(2 pi i k j / N) sqrt(p / (p - 1)), with 0 at x = 0: it is
@@ -234,12 +265,11 @@ def split_closed_form(torus: HeckeTorus) -> HeckeEigenfunction:
     """
     if torus.kind != "split":
         raise ValueError(f"torus is {torus.kind}; closed form needs a split torus")
-    p, n, A = torus.p, torus.order, torus.matrix
-    line, other = [lag for lag in enumerate_lagrangians(p)
-                   if A.apply(lag.sigma).omega(lag.sigma) == 0]
-    tau = other.sigma.scale(inverse_mod(other.sigma.omega(line.sigma), p))
-    r = Realization(line, tau.coords())
-    a = EnhancedLagrangian(torus.generator.apply(line.sigma)).scale_from(line)
+    p, n = torus.p, torus.order
+    line, other = (r.sigma for r in fixed_lines(torus))
+    scale = pow(_omega(*other, *line, p), -1, p)
+    r = Realization(p, line, (scale * other[0], scale * other[1]))
+    a = enhancement_ratio(torus.generator.apply(line), line, p)
     log = np.zeros(p, dtype=np.int64)  # log[a^j] = j on F_p*
     x = 1
     for j in range(n):
@@ -275,13 +305,12 @@ def projector_identity_check(fn: HeckeEigenfunction, x: int,
     roots = unit_roots(p)
     total = 0.0j
     for l in range(p):
-        h = HeisenbergElement.of(l * s1, l * s2, 0, p)
-        op = heisenberg_op(via, h)
+        op = heisenberg_op(via, l * s1, l * s2, 0)
         total += np.conj(roots[(l * x) % p]) * np.vdot(v, op @ v)
     projector = total / p
     # the form is real for any v: rounding leaves about 1.5e-17 p (2.9e-15 at
     # p = 199), and a breakdown, not a wrong point mass, is what 1e-8 p catches
-    if abs(projector.imag) > 1e-8 * p:
+    if not abs(projector.imag) <= 1e-8 * p:
         raise RuntimeError(f"projector form has imaginary part {projector.imag:.3g}")
     return direct, float(projector.real)
 
@@ -299,16 +328,16 @@ def dense_validate_family(p: int, scale: complex) -> None:
 
     rl = Realization.of(1, 0, p)
     rm = Realization.of(0, 1, p)
-    if np.linalg.norm(dense(rl, rl) - eye) > tol:
+    if not np.linalg.norm(dense(rl, rl) - eye) <= tol:
         raise IntertwinerConstructionError("normalization fails")
     f_lm = dense(rl, rm)
     f_ml = dense(rm, rl)
-    if np.linalg.norm(f_lm @ f_ml - eye) > tol:
+    if not np.linalg.norm(f_lm @ f_ml - eye) <= tol:
         raise IntertwinerConstructionError("returning pair is not the identity")
     for triple in (((1, 0), (0, 1), (1, 1)), ((0, 1), (1, 2), (1, 0))):
         first, middle, last = (Realization.of(s1, s2, p) for s1, s2 in triple)
         composite = dense(first, middle) @ dense(middle, last)
-        if np.linalg.norm(composite - dense(first, last)) > tol:
+        if not np.linalg.norm(composite - dense(first, last)) <= tol:
             raise IntertwinerConstructionError("convolution fails on an anchor triple")
     for a in (2 % p, p - 1):
         if a == 1:
@@ -317,33 +346,32 @@ def dense_validate_family(p: int, scale: complex) -> None:
         # transversals off the canonical ones' lines, so that the
         # coordinate change carries its phases
         inv = pow(a, -1, p)
-        target_scaled = Realization(EnhancedLagrangian.of(0, a, p), (inv, 1))
+        target_scaled = Realization(p, (0, a), (inv, 1))
         f_scaled = dense(target_scaled, rl)
         back = _apply_coordinate_change(rm, target_scaled, eye)
-        if np.linalg.norm(back @ f_scaled - chi * f_ml) > tol:
+        if not np.linalg.norm(back @ f_scaled - chi * f_ml) <= tol:
             raise IntertwinerConstructionError("sign rule fails in target slot")
-        source_scaled = Realization(EnhancedLagrangian.of(a, 0, p), (0, -inv))
+        source_scaled = Realization(p, (a, 0), (0, -inv))
         f_scaled = dense(rm, source_scaled)
         fwd = _apply_coordinate_change(source_scaled, rl, eye)
-        if np.linalg.norm(f_scaled @ fwd - chi * f_ml) > tol:
+        if not np.linalg.norm(f_scaled @ fwd - chi * f_ml) <= tol:
             raise IntertwinerConstructionError("sign rule fails in source slot")
     for g in (SympMatrix(1, 1, 0, 1, p), SympMatrix(0, 1, -1, 0, p)):
         gm, phase_m = geometric_action(rm, g)
         gl, phase_l = geometric_action(rl, g)
         conjugated = (phase_m[:, np.newaxis] * f_ml) * np.conj(phase_l)[np.newaxis, :]
-        if np.linalg.norm(conjugated - dense(gm, gl)) > tol:
+        if not np.linalg.norm(conjugated - dense(gm, gl)) <= tol:
             raise IntertwinerConstructionError("invariance fails")
 
 
 def records_by_transport_to_every_line(fn: HeckeEigenfunction, kind: str) -> np.ndarray:
     """The sweep's record table of one prime in all realizations, the long
-    way: fn transported to every line of enumerate_lagrangians and each moved
+    way: fn transported to every line of line_sigmas and each moved
     block scored on its own, with the rows stable-sorted per character, then
     line, then basis vector."""
-    lines = [Realization.canonical(lag) for lag in enumerate_lagrangians(fn.p)]
     records = np.concatenate([
         supremum_records(fn if r == fn.realization else transport(fn, r), kind)[0]
-        for r in lines])
+        for r in every_line(fn.p)])
     return records[np.argsort(records["character"], kind="stable")]
 
 
@@ -359,7 +387,7 @@ def orbit_move(fn: HeckeEigenfunction, torus: HeckeTorus, j: int,
     """
     t = torus_powers(torus)[j]
     image, phases = geometric_action(fn.realization, t)
-    if not image.lagrangian.shares_line(target.lagrangian):
+    if _omega(*image.sigma, *target.sigma, fn.p):
         raise ValueError(f"g^{j} moves {fn.realization.tag()} off the line of {target.tag()}")
     moved = intertwine(target, image, phases[:, np.newaxis] * fn.vectors)
     return HeckeEigenfunction(target, _normalize_columns(moved, fn.p), fn.characters)
@@ -399,12 +427,12 @@ def four_column_basis(torus: HeckeTorus, r: Realization) -> tuple[np.ndarray, np
 
 def records_csv_by_rows(records: np.ndarray) -> str:
     """The text of sweep.csv with every row formatted on its own, the
-    realization as the sigma of line l of enumerate_lagrangians(p)."""
+    realization as the tag of line l of every_line(p)."""
     head = f"# schema: {SWEEP_SCHEMA}\n" + ",".join(
         ["p", "kind", "realization", "character", "multiplicity", "sup", "argmax",
          "a_max", "pass"]) + "\n"
-    lines = {p: enumerate_lagrangians(p) for p in set(records["p"].tolist())}
-    tags = ["%d:%d" % lines[p][l].sigma.coords()
+    lines = {p: every_line(p) for p in set(records["p"].tolist())}
+    tags = [lines[p][l].tag()
             for p, l in zip(records["p"].tolist(), records["realization"].tolist())]
     rows = zip(*(records[name].tolist() for name in RECORD_DTYPE.names[:2]), tags,
                *(records[name].tolist() for name in RECORD_DTYPE.names[3:7]),

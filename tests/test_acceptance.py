@@ -17,6 +17,7 @@ import pytest
 
 from conftest import random_sl2
 from oracles import (
+    every_line,
     projective_egorov_solver,
     projector_identity_check,
     regauge,
@@ -25,12 +26,9 @@ from oracles import (
 from qcatlab.arith import legendre_symbol, primes_in, unit_roots
 from qcatlab.groups import (
     CatMap,
-    EnhancedLagrangian,
-    HeisenbergElement,
     SympMatrix,
     classify_prime,
     build_hecke_torus,
-    enumerate_lagrangians,
 )
 from qcatlab.hecke import (
     eigenfunction,
@@ -38,6 +36,7 @@ from qcatlab.hecke import (
 )
 from qcatlab.models import (
     Realization,
+    _omega,
     canonical_intertwiner,
     commutant_dimension,
     geometric_action,
@@ -176,16 +175,15 @@ def test_criterion_4_linearization_and_egorov(rng):
             dev = np.linalg.norm(weil_op(r, g1).matrix @ weil_op(r, g2).matrix
                                  - weil_op(r, g1 * g2).matrix, 2)
             worst_mult = max(worst_mult, float(dev))
-        generators = [HeisenbergElement.of(v1, v2, 0, p)
-                      for v1 in range(p) for v2 in range(p)
+        generators = [(v1, v2, 0) for v1 in range(p) for v2 in range(p)
                       if (v1, v2) != (0, 0)]
-        generators.append(HeisenbergElement.of(0, 0, 1, p))
+        generators.append((0, 0, 1))
         for _ in range(50):
             g = random_sl2(rng, p)
             w = weil_op(r, g).matrix
             for h in generators:
-                lhs = w @ heisenberg_op(r, h) @ w.conj().T
-                rhs = heisenberg_op(r, HeisenbergElement(g.apply(h.v), h.z))
+                lhs = w @ heisenberg_op(r, *h) @ w.conj().T
+                rhs = heisenberg_op(r, *g.apply(h[:2]), h[2])
                 worst_egorov = max(worst_egorov, float(np.linalg.norm(lhs - rhs, 2)))
     passed = worst_mult < TOL and worst_egorov < TOL
     announce(4, passed,
@@ -198,23 +196,23 @@ def test_criterion_4_linearization_and_egorov(rng):
 def test_criterion_5_intertwiner_axioms(rng):
     worst = {"sign": 0.0, "conv": 0.0, "inv": 0.0}
     for p in (5, 7, 11, 13):
-        lines = [Realization.canonical(l) for l in enumerate_lagrangians(p)]
+        lines = every_line(p)
         # normalization is exact by construction
         for r in lines:
             assert np.array_equal(canonical_intertwiner(r, r), np.eye(p))
         # sign rule, exhaustive over scale factors and ordered line pairs
         for rt in lines:
             for rs in lines:
-                if rt.lagrangian.shares_line(rs.lagrangian):
+                if not _omega(*rt.sigma, *rs.sigma, p):
                     continue
                 base = canonical_intertwiner(rt, rs)
                 for a in range(2, p):
                     chi = legendre_symbol(a, p)
-                    st = Realization.canonical(EnhancedLagrangian(rt.lagrangian.sigma.scale(a)))
+                    st = Realization.of(a * rt.sigma[0], a * rt.sigma[1], p)
                     dev = np.abs(regauge(canonical_intertwiner(st, rs), st, rs, rt, rs)
                                  - chi * base).max()
                     worst["sign"] = max(worst["sign"], float(dev))
-                    ss = Realization.canonical(EnhancedLagrangian(rs.lagrangian.sigma.scale(a)))
+                    ss = Realization.of(a * rs.sigma[0], a * rs.sigma[1], p)
                     dev = np.abs(regauge(canonical_intertwiner(rt, ss), rt, ss, rt, rs)
                                  - chi * base).max()
                     worst["sign"] = max(worst["sign"], float(dev))
@@ -252,11 +250,10 @@ def test_criterion_6_stone_von_neumann():
     checked = 0
     for p in primes_in(5, 31):
         psi = unit_roots(p)
-        for lag in enumerate_lagrangians(p):
-            r = Realization.canonical(lag)
+        for r in every_line(p):
             assert commutant_dimension(r) == 1
             for z in range(p):
-                m = heisenberg_op(r, HeisenbergElement.of(0, 0, z, p))
+                m = heisenberg_op(r, 0, 0, z)
                 assert np.abs(m - psi[z] * np.eye(p)).max() < 1e-12
             checked += 1
     # independent route: the intertwining-equation solver sees a 1-dim space
@@ -274,7 +271,7 @@ def test_criterion_7_projector_identity(rng, defining_sweep, all_realization_swe
         torus = build_hecke_torus(A, p)
         spectrum = hecke_spectrum(torus, Realization.standard(p))
         simple = np.flatnonzero(spectrum.multiplicities() == 1)
-        others = [Realization.canonical(l) for l in enumerate_lagrangians(p)]
+        others = every_line(p)
         for _ in range(50):
             k = int(simple[rng.integers(len(simple))])
             fn = eigenfunction(spectrum, k)

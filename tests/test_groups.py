@@ -6,98 +6,94 @@ import pytest
 import numpy as np
 
 from oracles import (
+    enhancement_ratio,
+    every_line,
     generator_by_element_orders,
     generator_by_prime_factors,
+    heisenberg_product,
     norm_one_pairs_by_scan,
     torus_powers,
 )
 from qcatlab.arith import primes_in
 from qcatlab.groups import (
     CatMap,
-    EnhancedLagrangian,
-    HeisenbergElement,
     SympMatrix,
-    SymplecticVector,
     _norm_one_pairs,
     _walk,
     build_hecke_torus,
     classify_prime,
-    enumerate_lagrangians,
     line_index,
     line_sigmas,
     torus_elements,
 )
+from qcatlab.models import Realization, _omega
 
 A_DEFAULT = CatMap(2, 1, 1, 1)
 
 
 def all_heisenberg(p):
-    return [HeisenbergElement.of(v1, v2, z, p)
-            for v1 in range(p) for v2 in range(p) for z in range(p)]
+    return list(itertools.product(range(p), repeat=3))
 
 
 def random_heis(rng, p):
-    return HeisenbergElement.of(*(int(rng.integers(p)) for _ in range(3)), p)
+    return tuple(int(rng.integers(p)) for _ in range(3))
 
 
 def test_omega_antisymmetric_bilinear():
     p = 7
-    u = SymplecticVector(2, 3, p)
-    v = SymplecticVector(5, 1, p)
-    assert u.omega(u) == 0
-    assert (u.omega(v) + v.omega(u)) % p == 0
-    w = SymplecticVector(4, 6, p)
-    assert (u + w).omega(v) == (u.omega(v) + w.omega(v)) % p
+    u, v, w = (2, 3), (5, 1), (4, 6)
+    assert _omega(*u, *u, p) == 0
+    assert (_omega(*u, *v, p) + _omega(*v, *u, p)) % p == 0
+    assert _omega(u[0] + w[0], u[1] + w[1], *v, p) == (_omega(*u, *v, p) + _omega(*w, *v, p)) % p
 
 
 def test_heis_identity_element():
     p = 7
-    e = HeisenbergElement.of(0, 0, 0, p)
-    for h in all_heisenberg(3)[:0] or [HeisenbergElement.of(1, 2, 3, p),
-                                       HeisenbergElement.of(0, 6, 1, p)]:
-        assert e * h == h
-        assert h * e == h
+    e = (0, 0, 0)
+    for h in [(1, 2, 3), (0, 6, 1)]:
+        assert heisenberg_product(e, h, p) == h
+        assert heisenberg_product(h, e, p) == h
 
 
 def test_heis_product_example_mod7():
     # half of omega((1,0),(0,1)) = inv(2) = 4 mod 7
-    h = HeisenbergElement.of(1, 0, 0, 7) * HeisenbergElement.of(0, 1, 0, 7)
-    assert h == HeisenbergElement.of(1, 1, 4, 7)
+    assert heisenberg_product((1, 0, 0), (0, 1, 0), 7) == (1, 1, 4)
 
 
 def test_heis_inverse_law(rng):
     p = 11
-    e = HeisenbergElement.of(0, 0, 0, p)
+    e = (0, 0, 0)
     for _ in range(100):
         h = random_heis(rng, p)
-        inverse = HeisenbergElement.of(-h.v.v1, -h.v.v2, -h.z, p)
-        assert h * inverse == e
-        assert inverse * h == e
+        inverse = tuple(-c % p for c in h)
+        assert heisenberg_product(h, inverse, p) == e
+        assert heisenberg_product(inverse, h, p) == e
 
 
 def test_heis_associativity_exhaustive_p3():
-    elements = all_heisenberg(3)
-    for h1, h2, h3 in itertools.product(elements, repeat=3):
-        assert (h1 * h2) * h3 == h1 * (h2 * h3)
+    p = 3
+    for h1, h2, h3 in itertools.product(all_heisenberg(p), repeat=3):
+        assert (heisenberg_product(heisenberg_product(h1, h2, p), h3, p)
+                == heisenberg_product(h1, heisenberg_product(h2, h3, p), p))
 
 
 def test_heis_associativity_sampled_p31(rng):
     p = 31
     for _ in range(300):
         h1, h2, h3 = (random_heis(rng, p) for _ in range(3))
-        assert (h1 * h2) * h3 == h1 * (h2 * h3)
+        assert (heisenberg_product(heisenberg_product(h1, h2, p), h3, p)
+                == heisenberg_product(h1, heisenberg_product(h2, h3, p), p))
 
 
 def test_heis_center():
     p = 5
     for z in range(p):
-        c = HeisenbergElement.of(0, 0, z, p)
+        c = (0, 0, z)
         for h in all_heisenberg(p)[::7]:
-            assert c * h == h * c
+            assert heisenberg_product(c, h, p) == heisenberg_product(h, c, p)
     # non-central elements fail to commute with something
-    h = HeisenbergElement.of(1, 0, 0, p)
-    k = HeisenbergElement.of(0, 1, 0, p)
-    assert h * k != k * h
+    h, k = (1, 0, 0), (0, 1, 0)
+    assert heisenberg_product(h, k, p) != heisenberg_product(k, h, p)
 
 
 def test_symp_matrix_det_enforced():
@@ -108,13 +104,13 @@ def test_symp_matrix_det_enforced():
 
 def test_symp_matrix_preserves_omega(rng):
     p = 13
-    basis = [SymplecticVector(1, 0, p), SymplecticVector(0, 1, p)]
+    basis = [(1, 0), (0, 1)]
     from conftest import random_sl2
     for _ in range(50):
         g = random_sl2(rng, p)
         for u in basis:
             for v in basis:
-                assert g.apply(u).omega(g.apply(v)) == u.omega(v)
+                assert _omega(*g.apply(u), *g.apply(v), p) == _omega(*u, *v, p)
 
 
 def test_symp_matrix_inverse_and_pow():
@@ -135,7 +131,7 @@ def test_symp_matrix_inverse_and_pow():
 
 def matrix_act(g, h):
     """The SL2 action (v, z) -> (g v, z) on the Heisenberg group."""
-    return HeisenbergElement(g.apply(h.v), h.z)
+    return (*g.apply(h[:2]), h[2])
 
 
 def test_matrix_act_is_automorphism(rng):
@@ -144,17 +140,18 @@ def test_matrix_act_is_automorphism(rng):
     for _ in range(50):
         g = random_sl2(rng, p)
         h1, h2 = random_heis(rng, p), random_heis(rng, p)
-        assert matrix_act(g, h1 * h2) == matrix_act(g, h1) * matrix_act(g, h2)
+        assert (matrix_act(g, heisenberg_product(h1, h2, p))
+                == heisenberg_product(matrix_act(g, h1), matrix_act(g, h2), p))
 
 
 def test_matrix_act_identity_and_center():
     p = 7
     e = SympMatrix.identity(p)
-    h = HeisenbergElement.of(3, 4, 2, p)
+    h = (3, 4, 2)
     assert matrix_act(e, h) == h
     g = SympMatrix(2, 1, 1, 1, p)
     for z in range(p):
-        c = HeisenbergElement.of(0, 0, z, p)
+        c = (0, 0, z)
         assert matrix_act(g, c) == c
 
 
@@ -183,8 +180,7 @@ def test_classify_matches_eigenvector_search():
             for v2 in range(p):
                 if v1 == 0 and v2 == 0:
                     continue
-                v = SymplecticVector(v1, v2, p)
-                if Ap.apply(v).omega(v) == 0:
+                if _omega(*Ap.apply((v1, v2)), v1, v2, p) == 0:
                     has_eig = True
         assert has_eig == (kind == "split")
 
@@ -345,24 +341,27 @@ def test_torus_is_frozen_to_its_generator():
         torus.order = 9
 
 
-def test_enumerate_lagrangians_counts():
-    assert len(enumerate_lagrangians(3)) == 4
-    assert len(enumerate_lagrangians(7)) == 8
-    lines = enumerate_lagrangians(7)
-    assert not any(l.shares_line(m) for l, m in itertools.combinations(lines, 2))
+def test_line_sigmas_lie_on_distinct_lines():
+    # p + 1 sigmas, pairwise transverse, and each line's canonical
+    # realization keeps its sigma
+    for p in (3, 7):
+        s1, s2 = line_sigmas(p)
+        sigmas = list(zip(s1.tolist(), s2.tolist()))
+        assert len(sigmas) == p + 1
+        assert all(_omega(*u, *v, p) for u, v in itertools.combinations(sigmas, 2))
+        assert [r.sigma for r in every_line(p)] == sigmas
 
 
 def test_proportional_sigmas_share_line():
-    l = EnhancedLagrangian.of(1, 3, 7)
-    l2 = EnhancedLagrangian(l.sigma.scale(2))
-    assert l.shares_line(l2)
-    assert l2.scale_from(l) == 2
-    m = EnhancedLagrangian.of(0, 1, 7)
-    assert not l.shares_line(m)
+    p = 7
+    assert line_index(1, 3, p) == line_index(2, 6, p) == 3
+    assert enhancement_ratio((2, 6), (1, 3), p) == 2
+    assert enhancement_ratio((0, 5), (0, 1), p) == 5
+    assert line_index(0, 1, p) != line_index(1, 3, p)
     with pytest.raises(ValueError):
-        l.scale_from(m)
+        enhancement_ratio((1, 3), (0, 1), p)
     with pytest.raises(ValueError):
-        EnhancedLagrangian.of(0, 0, 7)
+        Realization.of(0, 0, p)
 
 
 def test_cat_map_parse():

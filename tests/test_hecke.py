@@ -7,6 +7,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import intertwine_with_a_moved_eigenvalue
 from oracles import (
     eig_spectrum,
+    enhancement_ratio,
+    every_line,
+    fixed_lines,
     four_column_basis,
     orbit_move,
     split_closed_form,
@@ -15,11 +18,9 @@ from oracles import (
 from qcatlab.arith import legendre_symbol, primes_in, unit_roots
 from qcatlab.groups import (
     CatMap,
-    EnhancedLagrangian,
-    SymplecticVector,
     build_hecke_torus,
     classify_prime,
-    enumerate_lagrangians,
+    line_index,
     torus_elements,
 )
 from qcatlab.hecke import (
@@ -36,7 +37,7 @@ from qcatlab.hecke import (
     torus_orbits,
     transport,
 )
-from qcatlab.models import Realization, weil_chirps, weil_entries, weil_op
+from qcatlab.models import Realization, _omega, weil_chirps, weil_entries, weil_op
 from qcatlab.harness import supremum_records
 
 A = CatMap(2, 1, 1, 1)
@@ -104,8 +105,7 @@ def torus_and_line(draw):
     matrix = draw(st.sampled_from([A, CatMap(3, 2, 1, 1)]))
     p = draw(st.sampled_from([p for p in primes_in(3, 97)
                               if classify_prime(matrix, p) != "ramified"]))
-    line = draw(st.sampled_from(enumerate_lagrangians(p)))
-    return build_hecke_torus(matrix, p), Realization.canonical(line)
+    return build_hecke_torus(matrix, p), draw(st.sampled_from(every_line(p)))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -252,9 +252,7 @@ def _compare_with_eig_oracle(cat):
         if classify_prime(cat, p) == "ramified":
             continue
         torus = build_hecke_torus(cat, p)
-        lags = enumerate_lagrangians(p) if p <= 31 else [Realization.standard(p).lagrangian]
-        for lag in lags:
-            r = Realization.canonical(lag)
+        for r in every_line(p) if p <= 31 else [Realization.standard(p)]:
             spectrum, oracle = hecke_spectrum(torus, r), eig_spectrum(torus, r)
             rho_gen = weil_op(r, torus.generator).matrix
             roots = unit_roots(torus.order)
@@ -366,16 +364,15 @@ def test_basis_is_the_four_column_basis(matrix):
         if classify_prime(matrix, p) == "ramified":
             continue
         torus = build_hecke_torus(matrix, p)
-        lines = enumerate_lagrangians(p) if p <= 31 else enumerate_lagrangians(p)[-1:]
-        for lag in lines:
-            r = Realization.canonical(lag)
+        lines = every_line(p) if p <= 31 else every_line(p)[-1:]
+        for r in lines:
             labels, basis = _character_basis(torus, r)
             expected_labels, expected = four_column_basis(torus, r)
-            assert np.array_equal(labels, expected_labels), (p, lag.sigma)
+            assert np.array_equal(labels, expected_labels), (p, r.sigma)
             u, v = _normalize_columns(basis, p), _normalize_columns(expected, p)
-            assert np.abs(u - v).max() < 1e-11, (p, lag.sigma)
+            assert np.abs(u - v).max() < 1e-11, (p, r.sigma)
             overlap = (v.conj() * u).sum(axis=0)
-            assert np.abs(u - v * (overlap / np.abs(overlap))).max() < 1e-12, (p, lag.sigma)
+            assert np.abs(u - v * (overlap / np.abs(overlap))).max() < 1e-12, (p, r.sigma)
 
 
 @pytest.mark.parametrize("matrix, p, k", [("2,1;1,1", 151, 142), ("3,2;1,1", 79, 39)])
@@ -471,8 +468,7 @@ def moved_defining_block(draw):
     matrix = draw(st.sampled_from([A, CatMap(3, 2, 1, 1)]))
     p = draw(st.sampled_from([p for p in primes_in(3, 97)
                               if classify_prime(matrix, p) != "ramified"]))
-    line = draw(st.sampled_from(enumerate_lagrangians(p)))
-    fn, target = _defining_block(matrix, p), Realization.canonical(line)
+    fn, target = _defining_block(matrix, p), draw(st.sampled_from(every_line(p)))
     return classify_prime(matrix, p), fn if target == fn.realization else transport(fn, target)
 
 
@@ -493,13 +489,13 @@ def test_block_records_are_its_characters_records(case):
 # torus orbits of the lines
 
 
-def _torus_image(torus, j, lag):
-    """(l, e): the enumerated line l holding g^j sigma, and the e with
-    g^j sigma = e sigma_l, by repeated products and a search of the lines."""
-    u = EnhancedLagrangian(torus_powers(torus)[j].apply(lag.sigma))
-    lines = enumerate_lagrangians(torus.p)
-    l = next(i for i, other in enumerate(lines) if u.shares_line(other))
-    return l, u.scale_from(lines[l])
+def _torus_image(torus, j, r):
+    """(l, e): the line l of line_sigmas holding g^j sigma_r, and the e with
+    g^j sigma_r = e sigma_l, by repeated products and a search of the lines."""
+    u = torus_powers(torus)[j].apply(r.sigma)
+    for l, line in enumerate(every_line(torus.p)):
+        if line_index(*line.sigma, torus.p) == line_index(*u, torus.p):
+            return l, enhancement_ratio(u, line.sigma, torus.p)
 
 
 @pytest.mark.parametrize("matrix", [A, CatMap(3, 2, 1, 1)], ids=["2,1;1,1", "3,2;1,1"])
@@ -510,7 +506,7 @@ def test_torus_orbits_against_repeated_products(matrix):
             continue
         torus = build_hecke_torus(matrix, p)
         rep, dilation = torus_orbits(torus)
-        lines = enumerate_lagrangians(p)
+        lines = every_line(p)
         # each representative's walk: the least power reaching a line gives
         # its dilation
         walks = {r: [_torus_image(torus, j, lines[r]) for j in range(torus.order)]
@@ -535,7 +531,7 @@ def torus_element_and_line(draw):
                               if classify_prime(matrix, p) != "ramified"]))
     torus = build_hecke_torus(matrix, p)
     return matrix, torus, draw(st.integers(0, torus.order - 1)), draw(
-        st.sampled_from(enumerate_lagrangians(p)))
+        st.sampled_from(every_line(p)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -544,12 +540,12 @@ def test_torus_element_moves_moduli_by_its_dilation(case):
     # |transport(fn, t.r)[y]| = |transport(fn, r)[e y]|, with t.r the line of
     # t sigma_r and t sigma_r = e sigma_{t.r}: what the sweep's derived rows
     # rest on, degenerate columns included
-    matrix, torus, j, lag = case
+    matrix, torus, j, r = case
     p = torus.p
-    l, e = _torus_image(torus, j, lag)
+    l, e = _torus_image(torus, j, r)
     fn = _defining_block(matrix, p)
-    here = np.abs(transport(fn, Realization.canonical(lag)).vectors)
-    there = np.abs(transport(fn, Realization.canonical(enumerate_lagrangians(p)[l])).vectors)
+    here = np.abs(transport(fn, r).vectors)
+    there = np.abs(transport(fn, every_line(p)[l]).vectors)
     assert np.abs(there - here[e * np.arange(p) % p]).max() < 1e-12
 
 
@@ -565,11 +561,11 @@ def test_orbit_move_is_transport_up_to_phase():
     torus = build_hecke_torus(A, p)
     fn = _defining_block(A, p)
     rep, _ = torus_orbits(torus)
-    lines = [Realization.canonical(lag) for lag in enumerate_lagrangians(p)]
+    lines = every_line(p)
     for l in np.flatnonzero(rep != np.arange(p + 1)).tolist():
         source = transport(fn, lines[rep[l]])
         j = next(j for j in range(torus.order)
-                 if _torus_image(torus, j, lines[rep[l]].lagrangian)[0] == l)
+                 if _torus_image(torus, j, lines[rep[l]])[0] == l)
         moved = orbit_move(source, torus, j, lines[l])
         direct = transport(fn, lines[l])
         for i in range(fn.characters.size):
@@ -588,14 +584,14 @@ def test_projector_column_is_the_spectrum_vector(matrix):
         if classify_prime(matrix, p) == "ramified":
             continue
         torus = build_hecke_torus(matrix, p)
-        lag = enumerate_lagrangians(p)[rng.integers(p + 1)]
-        spectrum = hecke_spectrum(torus, Realization.canonical(lag))
+        r = every_line(p)[rng.integers(p + 1)]
+        spectrum = hecke_spectrum(torus, r)
         simple = np.flatnonzero(spectrum.multiplicities() == 1)
         for k in rng.choice(simple, size=2, replace=False).tolist():
             v = eigenfunction(spectrum, k).vectors[:, 0]
             b = int(np.abs(v).argmax())
             column = projector_column(torus, spectrum.eigenfunctions.realization, k, b)
-            assert _phase_gap(v, column) < 1e-9, (p, lag.sigma, k)
+            assert _phase_gap(v, column) < 1e-9, (p, r.sigma, k)
             other = projector_column(torus, spectrum.eigenfunctions.realization, k + 1, b)
             assert abs(np.vdot(v, other)) < 1e-9
 
@@ -609,10 +605,9 @@ def torus_and_lines(draw):
     p = draw(st.sampled_from([p for p in primes_in(3, 97)
                               if classify_prime(matrix, p) != "ramified"]))
     torus = build_hecke_torus(matrix, p)
-    lines = enumerate_lagrangians(p)
+    lines = every_line(p)
     if p > 31:
-        fixed = [lag for lag in lines if torus.matrix.apply(lag.sigma).omega(lag.sigma) == 0]
-        lines = [draw(st.sampled_from(lines))] + fixed
+        lines = [draw(st.sampled_from(lines))] + fixed_lines(torus)
     return torus, lines
 
 
@@ -627,8 +622,8 @@ def test_tables_are_the_weil_entries(case):
     torus, lines = case
     y = np.arange(torus.p)
     ks = np.arange(torus.order)
-    for lag in lines:
-        chirps = weil_chirps(Realization.canonical(lag), torus_elements(torus))
+    for r in lines:
+        chirps = weil_chirps(r, torus_elements(torus))
         assert np.array_equal(_mirror(_half_diagonals(chirps)), weil_entries(chirps, y, y))
         for b in y[:4].tolist():
             # sums of N unit-modulus terms over N: rounding at most about
@@ -643,15 +638,14 @@ def test_tables_are_the_weil_entries(case):
 
 def test_adapted_realization_lines_are_torus_fixed(torus11):
     r = split_closed_form(torus11).realization
-    sigma = SymplecticVector(*r.sigma, 11)
-    tau = SymplecticVector(*r.tau, 11)
     for g in torus_powers(torus11):
-        assert g.apply(sigma).omega(sigma) == 0
-        assert g.apply(tau).omega(tau) == 0
-    # the first and second lines of the enumeration that A mod 11 fixes
-    first, second = [lag.sigma for lag in enumerate_lagrangians(11)
-                     if torus11.matrix.apply(lag.sigma).omega(lag.sigma) == 0]
-    assert r.sigma == first.coords() and tau.omega(second) == 0
+        assert _omega(*g.apply(r.sigma), *r.sigma, 11) == 0
+        assert _omega(*g.apply(r.tau), *r.tau, 11) == 0
+    # the first and second lines of line_sigmas that A mod 11 fixes, found
+    # by testing each line
+    first, second = [line.sigma for line in every_line(11)
+                     if _omega(*torus11.matrix.apply(line.sigma), *line.sigma, 11) == 0]
+    assert r.sigma == first and _omega(*r.tau, *second, 11) == 0
 
 
 def test_adapted_realization_needs_split(torus7):
@@ -720,11 +714,9 @@ def test_point_mass_at_zero_is_the_double_character_on_fixed_lines(matrix):
             continue
         torus = build_hecke_torus(A, p)
         n = torus.order
-        fixed = [lag for lag in enumerate_lagrangians(p)
-                 if torus.matrix.apply(lag.sigma).omega(lag.sigma) == 0]
+        fixed = fixed_lines(torus)
         assert len(fixed) == 2
-        for lag in fixed:
-            r = Realization.canonical(lag)
+        for r in fixed:
             image = weil_op(r, torus.generator).matrix[:, 0]
             c = image[0]
             assert abs(abs(c) - 1) < 1e-12 and np.abs(image[1:]).max() < 1e-12

@@ -1,7 +1,8 @@
 """Static checks that stand in for a linter over the package and the tests:
 every imported name is read in its module, every name a qcatlab module
-lists in __all__ exists, and every private module-level name the package
-defines is read somewhere in the package.  bench/ is not scanned."""
+lists in __all__ exists and is read in the package or the benchmark, and
+every private module-level name the package defines is read somewhere in
+the package.  bench/ is read for its names only, not linted."""
 
 import ast
 import importlib
@@ -75,10 +76,8 @@ def _private_definitions(path: Path) -> list[tuple[str, str]]:
     return out
 
 
-def test_private_names_are_read_in_the_package():
-    # a private helper that only the tests read belongs in tests/oracles.py
-    files = sorted(PACKAGE.glob("*.py"))
-    assert PACKAGE / "models.py" in files, "package sources not found"
+def _read_names(files) -> set[str]:
+    """Every name the files load, as a bare name or as an attribute."""
     read = set()
     for path in files:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -86,6 +85,35 @@ def test_private_names_are_read_in_the_package():
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+    return read
+
+
+def test_private_names_are_read_in_the_package():
+    # a private helper that only the tests read belongs in tests/oracles.py
+    files = sorted(PACKAGE.glob("*.py"))
+    assert PACKAGE / "models.py" in files, "package sources not found"
+    read = _read_names(files)
     unread = [f"{where}: {name}" for path in files
               for name, where in _private_definitions(path) if name not in read]
     assert not unread, "defined and read nowhere in src/qcatlab:\n" + "\n".join(unread)
+
+
+def _traced_names() -> set[str]:
+    """The function names bench/tracer.py's TRACED wraps."""
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text())
+    (value,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)]
+    return {name for _, name in ast.literal_eval(value)}
+
+
+def test_public_names_are_read_in_the_package_or_the_benchmark():
+    # a public name that only the tests read belongs in tests/oracles.py
+    files = sorted(PACKAGE.glob("*.py"))
+    assert PACKAGE / "models.py" in files, "package sources not found"
+    read = _read_names(files) | _read_names(sorted((ROOT / "bench").glob("*.py")))
+    read |= _traced_names()
+    unread = [f"{path.relative_to(ROOT)}: {name}" for path in files
+              for name in sorted(_listed_in_all(ast.parse(path.read_text())))
+              if name not in read]
+    assert not unread, ("listed in __all__ and read nowhere in src/qcatlab or bench/:\n"
+                        + "\n".join(unread))
