@@ -321,6 +321,22 @@ def test_validation_rejects_a_coordinate_change_without_phases(p, monkeypatch):
         _validate_family(p, scale)
 
 
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_validation_rejects_an_image_without_its_phase(p, monkeypatch):
+    # the geometric phase of g.r is the one quantity only invariance reads:
+    # with mu forced to 0 every other property still holds
+    scale = averaging_scale(p)
+    image = models._image
+
+    def without_phase(r, g):
+        frame, mu = image(r, g)
+        return frame, 0 * mu
+
+    monkeypatch.setattr(models, "_image", without_phase)
+    with pytest.raises(IntertwinerConstructionError, match="invariance fails"):
+        _validate_family(p, scale)
+
+
 def _flip_shared(c, w, scale):
     return np.where(w == 0, -c, c)
 
