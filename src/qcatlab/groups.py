@@ -5,8 +5,8 @@ Conventions: omega(u, v) = u1*v2 - u2*v1 on F_p^2, the Heisenberg product is
 (v, z)(v', z') = (v + v', z + z' + omega(v, v')/2), and SL2(F_p) acts on the
 Heisenberg group by (v, z) -> (g v, z).  Vectors and Heisenberg elements are
 plain integers, and a line is its sigma in line_sigmas order.  The torus's
-generator and all its powers come from one cached integer walk
-(torus_elements).
+generator is the first element of full order, found by its order, and all
+its powers come from one cached integer walk (torus_elements).
 """
 
 from __future__ import annotations
@@ -164,26 +164,22 @@ class HeckeTorus:
 
 
 @lru_cache(maxsize=2)
-def _walk(g: SympMatrix, n: int) -> tuple[np.ndarray, ...] | None:
+def _walk(g: SympMatrix, n: int) -> tuple[np.ndarray, ...]:
     """Entries (a, b, c, d) of g^j for j in [0, n), each an (n,) read-only
-    integer array, or None once g^j = I for some 0 < j < n: in the cyclic
-    torus of order n, a walk that completes is a generator's."""
+    integer array."""
     p, rows = g.p, [(1, 0, 0, 1)]
     for _ in range(n - 1):
         a, b, c, d = rows[-1]
-        row = ((g.a * a + g.b * c) % p, (g.a * b + g.b * d) % p,
-               (g.c * a + g.d * c) % p, (g.c * b + g.d * d) % p)
-        if row == (1, 0, 0, 1):
-            return None
-        rows.append(row)
+        rows.append(((g.a * a + g.b * c) % p, (g.a * b + g.b * d) % p,
+                     (g.c * a + g.d * c) % p, (g.c * b + g.d * d) % p))
     entries = np.array(rows, dtype=np.int64).T
     entries.setflags(write=False)
     return tuple(entries)
 
 
 def torus_elements(torus: HeckeTorus) -> tuple[np.ndarray, ...]:
-    """Entries (a, b, c, d) of generator^j for j in [0, N): the cached walk
-    that found the generator, so every reader of the torus shares it."""
+    """Entries (a, b, c, d) of generator^j for j in [0, N): one cached walk
+    of the generator, so every reader of the torus shares it."""
     return _walk(torus.generator, torus.order)
 
 
@@ -205,23 +201,37 @@ def _norm_one_pairs(t: int, p: int) -> np.ndarray:
     return np.stack([np.broadcast_to(x[:, np.newaxis], ys.shape)[keep], ys[keep]], axis=1)
 
 
+def _power(g: SympMatrix, e: int) -> SympMatrix:
+    """g^e by square-and-multiply."""
+    out = SympMatrix.identity(g.p)
+    while e:
+        if e & 1:
+            out = out * g
+        g, e = g * g, e >> 1
+    return out
+
+
 def build_hecke_torus(A: CatMap, p: int) -> HeckeTorus:
     """The commutant torus of A mod p with its first element of full order.
 
-    Ramified primes are rejected: there the commutant of the reduction is not
-    a torus and the whole eigenfunction setup does not apply.
+    In the cyclic torus of order N, g generates exactly when g^(N/q) != I
+    for every prime q dividing N.  Ramified primes are rejected: there the
+    commutant of the reduction is not a torus and the whole eigenfunction
+    setup does not apply.
     """
     kind = classify_prime(A, p)
     if kind == "ramified":
         raise ValueError(f"p = {p} is ramified for this cat map; no Hecke torus")
     Ap = A.reduce(p)
-    # x*I + y*A has determinant x^2 + t*x*y + y^2; walk its solutions x-major
+    # x*I + y*A has determinant x^2 + t*x*y + y^2; search its solutions x-major
     pairs = _norm_one_pairs(Ap.trace(), p).tolist()
     order = p - 1 if kind == "split" else p + 1
     if len(pairs) != order:
         raise RuntimeError(f"commutant size {len(pairs)} != {order} for {kind} p = {p}")
+    identity = SympMatrix.identity(p)
+    factors = [q for q in range(2, order + 1) if order % q == 0 and (q == 2 or is_odd_prime(q))]
     for x0, y0 in pairs:
         g = SympMatrix(x0 + y0 * Ap.a, y0 * Ap.b, y0 * Ap.c, x0 + y0 * Ap.d, p)
-        if _walk(g, order) is not None:
+        if all(_power(g, order // q) != identity for q in factors):
             return HeckeTorus(Ap, kind, order, g)
     raise RuntimeError(f"no generator of order {order} found at p = {p}")

@@ -14,11 +14,10 @@ depends on x only through x^2, so half of it is evaluated and mirrored.  A
 degenerate space, or a simple one with too little mass at 1, gets a basis
 fixed by rule from the columns at the base points 0..3, each one
 torus-weighted sum, which projector_column also reads.  The residual
-applies rho(g) as the canonical intertwiner from the model of g.r after its
-geometric phases, one FFT for the whole basis, from the tables' own
-formulas (models._coefficient, _image and the chirps): it checks an FFT
-application against their entry evaluation, and the eigenvector equation,
-but not a chirp coefficient wrong in both routes, which
+applies rho(g) to the whole basis by models._apply_chirps, one FFT between
+chirps, from the same weil_chirps form the tables evaluate entry by entry:
+it checks that application against the entry evaluation, and the
+eigenvector equation, but not a chirp coefficient wrong in both routes, which
 models._validate_family and the tests' dense oracles catch.  Eigenfunctions
 travel as one block per realization: a (p, n) matrix whose columns are
 labelled by character, which `transport` carries to another realization
@@ -44,9 +43,9 @@ from .groups import HeckeTorus, line_index, line_sigmas, torus_elements
 from .models import (
     Realization,
     WeilChirps,
+    _apply_chirps,
     _canonical_tau,
     _omega,
-    geometric_action,
     intertwine,
     weil_chirps,
     weil_entries,
@@ -283,15 +282,15 @@ def hecke_spectrum(torus: HeckeTorus, r: Realization) -> HeckeSpectrum:
 
     The basis comes from projector tables over the torus (_character_basis),
     with no eigensolver.  rho(gen) then checks it, applied to the whole basis
-    as the canonical intertwiner from the model of gen.r after the geometric
-    phases, in O(p^2 log p): a character whose columns B miss the eigenvector
-    equation, ||rho(gen) B - exp(2 pi i k / N) B|| > 1e-7 p, is flagged.
+    from its own weil_chirps by models._apply_chirps, in O(p^2 log p): a
+    character whose columns B miss the eigenvector equation,
+    ||rho(gen) B - exp(2 pi i k / N) B|| > 1e-7 p, is flagged.
     """
-    n = torus.order
+    n, g = torus.order, torus.generator
     characters, z = _character_basis(torus, r)
-    image, phases = geometric_action(r, torus.generator)
-    rho_z = intertwine(r, image, phases[:, np.newaxis] * z)
-    misfit = np.linalg.norm(rho_z - z * unit_roots(n)[characters], axis=0)
+    rho_z = _apply_chirps(weil_chirps(r, (g.a, g.b, g.c, g.d)), z)
+    rho_z -= z * unit_roots(n)[characters]
+    misfit = np.linalg.norm(rho_z, axis=0)
     residuals = np.sqrt(np.bincount(characters, weights=misfit ** 2, minlength=n))
     block = HeckeEigenfunction(r, _normalize_columns(z, r.p), characters)
     return HeckeSpectrum(torus, block, residuals)

@@ -26,14 +26,15 @@ shared line the canonical operator is chi_q of the enhancement ratio times
 the coordinate change of the identity map, a permutation times phases (the
 identity for identical realizations).  Each quantity has one formula: the
 shape _averaging_chirps or _shared_line_map, the constant _coefficient and
-the model of g.r with its geometric phase _image.  `intertwine` applies
-them to a block of columns in O(n p log p), weil_chirps reads them once for
-a batch of elements and weil_entries evaluates entries from them, and the
-dense operators (canonical_intertwiner, raw_averaging, weil_op) are
-`intertwine` applied to the identity.  The construction fails loudly if the
-family does not satisfy normalization, invariance, convolution and the sign
-rule, checked once per prime on three probe vectors by three batched
-applications of the same formulas and constants.
+the model of g.r with its geometric phase _image.  _chirps_between joins
+them into one operator form, a WeilChirps batch, and weil_chirps is that
+batch from the models of g.r, the geometric phase in its column chirp.
+_apply_chirps alone applies a batch, in O(n p log p): `intertwine`, the
+dense operators (canonical_intertwiner, raw_averaging, weil_op), hecke's
+residual and the family validation all run it; weil_entries evaluates
+entries from a batch.  The construction fails loudly if the family does not
+satisfy normalization, invariance, convolution and the sign rule, checked
+once per prime on three probe vectors by three batches of _apply_chirps.
 """
 
 from __future__ import annotations
@@ -181,40 +182,6 @@ def _averaging_chirps(target, source, p: int) -> tuple:
     return c * h % p, (gamma * w - 1 - c * alpha) % p * h % p, alpha * h % p
 
 
-def _apply_averaging(target, source, block: np.ndarray) -> np.ndarray:
-    """The raw averaging sum applied to block, as chirp * FFT * chirp, for a
-    batch of B operators: (B, p, n), from frames as in _averaging_chirps of
-    (B,) integer arrays, or of ints for a batch of one, and a (p, n) block
-    shared by the batch or a (B, p, n) block, one per operator.
-
-    numpy's FFT computes sum_x exp(-2 pi i k x / p) f[x], so the sum
-    sum_x psi(beta x y) f[x] is its entry k = -beta y mod p.
-    """
-    p = block.shape[-2]
-    qa, beta, qb = (np.reshape(c, (-1, 1)) for c in _averaging_chirps(target, source, p))
-    roots, y = unit_roots(p), np.arange(p)
-    square = y * y % p
-    spectrum = roots[qb * square % p][:, :, np.newaxis] * block
-    np.fft.fft(spectrum, axis=1, out=spectrum)
-    out = spectrum[np.arange(qa.shape[0])[:, np.newaxis], -beta * y % p]
-    out *= roots[qa * square % p][:, :, np.newaxis]
-    return out
-
-
-def raw_averaging(target: Realization, source: Realization) -> np.ndarray:
-    """Unnormalized sum over the target line, as a matrix source -> target.
-
-    Requires transverse lines; for a shared line the sum degenerates to a
-    multiple of the coordinate change and is rejected here.
-    """
-    p = target.p
-    if source.p != p:
-        raise ValueError(f"mismatched moduli: {p} vs {source.p}")
-    if not _omega(*target.sigma, *source.sigma, p):
-        raise ValueError("raw averaging needs transverse lines")
-    return _apply_averaging(_frame(target), _frame(source), np.eye(p))[0]
-
-
 def _shared_line_map(target, source, p: int) -> tuple:
     """(lift, twist) of the identity between two gauges of one line: row y
     of the target model is psi(twist y^2) times source entry lift y.
@@ -239,27 +206,70 @@ def _coefficient(target, source, p: int, scale) -> np.ndarray:
     return np.where(shared, chi, scale * chi)
 
 
-def _apply_coordinate_change(target: Realization, source: Realization,
-                             block: np.ndarray) -> np.ndarray:
-    """The identity between two gauges of one line applied to block: its
-    rows permuted, times phases."""
-    p = target.p
-    lift, twist = _shared_line_map(_frame(target), _frame(source), p)
-    y = np.arange(p)
-    return unit_roots(p)[twist * (y * y % p) % p][:, np.newaxis] * block[lift * y % p]
+class WeilChirps(NamedTuple):
+    """A batch of canonical operators, or of rho(g) on the model of a
+    realization for a batch of elements g, as the coefficients of their
+    chirps: the one operator form, which _apply_chirps applies and
+    weil_entries evaluates.
+
+    Every element has entries [y, x] = coef psi(qa y^2 + beta x y + qb x^2),
+    except that the elements at the indices `shared` of the flattened batch,
+    whose two lines are one (for rho(g): +-I, and every element when the line
+    is one the torus fixes), have beta = 0 and vanish off x = lift[i] y.
+    For rho(g), qb includes the geometric phase mu / 2 of the column.  coef,
+    qa, beta and qb have the batch's shape.
+    """
+
+    p: int
+    coef: np.ndarray
+    qa: np.ndarray
+    beta: np.ndarray
+    qb: np.ndarray
+    shared: np.ndarray
+    lift: np.ndarray
 
 
-def _apply_intertwiner(target: Realization, source: Realization, block: np.ndarray,
-                       scale: complex) -> np.ndarray:
-    """intertwine with the averaging scale passed in, so that
-    _validate_family can run it before the scale is trusted."""
-    p, frames = target.p, (_frame(target), _frame(source))
-    coef = _coefficient(*frames, p, scale)
-    if not _omega(*target.sigma, *source.sigma, p):
-        return coef * _apply_coordinate_change(target, source, block)
-    out = _apply_averaging(*frames, block)[0]
-    out *= coef
-    return out
+def _chirps_between(targets, sources, p: int, scale) -> WeilChirps:
+    """The canonical operators model(source) -> model(target) of a batch of
+    frame pairs, as one WeilChirps: frames as in _averaging_chirps, ints or
+    integer arrays broadcast against each other, the batch their shape.
+
+    The constant is _coefficient's and the chirps _averaging_chirps'; on a
+    shared line those chirps are 0 (pow_mod inverts 2w = 0 to 0), and qa is
+    the twist and lift the lift of _shared_line_map.
+    """
+    w = _omega(*targets[:2], *sources[:2], p)
+    qa, beta, qb = _averaging_chirps(targets, sources, p)
+    lift, twist = _shared_line_map(targets, sources, p)
+    shared = np.flatnonzero(w == 0)
+    return WeilChirps(p, _coefficient(targets, sources, p, scale), np.where(w == 0, twist, qa),
+                      beta, qb, shared, np.ravel(lift)[shared])
+
+
+def _apply_chirps(ch: WeilChirps, block: np.ndarray) -> np.ndarray:
+    """Each operator of a chirps batch applied to block, in O(n p log p):
+    batch + (p, n), from a (p, n) block shared by the batch or a (B, p, n)
+    block, one per element of the flattened batch.
+
+    Row x is multiplied by psi(qb x^2); a transverse element then reads row
+    y of the FFT along x at k = -beta y (numpy's FFT computes
+    sum_x exp(-2 pi i k x / p) f[x]), a shared one row x = lift y; row y is
+    multiplied by psi(qa y^2), and last all by the constant.  numpy's FFT
+    calls no BLAS, so the result does not depend on the thread count.
+    """
+    p = ch.p
+    coef, qa, beta, qb = (np.reshape(v, (-1, 1)) for v in ch[1:5])
+    roots, y = unit_roots(p), np.arange(p)
+    square = y * y % p
+    rows = -beta * y % p
+    rows[ch.shared] = np.outer(ch.lift, y) % p
+    out = roots[qb * square % p][:, :, np.newaxis] * block
+    for i in np.delete(np.arange(len(out)), ch.shared):
+        np.fft.fft(out[i], axis=0, out=out[i])
+    out = out[np.arange(len(out))[:, np.newaxis], rows]
+    out *= roots[qa * square % p][:, :, np.newaxis]
+    out *= coef[:, :, np.newaxis]
+    return out.reshape(np.shape(ch.coef) + out.shape[1:])
 
 
 @lru_cache(maxsize=None)
@@ -291,10 +301,12 @@ def _validate_family(p: int, scale: complex) -> None:
     """Assert the four characterizing properties on a fixed instance set.
 
     Each property is an operator identity A B = C, checked as A(Bv) = Cv on
-    the probe block v, with no p x p matrix.  The 16 averaging operators run
-    as three batches of _apply_averaging: the operators on v itself, those
-    on their images, then those on v's phased and re-gauged copies.  The
-    checks run in one fixed order (normalization, returning pair,
+    the probe block v, with no p x p matrix.  Its 21 operators run through
+    _apply_chirps, as production's do, in three batches: those on v itself,
+    those on their images, then those on v's phased and re-gauged copies.
+    The sign rule compares operators in one gauge through the coordinate
+    change without its Legendre sign, a shared-line element of constant 1.
+    The checks run in one fixed order (normalization, returning pair,
     convolution, sign rule, invariance), so the first property to fail is
     the one reported.  Convolution on a transverse triple pins the phase of
     scale: the product of two intertwiners is quadratic in it and the third
@@ -311,13 +323,14 @@ def _validate_family(p: int, scale: complex) -> None:
         if not np.linalg.norm(lhs - rhs) <= tol:
             raise IntertwinerConstructionError(failure)
 
-    def apply(pairs, block):
-        """The intertwiners between transverse (target, source) pairs,
-        applied to one shared block or to one block per pair."""
-        target, source = (tuple(np.array([_frame(r) for r in rs]).T) for rs in zip(*pairs))
-        out = _apply_averaging(target, source, block)
-        out *= _coefficient(target, source, p, scale)[:, np.newaxis, np.newaxis]
-        return out
+    def chirps(pairs, bare=()):
+        """The canonical operators between (target, source) pairs, then the
+        coordinate changes between the pairs bare with constant 1, as one
+        batch."""
+        every = [*pairs, *bare]
+        target, source = (tuple(np.array([_frame(r) for r in rs]).T) for rs in zip(*every))
+        ch = _chirps_between(target, source, p, scale)
+        return ch._replace(coef=np.where(np.arange(len(every)) < len(pairs), ch.coef, 1))
 
     rl = Realization.of(1, 0, p)
     rm = Realization.of(0, 1, p)
@@ -334,34 +347,31 @@ def _validate_family(p: int, scale: complex) -> None:
     # geo(g) F_{m,l} geo(g)^-1 = F_{g.m, g.l}
     moves = [(geometric_action(rm, g), geometric_action(rl, g))
              for g in (SympMatrix(1, 1, 0, 1, p), SympMatrix(0, 1, -1, 0, p))]
-    on_v = apply([(rm, rl), *((middle, last) for _, middle, last in triples),
-                  *((first, last) for first, _, last in triples),
-                  *((target_scaled, rl) for _, target_scaled, _ in signs)], v)
+    on_v = _apply_chirps(chirps(
+        [(rm, rl), *((middle, last) for _, middle, last in triples),
+         *((target_scaled, rl) for _, target_scaled, _ in signs),
+         *((first, last) for first, _, last in triples), (rl, rl)],
+        [(source_scaled, rl) for _, _, source_scaled in signs]), v)
     # the returning pair composes to the identity (convolution + normalization)
-    on_images = apply([(rl, rm), *((first, middle) for first, middle, _ in triples)],
-                      on_v[:3])
-    check(_apply_intertwiner(rl, rl, v, scale), v, "normalization fails")
+    on_images = _apply_chirps(chirps(
+        [(rl, rm), *((first, middle) for first, middle, _ in triples)],
+        [(rm, target_scaled) for _, target_scaled, _ in signs]), on_v[:5])
+    check(on_v[7], v, "normalization fails")
     check(on_images[0], v, "returning pair is not the identity")
     for i in (1, 2):
-        check(on_images[i], on_v[i + 2], "convolution fails on an anchor triple")
-    # only F_{m,l} v and the sign rule's target slots are read below: the
-    # rest goes before the last batch, to bound the peak
-    f_ml, *in_targets = on_v[[0, 5, 6]]
+        check(on_images[i], on_v[i + 4], "convolution fails on an anchor triple")
+    # only F_{m,l} v, the sign rule's target slots and the re-gauged copies
+    # of v are read below: the rest goes before the last batch, to bound
+    # the peak
+    f_ml, in_targets = on_v[0].copy(), on_images[3:].copy()
+    blocks = np.stack([*on_v[8:], *(w for _, (_, phase_l) in moves
+                                     for w in (np.conj(phase_l)[:, np.newaxis] * v, v))])
     del on_v, on_images
     pairs = [(rm, source_scaled) for _, _, source_scaled in signs]
     pairs += [pair for (gm, _), (gl, _) in moves for pair in ((rm, rl), (gm, gl))]
-    blocks = np.empty((len(pairs),) + v.shape, dtype=v.dtype)
-    for i, (_, _, source_scaled) in enumerate(signs):
-        blocks[i] = _apply_coordinate_change(source_scaled, rl, v)
-    for i, (_, (_, phase_l)) in enumerate(moves):
-        blocks[2 + 2 * i] = np.conj(phase_l)[:, np.newaxis] * v
-        blocks[3 + 2 * i] = v
-    moved = apply(pairs, blocks)
-    # operators compared in one gauge through the coordinate change, without
-    # its Legendre sign
-    for (chi, target_scaled, _), in_target, in_source in zip(signs, in_targets, moved):
-        check(_apply_coordinate_change(rm, target_scaled, in_target), chi * f_ml,
-              "sign rule fails in target slot")
+    moved = _apply_chirps(chirps(pairs), blocks)
+    for (chi, _, _), in_target, in_source in zip(signs, in_targets, moved):
+        check(in_target, chi * f_ml, "sign rule fails in target slot")
         check(in_source, chi * f_ml, "sign rule fails in source slot")
     for ((_, phase_m), _), conjugated, direct in zip(moves, moved[2::2], moved[3::2]):
         check(phase_m[:, np.newaxis] * conjugated, direct, "invariance fails")
@@ -399,6 +409,21 @@ def geometric_action(r: Realization, g: SympMatrix) -> tuple[Realization, np.nda
             unit_roots(r.p)[half_mod(mu * y * y, r.p)])
 
 
+def raw_averaging(target: Realization, source: Realization) -> np.ndarray:
+    """Unnormalized sum over the target line, as a matrix source -> target.
+
+    Requires transverse lines; for a shared line the sum degenerates to a
+    multiple of the coordinate change and is rejected here.
+    """
+    p = target.p
+    if source.p != p:
+        raise ValueError(f"mismatched moduli: {p} vs {source.p}")
+    if not _omega(*target.sigma, *source.sigma, p):
+        raise ValueError("raw averaging needs transverse lines")
+    chirps = _chirps_between(_frame(target), _frame(source), p, 1)._replace(coef=1)
+    return _apply_chirps(chirps, np.eye(p))
+
+
 def canonical_intertwiner(target: Realization, source: Realization) -> np.ndarray:
     """The canonical operator model(source) -> model(target) as a p x p
     matrix: intertwine applied to the identity."""
@@ -407,73 +432,45 @@ def canonical_intertwiner(target: Realization, source: Realization) -> np.ndarra
 
 def intertwine(target: Realization, source: Realization, block: np.ndarray) -> np.ndarray:
     """The canonical operator model(source) -> model(target) applied to a
-    (p, n) block of columns, in O(n p log p).
+    (p, n) block of columns, in O(n p log p): _apply_chirps of the pair's
+    _chirps_between.
 
     A shared line gives the Legendre sign of the enhancement ratio times the
     coordinate change, a permutation times phases, which for identical
     realizations is the identity (lift 1, twist 0, sign 1); transverse lines
-    give the normalized averaging, one FFT between chirps.  numpy's FFT
-    calls no BLAS, so the result does not depend on the thread count.
+    give the normalized averaging, one FFT between chirps.
     """
-    if target.p != source.p:
-        raise ValueError(f"mismatched moduli: {target.p} vs {source.p}")
-    return _apply_intertwiner(target, source, block, averaging_scale(target.p))
+    p = target.p
+    if source.p != p:
+        raise ValueError(f"mismatched moduli: {p} vs {source.p}")
+    return _apply_chirps(_chirps_between(_frame(target), _frame(source), p,
+                                         averaging_scale(p)), block)
 
 
 def weil_op(r: Realization, g: SympMatrix) -> WeilOperator:
-    """The linearized action of g on the model of r.
-
-    Composes the geometric relabeling into the model of g.r with the canonical
-    intertwiner back; by the convolution and invariance properties the map
-    g -> matrix is an honest homomorphism, with no projective ambiguity.
+    """The linearized action of g on the model of r: the canonical
+    intertwiner from the model of g.r after the geometric relabeling into
+    it, applied to the identity from its weil_chirps.  By the convolution
+    and invariance properties the map g -> matrix is an honest
+    homomorphism, with no projective ambiguity.
     """
     if g.p != r.p:
         raise ValueError(f"mismatched moduli: {r.p} vs {g.p}")
-    target, phases = geometric_action(r, g)
-    return WeilOperator(g, r, canonical_intertwiner(r, target) * phases[np.newaxis, :])
-
-
-class WeilChirps(NamedTuple):
-    """The entries of rho(g) on the model of a realization, for a batch of
-    elements g, as the coefficients of their chirps.
-
-    An element whose image g sigma is transverse to sigma has
-    rho(g)[y, x] = coef psi(qa y^2 + beta x y + qb x^2).  The elements at
-    the indices `shared` of the flattened batch keep sigma's line (+-I, and
-    every element when the line is one the torus fixes); element shared[i]
-    has rho(g)[y, x] = coef psi(twist[i] y^2 + qb x^2) at x = lift[i] y and
-    0 elsewhere.  qb includes the geometric phase mu / 2 of the column.
-    coef, qa, beta and qb have the batch's shape; lift and twist are the
-    _shared_line_map of the shared elements.
-    """
-
-    p: int
-    coef: np.ndarray
-    qa: np.ndarray
-    beta: np.ndarray
-    qb: np.ndarray
-    shared: np.ndarray
-    lift: np.ndarray
-    twist: np.ndarray
+    return WeilOperator(g, r, _apply_chirps(weil_chirps(r, (g.a, g.b, g.c, g.d)), np.eye(r.p)))
 
 
 def weil_chirps(r: Realization, g) -> WeilChirps:
     """The chirp coefficients of weil_op(r, g) for a batch of elements.
 
     g = (a, b, c, d) holds the entries of SL2(F_p) elements as ints or
-    integer arrays of one shape.  It is weil_op's formula coefficient by
-    coefficient: the canonical intertwiner from the model of g.r (_image),
-    read off the same constant, chirps and shared-line map that intertwine
-    applies, times the geometric phase of the column.
+    integer arrays of one shape.  It is the canonical intertwiner from the
+    model of g.r (_image), the _chirps_between that intertwine applies,
+    times the geometric phase of the column, mu / 2 in qb.
     """
     p = r.p
     source, mu = _image(r, [np.asarray(e, dtype=np.int64) for e in g])
-    target = _frame(r)
-    coef = _coefficient(target, source, p, averaging_scale(p))
-    qa, beta, qb = _averaging_chirps(target, source, p)
-    shared = np.flatnonzero(_omega(*r.sigma, *source[:2], p) == 0)
-    lift, twist = _shared_line_map(target, [np.ravel(v)[shared] for v in source], p)
-    return WeilChirps(p, coef, qa, beta, (qb + half_mod(mu, p)) % p, shared, lift, twist)
+    ch = _chirps_between(_frame(r), source, p, averaging_scale(p))
+    return ch._replace(qb=(ch.qb + half_mod(mu, p)) % p)
 
 
 def _trailing(v, n: int) -> np.ndarray:
@@ -481,30 +478,22 @@ def _trailing(v, n: int) -> np.ndarray:
     return np.reshape(v, np.shape(v) + (1,) * n)
 
 
-def _shared_entries(ch: WeilChirps, y, x) -> np.ndarray:
-    """The entries of the shared-line elements alone, of shape
-    (len(shared),) + broadcast(y, x)."""
-    p, n = ch.p, np.broadcast(y, x).ndim
-    coef, qb = (_trailing(np.ravel(v)[ch.shared], n) for v in (ch.coef, ch.qb))
-    lift, twist = (_trailing(v, n) for v in (ch.lift, ch.twist))
-    phase = unit_roots(p)[(twist * (y * y % p) + qb * (x * x % p)) % p]
-    return np.where(x == lift * y % p, coef * phase, 0)
-
-
 def weil_entries(ch: WeilChirps, y, x) -> np.ndarray:
     """Entries [y, x] of weil_op(r, g) for each element of a weil_chirps
     batch, with no p x p matrix: an array of shape batch + broadcast(y, x),
     so a batch of N against y = x = arange(p) gives N diagonals, and
-    against x = b gives N columns at b.  The chirp formula covers the batch
-    and the shared-line map then rewrites the rows of the elements that keep
-    sigma's line (+-I in a generic realization), on those rows alone."""
+    against x = b gives N columns at b.  The chirp formula covers the batch,
+    and the elements that keep sigma's line (+-I in a generic realization)
+    are then zeroed off x = lift y, on their rows alone."""
     p, n = ch.p, np.broadcast(y, x).ndim
     coef, qa, beta, qb = (_trailing(v, n) for v in ch[1:5])
     exponent = qa * (y * y % p) + beta * (x * y % p) + qb * (x * x % p)
     out = unit_roots(p).take(np.remainder(exponent, p, out=exponent))
     out *= coef
     if ch.shared.size:
-        out.reshape((-1,) + out.shape[np.ndim(ch.coef):])[ch.shared] = _shared_entries(ch, y, x)
+        rows = out.reshape((-1,) + out.shape[np.ndim(ch.coef):])
+        on_line = x == _trailing(ch.lift, n) * y % p
+        rows[ch.shared] = np.where(on_line, rows[ch.shared], 0)
     return out
 
 

@@ -43,8 +43,6 @@ from qcatlab.hecke import (
 from qcatlab.models import (
     IntertwinerConstructionError,
     Realization,
-    _apply_coordinate_change,
-    _apply_intertwiner,
     _decompose,
     _omega,
     averaging_scale,
@@ -192,20 +190,28 @@ def averaging_by_summation(target: Realization, source: Realization) -> np.ndarr
     return averaging_scale(p) * legendre_symbol(w, p) * out
 
 
-def coordinate_change_by_decomposition(target: Realization,
-                                       source: Realization) -> np.ndarray:
-    """The canonical operator between realizations on one line by its
-    definition: row y is the target's transversal point (y tau, 0),
-    decomposed once into source coordinates, times chi_q of the enhancement
-    ratio.  Identical realizations give the identity."""
+def bare_coordinate_change(target: Realization, source: Realization) -> np.ndarray:
+    """The identity map between realizations on one line, with no Legendre
+    sign: row y is the target's transversal point (y tau, 0), decomposed
+    once into source coordinates."""
     p = target.p
-    ratio = enhancement_ratio(target.sigma, source.sigma, p)
+    if _omega(*target.sigma, *source.sigma, p):
+        raise ValueError("a coordinate change needs one line")
     t1, t2 = target.tau
     y = np.arange(p)
     x, z0 = _decompose(source, y * t1 % p, y * t2 % p, 0)
     out = np.zeros((p, p), dtype=np.complex128)
     out[y, x] = unit_roots(p)[z0]
-    return legendre_symbol(ratio, p) * out
+    return out
+
+
+def coordinate_change_by_decomposition(target: Realization,
+                                       source: Realization) -> np.ndarray:
+    """The canonical operator between realizations on one line by its
+    definition: the bare coordinate change times chi_q of the enhancement
+    ratio.  Identical realizations give the identity."""
+    ratio = enhancement_ratio(target.sigma, source.sigma, target.p)
+    return legendre_symbol(ratio, target.p) * bare_coordinate_change(target, source)
 
 
 def regauge(op: np.ndarray, op_target: Realization, op_source: Realization,
@@ -222,9 +228,9 @@ def regauge(op: np.ndarray, op_target: Realization, op_source: Realization,
     if _omega(*source.sigma, *op_source.sigma, p):
         raise ValueError("source realization lies on a different line")
     if target != op_target:
-        op = _apply_coordinate_change(target, op_target, op)
+        op = bare_coordinate_change(target, op_target) @ op
     if source != op_source:
-        op = op @ _apply_coordinate_change(op_source, source, np.eye(p))
+        op = op @ bare_coordinate_change(op_source, source)
     return op
 
 
@@ -316,15 +322,19 @@ def projector_identity_check(fn: HeckeEigenfunction, x: int,
 
 
 def dense_validate_family(p: int, scale: complex) -> None:
-    """models._validate_family on dense p x p operators: each property is a
-    matrix identity A B = C, checked in the Frobenius norm."""
+    """models._validate_family on dense p x p operators built by their
+    definitions, the summation oracle rescaled to the candidate scale and
+    the decomposition oracle: each property is a matrix identity A B = C,
+    checked in the Frobenius norm."""
     # rounding leaves Frobenius residuals below 5e-16 * p (measured for
     # p < 400); a wrong constant leaves one of order sqrt(p)
     tol = 1e-9 * p
     eye = np.eye(p)
 
     def dense(target, source):
-        return _apply_intertwiner(target, source, eye, scale)
+        if _omega(*target.sigma, *source.sigma, p):
+            return averaging_by_summation(target, source) * (scale / averaging_scale(p))
+        return coordinate_change_by_decomposition(target, source)
 
     rl = Realization.of(1, 0, p)
     rm = Realization.of(0, 1, p)
@@ -348,12 +358,12 @@ def dense_validate_family(p: int, scale: complex) -> None:
         inv = pow(a, -1, p)
         target_scaled = Realization(p, (0, a), (inv, 1))
         f_scaled = dense(target_scaled, rl)
-        back = _apply_coordinate_change(rm, target_scaled, eye)
+        back = bare_coordinate_change(rm, target_scaled)
         if not np.linalg.norm(back @ f_scaled - chi * f_ml) <= tol:
             raise IntertwinerConstructionError("sign rule fails in target slot")
         source_scaled = Realization(p, (a, 0), (0, -inv))
         f_scaled = dense(rm, source_scaled)
-        fwd = _apply_coordinate_change(source_scaled, rl, eye)
+        fwd = bare_coordinate_change(source_scaled, rl)
         if not np.linalg.norm(f_scaled @ fwd - chi * f_ml) <= tol:
             raise IntertwinerConstructionError("sign rule fails in source slot")
     for g in (SympMatrix(1, 1, 0, 1, p), SympMatrix(0, 1, -1, 0, p)):

@@ -266,8 +266,9 @@ def test_generator_is_pinned(matrix):
 
 @pytest.mark.parametrize("matrix", sorted(PINNED_GENERATORS))
 def test_generator_matches_the_walk_of_element_orders(matrix):
-    # the first candidate of the x-major walk whose powers complete N steps
-    # is the one multiplying each candidate until it returns to I finds
+    # the first candidate of the x-major search with g^(N/q) != I at every
+    # prime q dividing N is the one multiplying each candidate until it
+    # returns to I finds
     A = CatMap.parse(matrix)
     primes = [p for p in primes_in(3, 199) if classify_prime(A, p) != "ramified"]
     for p in primes:
@@ -277,8 +278,8 @@ def test_generator_matches_the_walk_of_element_orders(matrix):
 
 @pytest.mark.parametrize("matrix", sorted(PINNED_GENERATORS))
 def test_generator_is_the_prime_factor_search(matrix):
-    # the first candidate whose walk of powers completes is the first with
-    # g^(N/q) != I at every prime q dividing N, the search the walk replaced
+    # the generator is the first candidate with g^(N/q) != I at every prime
+    # q dividing N, here with the factors found by scanning 2..N
     A = CatMap.parse(matrix)
     primes = [p for p in primes_in(3, 199) if classify_prime(A, p) != "ramified"]
     for p in primes + [1009, 2003]:
@@ -298,21 +299,31 @@ def test_torus_elements_are_the_powers(matrix):
         assert [e.tolist() for e in torus_elements(torus)] == expected, p
 
 
-def test_walk_stops_at_the_identity_and_is_read_only():
-    # N is even, so the generator's square has order N / 2: its walk meets I
-    # before N steps and returns None
+def test_walk_is_shared_and_read_only():
+    # every reader of a torus gets the one cached walk of its generator,
+    # and no reader can write into it
     for p in (7, 11, 13, 101):
         torus = build_hecke_torus(A_DEFAULT, p)
-        g = torus.generator
-        assert torus.order % 2 == 0
-        assert _walk(g * g, torus.order) is None, p
         entries = torus_elements(torus)
         assert entries is torus_elements(torus)
+        assert entries is _walk(torus.generator, torus.order)
         for e in entries:
             assert e.dtype == np.int64 and e.shape == (torus.order,)
             assert not e.flags.writeable
             with pytest.raises(ValueError):
                 e[0] = 0
+
+
+def test_torus_search_walks_only_the_generator():
+    # candidates are accepted or rejected by their order alone: the search
+    # walks nothing, and the first reader walks the generator once
+    for p in (7, 11, 13, 101):
+        _walk.cache_clear()
+        torus = build_hecke_torus(A_DEFAULT, p)
+        assert _walk.cache_info().currsize == 0, p
+        torus_elements(torus)
+        torus_elements(torus)
+        assert (_walk.cache_info().misses, _walk.cache_info().currsize) == (1, 1), p
 
 
 @pytest.mark.parametrize("matrix", sorted(PINNED_GENERATORS))

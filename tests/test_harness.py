@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import intertwine_with_a_moved_eigenvalue
+from conftest import apply_chirps_with_a_moved_eigenvalue
 from oracles import (
     projector_identity_check,
     records_by_transport_to_every_line,
@@ -149,12 +149,12 @@ def test_flagged_character_excluded_from_sweep_and_distribution(monkeypatch):
     import qcatlab.hecke as hecke
 
     # rho(gen) on the p = 7 model with character 7's eigenvalue moved halfway
-    # towards the next root of N = 8, injected through the intertwiner the
-    # residual applies: that character fails the eigenvector equation, and
+    # towards the next root of N = 8, injected through the residual's
+    # application of rho(gen): that character fails the eigenvector equation, and
     # its residual flags it
-    _, stand_in = intertwine_with_a_moved_eigenvalue(
+    _, stand_in = apply_chirps_with_a_moved_eigenvalue(
         build_hecke_torus(A, 7), Realization.standard(7), 7)
-    monkeypatch.setattr(hecke, "intertwine", stand_in)
+    monkeypatch.setattr(hecke, "_apply_chirps", stand_in)
     sweep = universal_sweep(config(7, 7))
     assert len(sweep.records) == 6
     (skip,) = sweep.skips
@@ -170,10 +170,10 @@ def test_flagged_character_excluded_from_sweep_and_distribution(monkeypatch):
 def test_nan_residuals_skip_every_character_of_the_prime(monkeypatch):
     import qcatlab.hecke as hecke
 
-    # p = 13 is inert with 13 simple characters: an intertwiner that returns
-    # NaN leaves no eigenvector equation checked, so none may be written
-    monkeypatch.setattr(hecke, "intertwine",
-                        lambda target, source, block: np.full_like(block, np.nan))
+    # p = 13 is inert with 13 simple characters: a rho(gen) application that
+    # returns NaN leaves no eigenvector equation checked, so none may be written
+    monkeypatch.setattr(hecke, "_apply_chirps",
+                        lambda chirps, block: np.full_like(block, np.nan))
     sweep = universal_sweep(config(13, 13))
     assert len(sweep.records) == 0
     assert len(sweep.skips) == 13
@@ -216,7 +216,7 @@ def test_sweep_builds_one_intertwiner_per_orbit(monkeypatch):
     import qcatlab.hecke as hecke
     import qcatlab.models as models
 
-    calls = {"hecke": 0, "models": 0, "transport": 0, "spectrum": 0}
+    calls = {"hecke": 0, "models": 0, "transport": 0, "spectrum": 0, "residual": 0}
     draws = []
 
     def counting(module, original):
@@ -232,6 +232,7 @@ def test_sweep_builds_one_intertwiner_per_orbit(monkeypatch):
 
     monkeypatch.setattr(harness, "_verify_draws", recording)
     monkeypatch.setattr(hecke, "intertwine", counting("hecke", hecke.intertwine))
+    monkeypatch.setattr(hecke, "_apply_chirps", counting("residual", hecke._apply_chirps))
     monkeypatch.setattr(harness, "transport", counting("transport", harness.transport))
     monkeypatch.setattr(harness, "hecke_spectrum", counting("spectrum", harness.hecke_spectrum))
     monkeypatch.setattr(models, "canonical_intertwiner",
@@ -240,11 +241,12 @@ def test_sweep_builds_one_intertwiner_per_orbit(monkeypatch):
     assert len(set(result.records["realization"])) == 14
     # p = 13 is inert: two torus orbits, one represented by the defining line.
     # Transports: the block to the other representative, once, and the
-    # defining block to each drawn line, once.  Intertwiner applications:
-    # those transports and the residual of the defining spectrum; no second
-    # spectrum and no dense operator
+    # defining block to each drawn line, once, each one intertwiner
+    # application; the residual of the defining spectrum applies rho(gen)
+    # once; no second spectrum and no dense operator
     assert draws and calls["transport"] == 1 + len(draws) and calls["spectrum"] == 1
-    assert calls["hecke"] == calls["transport"] + 1 and calls["models"] == 0
+    assert calls["hecke"] == calls["transport"] and calls["residual"] == 1
+    assert calls["models"] == 0
 
 
 def _fresh_stdout(code: str) -> list[str]:

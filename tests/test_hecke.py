@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import intertwine_with_a_moved_eigenvalue
+from conftest import apply_chirps_with_a_moved_eigenvalue
 from oracles import (
     eig_spectrum,
     enhancement_ratio,
@@ -205,14 +205,14 @@ def test_eigenfunction_empty_character_raises(spectrum7):
 
 def test_eigenvalue_between_roots_is_flagged(monkeypatch, torus7, spectrum7):
     # rho(gen) with character 7's eigenvalue moved halfway towards root 0 of
-    # N = 8, injected through the intertwiner the residual applies: the tables
+    # N = 8, injected through the residual's application of rho(gen): the tables
     # still give character 7 its true eigenvector, and the residual against
     # the wrong operator flags that character alone
     import qcatlab.hecke as hecke
 
     r = Realization.standard(7)
-    fake, stand_in = intertwine_with_a_moved_eigenvalue(torus7, r, 7)
-    monkeypatch.setattr(hecke, "intertwine", stand_in)
+    fake, stand_in = apply_chirps_with_a_moved_eigenvalue(torus7, r, 7)
+    monkeypatch.setattr(hecke, "_apply_chirps", stand_in)
     spectrum = hecke_spectrum(torus7, r)
     assert np.flatnonzero(spectrum.flagged).tolist() == [7]
     assert abs(spectrum.residuals[7] - 2 * np.sin(np.pi / 16)) < 1e-12
@@ -230,8 +230,8 @@ def test_nan_residuals_flag_every_nonempty_character(monkeypatch, torus7):
     # with columns is flagged, and the empty one keeps its residual 0
     import qcatlab.hecke as hecke
 
-    monkeypatch.setattr(hecke, "intertwine",
-                        lambda target, source, block: np.full_like(block, np.nan))
+    monkeypatch.setattr(hecke, "_apply_chirps",
+                        lambda chirps, block: np.full_like(block, np.nan))
     spectrum = hecke_spectrum(torus7, Realization.standard(7))
     assert np.isnan(spectrum.residuals).sum() == 7
     assert spectrum.flagged.tolist() == (spectrum.multiplicities() > 0).tolist()

@@ -306,18 +306,20 @@ def test_validation_rejects_a_beta_off_by_one(p, monkeypatch):
         _validate_family(p, scale)
 
 
-@pytest.mark.parametrize("p", [3, 7, 11])
+@pytest.mark.parametrize("p", [3, 7, 11, 13])
 def test_validation_rejects_a_coordinate_change_without_phases(p, monkeypatch):
     # the sign rule's gauges have transversals on different lines, so the
-    # coordinate change it compares through carries nontrivial phases
+    # coordinate change it compares through carries nontrivial phases: with
+    # the shared-line map's twist forced to 0 it is a bare permutation
     scale = averaging_scale(p)
-    change = models._apply_coordinate_change
+    shared_line_map = models._shared_line_map
 
-    def permutation_only(target, source, block):
-        return np.abs(change(target, source, np.eye(p))) @ block
+    def permutation_only(target, source, modulus):
+        lift, twist = shared_line_map(target, source, modulus)
+        return lift, 0 * twist
 
-    monkeypatch.setattr(models, "_apply_coordinate_change", permutation_only)
-    with pytest.raises(IntertwinerConstructionError, match="sign rule"):
+    monkeypatch.setattr(models, "_shared_line_map", permutation_only)
+    with pytest.raises(IntertwinerConstructionError, match="sign rule fails in target slot"):
         _validate_family(p, scale)
 
 
@@ -448,6 +450,31 @@ def test_intertwine_is_the_dense_operator_at_sampled_pairs(rng):
             target, source = random_enhanced(rng, p), random_enhanced(rng, p)
             dense = by_definition(target, source) @ block
             assert np.abs(intertwine(target, source, block) - dense).max() < 1e-12
+
+
+@pytest.mark.parametrize("p", [3, 7, 11])
+def test_one_chirps_batch_applies_shared_and_transverse_pairs(p, rng):
+    # one _apply_chirps over identical realizations, the sign rule's
+    # re-gauged pairs and transverse pairs, one block per pair: each output
+    # is the operator by its definition on its block, and bit for bit the
+    # pair's own intertwine
+    rl, rm, rd = (Realization.of(s1, s2, p) for s1, s2 in ((1, 0), (0, 1), (1, 1)))
+    regauged = [(Realization(p, (0, a), (pow(a, -1, p), 1)),
+                 Realization(p, (a, 0), (0, -pow(a, -1, p)))) for a in (2, p - 1)]
+    pairs = [(rl, rl), (rm, rm), (rm, rl), (rl, rm), (rd, rm), (rl, rd)]
+    for target_scaled, source_scaled in regauged:
+        pairs += [(target_scaled, rm), (rm, target_scaled), (source_scaled, rl),
+                  (rl, source_scaled), (target_scaled, rl), (rm, source_scaled)]
+    target, source = (tuple(np.array([models._frame(r) for r in rs]).T) for rs in zip(*pairs))
+    chirps = models._chirps_between(target, source, p, averaging_scale(p))
+    shared = [i for i, (t, s) in enumerate(pairs) if not _omega(*t.sigma, *s.sigma, p)]
+    assert chirps.shared.tolist() == shared and 0 < len(shared) < len(pairs)
+    blocks = rng.normal(size=(len(pairs), p, 2)) + 1j * rng.normal(size=(len(pairs), p, 2))
+    out = models._apply_chirps(chirps, blocks)
+    assert out.shape == blocks.shape
+    for (t, s), block, got in zip(pairs, blocks, out):
+        assert np.abs(got - by_definition(t, s) @ block).max() < 1e-13
+        assert np.array_equal(got, intertwine(t, s, block))
 
 
 @st.composite
