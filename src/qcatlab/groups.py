@@ -163,16 +163,24 @@ class HeckeTorus:
         return self.matrix.p
 
 
+def _product(x: tuple, y: tuple, p: int) -> tuple:
+    """Entries (a, b, c, d) of the product of two 2 x 2 matrices given by
+    their entries, ints or integer arrays elementwise, reduced mod p."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p
+
+
 @lru_cache(maxsize=2)
 def _walk(g: SympMatrix, n: int) -> tuple[np.ndarray, ...]:
     """Entries (a, b, c, d) of g^j for j in [0, n), each an (n,) read-only
-    integer array."""
-    p, rows = g.p, [(1, 0, 0, 1)]
-    for _ in range(n - 1):
-        a, b, c, d = rows[-1]
-        rows.append(((g.a * a + g.b * c) % p, (g.a * b + g.b * d) % p,
-                     (g.c * a + g.d * c) % p, (g.c * b + g.d * d) % p))
-    entries = np.array(rows, dtype=np.int64).T
+    integer array, by doubling: g^m times the powers below m gives those
+    from m to 2m."""
+    block, step = tuple(np.array([v], dtype=np.int64) for v in (1, 0, 0, 1)), (g.a, g.b, g.c, g.d)
+    while block[0].size < n:
+        block = tuple(map(np.concatenate, zip(block, _product(step, block, g.p))))
+        step = _product(step, step, g.p)
+    entries = np.array(block)[:, :n]
     entries.setflags(write=False)
     return tuple(entries)
 
@@ -201,13 +209,13 @@ def _norm_one_pairs(t: int, p: int) -> np.ndarray:
     return np.stack([np.broadcast_to(x[:, np.newaxis], ys.shape)[keep], ys[keep]], axis=1)
 
 
-def _power(g: SympMatrix, e: int) -> SympMatrix:
-    """g^e by square-and-multiply."""
-    out = SympMatrix.identity(g.p)
+def _power(x: tuple, e: int, p: int) -> tuple[int, int, int, int]:
+    """Entries of x^e for the entries x of a 2 x 2 matrix, by square-and-multiply."""
+    out = (1, 0, 0, 1)
     while e:
         if e & 1:
-            out = out * g
-        g, e = g * g, e >> 1
+            out = _product(out, x, p)
+        x, e = _product(x, x, p), e >> 1
     return out
 
 
@@ -228,10 +236,9 @@ def build_hecke_torus(A: CatMap, p: int) -> HeckeTorus:
     order = p - 1 if kind == "split" else p + 1
     if len(pairs) != order:
         raise RuntimeError(f"commutant size {len(pairs)} != {order} for {kind} p = {p}")
-    identity = SympMatrix.identity(p)
     factors = [q for q in range(2, order + 1) if order % q == 0 and (q == 2 or is_odd_prime(q))]
     for x0, y0 in pairs:
-        g = SympMatrix(x0 + y0 * Ap.a, y0 * Ap.b, y0 * Ap.c, x0 + y0 * Ap.d, p)
-        if all(_power(g, order // q) != identity for q in factors):
-            return HeckeTorus(Ap, kind, order, g)
+        g = (x0 + y0 * Ap.a, y0 * Ap.b, y0 * Ap.c, x0 + y0 * Ap.d)
+        if all(_power(g, order // q, p) != (1, 0, 0, 1) for q in factors):
+            return HeckeTorus(Ap, kind, order, SympMatrix(*g, p))
     raise RuntimeError(f"no generator of order {order} found at p = {p}")
