@@ -54,13 +54,8 @@ class SympMatrix:
     def __mul__(self, other: "SympMatrix") -> "SympMatrix":
         if other.p != self.p:
             raise ValueError(f"mismatched moduli: {self.p} vs {other.p}")
-        return SympMatrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-            self.p,
-        )
+        entries = (self.a, self.b, self.c, self.d), (other.a, other.b, other.c, other.d)
+        return SympMatrix(*_product(*entries, self.p), self.p)
 
     def inverse(self) -> "SympMatrix":
         return SympMatrix(self.d, -self.b, -self.c, self.a, self.p)
@@ -165,30 +160,27 @@ class HeckeTorus:
 
 def _product(x: tuple, y: tuple, p: int) -> tuple:
     """Entries (a, b, c, d) of the product of two 2 x 2 matrices given by
-    their entries, ints or integer arrays elementwise, reduced mod p."""
+    theirs, reduced mod p: ints, or int64 arrays elementwise for p < 2e9."""
     a, b, c, d = x
     e, f, g, h = y
     return (a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p
 
 
 @lru_cache(maxsize=2)
-def _walk(g: SympMatrix, n: int) -> tuple[np.ndarray, ...]:
-    """Entries (a, b, c, d) of g^j for j in [0, n), each an (n,) read-only
-    integer array, by doubling: g^m times the powers below m gives those
-    from m to 2m."""
-    block, step = tuple(np.array([v], dtype=np.int64) for v in (1, 0, 0, 1)), (g.a, g.b, g.c, g.d)
+def torus_elements(torus: HeckeTorus) -> tuple[np.ndarray, ...]:
+    """Entries (a, b, c, d) of generator^j for j in [0, N), each an (N,)
+    read-only integer array: one cached walk of the generator, so every
+    reader of the torus shares it, built by doubling: g^m times the powers
+    below m gives those from m to 2m."""
+    g, n = torus.generator, torus.order
+    block = tuple(np.array([v], dtype=np.int64) for v in (1, 0, 0, 1))
+    step = (g.a, g.b, g.c, g.d)
     while block[0].size < n:
         block = tuple(map(np.concatenate, zip(block, _product(step, block, g.p))))
         step = _product(step, step, g.p)
     entries = np.array(block)[:, :n]
     entries.setflags(write=False)
     return tuple(entries)
-
-
-def torus_elements(torus: HeckeTorus) -> tuple[np.ndarray, ...]:
-    """Entries (a, b, c, d) of generator^j for j in [0, N): one cached walk
-    of the generator, so every reader of the torus shares it."""
-    return _walk(torus.generator, torus.order)
 
 
 def _norm_one_pairs(t: int, p: int) -> np.ndarray:
@@ -209,14 +201,11 @@ def _norm_one_pairs(t: int, p: int) -> np.ndarray:
     return np.stack([np.broadcast_to(x[:, np.newaxis], ys.shape)[keep], ys[keep]], axis=1)
 
 
-def _power(x: tuple, e: int, p: int) -> tuple[int, int, int, int]:
-    """Entries of x^e for the entries x of a 2 x 2 matrix, by square-and-multiply."""
-    out = (1, 0, 0, 1)
-    while e:
-        if e & 1:
-            out = _product(out, x, p)
-        x, e = _product(x, x, p), e >> 1
-    return out
+def _power(x: tuple, e: int, p: int) -> tuple:
+    """Entries of x^e = (x^2)^(e // 2) x^(e % 2) for the entries x of a 2 x 2
+    matrix: square-and-multiply, log2(e) levels deep."""
+    half = _power(_product(x, x, p), e // 2, p) if e > 1 else (1, 0, 0, 1)
+    return _product(half, x, p) if e % 2 else half
 
 
 def build_hecke_torus(A: CatMap, p: int) -> HeckeTorus:

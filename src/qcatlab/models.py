@@ -264,8 +264,7 @@ def _apply_chirps(ch: WeilChirps, block: np.ndarray) -> np.ndarray:
     rows = -beta * y % p
     rows[ch.shared] = np.outer(ch.lift, y) % p
     out = roots[qb * square % p][:, :, np.newaxis] * block
-    # one FFT call, in place, per run of transverse elements between shared
-    # ones: each call costs about 30 us even at small p
+    # one in-place FFT per run of transverse elements: a call costs ~30 us
     edges = [-1, *ch.shared.tolist(), len(out)]
     for lo, hi in zip(edges[:-1], edges[1:]):
         if hi > lo + 1:
@@ -328,9 +327,8 @@ def _validate_family(p: int, scale: complex) -> None:
             raise IntertwinerConstructionError(failure)
 
     def chirps(pairs, bare=()):
-        """The canonical operators between (target, source) pairs, then the
-        coordinate changes between the pairs bare with constant 1, as one
-        batch."""
+        """One batch: the canonical operators between (target, source)
+        pairs, then the coordinate changes of the pairs bare, constant 1."""
         every = [*pairs, *bare]
         target, source = (tuple(np.array([_frame(r) for r in rs]).T) for rs in zip(*every))
         ch = _chirps_between(target, source, p, scale)
