@@ -291,6 +291,7 @@ def hecke_spectrum(torus: HeckeTorus, r: Realization) -> HeckeSpectrum:
     rho_z = _apply_chirps(weil_chirps(r, (g.a, g.b, g.c, g.d)), z)
     rho_z -= z * unit_roots(n)[characters]
     misfit = np.linalg.norm(rho_z, axis=0)
+    del rho_z  # before _normalize_columns, to bound the peak at three p x p arrays
     residuals = np.sqrt(np.bincount(characters, weights=misfit ** 2, minlength=n))
     block = HeckeEigenfunction(r, _normalize_columns(z, r.p), characters)
     return HeckeSpectrum(torus, block, residuals)
