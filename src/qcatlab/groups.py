@@ -221,12 +221,13 @@ def build_hecke_torus(A: CatMap, p: int) -> HeckeTorus:
         raise ValueError(f"p = {p} is ramified for this cat map; no Hecke torus")
     Ap = A.reduce(p)
     # x*I + y*A has determinant x^2 + t*x*y + y^2; search its solutions x-major
-    pairs = _norm_one_pairs(Ap.trace(), p).tolist()
+    pairs = _norm_one_pairs(Ap.trace(), p)
     order = p - 1 if kind == "split" else p + 1
     if len(pairs) != order:
         raise RuntimeError(f"commutant size {len(pairs)} != {order} for {kind} p = {p}")
     factors = [q for q in range(2, order + 1) if order % q == 0 and (q == 2 or is_odd_prime(q))]
-    for x0, y0 in pairs:
+    for pair in pairs:  # the search usually stops at the first pair: convert as tried
+        x0, y0 = pair.tolist()
         g = (x0 + y0 * Ap.a, y0 * Ap.b, y0 * Ap.c, x0 + y0 * Ap.d)
         if all(_power(g, order // q, p) != (1, 0, 0, 1) for q in factors):
             return HeckeTorus(Ap, kind, order, SympMatrix(*g, p))

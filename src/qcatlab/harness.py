@@ -20,9 +20,9 @@ those rows, its argmax the least tie point over its dilation
 verify draw transports the defining block straight to its line and holds
 that line's rows against it.  A prime's records keep one form (PrimeRecords)
 of O(p) entries until sweep.csv, whose bytes depend only on the config, is
-written from it a character at a time, every line's argmax derived once,
-each line's head and each representative row's text formatted once; the
-table of every row is built only on request.
+written from it a line at a time, by (p, line, character, basis vector),
+every line's argmax derived once, each line's head and each representative
+row's text formatted once; the table of every row is built only on request.
 """
 
 from __future__ import annotations
@@ -131,9 +131,10 @@ class PrimeRecords:
     line's), its own index as realization and argmax([i]) as argmax: the
     least x / e over the slot's tie points x, for the line's dilation e
     (hecke.torus_orbits), ties[s] = (x, first) holding column c's from
-    x[first[c]] on (a one-line orbit keeps only its least).  Columns go by
-    nondecreasing character (hecke.HeckeSpectrum), so the rows are written
-    per character, then line, then basis vector."""
+    x[first[c]] on (a one-line orbit keeps only its least).  The rows are
+    written line by line, each line's in column order; columns go by
+    nondecreasing character (hecke.HeckeSpectrum), so the rows go by (p,
+    line, character, basis vector)."""
 
     rows: np.ndarray  # (slots, n) RECORD_DTYPE
     lines: np.ndarray  # (L,) line indices in groups.line_sigmas order, increasing
@@ -159,11 +160,9 @@ class PrimeRecords:
 
     def table(self) -> np.ndarray:
         """The written rows as one RECORD_DTYPE table, in sweep.csv order."""
-        order = np.argsort(np.tile(self.rows["character"][0], self.lines.size), kind="stable")
-        line, col = np.divmod(order, self.rows.shape[1])
-        records = self.rows[self.slot[line], col]
-        records["realization"] = self.lines[line]
-        records["argmax"] = self.argmax(slice(None))[line, col]
+        records = self.rows[self.slot].reshape(-1)
+        records["realization"] = np.repeat(self.lines, self.rows.shape[1])
+        records["argmax"] = self.argmax(slice(None)).ravel()
         return records
 
 
@@ -493,12 +492,12 @@ def write_csv_rows(fh, fmt: str, columns) -> None:
 
 
 def write_records_csv(path, per_prime: list[PrimeRecords]) -> None:
-    """sweep.csv: the header, then the rows of each prime's form, a
-    character at a time.  A row joins its line's head p,kind,s1:s2, (formatted
-    once per line), its slot's text character,multiplicity,sup, and
-    ,a_max,pass (once per representative row, sup and a_max = sup * sup by
-    %.12g) and its argmax; one character's rows of text are alive at once,
-    or, when the form has one line, that line's."""
+    """sweep.csv: the header, then the rows of each prime's form, a line
+    at a time in groups.line_sigmas order, each line's rows in column order
+    (character, then basis vector).  A row joins its line's head
+    p,kind,s1:s2, (formatted once per line), its slot's text
+    character,multiplicity,sup, and ,a_max,pass (once per representative
+    row, sup and a_max = sup * sup by %.12g) and its argmax."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# schema: {SWEEP_SCHEMA}\n")
         fh.write("p,kind,realization,character,multiplicity,sup,argmax,a_max,pass\n")
@@ -507,12 +506,12 @@ def write_records_csv(path, per_prime: list[PrimeRecords]) -> None:
 
 
 def _write_form(fh, form: PrimeRecords) -> None:
-    """One prime's rows of sweep.csv, its text freed before the next's."""
+    """One prime's rows of sweep.csv, line by line, each line's columns in
+    order; one line's text is alive at once, the prime's freed before the
+    next's."""
     rows = form.rows
     p, kind = int(rows["p"][0, 0]), rows["kind"][0, 0]
     s1, s2 = line_sigmas(p)
-    heads = ["%d,%s,%d:%d," % (p, kind, a, b)
-             for a, b in zip(s1[form.lines].tolist(), s2[form.lines].tolist())]
     sups = rows["sup"].tolist()
     record = [["%d,%d,%.12g," % key for key in zip(*fields)] for fields in zip(
         rows["character"].tolist(), rows["multiplicity"].tolist(), sups)]
@@ -520,23 +519,8 @@ def _write_form(fh, form: PrimeRecords) -> None:
                 for sup, ok in zip(*fields)]
                for fields in zip(sups, rows["passed"].tolist())]
     points = [str(x) for x in range(p)]  # argmax is a point x of [0, p)
-    argmax = form.argmax(slice(None))
-    slots = form.slot.tolist()
-    if len(slots) == 1:  # one line: its rows are its columns, in order
+    for a, b, s, argmax in zip(s1[form.lines].tolist(), s2[form.lines].tolist(),
+                               form.slot.tolist(), form.argmax(slice(None))):
         fh.write("".join(map("".join, zip(
-            repeat(heads[0]), record[0],
-            map(points.__getitem__, argmax[0].tolist()), verdict[0]))))
-        return
-    # each character's columns [a, b): the columns go by character
-    bounds = np.flatnonzero(np.diff(rows["character"][0], prepend=-1)).tolist()
-    for a, b in zip(bounds, bounds[1:] + [len(sups[0])]):
-        # line by line, then column by column: column c's rows go to every
-        # (b - a)-th place, from place c - a
-        text = [""] * (len(slots) * (b - a))
-        for c in range(a, b):
-            rec, ver = [r[c] for r in record], [v[c] for v in verdict]
-            text[c - a::b - a] = map("".join, zip(
-                heads, map(rec.__getitem__, slots),
-                map(points.__getitem__, argmax[:, c].tolist()),
-                map(ver.__getitem__, slots)))
-        fh.write("".join(text))
+            repeat("%d,%s,%d:%d," % (p, kind, a, b)), record[s],
+            map(points.__getitem__, argmax.tolist()), verdict[s]))))

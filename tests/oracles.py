@@ -377,12 +377,11 @@ def dense_validate_family(p: int, scale: complex) -> None:
 def records_by_transport_to_every_line(fn: HeckeEigenfunction, kind: str) -> np.ndarray:
     """The sweep's record table of one prime in all realizations, the long
     way: fn transported to every line of line_sigmas and each moved
-    block scored on its own, with the rows stable-sorted per character, then
-    line, then basis vector."""
-    records = np.concatenate([
+    block scored on its own, the blocks' rows joined in line order, so the
+    rows go by line, then character, then basis vector."""
+    return np.concatenate([
         supremum_records(fn if r == fn.realization else transport(fn, r), kind)[0]
         for r in every_line(fn.p)])
-    return records[np.argsort(records["character"], kind="stable")]
 
 
 def orbit_move(fn: HeckeEigenfunction, torus: HeckeTorus, j: int,

@@ -289,21 +289,22 @@ def test_sweep_csv_row_format(tmp_path):
     assert lines[:2] == ["# schema: qcatlab-sweep v1",
                          "p,kind,realization,character,multiplicity,sup,argmax,a_max,pass"]
     rows = [line.split(",") for line in lines[2:]]
-    # per character, then realization, then basis vector
+    # per realization, then character, then basis vector: each of the 12
+    # lines writes its 11 rows in character order, character 5's two adjacent
     tags = [f"1:{m}" for m in range(11)] + ["0:1"]
     assert [r[:5] for r in rows] == [
         ["11", "split", tag, str(k), "2" if k == 5 else "1"]
-        for k in range(10) for tag in tags for _ in range(2 if k == 5 else 1)]
+        for tag in tags for k in range(10) for _ in range(2 if k == 5 else 1)]
 
     def not_floats(r):
         return r[:5] + r[6:7] + r[8:]
 
     assert not_floats(rows[0]) == ["11", "split", "1:0", "0", "1", "5", "true"]
-    first5 = 5 * 12
+    first5 = 5
     assert [not_floats(r) for r in rows[first5:first5 + 2]] == [
         ["11", "split", "1:0", "5", "2", "1", "true"],
         ["11", "split", "1:0", "5", "2", "2", "true"]]
-    assert [not_floats(r) for r in rows[first5 + 6:first5 + 8]] == [
+    assert [not_floats(r) for r in rows[first5 + 3 * 11:first5 + 3 * 11 + 2]] == [
         ["11", "split", "1:3", "5", "2", "0", "true"],
         ["11", "split", "1:3", "5", "2", "0", "false"]]
     # the floats are the record table's, to 12 significant digits

@@ -648,8 +648,8 @@ def test_csv_schema_and_determinism(tmp_path):
 
 
 def test_records_csv_peak_memory_is_one_chunk(tmp_path):
-    # the writer holds one prime's record text and one character's rows at a
-    # time (a 0.1 MB peak at 5..61), so 1 kB a chunk row bounds it, while a
+    # the writer holds one prime's record text and one line's rows at a time
+    # (a 0.2 MB peak at 5..61), so 1 kB a chunk row bounds it, while a
     # writer holding every row at once needs about 300 B a table row
     bound = 1000 * CSV_CHUNK
     for hi in (31, 61):
@@ -693,7 +693,8 @@ def test_records_csv_is_the_row_by_row_text(tmp_path, matrix):
     # once and joined with each row's argmax give the bytes of formatting
     # every row of the expanded table on its own: in the defining
     # realization, in all realizations with verify draws (degenerate rows,
-    # and equal sups across characters on the fixed lines), and for no rows
+    # and equal sups across characters on the fixed lines), and for no rows;
+    # the rows go by (p, line, character), then basis vector
     results = [
         universal_sweep(SweepConfig(matrix=matrix, prime_lo=3, prime_hi=61)),
         universal_sweep(SweepConfig(matrix=matrix, prime_lo=5, prime_hi=31,
@@ -705,6 +706,9 @@ def test_records_csv_is_the_row_by_row_text(tmp_path, matrix):
         path = tmp_path / "sweep.csv"
         write_records_csv(path, result.per_prime)
         assert path.read_text(encoding="utf-8") == records_csv_by_rows(result.records)
+        keys = list(zip(*(result.records[name].tolist()
+                          for name in ("p", "realization", "character"))))
+        assert keys == sorted(keys)
 
 
 def test_gating_failures_filter():
