@@ -208,6 +208,19 @@ def _power(x: tuple, e: int, p: int) -> tuple:
     return _product(half, x, p) if e % 2 else half
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The primes dividing n > 0, ascending, by trial division up to the
+    square root of what is left, each prime divided out as it is found."""
+    factors, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            factors.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return factors + [n] * (n > 1)
+
+
 def build_hecke_torus(A: CatMap, p: int) -> HeckeTorus:
     """The commutant torus of A mod p with its first element of full order.
 
@@ -225,7 +238,7 @@ def build_hecke_torus(A: CatMap, p: int) -> HeckeTorus:
     order = p - 1 if kind == "split" else p + 1
     if len(pairs) != order:
         raise RuntimeError(f"commutant size {len(pairs)} != {order} for {kind} p = {p}")
-    factors = [q for q in range(2, order + 1) if order % q == 0 and (q == 2 or is_odd_prime(q))]
+    factors = _prime_factors(order)
     for pair in pairs:  # the search usually stops at the first pair: convert as tried
         x0, y0 = pair.tolist()
         g = (x0 + y0 * Ap.a, y0 * Ap.b, y0 * Ap.c, x0 + y0 * Ap.d)

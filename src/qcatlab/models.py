@@ -25,9 +25,9 @@ chirp, psi(q_a y^2) psi(beta x y) psi(q_b x^2).  For realizations on a
 shared line the canonical operator is chi_q of the enhancement ratio times
 the coordinate change of the identity map, a permutation times phases (the
 identity for identical realizations).  Each quantity has one formula: the
-shape _averaging_chirps or _shared_line_map, the constant _coefficient and
-the model of g.r with its geometric phase _image.  _chirps_between joins
-them into one operator form, a WeilChirps batch, and weil_chirps is that
+shape and the constant from the four pairings of two frames, which
+_chirps_between reads into one operator form, a WeilChirps batch, and the
+model of g.r with its geometric phase _image.  weil_chirps is that
 batch from the models of g.r, the geometric phase in its column chirp.
 _apply_chirps alone applies a batch, in O(n p log p): `intertwine`, the
 dense operators (canonical_intertwiner, raw_averaging, weil_op), hecke's
@@ -159,53 +159,6 @@ def _frame(r: Realization) -> tuple:
     return (*r.sigma, *r.tau)
 
 
-def _averaging_chirps(target, source, p: int) -> tuple:
-    """(q_a, beta, q_b) with raw averaging entry [y, x] equal to
-    psi(q_a y^2 + beta x y + q_b x^2), for transverse lines.
-
-    target and source are frames (sigma1, sigma2, tau1, tau2) of ints or
-    integer arrays, taken elementwise.  Row y sums over v = m sigma + y tau;
-    that point lands at source coordinate x = m w + y c with
-    w = omega(sigma, sigma') != 0 and c = omega(tau, sigma'), so each (y, x)
-    has the one term m = (x - c y) / w, of value psi(x l / 2 - m y / 2) with
-    l = omega(tau', v) = alpha m + gamma y, alpha = omega(tau', sigma) and
-    gamma = omega(tau', tau).  Expanding gives q_a = c / 2w, q_b = alpha / 2w
-    and beta = (gamma w - 1 - c alpha) / 2w.
-    """
-    s1, s2, t1, t2 = target
-    u1, u2, r1, r2 = source
-    w = _omega(s1, s2, u1, u2, p)
-    c = _omega(t1, t2, u1, u2, p)
-    alpha = _omega(r1, r2, s1, s2, p)
-    gamma = _omega(r1, r2, t1, t2, p)
-    h = pow_mod(2 * w, p - 2, p)
-    return c * h % p, (gamma * w - 1 - c * alpha) % p * h % p, alpha * h % p
-
-
-def _shared_line_map(target, source, p: int) -> tuple:
-    """(lift, twist) of the identity between two gauges of one line: row y
-    of the target model is psi(twist y^2) times source entry lift y.
-
-    Frames as in _averaging_chirps.  The point (y tau, 0) lands at source
-    coordinate x = e1 y with l = e2 y, where e1 = omega(tau, sigma') and
-    e2 = omega(tau', tau), so its value is psi(e1 e2 y^2 / 2) f(e1 y).
-    """
-    _, _, t1, t2 = target
-    u1, u2, r1, r2 = source
-    e1 = _omega(t1, t2, u1, u2, p)
-    return e1, half_mod(e1 * _omega(r1, r2, t1, t2, p) % p, p)
-
-
-def _coefficient(target, source, p: int, scale) -> np.ndarray:
-    """The canonical operator's constant, frames as in _averaging_chirps:
-    scale chi_q(omega(sigma, sigma')) on transverse lines, and on a shared
-    line, sigma = e sigma', chi_q(e) = chi_q(1 / e) = chi_q(omega(tau, sigma'))."""
-    w = _omega(*target[:2], *source[:2], p)
-    shared = w == 0
-    chi = legendre_symbol(np.where(shared, _omega(*target[2:], *source[:2], p), w), p)
-    return np.where(shared, chi, scale * chi)
-
-
 class WeilChirps(NamedTuple):
     """A batch of canonical operators, or of rho(g) on the model of a
     realization for a batch of elements g, as the coefficients of their
@@ -231,19 +184,41 @@ class WeilChirps(NamedTuple):
 
 def _chirps_between(targets, sources, p: int, scale) -> WeilChirps:
     """The canonical operators model(source) -> model(target) of a batch of
-    frame pairs, as one WeilChirps: frames as in _averaging_chirps, ints or
-    integer arrays broadcast against each other, the batch their shape.
+    frame pairs, as one WeilChirps, from four pairings of the frames.
 
-    The constant is _coefficient's and the chirps _averaging_chirps'; on a
-    shared line those chirps are 0 (pow_mod inverts 2w = 0 to 0), and qa is
-    the twist and lift the lift of _shared_line_map.
+    Frames are (sigma1, sigma2, tau1, tau2), ints or integer arrays
+    broadcast against each other, the batch their shape; primes mark the
+    source's.  Every field follows from w = omega(sigma, sigma'),
+    c = omega(tau, sigma'), alpha = omega(tau', sigma) and
+    gamma = omega(tau', tau), with h = 1 / 2w (0 for w = 0, as pow_mod
+    inverts it).
+
+    Transverse lines, w != 0: row y of the raw averaging sums over
+    v = m sigma + y tau, which lands at source coordinate x = m w + y c, so
+    each (y, x) has the one term m = (x - c y) / w, of value
+    psi(x l / 2 - m y / 2) with l = omega(tau', v) = alpha m + gamma y.
+    Expanding gives q_a = c h, beta = (gamma w - 1 - c alpha) h and
+    q_b = alpha h, and the constant is scale chi_q(w).
+
+    A shared line, w = 0: the point (y tau, 0) lands at source coordinate
+    x = c y with l = gamma y, so row y is psi(c gamma y^2 / 2) f(c y): lift c
+    and twist c gamma / 2 in qa, while beta and qb are 0 since h is.  With
+    sigma = e sigma' the constant is chi_q(e) = chi_q(1 / e) = chi_q(c).
     """
-    w = _omega(*targets[:2], *sources[:2], p)
-    qa, beta, qb = _averaging_chirps(targets, sources, p)
-    lift, twist = _shared_line_map(targets, sources, p)
-    shared = np.flatnonzero(w == 0)
-    return WeilChirps(p, _coefficient(targets, sources, p, scale), np.where(w == 0, twist, qa),
-                      beta, qb, shared, np.ravel(lift)[shared])
+    s1, s2, t1, t2 = targets
+    u1, u2, r1, r2 = sources
+    w = _omega(s1, s2, u1, u2, p)
+    c = _omega(t1, t2, u1, u2, p)
+    alpha = _omega(r1, r2, s1, s2, p)
+    gamma = _omega(r1, r2, t1, t2, p)
+    on_line = w == 0
+    h = pow_mod(2 * w, p - 2, p)
+    chi = legendre_symbol(np.where(on_line, c, w), p)
+    shared = np.flatnonzero(on_line)
+    return WeilChirps(p, np.where(on_line, chi, scale * chi),
+                      np.where(on_line, half_mod(c * gamma % p, p), c * h % p),
+                      (gamma * w - 1 - c * alpha) % p * h % p, alpha * h % p,
+                      shared, np.ravel(c)[shared])
 
 
 def _apply_chirps(ch: WeilChirps, block: np.ndarray) -> np.ndarray:

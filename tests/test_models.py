@@ -290,39 +290,6 @@ def test_validation_rejects_a_non_finite_constant(p, scale):
         _validate_family(p, scale)
 
 
-@pytest.mark.parametrize("p", [7, 11])
-def test_validation_rejects_a_beta_off_by_one(p, monkeypatch):
-    # a wrong bilinear frequency breaks the operators themselves: the
-    # returning pair no longer composes to the identity
-    scale = averaging_scale(p)
-    chirps = models._averaging_chirps
-
-    def off_by_one(target, source, modulus):
-        qa, beta, qb = chirps(target, source, modulus)
-        return qa, (beta + 1) % modulus, qb
-
-    monkeypatch.setattr(models, "_averaging_chirps", off_by_one)
-    with pytest.raises(IntertwinerConstructionError, match="returning pair"):
-        _validate_family(p, scale)
-
-
-@pytest.mark.parametrize("p", [3, 7, 11, 13])
-def test_validation_rejects_a_coordinate_change_without_phases(p, monkeypatch):
-    # the sign rule's gauges have transversals on different lines, so the
-    # coordinate change it compares through carries nontrivial phases: with
-    # the shared-line map's twist forced to 0 it is a bare permutation
-    scale = averaging_scale(p)
-    shared_line_map = models._shared_line_map
-
-    def permutation_only(target, source, modulus):
-        lift, twist = shared_line_map(target, source, modulus)
-        return lift, 0 * twist
-
-    monkeypatch.setattr(models, "_shared_line_map", permutation_only)
-    with pytest.raises(IntertwinerConstructionError, match="sign rule fails in target slot"):
-        _validate_family(p, scale)
-
-
 @pytest.mark.parametrize("p", [7, 11, 13])
 def test_validation_rejects_an_image_without_its_phase(p, monkeypatch):
     # the geometric phase of g.r is the one quantity only invariance reads:
@@ -339,37 +306,63 @@ def test_validation_rejects_an_image_without_its_phase(p, monkeypatch):
         _validate_family(p, scale)
 
 
-def _flip_shared(c, w, scale):
-    return np.where(w == 0, -c, c)
+def _on_shared_lines(ch):
+    """Whether each element of a chirps batch joins two gauges of one line."""
+    on_line = np.zeros(np.size(ch.coef), dtype=bool)
+    on_line[ch.shared] = True
+    return on_line.reshape(np.shape(ch.coef))
 
 
-def _flip_transverse(c, w, scale):
-    return np.where(w != 0, -c, c)
+# one field of the operator form corrupted, on the batch's transverse or
+# shared elements: (chirps, on_line, scale) -> chirps, the chirps left for
+# _apply_chirps to reduce mod p
+FORM_MUTANTS = {
+    "transverse-qa+1": lambda ch, on, scale: ch._replace(qa=np.where(on, ch.qa, ch.qa + 1)),
+    "beta+1": lambda ch, on, scale: ch._replace(beta=np.where(on, ch.beta, ch.beta + 1)),
+    "transverse-qb+1": lambda ch, on, scale: ch._replace(qb=np.where(on, ch.qb, ch.qb + 1)),
+    "shared-twist-0": lambda ch, on, scale: ch._replace(qa=np.where(on, 0, ch.qa)),
+    "shared-lift-1": lambda ch, on, scale: ch._replace(lift=np.ones_like(ch.lift)),
+    "shared-sign": lambda ch, on, scale: ch._replace(coef=np.where(on, -ch.coef, ch.coef)),
+    "transverse-sign": lambda ch, on, scale: ch._replace(coef=np.where(on, ch.coef, -ch.coef)),
+    "transverse-without-chi": lambda ch, on, scale: ch._replace(coef=np.where(on, ch.coef, scale)),
+}
 
 
-def _drop_chi_on_transverse(c, w, scale):
-    return np.where(w != 0, scale, c)
+# each mutant with the first failure the family check reports
+FIRST_FAILURES = [
+    # a wrong chirp breaks the operators themselves: the returning pair no
+    # longer composes to the identity
+    ("transverse-qa+1", "returning pair"),
+    ("beta+1", "returning pair"),
+    ("transverse-qb+1", "returning pair"),
+    # the sign rule's gauges have transversals on different lines, so the
+    # coordinate change it compares through carries nontrivial phases and
+    # moves points: without its twist or its lift it is the wrong map
+    ("shared-twist-0", "sign rule fails in target slot"),
+    ("shared-lift-1", "sign rule fails in target slot"),
+    ("shared-sign", "normalization fails"),
+    ("transverse-sign", "convolution fails on an anchor triple"),
+    # chi_q(-1) = -1 at p = 3 mod 4 spoils the returning pair; at p = 1 mod 4
+    # it is 1 and the anchor triples' other transverse pairs catch it
+    ("transverse-without-chi", {3: "returning pair", 1: "convolution fails"}),
+]
 
 
-@pytest.mark.parametrize("mutate, message", [
-    (_flip_shared, "normalization fails"),
-    (_flip_transverse, "convolution fails on an anchor triple"),
-    # chi_q(-1) = -1 at p = 11 spoils the returning pair; at p = 13 it is 1
-    # and the anchor triples' other transverse pairs catch it
-    (_drop_chi_on_transverse, "returning pair is not the identity|convolution fails"),
-], ids=["shared-sign", "transverse-sign", "transverse-without-chi"])
-@pytest.mark.parametrize("p", [11, 13])
-def test_validation_rejects_a_wrong_coefficient(p, mutate, message, monkeypatch):
-    # the constant the production operators read, _coefficient, is the one
-    # the family check applies, so a wrong one fails it
+@pytest.mark.parametrize("mutant, message", FIRST_FAILURES, ids=[m for m, _ in FIRST_FAILURES])
+@pytest.mark.parametrize("p", [3, 7, 11, 13])
+def test_validation_rejects_a_wrong_field_of_the_form(p, mutant, message, monkeypatch):
+    # every operator the family check applies comes from _chirps_between,
+    # as production's do, so one wrong field of its form fails the check
     scale = averaging_scale(p)
-    coefficient = models._coefficient
+    chirps_between = models._chirps_between
 
-    def mutant(target, source, modulus, scale):
-        w = models._omega(*target[:2], *source[:2], modulus)
-        return mutate(coefficient(target, source, modulus, scale), w, scale)
+    def corrupted(targets, sources, modulus, scale):
+        ch = chirps_between(targets, sources, modulus, scale)
+        return FORM_MUTANTS[mutant](ch, _on_shared_lines(ch), scale)
 
-    monkeypatch.setattr(models, "_coefficient", mutant)
+    monkeypatch.setattr(models, "_chirps_between", corrupted)
+    if isinstance(message, dict):
+        message = message[p % 4]
     with pytest.raises(IntertwinerConstructionError, match=message):
         _validate_family(p, scale)
 
