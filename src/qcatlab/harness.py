@@ -21,8 +21,9 @@ verify draw transports the defining block straight to its line and holds
 that line's rows against it.  A prime's records keep one form (PrimeRecords)
 of O(p) entries until sweep.csv, whose bytes depend only on the config, is
 written from it a line at a time, by (p, line, character, basis vector),
-every line's argmax derived once, each line's head and each representative
-row's text formatted once; the table of every row is built only on request.
+a line's argmax derived when that line is written, each line's head and each
+representative row's text formatted once; the table of every row is built
+only on request.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ class PrimeRecords:
     """One prime's records until they are written: rows[s] is the
     supremum_records table of the block scored at representative slot s, and
     line lines[i] is written with the rows of slot slot[i] (every slot is some
-    line's), its own index as realization and argmax([i]) as argmax: the
+    line's), its own index as realization and argmax(i) as argmax: the
     least x / e over the slot's tie points x, for the line's dilation e
     (hecke.torus_orbits), ties[s] = (x, first) holding column c's from
     x[first[c]] on (a one-line orbit keeps only its least).  The rows are
@@ -146,23 +147,17 @@ class PrimeRecords:
     def size(self) -> int:  # the rows written: one per line and column
         return self.slot.size * self.rows.shape[1]
 
-    def argmax(self, at) -> np.ndarray:
-        """The argmax of the lines at positions at (an index array or a
-        slice), one row of n per line: the one reader of the tie points."""
-        at = np.arange(self.slot.size)[at]
-        p, slot = int(self.rows["p"][0, 0]), self.slot[at]
-        argmax = np.empty((at.size, self.rows.shape[1]), dtype=np.int64)
-        for s, (x, first) in enumerate(self.ties):
-            mine = np.flatnonzero(slot == s)
-            argmax[mine] = np.minimum.reduceat(
-                x * self.inverse[at[mine], np.newaxis] % p, first, axis=1)
-        return argmax
+    def argmax(self, i: int) -> np.ndarray:
+        """The argmax of the line at position i, one per column: the one
+        reader of the tie points."""
+        p, (x, first) = int(self.rows["p"][0, 0]), self.ties[self.slot[i]]
+        return np.minimum.reduceat(x * int(self.inverse[i]) % p, first)
 
     def table(self) -> np.ndarray:
         """The written rows as one RECORD_DTYPE table, in sweep.csv order."""
         records = self.rows[self.slot].reshape(-1)
         records["realization"] = np.repeat(self.lines, self.rows.shape[1])
-        records["argmax"] = self.argmax(slice(None)).ravel()
+        records["argmax"] = np.concatenate([self.argmax(i) for i in range(self.slot.size)])
         return records
 
 
@@ -345,7 +340,7 @@ def _verify_lines(fn: HeckeEigenfunction, torus, form: PrimeRecords, draws) -> N
         target = Realization.of(int(s1[l]), int(s2[l]), p)
         moved = transport(fn, target)
         # the form writes every line, line l at position l
-        rows, (argmax,) = form.rows[form.slot[l]], form.argmax([l])
+        rows, argmax = form.rows[form.slot[l]], form.argmax(l)
         recs = supremum_records(moved, rows[0]["kind"])[0]
         bad = np.flatnonzero((rows["character"] != moved.characters)
                              | (argmax != recs["argmax"])
@@ -497,7 +492,8 @@ def write_records_csv(path, per_prime: list[PrimeRecords]) -> None:
     (character, then basis vector).  A row joins its line's head
     p,kind,s1:s2, (formatted once per line), its slot's text
     character,multiplicity,sup, and ,a_max,pass (once per representative
-    row, sup and a_max = sup * sup by %.12g) and its argmax."""
+    row, sup and a_max = sup * sup by %.12g) and its argmax, derived for
+    its line when that line is written."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# schema: {SWEEP_SCHEMA}\n")
         fh.write("p,kind,realization,character,multiplicity,sup,argmax,a_max,pass\n")
@@ -507,8 +503,8 @@ def write_records_csv(path, per_prime: list[PrimeRecords]) -> None:
 
 def _write_form(fh, form: PrimeRecords) -> None:
     """One prime's rows of sweep.csv, line by line, each line's columns in
-    order; one line's text is alive at once, the prime's freed before the
-    next's."""
+    order; one line's argmax and text are alive at once, the prime's text
+    freed before the next's."""
     rows = form.rows
     p, kind = int(rows["p"][0, 0]), rows["kind"][0, 0]
     s1, s2 = line_sigmas(p)
@@ -519,8 +515,8 @@ def _write_form(fh, form: PrimeRecords) -> None:
                 for sup, ok in zip(*fields)]
                for fields in zip(sups, rows["passed"].tolist())]
     points = [str(x) for x in range(p)]  # argmax is a point x of [0, p)
-    for a, b, s, argmax in zip(s1[form.lines].tolist(), s2[form.lines].tolist(),
-                               form.slot.tolist(), form.argmax(slice(None))):
+    for i, (a, b, s) in enumerate(zip(s1[form.lines].tolist(), s2[form.lines].tolist(),
+                                      form.slot.tolist())):
         fh.write("".join(map("".join, zip(
             repeat("%d,%s,%d:%d," % (p, kind, a, b)), record[s],
-            map(points.__getitem__, argmax.tolist()), verdict[s]))))
+            map(points.__getitem__, form.argmax(i).tolist()), verdict[s]))))
