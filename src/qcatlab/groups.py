@@ -4,9 +4,10 @@ torus of a hyperbolic integer matrix.
 Conventions: omega(u, v) = u1*v2 - u2*v1 on F_p^2, the Heisenberg product is
 (v, z)(v', z') = (v + v', z + z' + omega(v, v')/2), and SL2(F_p) acts on the
 Heisenberg group by (v, z) -> (g v, z).  Vectors and Heisenberg elements are
-plain integers, and a line is its sigma in line_sigmas order.  The torus's
-generator is the first element of full order, found by its order, and all
-its powers come from one cached integer walk (torus_elements).
+plain integers, and a line is its sigma in line_sigmas order.  A CatMap is
+hyperbolic by construction.  The torus's generator is the first element of
+full order, found by its order as the search reads the norm-one pairs, and
+all its powers come from one cached integer walk (torus_elements).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import is_odd_prime, legendre_symbol, pow_mod
+from .arith import half_mod, legendre_symbol, pow_mod
 
 __all__ = [
     "SympMatrix",
@@ -98,19 +99,18 @@ class CatMap:
     def __post_init__(self):
         if self.a * self.d - self.b * self.c != 1:
             raise ValueError("cat map must have determinant 1 over Z")
+        if abs(self.trace) <= 2:
+            raise ValueError(f"cat map with trace {self.trace} is not hyperbolic")
 
     @classmethod
     def parse(cls, text: str) -> "CatMap":
-        """Parse the input format "a,b;c,d"; the result must be hyperbolic."""
+        """Parse the input format "a,b;c,d"."""
         try:
             rows = text.split(";")
             (a, b), (c, d) = (tuple(int(t) for t in row.split(",")) for row in rows)
         except (ValueError, TypeError) as exc:
             raise ValueError(f"cannot parse matrix {text!r}; expected 'a,b;c,d'") from exc
-        out = cls(a, b, c, d)
-        if not out.is_hyperbolic():
-            raise ValueError(f"matrix {text!r} has |trace| <= 2; not hyperbolic")
-        return out
+        return cls(a, b, c, d)
 
     @property
     def trace(self) -> int:
@@ -120,19 +120,12 @@ class CatMap:
     def discriminant(self) -> int:
         return self.trace ** 2 - 4
 
-    def is_hyperbolic(self) -> bool:
-        return abs(self.trace) > 2
-
     def reduce(self, p: int) -> SympMatrix:
         return SympMatrix(self.a, self.b, self.c, self.d, p)
 
 
 def classify_prime(A: CatMap, p: int) -> str:
     """Splitting type of trace(A)^2 - 4 mod p: "split", "inert" or "ramified"."""
-    if not A.is_hyperbolic():
-        raise ValueError(f"cat map with trace {A.trace} is not hyperbolic")
-    if not is_odd_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
     sym = legendre_symbol(A.discriminant, p)
     if sym == 0:
         return "ramified"
@@ -183,9 +176,10 @@ def torus_elements(torus: HeckeTorus) -> tuple[np.ndarray, ...]:
     return tuple(entries)
 
 
-def _norm_one_pairs(t: int, p: int) -> np.ndarray:
-    """The (x, y) in F_p^2 with x^2 + t x y + y^2 = 1, x-major with y
-    ascending, as a (count, 2) array.
+def _norm_one_pairs(t: int, p: int) -> tuple:
+    """The number of (x, y) in F_p^2 with x^2 + t x y + y^2 = 1, and an
+    iterator of them as int pairs, x-major with y ascending, that solves
+    each x only when it is reached.
 
     For each x the y solve y^2 + t x y + x^2 - 1 = 0, so
     y = (-t x +- r) / 2 with r^2 = (t^2 - 4) x^2 + 4, r read from a table of
@@ -195,10 +189,10 @@ def _norm_one_pairs(t: int, p: int) -> np.ndarray:
     root = np.full(p, -1)
     root[x * x % p] = x  # root[s] is a square root of s, or -1 for a non-square
     r = root[((t * t - 4) % p * (x * x % p) + 4) % p]
-    ys = np.sort((-t * x[:, np.newaxis] + r[:, np.newaxis] * np.array([1, -1]))
-                 * ((p + 1) // 2) % p, axis=1)
-    keep = np.stack([r >= 0, r > 0], axis=1)
-    return np.stack([np.broadcast_to(x[:, np.newaxis], ys.shape)[keep], ys[keep]], axis=1)
+    count = 2 * np.count_nonzero(r > 0) + np.count_nonzero(r == 0)
+    pairs = ((x0, y0) for x0, r0 in enumerate(map(int, r)) if r0 >= 0
+             for y0 in sorted({half_mod(-t * x0 + r0, p), half_mod(-t * x0 - r0, p)}))
+    return int(count), pairs
 
 
 def _power(x: tuple, e: int, p: int) -> tuple:
@@ -234,13 +228,12 @@ def build_hecke_torus(A: CatMap, p: int) -> HeckeTorus:
         raise ValueError(f"p = {p} is ramified for this cat map; no Hecke torus")
     Ap = A.reduce(p)
     # x*I + y*A has determinant x^2 + t*x*y + y^2; search its solutions x-major
-    pairs = _norm_one_pairs(Ap.trace(), p)
+    count, pairs = _norm_one_pairs(Ap.trace(), p)
     order = p - 1 if kind == "split" else p + 1
-    if len(pairs) != order:
-        raise RuntimeError(f"commutant size {len(pairs)} != {order} for {kind} p = {p}")
+    if count != order:
+        raise RuntimeError(f"commutant size {count} != {order} for {kind} p = {p}")
     factors = _prime_factors(order)
-    for pair in pairs:  # the search usually stops at the first pair: convert as tried
-        x0, y0 = pair.tolist()
+    for x0, y0 in pairs:  # the search usually stops at the first pair
         g = (x0 + y0 * Ap.a, y0 * Ap.b, y0 * Ap.c, x0 + y0 * Ap.d)
         if all(_power(g, order // q, p) != (1, 0, 0, 1) for q in factors):
             return HeckeTorus(Ap, kind, order, SympMatrix(*g, p))

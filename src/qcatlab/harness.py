@@ -117,8 +117,6 @@ class SweepConfig:
             raise ValueError(f"verify_samples must be at least 0, got {self.verify_samples}")
         if self.verify_samples and self.realizations != "all":
             raise ValueError("verify samples need all realizations to re-extract in")
-        if not self.matrix.is_hyperbolic():
-            raise ValueError("cat map must be hyperbolic")
 
     def primes(self) -> list[int]:
         return primes_in(self.prime_lo, self.prime_hi)
@@ -436,9 +434,10 @@ def value_distribution(cfg: SweepConfig) -> DistributionReport:
     """Aggregate |amplitude| over all points, multiplicity-one characters and
     inert primes in the range, and compare with the SU(2) trace law.
 
-    Split primes carry constant-modulus eigenfunctions and are rejected from
-    the sample (logged), as are flagged characters; an empty inert range is a
-    usage error.  If any prime raises, one RuntimeError names them all.
+    Split primes, whose values are Salie sums and follow another law (README,
+    "The sup-norm bound at split primes"), are rejected from the sample
+    (logged), as are flagged characters; an empty inert range is a usage
+    error.  If any prime raises, one RuntimeError names them all.
     """
     inert, skipped = [], []
     for p in cfg.primes():

@@ -383,7 +383,7 @@ def geometric_action(r: Realization, g: SympMatrix) -> tuple[Realization, np.nda
     (u1, u2, r1, r2), mu = _image(r, (g.a, g.b, g.c, g.d))
     y = np.arange(r.p)
     return (Realization(r.p, (u1, u2), (r1, r2)),
-            unit_roots(r.p)[half_mod(mu * y * y, r.p)])
+            unit_roots(r.p)[half_mod(mu * (y * y % r.p), r.p)])
 
 
 def raw_averaging(target: Realization, source: Realization) -> np.ndarray:

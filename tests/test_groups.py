@@ -161,12 +161,16 @@ def test_classify_prime_examples():
     assert pow(5, 3, 7) == 7 - 1
     assert classify_prime(A_DEFAULT, 7) == "inert"
     assert classify_prime(A_DEFAULT, 5) == "ramified"
+    for p in (9, 2):
+        with pytest.raises(ValueError, match="odd prime"):
+            classify_prime(A_DEFAULT, p)
 
 
 def test_classify_rejects_non_hyperbolic():
-    for m in (CatMap(1, 1, 0, 1), CatMap(0, 1, -1, 0), CatMap(1, 0, 0, 1)):
-        with pytest.raises(ValueError):
-            classify_prime(m, 7)
+    # no cat map with |trace| <= 2 is built, so none reaches classify_prime
+    for entries in ((1, 1, 0, 1), (0, 1, -1, 0), (1, 0, 0, 1)):
+        with pytest.raises(ValueError, match="not hyperbolic"):
+            CatMap(*entries)
 
 
 def test_classify_matches_eigenvector_search():
@@ -328,12 +332,15 @@ def test_torus_search_walks_only_the_generator():
 @pytest.mark.parametrize("matrix", sorted(PINNED_GENERATORS))
 def test_norm_one_pairs_are_the_scan_of_the_plane(matrix):
     # the pairs read from square roots, one or two per x, are the points of
-    # the plane the scan finds, in its x-major order with y ascending
+    # the plane the scan finds, in its x-major order with y ascending, and
+    # the count read from the table is theirs
     A = CatMap.parse(matrix)
     for p in primes_in(3, 199):
         if classify_prime(A, p) != "ramified":
             expected = norm_one_pairs_by_scan(A, p)
-            assert np.array_equal(_norm_one_pairs(A.reduce(p).trace(), p), expected), p
+            count, pairs = _norm_one_pairs(A.reduce(p).trace(), p)
+            assert np.array_equal(np.array(list(pairs)), expected), p
+            assert count == len(expected), p
 
 
 def test_line_sigmas_are_one_per_line_in_slope_order():

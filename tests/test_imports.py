@@ -2,7 +2,8 @@
 every imported name is read in its module, every name a qcatlab module
 lists in __all__ exists and is read in the package or the benchmark, and
 every private module-level name the package defines is read somewhere in
-the package.  bench/ is read for its names only, not linted."""
+the package, and halving mod p is written only in arith.  bench/ is read
+for its names only, not linted."""
 
 import ast
 import importlib
@@ -117,3 +118,13 @@ def test_public_names_are_read_in_the_package_or_the_benchmark():
               if name not in read]
     assert not unread, ("listed in __all__ and read nowhere in src/qcatlab or bench/:\n"
                         + "\n".join(unread))
+
+
+def test_halving_mod_p_is_written_only_in_arith():
+    # (p + 1) // 2 is the inverse of 2: every other module halves by half_mod
+    files = sorted(PACKAGE.glob("*.py"))
+    assert PACKAGE / "arith.py" in files, "package sources not found"
+    written = [f"{path.relative_to(ROOT)}:{n}" for path in files if path.name != "arith.py"
+               for n, line in enumerate(path.read_text().splitlines(), 1)
+               if "(p + 1) // 2" in line]
+    assert not written, "halved mod p outside arith.half_mod:\n" + "\n".join(written)

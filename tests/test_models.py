@@ -16,7 +16,7 @@ from oracles import (
     projective_egorov_solver,
     regauge,
 )
-from qcatlab.arith import legendre_symbol, primes_in, unit_roots
+from qcatlab.arith import half_mod, legendre_symbol, primes_in, unit_roots
 from qcatlab.groups import (
     CatMap,
     SympMatrix,
@@ -776,3 +776,18 @@ def test_geometric_action_lands_in_translated_model(rng):
         lhs = (phases[:, None] * heisenberg_op(r, *h)) * np.conj(phases)[None, :]
         rhs = heisenberg_op(tgt, *g.apply(h[:2]), h[2])
         assert np.allclose(lhs, rhs, atol=1e-10)
+
+
+def test_geometric_action_is_exact_past_the_int64_square():
+    # mu y^2 (p + 1) / 2 unreduced passes int64 from p = 66029 on, where
+    # mu = y = p - 1 give about 9.5e18: the phase must still be the one read
+    # with Python ints, and the family check, which reads these phases, must
+    # pass (run uncached, so that no earlier call answers for it)
+    p = 66029
+    r, g = Realization.standard(p), SympMatrix(1, 0, 1, 1, p)
+    _, phases = geometric_action(r, g)
+    mu = int(models._image(r, (g.a, g.b, g.c, g.d))[1])
+    assert mu == p - 1
+    y = p - 1
+    assert phases[y] == unit_roots(p)[half_mod(mu * y * y, p)]
+    assert abs(abs(averaging_scale.__wrapped__(p)) - p ** -0.5) < 1e-12
